@@ -5,33 +5,86 @@ with bit i set iff edge i is present; addition is symmetric difference.
 Subspaces keep their basis in reduced row echelon form, so two equal
 subspaces are structurally equal objects.  Operators are m x m matrices
 stored column-wise (column x = image of the singleton {x}).
+
+A row's pivot is its lowest set bit, kept as the power of two `row & -row`.
+Elimination indexes rows by pivot in a dict, so reducing a row costs one
+lookup and one big-int XOR per pivot it meets; membership tests use the
+same index.  Intersections and kernels both come from one elimination on
+rows of 2m bits, keeping the members of the span whose low m bits are
+zero (Zassenhaus).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
-def _low_bit(x: int) -> int:
-    """Index of the lowest set bit of a nonzero int."""
-    return (x & -x).bit_length() - 1
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Row echelon form, keyed by pivot: {row & -row: row}.
+
+    Each incoming row is reduced by the stored row of its lowest bit until
+    that bit is a new pivot or the row is zero.  The stored rows span the
+    input and have distinct pivots, but may have set bits in other rows'
+    pivot columns.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            b = pivots.get(low)
+            if b is None:
+                pivots[low] = row
+                break
+            row ^= b
+    return pivots
 
 
 def _rref(rows: Iterable[int]) -> tuple[int, ...]:
-    """Reduce bitset rows to reduced row echelon form (pivots increasing)."""
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            if (row >> _low_bit(b)) & 1:
-                row ^= b
-        if row:
-            for i, b in enumerate(basis):
-                if (b >> _low_bit(row)) & 1:
-                    basis[i] = b ^ row
-            basis.append(row)
-    basis.sort(key=_low_bit)
-    return tuple(basis)
+    """Reduce bitset rows to reduced row echelon form (pivots increasing).
+
+    After `_echelon`, rows are back-substituted once in descending pivot
+    order: the other pivot bits of a row all lie above its own pivot, and
+    the rows of those pivots are already reduced, so XOR-ing them in clears
+    exactly those bits.  The result is the unique canonical basis: nonzero
+    rows, strictly increasing pivots, each pivot column clear in all other
+    rows.
+    """
+    pivots = _echelon(rows)
+    mask = sum(pivots)
+    out = []
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        rest = (row ^ p) & mask
+        while rest:
+            q = rest & -rest
+            row ^= pivots[q]
+            rest ^= q
+        pivots[p] = row
+        out.append(row)
+    out.reverse()
+    return tuple(out)
+
+
+def _low_zero_part(rows: Iterable[int], m: int) -> tuple[int, ...]:
+    """RREF basis of {x >> m : x in span(rows), x & (2^m - 1) == 0}.
+
+    A combination of echelon rows has the lowest pivot among them as its
+    lowest bit, so the members with zero low half are exactly the span of
+    the echelon rows whose pivot is at least bit m.
+    """
+    return _rref(r >> m for p, r in _echelon(rows).items() if p >> m)
+
+
+def _apply_bits(cols: tuple[int, ...], x: int) -> int:
+    """XOR of the columns selected by the set bits of x."""
+    bits = 0
+    while x:
+        low = x & -x
+        bits ^= cols[low.bit_length() - 1]
+        x ^= low
+    return bits
 
 
 @dataclass(frozen=True)
@@ -106,6 +159,8 @@ class Gf2Subspace:
                     raise ValueError("universe mismatch")
                 bits.append(v.bits)
             else:
+                if v < 0 or v >> m:
+                    raise ValueError("vector has bits outside the universe")
                 bits.append(v)
         return cls(m, _rref(bits))
 
@@ -121,6 +176,12 @@ class Gf2Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def _pivot_index(self) -> tuple[int, dict[int, int]]:
+        """(OR of the pivot bits, {pivot bit: row})."""
+        index = {r & -r: r for r in self.rows}
+        return sum(index), index
+
     def contains(self, v: Gf2Vec | int) -> bool:
         if isinstance(v, Gf2Vec):
             if v.m != self.m:
@@ -128,10 +189,16 @@ class Gf2Subspace:
             x = v.bits
         else:
             x = v
-        for row in self.rows:
-            if (x >> _low_bit(row)) & 1:
-                x ^= row
-        return x == 0
+        # Pivot columns are clear in all other rows, so x is a member iff
+        # it equals the sum of the rows whose pivot bits it has.
+        mask, index = self._pivot_index
+        sel = x & mask
+        y = 0
+        while sel:
+            p = sel & -sel
+            y ^= index[p]
+            sel ^= p
+        return x == y
 
     def is_subspace_of(self, other: Gf2Subspace) -> bool:
         return all(other.contains(Gf2Vec(self.m, r)) for r in self.rows)
@@ -155,25 +222,37 @@ class Gf2Subspace:
         return Gf2Subspace(self.m, _rref(self.rows + other.rows))
 
     def perp(self) -> Gf2Subspace:
-        """Orthogonal complement (null space of the basis matrix)."""
-        pivots = [_low_bit(r) for r in self.rows]
-        pivot_set = set(pivots)
-        gens = []
-        for c in range(self.m):
-            if c in pivot_set:
-                continue
-            x = 1 << c
-            for r, p in zip(self.rows, pivots):
-                if (r >> c) & 1:
-                    x |= 1 << p
-            gens.append(x)
-        return Gf2Subspace(self.m, _rref(gens))
+        """Orthogonal complement (null space of the basis matrix).
+
+        Each non-pivot column c gives the generator {c} plus the pivots of
+        the rows that contain c; they are built by walking each row's set
+        bits once.
+        """
+        pivot_mask, _ = self._pivot_index
+        gens = {1 << c: 1 << c for c in range(self.m) if not (pivot_mask >> c) & 1}
+        for r in self.rows:
+            p = r & -r
+            rest = r ^ p
+            while rest:
+                q = rest & -rest
+                gens[q] |= p
+                rest ^= q
+        return Gf2Subspace(self.m, _rref(gens.values()))
 
     def intersect(self, other: Gf2Subspace) -> Gf2Subspace:
-        """Intersection, computed as the complement of the sum of complements."""
+        """Intersection by Zassenhaus' algorithm, in one elimination.
+
+        The rows are u | u << m for u in self and w for w in other.  A
+        combination is (u + w) | u << m, so its low m bits vanish exactly
+        when u = w lies in both spaces, and its high half is then that
+        common vector.
+        """
         if self.m != other.m:
             raise ValueError("universe mismatch")
-        return self.perp().sum(other.perp()).perp()
+        m = self.m
+        rows = [u | u << m for u in self.rows]
+        rows += other.rows
+        return Gf2Subspace(m, _low_zero_part(rows, m))
 
     def __repr__(self) -> str:
         shown = [format(r, f"0{self.m}b")[::-1] for r in self.rows]
@@ -220,19 +299,13 @@ class LinearOp:
     def apply(self, v: Gf2Vec) -> Gf2Vec:
         if v.m != self.m:
             raise ValueError("universe mismatch")
-        bits = 0
-        x = v.bits
-        while x:
-            i = _low_bit(x)
-            bits ^= self.cols[i]
-            x &= x - 1
-        return Gf2Vec(self.m, bits)
+        return Gf2Vec(self.m, _apply_bits(self.cols, v.bits))
 
     def compose(self, inner: LinearOp) -> LinearOp:
         """self o inner (apply `inner` first)."""
         if inner.m != self.m:
             raise ValueError("universe mismatch")
-        return LinearOp(self.m, tuple(self.apply(Gf2Vec(self.m, c)).bits for c in inner.cols))
+        return LinearOp(self.m, tuple(_apply_bits(self.cols, c) for c in inner.cols))
 
     def __add__(self, other: LinearOp) -> LinearOp:
         if other.m != self.m:
@@ -240,11 +313,15 @@ class LinearOp:
         return LinearOp(self.m, tuple(a ^ b for a, b in zip(self.cols, other.cols)))
 
     def transpose(self) -> LinearOp:
+        """Row i of the result collects bit j for every column j holding i;
+        only set bits are visited."""
         cols = [0] * self.m
         for j, c in enumerate(self.cols):
-            for i in range(self.m):
-                if (c >> i) & 1:
-                    cols[i] |= 1 << j
+            bit = 1 << j
+            while c:
+                low = c & -c
+                cols[low.bit_length() - 1] |= bit
+                c ^= low
         return LinearOp(self.m, tuple(cols))
 
     def is_symmetric(self) -> bool:
@@ -254,22 +331,11 @@ class LinearOp:
         return Gf2Subspace(self.m, _rref(self.cols))
 
     def kernel(self) -> Gf2Subspace:
-        """Null space, via column elimination with combination tracking."""
-        pivots: dict[int, tuple[int, int]] = {}
-        null_rows = []
-        for j in range(self.m):
-            col, combo = self.cols[j], 1 << j
-            while col:
-                p = _low_bit(col)
-                if p not in pivots:
-                    pivots[p] = (col, combo)
-                    break
-                pcol, pcombo = pivots[p]
-                col ^= pcol
-                combo ^= pcombo
-            else:
-                null_rows.append(combo)
-        return Gf2Subspace(self.m, _rref(null_rows))
+        """Null space: eliminate the rows col_j | 1 << (m + j); the high
+        halves of the members with zero low half are the combinations of
+        columns that vanish."""
+        m = self.m
+        return Gf2Subspace(m, _low_zero_part((c | 1 << (m + j) for j, c in enumerate(self.cols)), m))
 
     def __repr__(self) -> str:
         return f"LinearOp({self.m}, rank={self.image().dim})"

@@ -27,6 +27,8 @@ class SignedWord:
 
     Entries are (edge, sign) with 0-based edges and sign +1 or -1; each
     edge occurs exactly twice and its first stored occurrence is positive.
+    The positions of each edge's two occurrences are found once, when the
+    word is built.
     """
 
     m: int
@@ -36,24 +38,26 @@ class SignedWord:
         object.__setattr__(self, "entries", tuple((int(e), int(s)) for e, s in self.entries))
         if len(self.entries) != 2 * self.m:
             raise ValueError(f"word must have {2 * self.m} entries")
-        seen: dict[int, int] = {}
-        for e, s in self.entries:
+        positions: list[list[int]] = [[] for _ in range(self.m)]
+        for i, (e, s) in enumerate(self.entries):
             if not 0 <= e < self.m:
                 raise ValueError(f"edge {e} out of range")
             if s not in (1, -1):
                 raise ValueError(f"bad sign {s} on edge {e}")
-            seen[e] = seen.get(e, 0) + 1
-            if seen[e] > 2:
+            pos = positions[e]
+            if len(pos) == 2:
                 raise ValueError(f"edge {e} occurs more than twice")
-            if seen[e] == 1 and s != 1:
+            if not pos and s != 1:
                 raise ValueError(f"first occurrence of edge {e} must be positive")
-        if len(seen) != self.m:
-            raise ValueError("every edge must occur twice")
+            pos.append(i)
+        # 2m entries and no edge more than twice: every edge occurs twice.
+        object.__setattr__(self, "_positions", tuple((p1, p2) for p1, p2 in positions))
 
     def occurrences(self, x: int) -> tuple[int, int]:
         """Positions of the two occurrences of edge x, in stored order."""
-        pos = [i for i, (e, _) in enumerate(self.entries) if e == x]
-        return pos[0], pos[1]
+        if not 0 <= x < self.m:
+            raise ValueError(f"edge {x} out of range")
+        return self._positions[x]
 
     def same_direction(self, x: int) -> bool:
         """True when both occurrences of x carry the same sign."""
@@ -140,8 +144,23 @@ def kappa(w: SignedWord, x: int) -> Gf2Vec:
 
 
 def c_operator(w: SignedWord) -> LinearOp:
-    """Column x is kappa(w, x) + interlacement(w, x), extended linearly."""
-    return LinearOp(w.m, tuple((kappa(w, x) + interlacement(w, x)).bits for x in range(w.m)))
+    """Column x is kappa(w, x) + interlacement(w, x), extended linearly.
+
+    prefix[i] is the XOR of {e} over the first i entries.  An edge seen
+    twice strictly between the occurrences p1 < p2 of x cancels, so the
+    interlacement of x is prefix[p2] ^ prefix[p1 + 1].  Starting at p1
+    instead also takes in {x}, which is kappa when the second occurrence
+    is positive.  The cost is one pass over the word and m big-int XORs.
+    """
+    entries = w.entries
+    singles = [1 << e for e in range(w.m)]
+    prefix = [0]
+    acc = 0
+    for e, _ in entries:
+        acc ^= singles[e]
+        prefix.append(acc)
+    return LinearOp(w.m, tuple(prefix[p2] ^ prefix[p1 if entries[p2][1] == 1 else p1 + 1]
+                               for p1, p2 in w._positions))
 
 
 @dataclass(frozen=True)

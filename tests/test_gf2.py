@@ -45,6 +45,13 @@ def test_span_reduces_to_rref():
     assert members(s) == {0, 0b011, 0b110, 0b101}
 
 
+def test_span_rejects_ints_outside_the_universe():
+    for bad in (0b1000, -1, -0b10):
+        with pytest.raises(ValueError):
+            Gf2Subspace.span(3, [0b001, bad])
+    assert Gf2Subspace.span(0, [0]) == Gf2Subspace.zero(0)
+
+
 def test_zero_and_full():
     z = Gf2Subspace.zero(4)
     f = Gf2Subspace.full(4)

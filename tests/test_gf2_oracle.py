@@ -1,0 +1,224 @@
+"""Differential tests of the GF(2) kernels against the original loop versions.
+
+The reference functions below are the first implementations of `_rref`,
+`contains`, `perp`, `intersect`, `kernel` and `transpose`: one `_low_bit`
+call per (row, basis) pair, intersection as the complement of the sum of
+complements, and bit-by-bit transposition.  They are slow but plainly
+correct, and the pivot-indexed kernels in `mapcalc.gf2` must agree with
+them on every input.  Every output is also checked for the canonical RREF
+invariants that make subspace equality plain dataclass equality.
+"""
+
+from __future__ import annotations
+
+import random
+
+from mapcalc import Gf2Subspace, Gf2Vec, LinearOp
+from mapcalc.gf2 import _rref
+
+SIZES = range(65)
+
+
+def ref_low_bit(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def ref_rref(rows) -> tuple[int, ...]:
+    basis: list[int] = []
+    for row in rows:
+        for b in basis:
+            if (row >> ref_low_bit(b)) & 1:
+                row ^= b
+        if row:
+            for i, b in enumerate(basis):
+                if (b >> ref_low_bit(row)) & 1:
+                    basis[i] = b ^ row
+            basis.append(row)
+    basis.sort(key=ref_low_bit)
+    return tuple(basis)
+
+
+def ref_contains(rows: tuple[int, ...], x: int) -> bool:
+    for row in rows:
+        if (x >> ref_low_bit(row)) & 1:
+            x ^= row
+    return x == 0
+
+
+def ref_perp(m: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+    pivots = [ref_low_bit(r) for r in rows]
+    pivot_set = set(pivots)
+    gens = []
+    for c in range(m):
+        if c in pivot_set:
+            continue
+        x = 1 << c
+        for r, p in zip(rows, pivots):
+            if (r >> c) & 1:
+                x |= 1 << p
+        gens.append(x)
+    return ref_rref(gens)
+
+
+def ref_intersect(m: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return ref_perp(m, ref_rref(ref_perp(m, a) + ref_perp(m, b)))
+
+
+def ref_kernel(m: int, cols: tuple[int, ...]) -> tuple[int, ...]:
+    pivots: dict[int, tuple[int, int]] = {}
+    null_rows = []
+    for j in range(m):
+        col, combo = cols[j], 1 << j
+        while col:
+            p = ref_low_bit(col)
+            if p not in pivots:
+                pivots[p] = (col, combo)
+                break
+            pcol, pcombo = pivots[p]
+            col ^= pcol
+            combo ^= pcombo
+        else:
+            null_rows.append(combo)
+    return ref_rref(null_rows)
+
+
+def ref_apply(m: int, cols: tuple[int, ...], x: int) -> int:
+    out = 0
+    for i in range(m):
+        if (x >> i) & 1:
+            out ^= cols[i]
+    return out
+
+
+def ref_transpose(m: int, cols: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * m
+    for j, c in enumerate(cols):
+        for i in range(m):
+            if (c >> i) & 1:
+                out[i] |= 1 << j
+    return tuple(out)
+
+
+def assert_canonical(m: int, rows: tuple[int, ...]) -> None:
+    """Nonzero rows inside the universe, strictly increasing pivots, and
+    each pivot column clear in every other row."""
+    assert all(0 < r and not r >> m for r in rows)
+    pivots = [r & -r for r in rows]
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for i, p in enumerate(pivots):
+        assert not any(r & p for j, r in enumerate(rows) if j != i)
+
+
+def random_rows(rng: random.Random, m: int) -> list[int]:
+    """Rows from a few generators, so the set is often rank-deficient, with
+    duplicates, zero rows and sparse rows mixed in."""
+    gens = [rng.getrandbits(m) for _ in range(rng.randint(0, m))]
+    rows = [rng.getrandbits(m) if not gens or rng.random() < 0.3 else combo(rng, gens)
+            for _ in range(rng.randint(0, m + 2))]
+    if rows:
+        rows += rng.choices(rows, k=rng.randint(0, 3))
+    rows += [0] * rng.randint(0, 2)
+    if m:
+        rows += [1 << rng.randrange(m) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(rows)
+    return rows
+
+
+def combo(rng: random.Random, vectors: list[int]) -> int:
+    x = 0
+    for v in vectors:
+        if rng.random() < 0.5:
+            x ^= v
+    return x
+
+
+def independent(rng: random.Random, m: int) -> list[int]:
+    """A random independent set: RREF rows moved by a random invertible map,
+    so that they do not share the RREF's pivot structure."""
+    rows = list(ref_rref(rng.getrandbits(m) for _ in range(m)))
+    basis = [1 << i for i in range(m)]
+    for _ in range(3 * m):
+        i, j = rng.randrange(m), rng.randrange(m)
+        if i != j:
+            basis[i] ^= basis[j]
+    return [ref_apply(m, tuple(basis), r) for r in rows]
+
+
+def subspace_pairs(rng: random.Random, m: int):
+    """(a, b) pairs: unrelated, a inside b, trivial intersection, equal."""
+    yield Gf2Subspace.span(m, random_rows(rng, m)), Gf2Subspace.span(m, random_rows(rng, m))
+    rows = independent(rng, m)
+    inner = Gf2Subspace.span(m, [combo(rng, rows) for _ in range(len(rows))])
+    outer = Gf2Subspace.span(m, rows)
+    yield inner, outer
+    yield outer, inner
+    k = rng.randint(0, len(rows))
+    yield Gf2Subspace.span(m, rows[:k]), Gf2Subspace.span(m, rows[k:])
+    yield outer, outer
+
+
+def test_rref_and_span_match_reference():
+    for m in SIZES:
+        rng = random.Random(1000 + m)
+        for _ in range(4):
+            rows = random_rows(rng, m)
+            got = _rref(rows)
+            assert got == ref_rref(rows)
+            assert_canonical(m, got)
+            assert Gf2Subspace.span(m, rows).rows == got
+            assert Gf2Subspace.span(m, rows[::-1]).rows == got
+
+
+def test_contains_and_perp_match_reference():
+    for m in SIZES:
+        rng = random.Random(2000 + m)
+        for _ in range(4):
+            s = Gf2Subspace.span(m, random_rows(rng, m))
+            p = s.perp()
+            assert p.rows == ref_perp(m, s.rows)
+            assert_canonical(m, p.rows)
+            for x in [combo(rng, list(s.rows)) for _ in range(3)] + [rng.getrandbits(m) for _ in range(3)]:
+                assert s.contains(x) == ref_contains(s.rows, x)
+
+
+def test_intersect_matches_reference():
+    for m in SIZES:
+        rng = random.Random(3000 + m)
+        for a, b in subspace_pairs(rng, m):
+            got = a.intersect(b)
+            assert got.rows == ref_intersect(m, a.rows, b.rows)
+            assert_canonical(m, got.rows)
+            assert got == b.intersect(a)
+            assert got.is_subspace_of(a) and got.is_subspace_of(b)
+
+
+def test_intersect_special_cases():
+    for m in SIZES:
+        rng = random.Random(4000 + m)
+        rows = independent(rng, m)
+        outer = Gf2Subspace.span(m, rows)
+        inner = Gf2Subspace.span(m, [combo(rng, rows) for _ in range(len(rows) // 2)])
+        assert inner.intersect(outer) == inner
+        k = rng.randint(0, len(rows))
+        assert Gf2Subspace.span(m, rows[:k]).intersect(Gf2Subspace.span(m, rows[k:])).dim == 0
+        assert outer.intersect(Gf2Subspace.zero(m)) == Gf2Subspace.zero(m)
+        assert outer.intersect(Gf2Subspace.full(m)) == outer
+
+
+def test_operator_kernels_match_reference():
+    for m in SIZES:
+        rng = random.Random(5000 + m)
+        for _ in range(3):
+            cols = random_rows(rng, m)
+            cols = tuple((cols + [0] * m)[:m])
+            op = LinearOp(m, cols)
+            ker = op.kernel()
+            assert ker.rows == ref_kernel(m, cols)
+            assert_canonical(m, ker.rows)
+            assert all(op.apply(v).is_zero() for v in ker.basis())
+            assert op.image().rows == ref_rref(cols)
+            assert op.transpose().cols == ref_transpose(m, cols)
+            other = LinearOp(m, tuple(rng.getrandbits(m) for _ in range(m)))
+            assert op.compose(other).cols == tuple(ref_apply(m, cols, c) for c in other.cols)
+            x = rng.getrandbits(m)
+            assert op.apply(Gf2Vec(m, x)).bits == ref_apply(m, cols, x)

@@ -67,6 +67,17 @@ def test_occurrences_and_direction():
     assert w.occurrences(1) == (1, 3)
     assert not w.same_direction(0)
     assert w.same_direction(1)
+    for x in (-1, 2):
+        with pytest.raises(ValueError):
+            w.occurrences(x)
+
+
+def test_occurrences_match_a_scan_of_the_word():
+    rng = random.Random(43)
+    for m in range(12):
+        w = random_signed_word(rng, m)
+        for x in range(m):
+            assert w.occurrences(x) == tuple(i for i, (e, _) in enumerate(w.entries) if e == x)
 
 
 def test_canonical_is_rotation_invariant():
@@ -141,6 +152,22 @@ def test_c_operator_symmetric_random():
     for _ in range(30):
         w = random_signed_word(rng, rng.randint(1, 7))
         assert c_operator(w).is_symmetric()
+
+
+def test_c_operator_matches_its_definition():
+    """Every column against kappa + interlacement, computed edge by edge."""
+    rng = random.Random(47)
+    words = [random_signed_word(rng, m) for m in range(65)]
+    for m in (1, 5, 40):
+        ids = [e for e, _ in random_signed_word(rng, m).entries]
+        for sign in (1, -1):  # all loops balanced, then all unbalanced
+            words.append(SignedWord(m, tuple((e, 1 if i == ids.index(e) else sign)
+                                             for i, e in enumerate(ids))))
+    words.append(word(*range(1, 21), *range(1, 21)))
+    words.append(word(*range(1, 21), *range(-20, 0)))
+    for w in words:
+        op = c_operator(w)
+        assert op.cols == tuple((kappa(w, x) + interlacement(w, x)).bits for x in range(w.m))
 
 
 def test_map_operators_on_sphere_loop():
