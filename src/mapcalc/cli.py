@@ -158,6 +158,22 @@ def _cmd_from_word(args: argparse.Namespace) -> int:
     return OK
 
 
+def _search_stats(outcome: search.SearchOutcome) -> dict:
+    """The outcome's counters as JSON-ready data; subdivision counts are
+    listed per original edge, in edge order."""
+    return {
+        "status": outcome.status,
+        "candidates": outcome.candidates,
+        "seed": outcome.seed,
+        "levels": [
+            {"subdivisions": list(counts), "mode": mode, "candidates": used}
+            for counts, mode, used in outcome.levels
+        ],
+        "restarts": outcome.restarts,
+        "best_score": outcome.best_score,
+    }
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     rs = codec.parse_rotation(_read(args.file))
     seed = args.seed
@@ -168,7 +184,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
         max_subdivisions=args.subdiv,
         time_limit=args.time_limit,
     )
-    outcome = search.search_embedding(rs.graph, budget, seed=seed, jobs=args.jobs)
+    outcome = search.search_embedding(rs.graph, budget, seed=seed)
+    if args.stats:
+        print(json.dumps(_search_stats(outcome)), file=sys.stderr)
     if outcome.status != "found":
         print(f"{outcome.status} after {outcome.candidates} candidates (seed {outcome.seed})")
         return NOT_APPLICABLE
@@ -254,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subdiv", type=int, default=0, help="max total edge subdivisions")
     p.add_argument("--seed", type=int, default=None,
                    help="randomization seed (default: MAPCALC_SEED or 0)")
-    p.add_argument("--jobs", type=int, default=1, help="worker count hint")
-    p.add_argument("--time-limit", type=float, default=None, help="seconds")
+    p.add_argument("--time-limit", type=float, default=None, help="seconds (positive)")
+    p.add_argument("--stats", action="store_true",
+                   help="print per-level candidates, restarts and best f + z as JSON to stderr")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_search)
 

@@ -19,6 +19,7 @@ rotation system expands into flags one dart at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .gem import FlagMap, MultiGraph, normalize, phial, validate
 from .words import SignedWord
@@ -251,25 +252,32 @@ def write_rotation(rs: RotationSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def embedding_to_map(rs: RotationSystem) -> FlagMap:
-    """Expand a signed rotation system into flags.
+def _rotation_alpha(
+    rotations: Sequence[Sequence[tuple[int, int]]], twist_mask: int, m: int
+) -> list[int]:
+    """The flag involution of a signed rotation system, as a flat list.
 
     Dart (e, 0) enters flag 4e and leaves 4e+1; dart (e, 1) enters 4e+2
-    and leaves 4e+3, or the reverse when e is twisted; alpha joins each
-    dart's exit to the next dart's entry around its vertex.
+    and leaves 4e+3, or the reverse when bit e of twist_mask is set, so a
+    dart always leaves by its entry flag ^ 1; alpha joins each dart's exit
+    to the next dart's entry around its vertex.
     """
-    pairs = []
-    for rot in rs.rotations:
-        k = len(rot)
-        for i, (e, end) in enumerate(rot):
-            if end == 0:
-                exit_flag = 4 * e + 1
-            else:
-                exit_flag = 4 * e + 2 if e in rs.twists else 4 * e + 3
-            e2, end2 = rot[(i + 1) % k]
-            if end2 == 0:
-                entry_flag = 4 * e2
-            else:
-                entry_flag = 4 * e2 + 3 if e2 in rs.twists else 4 * e2 + 2
-            pairs.append((exit_flag, entry_flag))
-    return FlagMap.from_pairs(rs.graph.edge_count, pairs)
+    alpha = [0] * (4 * m)
+    for rot in rotations:
+        if not rot:  # isolated vertex
+            continue
+        e, end = rot[-1]
+        exit_flag = (4 * e + 2 * end) ^ ((twist_mask >> e) & end) ^ 1
+        for e, end in rot:
+            entry_flag = (4 * e + 2 * end) ^ ((twist_mask >> e) & end)
+            alpha[exit_flag] = entry_flag
+            alpha[entry_flag] = exit_flag
+            exit_flag = entry_flag ^ 1
+    return alpha
+
+
+def embedding_to_map(rs: RotationSystem) -> FlagMap:
+    """Expand a signed rotation system into flags (rule in _rotation_alpha)."""
+    twist_mask = sum(1 << e for e in rs.twists)
+    m = rs.graph.edge_count
+    return FlagMap(m, tuple(_rotation_alpha(rs.rotations, twist_mask, m)))

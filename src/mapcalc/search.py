@@ -7,6 +7,15 @@ multigraph (after optional edge subdivision) whose map has one face and
 one zigzag: small candidate spaces are swept exhaustively in a fixed
 order, larger ones by seeded random restarts with local moves, so a fixed
 seed and budget always reproduce the same outcome.
+
+A candidate is a rotation per vertex plus a twist bit mask.  It is scored
+on the flat flag involution that embedding_to_map would build (the list
+from codec._rotation_alpha), walking gons with the canonical partners
+x ^ 3 (faces) and x ^ 2 (zigzags); no FlagMap is built until a candidate
+wins.  The exhaustive sweep walks only the face, then the zigzag, through
+flag 0 and rejects the candidate as soon as one of them misses a flag;
+the randomized phase counts f + z exactly.  SearchBudget rejects negative
+limits and a time limit that is not positive.
 """
 
 from __future__ import annotations
@@ -18,8 +27,8 @@ from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 from typing import Iterator
 
-from .codec import RotationSystem, embedding_to_map
-from .gem import FlagMap, MultiGraph, gons, validate
+from .codec import RotationSystem, _rotation_alpha, embedding_to_map
+from .gem import FlagMap, MultiGraph, validate
 
 EXHAUSTIVE_LIMIT = 10**6
 _RESTART_STALL = 200
@@ -82,17 +91,36 @@ class SearchBudget:
     max_subdivisions: int = 0
     time_limit: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.max_candidates < 0:
+            raise ValueError("max_candidates must be nonnegative")
+        if self.max_subdivisions < 0:
+            raise ValueError("max_subdivisions must be nonnegative")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise ValueError("time_limit must be positive (or None for no limit)")
+
 
 @dataclass(frozen=True)
 class SearchOutcome:
     """status is found, exhausted or budget_exceeded; subdivisions gives the
-    per-original-edge counts used by the found map."""
+    per-original-edge counts used by the found map.
+
+    levels has one (subdivision counts, "exhaustive" or "randomized",
+    candidates used) entry per subdivision pattern tried, in order; their
+    candidates sum to `candidates`.  restarts counts the random starting
+    points the randomized phase drew.  best_score is the lowest f + z
+    seen: 2 when found, else the randomized phase's lowest, and None when
+    only exhaustive sweeps ran (they reject candidates without counting).
+    """
 
     status: str
     map: FlagMap | None
     subdivisions: tuple[int, ...] | None
     candidates: int
     seed: int
+    levels: tuple[tuple[tuple[int, ...], str, int], ...] = ()
+    restarts: int = 0
+    best_score: int | None = None
 
 
 def _dart_lists(g: MultiGraph) -> list[list[tuple[int, int]]]:
@@ -111,8 +139,44 @@ def candidate_count(g: MultiGraph) -> int:
     return total
 
 
-def _is_single_face_single_zigzag(map_: FlagMap) -> bool:
-    return gons(map_, "f").count == 1 and gons(map_, "z").count == 1
+# Partner offsets under canonical roles: the long (face) pair of flag x is
+# x ^ 3 and the diagonal (zigzag) pair is x ^ 2.
+_FACE, _ZIGZAG = 3, 2
+
+
+def _gon_length(alpha: list[int], partner: int) -> int:
+    """Flags on the gon through flag 0 that alternates alpha with x ^ partner."""
+    x = 0
+    length = 0
+    while True:
+        x = alpha[x ^ partner]
+        length += 2
+        if x == 0:
+            return length
+
+
+def _gon_count(alpha: list[int], partner: int) -> int:
+    """Number of gons that alternate alpha with x ^ partner."""
+    seen = bytearray(len(alpha))
+    count = 0
+    for start in range(len(alpha)):
+        if seen[start]:
+            continue
+        count += 1
+        x = start
+        while True:
+            seen[x] = 1
+            y = x ^ partner
+            seen[y] = 1
+            x = alpha[y]
+            if x == start:
+                break
+    return count
+
+
+def _winner(g: MultiGraph, rots, mask: int) -> FlagMap:
+    twists = frozenset(e for e in range(g.edge_count) if (mask >> e) & 1)
+    return embedding_to_map(RotationSystem(g, tuple(rots), twists))
 
 
 class _Stop(Exception):
@@ -120,19 +184,24 @@ class _Stop(Exception):
 
 
 class _Counter:
-    """Shared candidate budget across subdivision levels."""
+    """Shared candidate budget across subdivision levels, plus the
+    randomized phase's restart count and lowest f + z."""
 
     def __init__(self, limit: int, deadline: float | None):
         self.limit = limit
         self.deadline = deadline
         self.used = 0
-        self.out_of_budget = False
+        self.restarts = 0
+        self.best_score: int | None = None
+
+    def note_score(self, value: int | None) -> None:
+        if value is not None and (self.best_score is None or value < self.best_score):
+            self.best_score = value
 
     def tick(self) -> None:
         if self.used >= self.limit or (
             self.deadline is not None and time.monotonic() > self.deadline
         ):
-            self.out_of_budget = True
             raise _Stop
         self.used += 1
 
@@ -143,13 +212,13 @@ def _exhaustive(g: MultiGraph, counter: _Counter) -> FlagMap | None:
         head, rest = darts[0], darts[1:]
         per_vertex.append([(head, *p) for p in permutations(rest)])
     n_edges = g.edge_count
+    n_flags = 4 * n_edges
     for rots in product(*per_vertex):
         for mask in range(1 << n_edges):
             counter.tick()
-            twists = frozenset(e for e in range(n_edges) if (mask >> e) & 1)
-            map_ = embedding_to_map(RotationSystem(g, rots, twists))
-            if _is_single_face_single_zigzag(map_):
-                return map_
+            alpha = _rotation_alpha(rots, mask, n_edges)
+            if _gon_length(alpha, _FACE) == n_flags and _gon_length(alpha, _ZIGZAG) == n_flags:
+                return _winner(g, rots, mask)
     return None
 
 
@@ -168,83 +237,96 @@ def _randomized(g: MultiGraph, counter: _Counter, rng: random.Random) -> FlagMap
     n_edges = g.edge_count
     swappable = [v for v, darts in enumerate(_dart_lists(g)) if len(darts) >= 3]
 
-    def score(rots, mask) -> tuple[int, FlagMap]:
+    def score(rots, mask) -> int:
         counter.tick()
-        twists = frozenset(e for e in range(n_edges) if (mask >> e) & 1)
-        map_ = embedding_to_map(RotationSystem(g, tuple(rots), twists))
-        return gons(map_, "f").count + gons(map_, "z").count, map_
+        alpha = _rotation_alpha(rots, mask, n_edges)
+        return _gon_count(alpha, _FACE) + _gon_count(alpha, _ZIGZAG)
 
     rots: list[tuple[tuple[int, int], ...]] | None = None
     mask = 0
-    best = 0
+    best: int | None = None  # lowest f + z of the current restart
     stall = _RESTART_STALL + 1
-    while True:
-        if stall > _RESTART_STALL:
-            rots = _random_rotations(g, rng)
-            mask = rng.getrandbits(n_edges)
-            best, map_ = score(rots, mask)
-            if best == 2:
-                return map_
-            stall = 0
-            continue
-        new_rots, new_mask = list(rots), mask
-        if swappable and (not n_edges or rng.random() < 0.5):
-            v = rng.choice(swappable)
-            rot = list(new_rots[v])
-            i, j = rng.sample(range(1, len(rot)), 2)
-            rot[i], rot[j] = rot[j], rot[i]
-            new_rots[v] = tuple(rot)
-        else:
-            new_mask ^= 1 << rng.randrange(n_edges)
-        value, map_ = score(new_rots, new_mask)
-        if value == 2:
-            return map_
-        if value <= best:
-            stall = stall + 1 if value == best else 0
-            rots, mask, best = new_rots, new_mask, value
-        else:
-            stall += 1
+    try:
+        while True:
+            if stall > _RESTART_STALL:
+                counter.note_score(best)
+                counter.restarts += 1
+                rots = _random_rotations(g, rng)
+                mask = rng.getrandbits(n_edges)
+                best = score(rots, mask)
+                if best == 2:
+                    return _winner(g, rots, mask)
+                stall = 0
+                continue
+            new_rots, new_mask = list(rots), mask
+            if swappable and (not n_edges or rng.random() < 0.5):
+                v = rng.choice(swappable)
+                rot = list(new_rots[v])
+                i, j = rng.sample(range(1, len(rot)), 2)
+                rot[i], rot[j] = rot[j], rot[i]
+                new_rots[v] = tuple(rot)
+            else:
+                new_mask ^= 1 << rng.randrange(n_edges)
+            value = score(new_rots, new_mask)
+            if value == 2:
+                return _winner(g, new_rots, new_mask)
+            if value <= best:
+                stall = stall + 1 if value == best else 0
+                rots, mask, best = new_rots, new_mask, value
+            else:
+                stall += 1
+    finally:
+        counter.note_score(best)
 
 
 def search_embedding(
     g: MultiGraph,
     budget: SearchBudget = SearchBudget(),
     seed: int = 0,
-    jobs: int = 1,
 ) -> SearchOutcome:
     """Look for a single-face-single-zigzag embedding of g or a subdivision.
 
     Subdivision patterns are explored in nondecreasing total count; each
     level is swept exhaustively when its candidate space is at most
     EXHAUSTIVE_LIMIT and sampled randomly otherwise (a randomized level
-    consumes the remaining candidate budget).  jobs only shapes how a
-    caller may shard the stream; evaluation here is sequential.
+    consumes the remaining candidate budget).
     """
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
     if not g.is_connected():
         raise ValueError("search needs a connected graph")
     if g.edge_count == 0:
         raise ValueError("search needs at least one edge")
-    deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
+    deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     counter = _Counter(budget.max_candidates, deadline)
     rng = random.Random(seed)
+    levels: list[tuple[tuple[int, ...], str, int]] = []
+
+    def outcome(status: str, found: FlagMap | None = None, counts=None) -> SearchOutcome:
+        best = 2 if found is not None else counter.best_score
+        return SearchOutcome(status, found, counts, counter.used, seed,
+                             tuple(levels), counter.restarts, best)
+
     fully_swept = True
     try:
         for total in range(budget.max_subdivisions + 1):
             for combo in combinations_with_replacement(range(g.edge_count), total):
-                counts = [0] * g.edge_count
+                per_edge = [0] * g.edge_count
                 for e in combo:
-                    counts[e] += 1
-                sub = subdivide_graph(g, tuple(counts))
-                if candidate_count(sub) <= EXHAUSTIVE_LIMIT:
-                    found = _exhaustive(sub, counter)
-                else:
-                    fully_swept = False
-                    found = _randomized(sub, counter, rng)
+                    per_edge[e] += 1
+                counts = tuple(per_edge)
+                sub = subdivide_graph(g, counts)
+                used = counter.used
+                exhaustive = candidate_count(sub) <= EXHAUSTIVE_LIMIT
+                try:
+                    if exhaustive:
+                        found = _exhaustive(sub, counter)
+                    else:
+                        fully_swept = False
+                        found = _randomized(sub, counter, rng)
+                finally:
+                    mode = "exhaustive" if exhaustive else "randomized"
+                    levels.append((counts, mode, counter.used - used))
                 if found is not None:
-                    return SearchOutcome("found", found, tuple(counts), counter.used, seed)
+                    return outcome("found", found, counts)
     except _Stop:
-        return SearchOutcome("budget_exceeded", None, None, counter.used, seed)
-    status = "exhausted" if fully_swept else "budget_exceeded"
-    return SearchOutcome(status, None, None, counter.used, seed)
+        return outcome("budget_exceeded")
+    return outcome("exhausted" if fully_swept else "budget_exceeded")

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
-from conftest import k4_graph
+from conftest import K4_ROT, k4_graph
 from mapcalc import (
     MultiGraph,
     SearchBudget,
@@ -18,6 +21,7 @@ from mapcalc import (
     subdivide_graph,
     validate,
 )
+from mapcalc.cli import run
 
 LOOP = MultiGraph(1, ((0, 0),))
 PATH = MultiGraph(2, ((0, 1),))
@@ -118,9 +122,13 @@ def test_randomized_search_is_seed_deterministic():
     assert first.status in ("found", "budget_exceeded")
 
 
-def test_search_argument_checks():
-    with pytest.raises(ValueError):
-        search_embedding(k4_graph(), jobs=0)
+def test_search_argument_checks(tmp_path, capsys):
+    with pytest.raises(TypeError):
+        search_embedding(k4_graph(), jobs=2)
+    rot = tmp_path / "k4.rot"
+    rot.write_text(K4_ROT)
+    assert run(["search", str(rot), "--jobs", "2", "-o", str(tmp_path / "k4.gem")]) == 2
+    assert "--jobs" in capsys.readouterr().err
     with pytest.raises(ValueError):
         search_embedding(MultiGraph(2, ()))
     with pytest.raises(ValueError):
@@ -130,3 +138,97 @@ def test_search_argument_checks():
 def test_search_reports_seed():
     outcome = search_embedding(LOOP, seed=9)
     assert outcome.seed == 9
+
+
+@pytest.mark.parametrize("limits", [
+    {"max_candidates": -1},
+    {"max_subdivisions": -1},
+    {"time_limit": 0},
+    {"time_limit": -1.0},
+    {"time_limit": math.nan},
+])
+def test_search_budget_rejects_meaningless_limits(limits):
+    with pytest.raises(ValueError):
+        SearchBudget(**limits)
+
+
+def test_search_budget_accepts_edge_limits():
+    assert search_embedding(PATH, SearchBudget(max_candidates=0)).candidates == 0
+    assert search_embedding(PATH, SearchBudget(time_limit=60.0)).status == "found"
+
+
+@pytest.mark.parametrize("flags", [
+    ("--subdiv", "-1"),
+    ("--time-limit", "0"),
+    ("--time-limit", "-1"),
+    ("--budget", "-5"),
+])
+def test_cli_rejects_meaningless_limits(tmp_path, capsys, flags):
+    rot = tmp_path / "k4.rot"
+    rot.write_text(K4_ROT)
+    out_path = tmp_path / "k4.gem"
+    assert run(["search", str(rot), *flags, "-o", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err + captured.out
+    assert not out_path.exists()
+
+
+def check_levels(outcome):
+    assert isinstance(outcome.levels, tuple)
+    for counts, mode, used in outcome.levels:
+        assert isinstance(counts, tuple) and all(isinstance(k, int) for k in counts)
+        assert mode in ("exhaustive", "randomized")
+        assert isinstance(used, int) and used >= 0
+    assert sum(used for _, _, used in outcome.levels) == outcome.candidates
+    assert isinstance(outcome.restarts, int) and outcome.restarts >= 0
+    assert outcome.best_score is None or isinstance(outcome.best_score, int)
+
+
+def test_search_outcome_levels_exhaustive():
+    outcome = search_embedding(LOOP, SearchBudget(max_subdivisions=1))
+    check_levels(outcome)
+    assert outcome.levels == (((0,), "exhaustive", 2), ((1,), "exhaustive", 2))
+    assert (outcome.restarts, outcome.best_score) == (0, 2)
+    flat = search_embedding(LOOP)
+    check_levels(flat)
+    assert (flat.restarts, flat.best_score) == (0, None)
+
+
+def test_search_outcome_levels_randomized():
+    bouquets = MultiGraph(2, ((0, 0),) * 4 + ((0, 1), (1, 1)))
+    outcome = search_embedding(bouquets, SearchBudget(max_candidates=2000), seed=0)
+    check_levels(outcome)
+    assert outcome.status == "budget_exceeded"
+    assert [mode for _, mode, _ in outcome.levels] == ["randomized"]
+    assert outcome.restarts > 1
+    assert outcome.best_score > 2
+
+
+def test_search_outcome_levels_cut_by_budget():
+    outcome = search_embedding(LOOP, SearchBudget(max_candidates=3, max_subdivisions=2))
+    check_levels(outcome)
+    assert outcome.status == "budget_exceeded"
+    assert [used for _, _, used in outcome.levels] == [2, 1]
+
+
+def test_cli_search_stats(tmp_path, capsys):
+    rot = tmp_path / "loop.rot"
+    rot.write_text("v 1: 1 1\n")
+    code = run(["search", str(rot), "--subdiv", "1", "--stats", "-o", str(tmp_path / "l.gem")])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("found after 4 candidates")
+    stats = json.loads(captured.err)
+    assert set(stats) == {"status", "candidates", "seed", "levels", "restarts", "best_score"}
+    assert stats["status"] == "found" and stats["candidates"] == 4 and stats["seed"] == 0
+    assert isinstance(stats["restarts"], int)
+    assert stats["best_score"] is None or isinstance(stats["best_score"], int)
+    for level in stats["levels"]:
+        assert set(level) == {"subdivisions", "mode", "candidates"}
+        assert all(isinstance(k, int) for k in level["subdivisions"])
+        assert level["mode"] in ("exhaustive", "randomized")
+        assert isinstance(level["candidates"], int)
+    assert sum(level["candidates"] for level in stats["levels"]) == stats["candidates"]
+    assert run(["search", str(rot), "-o", str(tmp_path / "none.gem")]) == 3
+    assert capsys.readouterr().err == ""

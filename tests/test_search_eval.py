@@ -1,0 +1,206 @@
+"""Oracles for the search's flat candidate evaluation.
+
+The search scores a candidate on the flag involution list that
+codec._rotation_alpha builds from (rotations, twist mask) and walks gons
+with the canonical partners x ^ 3 (faces) and x ^ 2 (zigzags).  These
+tests compare that list with embedding_to_map and with the original
+pair-by-pair expansion kept below, compare the counts with gon_counts,
+pin whole search outcomes, and check that switching at a vertex leaves
+the gon counts alone.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import permutations, product
+
+import pytest
+
+from mapcalc import (
+    FlagMap,
+    MultiGraph,
+    RotationSystem,
+    SearchBudget,
+    embedding_to_map,
+    gon_counts,
+    search_embedding,
+    write_gem,
+)
+from mapcalc.codec import _rotation_alpha
+from mapcalc.search import _FACE, _ZIGZAG, _dart_lists, _gon_count, _gon_length
+
+K4 = MultiGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+K5 = MultiGraph(5, tuple((u, v) for u in range(5) for v in range(u + 1, 5)))
+LOOP = MultiGraph(1, ((0, 0),))
+THETA = MultiGraph(2, ((0, 1), (0, 1), (0, 1)))
+PENDANT = MultiGraph(4, ((0, 1), (1, 2), (2, 0), (2, 3)))
+BOUQUET2 = MultiGraph(1, ((0, 0), (0, 0)))
+BOUQUETS = MultiGraph(2, ((0, 0),) * 4 + ((0, 1), (1, 1)))
+SMALL = (LOOP, THETA, PENDANT, BOUQUET2, MultiGraph(2, ((0, 1),)), MultiGraph(2, ((0, 0), (0, 1))))
+
+
+def random_multigraph(rng: random.Random) -> MultiGraph:
+    """Connected: a random tree, then extra edges that may be loops or
+    parallel edges; tree leaves that get no extra edge keep degree 1."""
+    n = rng.randint(1, 6)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    extra = rng.randint(0 if n > 1 else 1, 5)
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(extra)]
+    rng.shuffle(edges)
+    return MultiGraph(n, tuple(edges))
+
+
+def random_rotation_system(rng: random.Random, g: MultiGraph) -> tuple[RotationSystem, int]:
+    rots = []
+    for darts in _dart_lists(g):
+        rng.shuffle(darts)
+        rots.append(tuple(darts))
+    mask = rng.getrandbits(g.edge_count)
+    twists = frozenset(e for e in range(g.edge_count) if (mask >> e) & 1)
+    return RotationSystem(g, tuple(rots), twists), mask
+
+
+def all_rotation_systems(g: MultiGraph):
+    """Every rotation system of g with first darts pinned, every twist mask."""
+    per_vertex = [[(d[0], *p) for p in permutations(d[1:])] for d in _dart_lists(g)]
+    for rots in product(*per_vertex):
+        for mask in range(1 << g.edge_count):
+            twists = frozenset(e for e in range(g.edge_count) if (mask >> e) & 1)
+            yield RotationSystem(g, rots, twists), mask
+
+
+def reference_embedding_map(rs: RotationSystem) -> FlagMap:
+    """The original expansion: one (exit, entry) flag pair per dart."""
+    pairs = []
+    for rot in rs.rotations:
+        k = len(rot)
+        for i, (e, end) in enumerate(rot):
+            if end == 0:
+                exit_flag = 4 * e + 1
+            else:
+                exit_flag = 4 * e + 2 if e in rs.twists else 4 * e + 3
+            e2, end2 = rot[(i + 1) % k]
+            if end2 == 0:
+                entry_flag = 4 * e2
+            else:
+                entry_flag = 4 * e2 + 3 if e2 in rs.twists else 4 * e2 + 2
+            pairs.append((exit_flag, entry_flag))
+    return FlagMap.from_pairs(rs.graph.edge_count, pairs)
+
+
+def assert_flat_matches(rs: RotationSystem, mask: int) -> None:
+    m = rs.graph.edge_count
+    alpha = _rotation_alpha(rs.rotations, mask, m)
+    map_ = embedding_to_map(rs)
+    assert tuple(alpha) == map_.alpha
+    assert map_ == reference_embedding_map(rs)
+    _, f, z = gon_counts(map_)
+    assert (_gon_count(alpha, _FACE), _gon_count(alpha, _ZIGZAG)) == (f, z)
+    assert (_gon_length(alpha, _FACE) == 4 * m) == (f == 1)
+    assert (_gon_length(alpha, _ZIGZAG) == 4 * m) == (z == 1)
+
+
+def test_flat_alpha_and_counts_on_random_rotation_systems():
+    rng = random.Random(2003)
+    for _ in range(2000):
+        rs, mask = random_rotation_system(rng, random_multigraph(rng))
+        assert_flat_matches(rs, mask)
+
+
+@pytest.mark.parametrize("g", SMALL + (K4,), ids=lambda g: f"n{g.n}-e{g.edge_count}")
+def test_flat_alpha_and_counts_on_every_candidate(g):
+    for rs, mask in all_rotation_systems(g):
+        assert_flat_matches(rs, mask)
+
+
+def test_flat_alpha_skips_isolated_vertices():
+    g = MultiGraph(3, ((0, 2), (2, 2)))
+    rs = RotationSystem(g, (((0, 0),), (), ((0, 1), (1, 0), (1, 1))), frozenset({1}))
+    assert_flat_matches(rs, 0b10)
+
+
+def switch(rs: RotationSystem, v: int) -> RotationSystem:
+    """Reverse v's rotation (first dart stays first) and toggle the twist
+    of every non-loop edge at v."""
+    rot = rs.rotations[v]
+    rotations = list(rs.rotations)
+    rotations[v] = (rot[0],) + tuple(reversed(rot[1:]))
+    flipped = {e for e, _ in rot if len(set(rs.graph.edges[e])) == 2}
+    return RotationSystem(rs.graph, tuple(rotations), rs.twists ^ frozenset(flipped))
+
+
+def test_switching_preserves_gon_counts():
+    rng = random.Random(1995)
+    switched_non_loop = 0
+    for _ in range(500):
+        rs, _ = random_rotation_system(rng, random_multigraph(rng))
+        want = gon_counts(embedding_to_map(rs))
+        for _ in range(3):
+            v = rng.randrange(rs.graph.n)
+            new = switch(rs, v)
+            switched_non_loop += new.twists != rs.twists
+            assert gon_counts(embedding_to_map(new)) == want
+            rs = new
+    assert switched_non_loop > 100
+
+
+def test_switching_oracle_sees_a_plain_twist_toggle():
+    # Toggling one edge's twist without reversing the rotation is not a
+    # switch: on K4 it changes the gon counts for some rotation system.
+    changed = False
+    for rs, _ in all_rotation_systems(K4):
+        one = RotationSystem(K4, rs.rotations, rs.twists ^ {0})
+        if gon_counts(embedding_to_map(one)) != gon_counts(embedding_to_map(rs)):
+            changed = True
+            break
+    assert changed
+
+
+# (name, seed, max_candidates, max_subdivisions, status, candidates,
+#  subdivisions, alpha pairs of write_gem(map) joined on one line),
+# recorded with the object-based evaluator that built a FlagMap and ran
+# gons per candidate.  k4 to bouquet4 end in the exhaustive sweep, k5 and
+# bouquets in the randomized phase.
+PINNED = [
+    ("k4", 0, 100000, 0, "found", 2, (0, 0, 0, 0, 0, 0),
+     "a 0 9 a 1 4 a 2 12 a 3 17 a 5 8 a 6 21 a 7 14 a 10 23 a 11 18 a 13 16 a 15 20 a 19 22"),
+    ("loop", 0, 100000, 0, "exhausted", 2, None, None),
+    ("loop", 0, 100000, 1, "found", 4, (1,), "a 0 7 a 1 6 a 2 4 a 3 5"),
+    ("theta", 0, 100000, 2, "found", 35, (1, 0, 0),
+     "a 0 9 a 1 4 a 2 13 a 3 12 a 5 8 a 6 10 a 7 15 a 11 14"),
+    ("pendant", 0, 100000, 2, "found", 34, (1, 0, 0, 0),
+     "a 0 11 a 1 10 a 2 16 a 3 17 a 4 19 a 5 18 a 6 13 a 7 8 a 9 12 a 14 15"),
+    ("bouquet4", 0, 2000, 0, "budget_exceeded", 2000, None, None),
+    ("k5", 0, 2000, 0, "found", 14, (0,) * 10,
+     "a 0 9 a 1 4 a 2 24 a 3 17 a 5 12 a 6 18 a 7 33 a 8 13 a 10 22 a 11 31 "
+     "a 14 26 a 15 35 a 16 21 a 19 28 a 20 25 a 23 36 a 27 38 a 29 32 a 30 37 a 34 39"),
+    ("k5", 1, 2000, 0, "found", 6, (0,) * 10,
+     "a 0 5 a 1 8 a 2 21 a 3 24 a 4 13 a 6 19 a 7 29 a 9 12 a 10 30 a 11 36 "
+     "a 14 26 a 15 35 a 16 25 a 17 20 a 18 32 a 22 31 a 23 37 a 27 39 a 28 33 a 34 38"),
+    ("k5", 2, 2000, 0, "found", 15, (0,) * 10,
+     "a 0 5 a 1 12 a 2 24 a 3 17 a 4 9 a 6 32 a 7 29 a 8 13 a 10 23 a 11 30 "
+     "a 14 38 a 15 35 a 16 21 a 18 28 a 19 33 a 20 25 a 22 37 a 26 39 a 27 34 a 31 36"),
+    ("bouquets", 0, 2000, 0, "budget_exceeded", 2000, None, None),
+    ("bouquets", 1, 2000, 0, "budget_exceeded", 2000, None, None),
+]
+GRAPHS = {"k4": K4, "loop": LOOP, "theta": THETA, "pendant": PENDANT,
+          "bouquet4": MultiGraph(1, ((0, 0),) * 4), "k5": K5, "bouquets": BOUQUETS}
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda c: f"{c[0]}-seed{c[1]}-sub{c[3]}")
+def test_pinned_search_outcomes(case):
+    name, seed, max_candidates, max_subdivisions, status, candidates, subdivisions, pairs = case
+    budget = SearchBudget(max_candidates=max_candidates, max_subdivisions=max_subdivisions)
+    outcome = search_embedding(GRAPHS[name], budget, seed=seed)
+    got_pairs = " ".join(write_gem(outcome.map).splitlines()[1:]) if outcome.map else None
+    assert (outcome.status, outcome.candidates, outcome.subdivisions, got_pairs) == (
+        status, candidates, subdivisions, pairs)
+
+
+def test_pinned_family_reaches_both_phases():
+    modes = set()
+    for name, seed, max_candidates, max_subdivisions, *_ in PINNED:
+        budget = SearchBudget(max_candidates=max_candidates, max_subdivisions=max_subdivisions)
+        outcome = search_embedding(GRAPHS[name], budget, seed=seed)
+        modes.update(mode for _, mode, _ in outcome.levels)
+    assert modes == {"exhaustive", "randomized"}
