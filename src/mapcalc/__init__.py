@@ -51,6 +51,7 @@ from .codec import (
     write_rotation,
     zigzag_map_from_word,
 )
+from .analysis import MapAnalysis
 from .theorems import (
     TheoremReport,
     check_absorption,

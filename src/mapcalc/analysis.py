@@ -1,0 +1,73 @@
+"""Everything the structural checks read from one map, computed once.
+
+A MapAnalysis holds the map's three induced graphs, whose vertex counts
+are its gon counts, their six edge subspaces, the word operators and the
+two composed operators the theorems speak about.  The gon decompositions
+themselves are not kept: nothing reads them once the graphs are built.
+Each artefact is computed on first use and kept on the analysis, so a
+check that needs it again reads it instead of rebuilding it; the image
+and kernel of an operator are kept on the operator itself (see
+gf2.LinearOp).  Nothing is cached elsewhere: an analysis and all it holds
+go away with the last reference to it.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+
+from .gem import FlagMap, MultiGraph, induced_graph
+from .gf2 import LinearOp
+from .spaces import SpaceBundle, bundle_of_graphs
+from .words import MapOperators, map_operators
+
+
+class MapAnalysis:
+    """Lazily memoized graphs, gon counts, spaces and operators of one map."""
+
+    def __init__(self, map_: FlagMap) -> None:
+        self.map = map_
+
+    @classmethod
+    def of(cls, subject: FlagMap | MapAnalysis) -> MapAnalysis:
+        """The analysis itself, or a new one of a plain map."""
+        return subject if isinstance(subject, cls) else cls(subject)
+
+    def complete(self) -> MapAnalysis:
+        """Compute every artefact now rather than on first use."""
+        for name in ("counts", "bundle", "zigzag_product", "face_product"):
+            getattr(self, name)
+        return self
+
+    @cached_property
+    def graphs(self) -> tuple[MultiGraph, MultiGraph, MultiGraph]:
+        """The v-, f- and z-graphs: one vertex per gon of the kind."""
+        return tuple(induced_graph(self.map, k) for k in ("v", "f", "z"))
+
+    @cached_property
+    def counts(self) -> tuple[int, int, int]:
+        """(v, f, z) gon counts, the vertex counts of the three graphs."""
+        return tuple(g.n for g in self.graphs)
+
+    @cached_property
+    def bundle(self) -> SpaceBundle:
+        """The three induced graphs and their bond and cycle spaces."""
+        return bundle_of_graphs(*self.graphs)
+
+    @cached_property
+    def operators(self) -> MapOperators:
+        """c_P, c_P~ and c_D, each None when its hypothesis fails."""
+        return map_operators(self.map)
+
+    @cached_property
+    def zigzag_product(self) -> LinearOp | None:
+        """c_P~ o c_P, or None without a single zigzag."""
+        ops = self.operators
+        return None if ops.zigzag is None else ops.zigzag_complement.compose(ops.zigzag)
+
+    @cached_property
+    def face_product(self) -> LinearOp | None:
+        """c_P~ o c_D, or None unless the map has one face and one zigzag."""
+        ops = self.operators
+        if ops.zigzag_complement is None or ops.face is None:
+            return None
+        return ops.zigzag_complement.compose(ops.face)

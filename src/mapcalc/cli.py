@@ -13,8 +13,10 @@ import argparse
 import json
 import os
 import sys
+import time
 
-from . import codec, gem, search, theorems, words
+from . import codec, gem, gf2, search, theorems, words
+from .analysis import MapAnalysis
 
 OK, VIOLATED, USAGE, NOT_APPLICABLE = 0, 1, 2, 3
 
@@ -128,8 +130,23 @@ _CHECKS = {
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    map_ = _load_map(args.file)
-    reports = _CHECKS[args.theorem](map_)
+    t0 = time.perf_counter()
+    analysis = MapAnalysis(_load_map(args.file))
+    t1 = time.perf_counter()
+    eliminations = gf2.elimination_count()
+    if args.stats:
+        # Build the whole analysis first, so its time shows apart from the checks'.
+        analysis.complete()
+    t2 = time.perf_counter()
+    reports = _CHECKS[args.theorem](analysis)
+    if args.stats:
+        v, f, z = analysis.counts
+        stats = {
+            "m": analysis.map.m, "v": v, "f": f, "z": z,
+            "seconds": {"parse": t1 - t0, "analysis": t2 - t1, "checks": time.perf_counter() - t2},
+            "eliminations": gf2.elimination_count() - eliminations,
+        }
+        print(json.dumps(stats), file=sys.stderr)
     if args.json:
         print(json.dumps([theorems.report_json(r) for r in reports], indent=2))
     else:
@@ -174,16 +191,25 @@ def _search_stats(outcome: search.SearchOutcome) -> dict:
     }
 
 
+# SearchBudget's errors begin with the field at fault; the CLI names the flag.
+_BUDGET_FLAGS = {"max_candidates": "--budget", "max_subdivisions": "--subdiv",
+                 "time_limit": "--time-limit"}
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     rs = codec.parse_rotation(_read(args.file))
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("MAPCALC_SEED", "0"))
-    budget = search.SearchBudget(
-        max_candidates=args.budget,
-        max_subdivisions=args.subdiv,
-        time_limit=args.time_limit,
-    )
+    try:
+        budget = search.SearchBudget(
+            max_candidates=args.budget,
+            max_subdivisions=args.subdiv,
+            time_limit=args.time_limit,
+        )
+    except ValueError as exc:
+        field, _, rule = str(exc).partition(" ")
+        raise ValueError(f"{_BUDGET_FLAGS.get(field, field)} {rule}") from None
     outcome = search.search_embedding(rs.graph, budget, seed=seed)
     if args.stats:
         print(json.dumps(_search_stats(outcome)), file=sys.stderr)
@@ -259,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--theorem", choices=("1", "2", "3", "4", "all"), default="all")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="print m, gon counts, per-phase seconds and eliminations as JSON to stderr")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("from-word", help="rebuild the single-zigzag map of a .szw word")

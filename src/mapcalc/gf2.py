@@ -11,7 +11,8 @@ Elimination indexes rows by pivot in a dict, so reducing a row costs one
 lookup and one big-int XOR per pivot it meets; membership tests use the
 same index.  Intersections and kernels both come from one elimination on
 rows of 2m bits, keeping the members of the span whose low m bits are
-zero (Zassenhaus).
+zero (Zassenhaus); an operator's image comes from the same elimination as
+its kernel, and both are kept on the operator.
 """
 
 from __future__ import annotations
@@ -19,6 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
+
+_eliminations = 0
+
+
+def elimination_count() -> int:
+    """Eliminations run in this process so far: the number of echelon
+    forms computed, whatever asked for them."""
+    return _eliminations
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
@@ -29,6 +38,8 @@ def _echelon(rows: Iterable[int]) -> dict[int, int]:
     input and have distinct pivots, but may have set bits in other rows'
     pivot columns.
     """
+    global _eliminations
+    _eliminations += 1
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
@@ -327,15 +338,33 @@ class LinearOp:
     def is_symmetric(self) -> bool:
         return self.cols == self.transpose().cols
 
+    @cached_property
+    def _image_kernel(self) -> tuple[Gf2Subspace, Gf2Subspace]:
+        """Image and kernel from one elimination of the rows col_j | 1 << (m + j).
+
+        An echelon row with its pivot in the low half has a nonzero low
+        half, and those low halves, with distinct pivots, span the column
+        space.  The rows with a high pivot have zero low half; their high
+        halves are the combinations of columns that vanish (as in
+        `_low_zero_part`).
+        """
+        m = self.m
+        low = (1 << m) - 1
+        image, kernel = [], []
+        for p, r in _echelon(c | 1 << (m + j) for j, c in enumerate(self.cols)).items():
+            if p >> m:
+                kernel.append(r >> m)
+            else:
+                image.append(r & low)
+        return Gf2Subspace(m, _rref(image)), Gf2Subspace(m, _rref(kernel))
+
     def image(self) -> Gf2Subspace:
-        return Gf2Subspace(self.m, _rref(self.cols))
+        """Column space."""
+        return self._image_kernel[0]
 
     def kernel(self) -> Gf2Subspace:
-        """Null space: eliminate the rows col_j | 1 << (m + j); the high
-        halves of the members with zero low half are the combinations of
-        columns that vanish."""
-        m = self.m
-        return Gf2Subspace(m, _low_zero_part((c | 1 << (m + j) for j, c in enumerate(self.cols)), m))
+        """Null space."""
+        return self._image_kernel[1]
 
     def __repr__(self) -> str:
         return f"LinearOp({self.m}, rank={self.image().dim})"

@@ -81,7 +81,8 @@ def subdivide_graph(g: MultiGraph, counts: tuple[int, ...]) -> MultiGraph:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for one search: candidate count, subdivision depth, wall time.
+    """Limits for one search: candidate count, subdivision depth, wall time
+    (None for no time limit).
 
     Outcomes are reproducible for a fixed seed and budget; a wall-time
     limit can only truncate the deterministic candidate stream early.
@@ -97,7 +98,7 @@ class SearchBudget:
         if self.max_subdivisions < 0:
             raise ValueError("max_subdivisions must be nonnegative")
         if self.time_limit is not None and not self.time_limit > 0:
-            raise ValueError("time_limit must be positive (or None for no limit)")
+            raise ValueError("time_limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -231,9 +232,10 @@ def _random_rotations(g: MultiGraph, rng: random.Random) -> list[tuple[tuple[int
     return rots
 
 
-def _randomized(g: MultiGraph, counter: _Counter, rng: random.Random) -> FlagMap | None:
+def _randomized(g: MultiGraph, counter: _Counter, rng: random.Random) -> FlagMap:
     """Random restarts plus local moves (swap two rotation entries or
-    toggle one twist), accepting moves that do not increase f + z."""
+    toggle one twist), accepting moves that do not increase f + z.  Runs
+    until a candidate wins or the budget raises _Stop."""
     n_edges = g.edge_count
     swappable = [v for v, darts in enumerate(_dart_lists(g)) if len(darts) >= 3]
 
@@ -305,7 +307,6 @@ def search_embedding(
         return SearchOutcome(status, found, counts, counter.used, seed,
                              tuple(levels), counter.restarts, best)
 
-    fully_swept = True
     try:
         for total in range(budget.max_subdivisions + 1):
             for combo in combinations_with_replacement(range(g.edge_count), total):
@@ -320,7 +321,6 @@ def search_embedding(
                     if exhaustive:
                         found = _exhaustive(sub, counter)
                     else:
-                        fully_swept = False
                         found = _randomized(sub, counter, rng)
                 finally:
                     mode = "exhaustive" if exhaustive else "randomized"
@@ -329,4 +329,5 @@ def search_embedding(
                     return outcome("found", found, counts)
     except _Stop:
         return outcome("budget_exceeded")
-    return outcome("exhausted" if fully_swept else "budget_exceeded")
+    # Only exhaustive levels end without a winner or _Stop.
+    return outcome("exhausted")

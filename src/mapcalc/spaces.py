@@ -66,8 +66,13 @@ def cycle_space(g: MultiGraph) -> Gf2Subspace:
     """
     if not g.is_connected():
         raise ValueError("cycle space needs a connected graph")
+    return _checked_cycle_space(g, bond_space(g))
+
+
+def _checked_cycle_space(g: MultiGraph, bonds: Gf2Subspace) -> Gf2Subspace:
+    """Cycle space of a connected g, cross-checked against bonds.perp()."""
     space = Gf2Subspace.span(g.edge_count, _fundamental_cycles(g))
-    if space != bond_space(g).perp():
+    if space != bonds.perp():
         raise AssertionError("cycle space disagrees with bond space complement")
     return space
 
@@ -101,11 +106,20 @@ class SpaceBundle:
 
 def space_bundle(map_: FlagMap) -> SpaceBundle:
     """Build all three induced graphs and their bond and cycle spaces."""
-    graphs = [induced_graph(map_, k) for k in ("v", "f", "z")]
+    return bundle_of_graphs(*(induced_graph(map_, k) for k in ("v", "f", "z")))
+
+
+def bundle_of_graphs(
+    vertex_graph: MultiGraph, face_graph: MultiGraph, zigzag_graph: MultiGraph
+) -> SpaceBundle:
+    """The six subspaces of a map's three induced graphs; each cycle space
+    is cross-checked against the bond space built beside it."""
+    graphs = (vertex_graph, face_graph, zigzag_graph)
     spaces = []
     for g in graphs:
-        b, c = bond_space(g), cycle_space(g)
+        b = bond_space(g)
+        c = _checked_cycle_space(g, b)
         if b.dim != g.n - 1 or c.dim != g.edge_count - g.n + 1:
             raise AssertionError("subspace dimensions violate the connected-graph formulas")
         spaces.extend((b, c))
-    return SpaceBundle(map_.m, *graphs, *spaces)
+    return SpaceBundle(vertex_graph.edge_count, *graphs, *spaces)

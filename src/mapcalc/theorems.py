@@ -7,16 +7,19 @@ composed operator against the surface invariant; 4 asserts that the
 complement composed with the face operator is the identity.  Hypotheses
 that fail make a check inapplicable, which is a first-class result, not
 an error.
+
+Every check takes a map or its MapAnalysis; verify_all builds one
+analysis and hands it to each check, so the spaces and operators of a map
+are computed once however many checks read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gem import FlagMap, euler_connectivity, gon_counts
+from .analysis import MapAnalysis
+from .gem import FlagMap, euler_connectivity
 from .gf2 import Gf2Subspace, Gf2Vec, LinearOp
-from .spaces import SpaceBundle, space_bundle
-from .words import map_operators
 
 THEOREM_IDS = ("1a", "1b", "1c", "2a", "2b", "2c", "2d", "3a", "3b", "3c", "4")
 
@@ -56,13 +59,19 @@ def _containment_witness(small: Gf2Subspace, big: Gf2Subspace) -> tuple[int, ...
 
 
 def _equality_witness(a: Gf2Subspace, b: Gf2Subspace) -> tuple[int, ...] | None:
-    """Edges of a vector in exactly one of two subspaces, if they differ."""
+    """Edges of a vector in exactly one of two subspaces, if they differ.
+
+    Canonical bases make equal subspaces equal objects, so only unequal
+    ones are searched for a witness.
+    """
+    if a == b:
+        return None
     return _containment_witness(a, b) or _containment_witness(b, a)
 
 
-def check_absorption(map_: FlagMap) -> list[TheoremReport]:
+def check_absorption(map_: FlagMap | MapAnalysis) -> list[TheoremReport]:
     """Each pairwise intersection of bond spaces sits inside the third."""
-    bundle = space_bundle(map_)
+    bundle = MapAnalysis.of(map_).bundle
     triples = (
         ("1a", bundle.vertex_bonds, bundle.face_bonds, bundle.zigzag_bonds),
         ("1b", bundle.face_bonds, bundle.zigzag_bonds, bundle.vertex_bonds),
@@ -88,15 +97,16 @@ def _not_applicable(tids: tuple[str, ...], note: str) -> list[TheoremReport]:
     return [TheoremReport(tid, False, True, note=note) for tid in tids]
 
 
-def check_theorem2(map_: FlagMap) -> list[TheoremReport]:
+def check_theorem2(map_: FlagMap | MapAnalysis) -> list[TheoremReport]:
     """On single-zigzag maps the zigzag operator has image the cycle space
     and kernel the bond space of the vertex graph; its complement has the
     same relation to the face graph."""
-    _, _, z = gon_counts(map_)
+    analysis = MapAnalysis.of(map_)
+    _, _, z = analysis.counts
     if z != 1:
         return _not_applicable(("2a", "2b", "2c", "2d"), f"not applicable: {z} zigzags")
-    bundle = space_bundle(map_)
-    ops = map_operators(map_)
+    bundle = analysis.bundle
+    ops = analysis.operators
     cases = (
         ("2a", "im", ops.zigzag.image(), bundle.vertex_cycles),
         ("2b", "ker", ops.zigzag.kernel(), bundle.vertex_bonds),
@@ -118,18 +128,18 @@ def check_theorem2(map_: FlagMap) -> list[TheoremReport]:
     return reports
 
 
-def check_theorem3(map_: FlagMap) -> list[TheoremReport]:
+def check_theorem3(map_: FlagMap | MapAnalysis) -> list[TheoremReport]:
     """The composed operator measures the surface: its image dimension is
     xi, its image the meet of the two cycle spaces and its kernel the sum
     of the two bond spaces."""
-    _, _, z = gon_counts(map_)
+    analysis = MapAnalysis.of(map_)
+    _, _, z = analysis.counts
     if z != 1:
         return _not_applicable(("3a", "3b", "3c"), f"not applicable: {z} zigzags")
-    bundle = space_bundle(map_)
-    ops = map_operators(map_)
-    composed = ops.zigzag_complement.compose(ops.zigzag)
+    bundle = analysis.bundle
+    composed = analysis.zigzag_product
     im, ker = composed.image(), composed.kernel()
-    _, xi = euler_connectivity(map_)
+    _, xi = euler_connectivity(analysis.map)
     reports = [
         TheoremReport("3a", True, im.dim == xi, {"im": im.dim, "xi": xi})
     ]
@@ -146,9 +156,10 @@ def check_theorem3(map_: FlagMap) -> list[TheoremReport]:
     return reports
 
 
-def check_theorem4(map_: FlagMap) -> TheoremReport:
+def check_theorem4(map_: FlagMap | MapAnalysis) -> TheoremReport:
     """With one face and one zigzag, complement-after-face is the identity."""
-    _, f, z = gon_counts(map_)
+    analysis = MapAnalysis.of(map_)
+    _, f, z = analysis.counts
     if f != 1 or z != 1:
         parts = []
         if f != 1:
@@ -156,33 +167,35 @@ def check_theorem4(map_: FlagMap) -> TheoremReport:
         if z != 1:
             parts.append(f"{z} zigzags")
         return TheoremReport("4", False, True, note="not applicable: " + ", ".join(parts))
-    ops = map_operators(map_)
-    composed = ops.zigzag_complement.compose(ops.face)
-    identity = LinearOp.identity(map_.m)
+    composed = analysis.face_product
+    m = analysis.map.m
+    identity = LinearOp.identity(m)
     witness = None
-    for x in range(map_.m):
+    for x in range(m):
         if composed.cols[x] != identity.cols[x]:
             witness = (x,)
             break
-    return TheoremReport("4", True, witness is None, {"m": map_.m}, witness)
+    return TheoremReport("4", True, witness is None, {"m": m}, witness)
 
 
-def verify_all(map_: FlagMap) -> list[TheoremReport]:
-    """All eleven checks in identifier order."""
+def verify_all(map_: FlagMap | MapAnalysis) -> list[TheoremReport]:
+    """All eleven checks in identifier order, on one analysis of the map."""
+    analysis = MapAnalysis.of(map_)
     return [
-        *check_absorption(map_),
-        *check_theorem2(map_),
-        *check_theorem3(map_),
-        check_theorem4(map_),
+        *check_absorption(analysis),
+        *check_theorem2(analysis),
+        *check_theorem3(analysis),
+        check_theorem4(analysis),
     ]
 
 
-def recheck_counterexample(map_: FlagMap, report: TheoremReport) -> bool:
+def recheck_counterexample(map_: FlagMap | MapAnalysis, report: TheoremReport) -> bool:
     """Confirm that a reported counterexample indeed violates the claim."""
     if report.counterexample is None:
         return False
-    vec = Gf2Vec.from_edges(map_.m, report.counterexample)
-    bundle = space_bundle(map_)
+    analysis = MapAnalysis.of(map_)
+    vec = Gf2Vec.from_edges(analysis.map.m, report.counterexample)
+    bundle = analysis.bundle
     if report.theorem == "1a":
         return (bundle.vertex_bonds.contains(vec) and bundle.face_bonds.contains(vec)
                 and not bundle.zigzag_bonds.contains(vec))
@@ -192,7 +205,7 @@ def recheck_counterexample(map_: FlagMap, report: TheoremReport) -> bool:
     if report.theorem == "1c":
         return (bundle.zigzag_bonds.contains(vec) and bundle.vertex_bonds.contains(vec)
                 and not bundle.face_bonds.contains(vec))
-    ops = map_operators(map_)
+    ops = analysis.operators
     if report.theorem in ("2a", "2b", "2c", "2d"):
         got, want = {
             "2a": (ops.zigzag.image(), bundle.vertex_cycles),
@@ -201,7 +214,7 @@ def recheck_counterexample(map_: FlagMap, report: TheoremReport) -> bool:
             "2d": (ops.zigzag_complement.kernel(), bundle.face_bonds),
         }[report.theorem]
         return got.contains(vec) != want.contains(vec)
-    composed = ops.zigzag_complement.compose(ops.zigzag)
+    composed = analysis.zigzag_product
     if report.theorem == "3b":
         meet = bundle.vertex_cycles.intersect(bundle.face_cycles)
         return composed.image().contains(vec) != meet.contains(vec)
@@ -209,6 +222,5 @@ def recheck_counterexample(map_: FlagMap, report: TheoremReport) -> bool:
         total = bundle.vertex_bonds.sum(bundle.face_bonds)
         return composed.kernel().contains(vec) != total.contains(vec)
     if report.theorem == "4":
-        final = ops.zigzag_complement.compose(ops.face)
-        return final.apply(vec) != vec
+        return analysis.face_product.apply(vec) != vec
     return False

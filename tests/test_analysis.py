@@ -1,0 +1,94 @@
+"""One analysis per map: what verify_all builds, and that checks read it."""
+
+from __future__ import annotations
+
+import random
+import sys
+from collections import Counter
+
+import pytest
+
+from conftest import k33_map, random_signed_word
+from mapcalc import (
+    MapAnalysis,
+    TheoremReport,
+    check_absorption,
+    check_theorem2,
+    check_theorem3,
+    check_theorem4,
+    dual,
+    from_signed_word,
+    gon_counts,
+    recheck_counterexample,
+    verify_all,
+)
+from mapcalc import gem, spaces, words
+
+
+def single_face_dual():
+    """Dual of a one-vertex map with one zigzag: f = z = 1."""
+    rng = random.Random(7)
+    while True:
+        map_ = from_signed_word(random_signed_word(rng, 8))
+        if gon_counts(map_)[2] == 1:
+            return dual(map_)
+
+
+def count_calls(monkeypatch, module, name: str, key=lambda *args: None) -> Counter:
+    """Replace every mapcalc module binding of module.name by a wrapper
+    that counts its calls, keyed by key(*args)."""
+    original = getattr(module, name)
+    calls: Counter = Counter()
+
+    def counted(*args, **kwargs):
+        calls[key(*args)] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "mapcalc" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("build, theorem4", [(k33_map, False), (single_face_dual, True)])
+def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
+    map_ = build()
+    expected = verify_all(map_)
+    graphs = count_calls(monkeypatch, gem, "induced_graph", key=lambda m, kind: kind)
+    bonds = count_calls(monkeypatch, spaces, "bond_space")
+    bundles = count_calls(monkeypatch, spaces, "bundle_of_graphs")
+    operators = count_calls(monkeypatch, words, "map_operators")
+    reports = verify_all(map_)
+    assert reports == expected
+    assert reports[-1].applicable is theorem4 and reports[-1].holds
+    assert graphs == {"v": 1, "f": 1, "z": 1}
+    assert sum(bonds.values()) == 3
+    assert sum(bundles.values()) == 1
+    assert sum(operators.values()) <= 1
+
+
+def test_checks_accept_a_map_or_its_analysis():
+    map_ = single_face_dual()
+    analysis = MapAnalysis(map_)
+    assert MapAnalysis.of(analysis) is analysis
+    assert MapAnalysis.of(map_).map is map_
+    for check in (check_absorption, check_theorem2, check_theorem3, check_theorem4):
+        assert check(analysis) == check(map_)
+    assert verify_all(analysis) == verify_all(map_)
+    fake = TheoremReport("4", True, False, {}, (0,))
+    assert recheck_counterexample(analysis, fake) == recheck_counterexample(map_, fake) is False
+
+
+def test_artefacts_are_kept_and_complete_builds_them(monkeypatch):
+    analysis = MapAnalysis(k33_map())
+    bundles = count_calls(monkeypatch, spaces, "bundle_of_graphs")
+    assert analysis.complete() is analysis
+    assert analysis.counts == (6, 4, 1)
+    assert analysis.bundle is analysis.bundle
+    assert analysis.operators.face is None and analysis.face_product is None
+    ops = analysis.operators
+    assert analysis.zigzag_product == ops.zigzag_complement.compose(ops.zigzag)
+    assert sum(bundles.values()) == 1
+    check_absorption(analysis)
+    check_theorem3(analysis)
+    assert sum(bundles.values()) == 1

@@ -154,6 +154,23 @@ def test_verify_json(files, capsys):
     assert all(set(r) <= {"theorem", "applicable", "holds", "dims", "counterexample"} for r in reports)
 
 
+def test_verify_stats_schema(files, capsys):
+    """Keys and types only; the timing values are never checked."""
+    plain = run_cli(capsys, "verify", files["k33"])
+    code, out, err = run_cli(capsys, "verify", files["k33"], "--stats")
+    assert (code, out) == plain[:2]
+    stats = json.loads(err)
+    assert set(stats) == {"m", "v", "f", "z", "seconds", "eliminations"}
+    assert (stats["m"], stats["v"], stats["f"], stats["z"]) == (9, 6, 4, 1)
+    assert set(stats["seconds"]) == {"parse", "analysis", "checks"}
+    assert all(isinstance(s, float) and s >= 0 for s in stats["seconds"].values())
+    assert isinstance(stats["eliminations"], int) and stats["eliminations"] > 0
+    code, out, err = run_cli(capsys, "verify", files["s1"], "--theorem", "4", "--stats")
+    assert code == 3 and "not applicable" in out
+    assert set(json.loads(err)) == set(stats)
+    assert run_cli(capsys, "verify", files["k33"])[2] == ""
+
+
 def test_verify_not_applicable_exit(files, capsys):
     code, out, _ = run_cli(capsys, "verify", files["s1"], "--theorem", "4")
     assert code == 3

@@ -222,3 +222,29 @@ def test_operator_kernels_match_reference():
             assert op.compose(other).cols == tuple(ref_apply(m, cols, c) for c in other.cols)
             x = rng.getrandbits(m)
             assert op.apply(Gf2Vec(m, x)).bits == ref_apply(m, cols, x)
+
+
+def operator_cases(rng: random.Random, m: int):
+    """Zero, identity, rank-deficient (columns from a few generators, with
+    repeats and zero columns) and uniformly random operators."""
+    yield LinearOp.zero(m)
+    yield LinearOp.identity(m)
+    yield LinearOp(m, tuple((random_rows(rng, m) + [0] * m)[:m]))
+    gens = [rng.getrandbits(m) for _ in range(rng.randint(0, max(m // 3, 1)))]
+    yield LinearOp(m, tuple(combo(rng, gens) for _ in range(m)))
+    yield LinearOp(m, tuple(rng.getrandbits(m) for _ in range(m)))
+
+
+def test_shared_image_kernel_elimination_matches_reference():
+    """image() and kernel() come from one elimination; each must equal the
+    separate reference computation, and rank + nullity must be m."""
+    for m in SIZES:
+        rng = random.Random(6000 + m)
+        for op in operator_cases(rng, m):
+            im, ker = op.image(), op.kernel()
+            assert im.rows == _rref(op.cols) == ref_rref(op.cols)
+            assert ker.rows == ref_kernel(m, op.cols)
+            assert_canonical(m, im.rows)
+            assert_canonical(m, ker.rows)
+            assert im.dim + ker.dim == m
+            assert op.image() is im and op.kernel() is ker

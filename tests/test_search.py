@@ -174,6 +174,22 @@ def test_cli_rejects_meaningless_limits(tmp_path, capsys, flags):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ("--budget", "-5"),
+    ("--subdiv", "-1"),
+    ("--time-limit", "0"),
+    ("--time-limit", "nan"),
+])
+def test_cli_limit_errors_name_the_flag(tmp_path, capsys, flags):
+    rot = tmp_path / "k4.rot"
+    rot.write_text(K4_ROT)
+    assert run(["search", str(rot), *flags, "-o", str(tmp_path / "k4.gem")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flags[0]} must be ")
+    assert "max_" not in captured.err and "time_limit" not in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def check_levels(outcome):
     assert isinstance(outcome.levels, tuple)
     for counts, mode, used in outcome.levels:
