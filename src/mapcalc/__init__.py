@@ -15,6 +15,7 @@ from .gem import (
     gons,
     induced_graph,
     loop_balance,
+    loop_balances,
     normalize,
     orientable,
     phial,

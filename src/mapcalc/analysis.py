@@ -18,7 +18,7 @@ from functools import cached_property
 from .gem import FlagMap, MultiGraph, induced_graph
 from .gf2 import LinearOp
 from .spaces import SpaceBundle, bundle_of_graphs
-from .words import MapOperators, map_operators
+from .words import MapOperators, operators_of_counts
 
 
 class MapAnalysis:
@@ -56,7 +56,8 @@ class MapAnalysis:
     @cached_property
     def operators(self) -> MapOperators:
         """c_P, c_P~ and c_D, each None when its hypothesis fails."""
-        return map_operators(self.map)
+        _, f, z = self.counts
+        return operators_of_counts(self.map, f, z)
 
     @cached_property
     def zigzag_product(self) -> LinearOp | None:

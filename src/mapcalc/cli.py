@@ -47,17 +47,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     map_ = _load_map(args.file)
     v, f, z = gem.gon_counts(map_)
-    chi, xi = gem.euler_connectivity(map_)
+    chi, xi = gem.euler_of_counts(map_.m, v, f)
     print(f"edges: {map_.m}")
     print(f"gons: v={v} f={f} z={z}")
     print(f"chi: {chi}")
     print(f"xi: {xi}")
     print(f"orientable: {'yes' if gem.orientable(map_) else 'no'}")
-    balances = []
-    for e in range(map_.m):
-        state = gem.loop_balance(map_, e)
-        if state != "not_a_loop":
-            balances.append(f"{e + 1}={state}")
+    balances = [f"{e + 1}={state}" for e, state in enumerate(gem.loop_balances(map_))
+                if state != "not_a_loop"]
     print("loops: " + (" ".join(balances) if balances else "none"))
     return OK
 
@@ -87,6 +84,9 @@ def _cmd_word(args: argparse.Namespace) -> int:
     if args.kind == "z":
         w = words.zigzag_word(map_)
     else:
+        v = gem.gons(map_, "v").count
+        if not 1 <= args.gon <= v:
+            raise ValueError(f"--gon {args.gon} out of range 1..{v}")
         w = words.vertex_word(map_, args.gon - 1)
     sys.stdout.write(codec.format_word(w))
     return OK
@@ -104,8 +104,8 @@ def _print_matrix(name: str, op) -> None:
 
 def _cmd_ops(args: argparse.Namespace) -> int:
     map_ = _load_map(args.file)
-    v, f, z = gem.gon_counts(map_)
-    ops = words.map_operators(map_)
+    _, f, z = gem.gon_counts(map_)
+    ops = words.operators_of_counts(map_, f, z)
     shown = 0
     for name, op, reason in (
         ("c_P", ops.zigzag, f"{z} zigzags"),
@@ -229,14 +229,28 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     profiles: dict[tuple[int, int, int], int] = {}
     failures = 0
     total = 0
+    checks_s = 0.0
+    t0 = time.perf_counter()
     for map_ in search.enumerate_maps(args.size):
         total += 1
         profile = gem.gon_counts(map_)
         profiles[profile] = profiles.get(profile, 0) + 1
         if args.verify_absorption:
-            if not all(r.holds for r in theorems.check_absorption(map_)):
+            t_check = time.perf_counter()
+            holds = all(r.holds for r in theorems.check_absorption(map_))
+            checks_s += time.perf_counter() - t_check
+            if not holds:
                 failures += 1
                 print(f"absorption VIOLATED: {codec.write_gem(map_)!r}")
+    if args.stats:
+        stats = {
+            "m": args.size, "maps": total,
+            "profiles": [{"v": v, "f": f, "z": z, "maps": count}
+                         for (v, f, z), count in sorted(profiles.items())],
+            "absorption_failures": failures if args.verify_absorption else None,
+            "seconds": {"enumerate": time.perf_counter() - t0 - checks_s, "checks": checks_s},
+        }
+        print(json.dumps(stats), file=sys.stderr)
     print(f"m={args.size}: {total} connected maps")
     for (v, f, z), count in sorted(profiles.items()):
         print(f"  profile v={v} f={f} z={z}: {count}")
@@ -309,6 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="census of all connected maps of a size")
     p.add_argument("--size", type=int, required=True, metavar="M")
     p.add_argument("--verify-absorption", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="print map and profile counts, absorption failures and per-phase "
+                        "seconds as JSON to stderr")
     p.set_defaults(func=_cmd_enumerate)
 
     return parser

@@ -276,6 +276,25 @@ def _rotation_alpha(
     return alpha
 
 
+def _toggle_twist(alpha: list[int], e: int) -> None:
+    """Flip the twist of edge e in a flat flag involution, in place.
+
+    By the rule in _rotation_alpha the twist of e only decides which of
+    4e+2 and 4e+3 is the entry and which the exit of dart (e, 1); every
+    other dart keeps its flags.  So toggling it conjugates alpha by the
+    transposition (4e+2 4e+3): pairs (4e+2, p) and (4e+3, q) become
+    (4e+3, p) and (4e+2, q).  When 4e+2 and 4e+3 are paired with each
+    other (dart (e, 1) alone at its vertex) the conjugate is alpha itself.
+    """
+    a = 4 * e + 2
+    b = a + 1
+    p, q = alpha[a], alpha[b]
+    if p == b:
+        return
+    alpha[b], alpha[p] = p, b
+    alpha[a], alpha[q] = q, a
+
+
 def embedding_to_map(rs: RotationSystem) -> FlagMap:
     """Expand a signed rotation system into flags (rule in _rotation_alpha)."""
     twist_mask = sum(1 << e for e in rs.twists)

@@ -413,27 +413,45 @@ def induced_graph(map_: FlagMap, kind: str) -> MultiGraph:
 def euler_connectivity(map_: FlagMap) -> tuple[int, int]:
     """(chi, xi): Euler characteristic v - m + f and its defect 2 - chi."""
     v, f, _ = gon_counts(map_)
-    chi = v - map_.m + f
+    return euler_of_counts(map_.m, v, f)
+
+
+def euler_of_counts(m: int, v: int, f: int) -> tuple[int, int]:
+    """euler_connectivity of an m-edge map with v vertices and f faces."""
+    chi = v - m + f
     return chi, 2 - chi
 
 
-def loop_balance(map_: FlagMap, edge: int) -> str:
-    """Classify edge as 'balanced', 'unbalanced' or 'not_a_loop'.
+def loop_balances(map_: FlagMap) -> tuple[str, ...]:
+    """Classify every edge as 'balanced', 'unbalanced' or 'not_a_loop'.
 
     A loop (both short pairs on one v-gon) is balanced when its two short
     sides point in opposite geometric directions along the gon traversal,
     which with canonical roles means flags 4e and 4e+2 sit at positions of
-    equal parity.  Non-canonical roles are normalized first.
+    equal parity.  Non-canonical roles are normalized first; one v-gon
+    trace serves every edge.
     """
-    if not 0 <= edge < map_.m:
-        raise ValueError(f"edge {edge} out of range")
     nm = normalize(map_)
     dec = gons(nm, "v")
-    if dec.gon_of[4 * edge] != dec.gon_of[4 * edge + 2]:
-        return "not_a_loop"
-    seq = dec.gons[dec.gon_of[4 * edge]]
-    same = seq.index(4 * edge) % 2 == seq.index(4 * edge + 2) % 2
-    return "balanced" if same else "unbalanced"
+    parity = [0] * nm.flag_count
+    for seq in dec.gons:
+        for i in range(1, len(seq), 2):
+            parity[seq[i]] = 1
+    out = []
+    for e in range(nm.m):
+        a, b = 4 * e, 4 * e + 2
+        if dec.gon_of[a] != dec.gon_of[b]:
+            out.append("not_a_loop")
+        else:
+            out.append("balanced" if parity[a] == parity[b] else "unbalanced")
+    return tuple(out)
+
+
+def loop_balance(map_: FlagMap, edge: int) -> str:
+    """loop_balances(map_)[edge]: the class of one edge."""
+    if not 0 <= edge < map_.m:
+        raise ValueError(f"edge {edge} out of range")
+    return loop_balances(map_)[edge]
 
 
 def orientable(map_: FlagMap) -> bool:

@@ -12,10 +12,14 @@ A candidate is a rotation per vertex plus a twist bit mask.  It is scored
 on the flat flag involution that embedding_to_map would build (the list
 from codec._rotation_alpha), walking gons with the canonical partners
 x ^ 3 (faces) and x ^ 2 (zigzags); no FlagMap is built until a candidate
-wins.  The exhaustive sweep walks only the face, then the zigzag, through
-flag 0 and rejects the candidate as soon as one of them misses a flag;
-the randomized phase counts f + z exactly.  SearchBudget rejects negative
-limits and a time limit that is not positive.
+wins.  The exhaustive sweep builds that list once per rotation tuple,
+with no twists, and visits the twist masks in increasing order, toggling
+in place (codec._toggle_twist) the twists that differ from the previous
+mask; it walks only the face, then the zigzag, through flag 0 and
+rejects the candidate as soon as one of them misses a flag.  The
+randomized phase rebuilds the list per candidate and counts f + z
+exactly.  SearchBudget rejects negative limits and a time limit that is
+not positive.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 from typing import Iterator
 
-from .codec import RotationSystem, _rotation_alpha, embedding_to_map
+from .codec import RotationSystem, _rotation_alpha, _toggle_twist, embedding_to_map
 from .gem import FlagMap, MultiGraph, validate
 
 EXHAUSTIVE_LIMIT = 10**6
@@ -215,9 +219,12 @@ def _exhaustive(g: MultiGraph, counter: _Counter) -> FlagMap | None:
     n_edges = g.edge_count
     n_flags = 4 * n_edges
     for rots in product(*per_vertex):
+        alpha = _rotation_alpha(rots, 0, n_edges)
         for mask in range(1 << n_edges):
             counter.tick()
-            alpha = _rotation_alpha(rots, mask, n_edges)
+            # mask - 1 and mask differ in the twists of edges 0 .. (lowest set bit of mask).
+            for e in range((mask & -mask).bit_length()):
+                _toggle_twist(alpha, e)
             if _gon_length(alpha, _FACE) == n_flags and _gon_length(alpha, _ZIGZAG) == n_flags:
                 return _winner(g, rots, mask)
     return None

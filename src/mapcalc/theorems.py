@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analysis import MapAnalysis
-from .gem import FlagMap, euler_connectivity
+from .gem import FlagMap, euler_of_counts
 from .gf2 import Gf2Subspace, Gf2Vec, LinearOp
 
 THEOREM_IDS = ("1a", "1b", "1c", "2a", "2b", "2c", "2d", "3a", "3b", "3c", "4")
@@ -133,13 +133,13 @@ def check_theorem3(map_: FlagMap | MapAnalysis) -> list[TheoremReport]:
     xi, its image the meet of the two cycle spaces and its kernel the sum
     of the two bond spaces."""
     analysis = MapAnalysis.of(map_)
-    _, _, z = analysis.counts
+    v, f, z = analysis.counts
     if z != 1:
         return _not_applicable(("3a", "3b", "3c"), f"not applicable: {z} zigzags")
     bundle = analysis.bundle
     composed = analysis.zigzag_product
     im, ker = composed.image(), composed.kernel()
-    _, xi = euler_connectivity(analysis.map)
+    _, xi = euler_of_counts(analysis.map.m, v, f)
     reports = [
         TheoremReport("3a", True, im.dim == xi, {"im": im.dim, "xi": xi})
     ]

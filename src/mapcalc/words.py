@@ -181,6 +181,11 @@ class MapOperators:
 def map_operators(map_: FlagMap) -> MapOperators:
     """Build whichever of the three word operators the map supports."""
     _, f, z = gon_counts(map_)
+    return operators_of_counts(map_, f, z)
+
+
+def operators_of_counts(map_: FlagMap, f: int, z: int) -> MapOperators:
+    """map_operators for a map whose f- and z-gon counts are known."""
     zig = comp = face = None
     if z == 1:
         zig = c_operator(zigzag_word(map_))

@@ -58,6 +58,8 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     bonds = count_calls(monkeypatch, spaces, "bond_space")
     bundles = count_calls(monkeypatch, spaces, "bundle_of_graphs")
     operators = count_calls(monkeypatch, words, "map_operators")
+    own_gons = count_calls(monkeypatch, gem, "gons",
+                           key=lambda m, kind: kind if m is map_ else None)
     reports = verify_all(map_)
     assert reports == expected
     assert reports[-1].applicable is theorem4 and reports[-1].holds
@@ -65,6 +67,7 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     assert sum(bonds.values()) == 3
     assert sum(bundles.values()) == 1
     assert sum(operators.values()) <= 1
+    assert own_gons["v"] == own_gons["f"] == 1
 
 
 def test_checks_accept_a_map_or_its_analysis():

@@ -11,6 +11,7 @@ from mapcalc import (
     enumerate_maps,
     gon_counts,
     parse_gem,
+    single_edge_map,
     sphere_loop_map,
     write_gem,
     zigzag_map_from_word,
@@ -120,6 +121,15 @@ def test_word_vertex(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("gon", ["0", "3", "-1"])
+def test_word_gon_out_of_range_is_one_based(files, capsys, gon):
+    two_gons = files["tmp"] / "edge.gem"
+    two_gons.write_text(write_gem(single_edge_map()))
+    code, out, err = run_cli(capsys, "word", two_gons, "--kind", "v", "--gon", gon)
+    assert code == 2 and out == ""
+    assert err == f"error: --gon {gon} out of range 1..2\n"
+
+
 def test_ops_output(files, capsys):
     code, out, _ = run_cli(capsys, "ops", files["k33"])
     assert code == 0
@@ -224,6 +234,22 @@ def test_enumerate(files, capsys):
     assert "m=1: 3 connected maps" in out
     assert "profile v=1 f=1 z=2: 1" in out
     assert "absorption: holds on all 3 maps" in out
+
+
+def test_enumerate_stats_schema(capsys):
+    """Keys and types only; the timing values are never checked."""
+    for argv, failures in ((("--size", "2"), None), (("--size", "2", "--verify-absorption"), 0)):
+        plain = run_cli(capsys, "enumerate", *argv)
+        code, out, err = run_cli(capsys, "enumerate", *argv, "--stats")
+        assert (code, out) == plain[:2] and plain[2] == ""
+        stats = json.loads(err)
+        assert set(stats) == {"m", "maps", "profiles", "absorption_failures", "seconds"}
+        assert (stats["m"], stats["maps"], stats["absorption_failures"]) == (2, 96, failures)
+        assert all(set(p) == {"v", "f", "z", "maps"} and all(isinstance(x, int) for x in p.values())
+                   for p in stats["profiles"])
+        assert sum(p["maps"] for p in stats["profiles"]) == 96
+        assert set(stats["seconds"]) == {"enumerate", "checks"}
+        assert all(isinstance(s, float) and s >= 0 for s in stats["seconds"].values())
 
 
 def test_parse_error_exit(files, capsys):

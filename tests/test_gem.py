@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import k33_map, random_connected_map
+from conftest import k33_map, random_connected_map, random_signed_word
 from mapcalc import (
     FlagMap,
     MultiGraph,
@@ -14,10 +14,12 @@ from mapcalc import (
     apply_permutation,
     dual,
     euler_connectivity,
+    from_signed_word,
     gon_counts,
     gons,
     induced_graph,
     loop_balance,
+    loop_balances,
     normalize,
     orientable,
     phial,
@@ -61,6 +63,36 @@ def test_loop_balance_values():
     assert loop_balance(single_edge_map(), 0) == "not_a_loop"
     with pytest.raises(ValueError):
         loop_balance(sphere_loop_map(), 1)
+
+
+def reference_loop_balance(map_: FlagMap, edge: int) -> str:
+    """The per-edge rule: normalize, trace the v-gons, compare the
+    positions of flags 4e and 4e+2 on their gon."""
+    nm = normalize(map_)
+    dec = gons(nm, "v")
+    if dec.gon_of[4 * edge] != dec.gon_of[4 * edge + 2]:
+        return "not_a_loop"
+    seq = dec.gons[dec.gon_of[4 * edge]]
+    same = seq.index(4 * edge) % 2 == seq.index(4 * edge + 2) % 2
+    return "balanced" if same else "unbalanced"
+
+
+def test_loop_balances_match_the_per_edge_rule():
+    rng = random.Random(41)
+    seen = set()
+    for i in range(300):
+        m = rng.randint(1, 6)
+        if i % 2:
+            map_ = random_connected_map(rng, m)
+        else:
+            map_ = from_signed_word(random_signed_word(rng, m))
+        rects = [r for r in range(m) if rng.random() < 0.5]
+        map_ = apply_permutation(map_, rects, rng.choice(ALL_PERMS))
+        expected = tuple(reference_loop_balance(map_, e) for e in range(m))
+        assert loop_balances(map_) == expected
+        assert tuple(loop_balance(map_, e) for e in range(m)) == expected
+        seen.update(expected)
+    assert seen == {"balanced", "unbalanced", "not_a_loop"}
 
 
 def test_constructor_shape_checks():

@@ -4,7 +4,8 @@ The search scores a candidate on the flag involution list that
 codec._rotation_alpha builds from (rotations, twist mask) and walks gons
 with the canonical partners x ^ 3 (faces) and x ^ 2 (zigzags).  These
 tests compare that list with embedding_to_map and with the original
-pair-by-pair expansion kept below, compare the counts with gon_counts,
+pair-by-pair expansion kept below, compare the in-place twist toggles of
+the exhaustive sweep with a rebuild, compare the counts with gon_counts,
 pin whole search outcomes, and check that switching at a vertex leaves
 the gon counts alone.
 """
@@ -26,7 +27,7 @@ from mapcalc import (
     search_embedding,
     write_gem,
 )
-from mapcalc.codec import _rotation_alpha
+from mapcalc.codec import _rotation_alpha, _toggle_twist
 from mapcalc.search import _FACE, _ZIGZAG, _dart_lists, _gon_count, _gon_length
 
 K4 = MultiGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
@@ -117,6 +118,37 @@ def test_flat_alpha_skips_isolated_vertices():
     g = MultiGraph(3, ((0, 2), (2, 2)))
     rs = RotationSystem(g, (((0, 0),), (), ((0, 1), (1, 0), (1, 1))), frozenset({1}))
     assert_flat_matches(rs, 0b10)
+
+
+# Degree-1 far ends: a lone dart (e, 1) pairs 4e+2 with 4e+3.
+TOGGLE_GRAPHS = SMALL + (K4, MultiGraph(3, ((1, 0), (1, 2), (2, 2))))
+
+
+@pytest.mark.parametrize("g", TOGGLE_GRAPHS, ids=lambda g: f"n{g.n}-e{g.edge_count}")
+def test_twist_toggles_match_a_rebuild_on_every_candidate(g):
+    """The exhaustive sweep's order: from mask - 1 to mask, toggle edges
+    0 .. (lowest set bit of mask), starting from the mask-0 list."""
+    m = g.edge_count
+    per_vertex = [[(d[0], *p) for p in permutations(d[1:])] for d in _dart_lists(g)]
+    for rots in product(*per_vertex):
+        alpha = _rotation_alpha(rots, 0, m)
+        for mask in range(1 << m):
+            for e in range((mask & -mask).bit_length()):
+                _toggle_twist(alpha, e)
+            assert alpha == _rotation_alpha(rots, mask, m)
+
+
+def test_twist_toggles_in_any_order_match_a_rebuild():
+    rng = random.Random(5)
+    for _ in range(500):
+        g = random_multigraph(rng)
+        rs, mask = random_rotation_system(rng, g)
+        alpha = _rotation_alpha(rs.rotations, mask, g.edge_count)
+        for _ in range(3):
+            e = rng.randrange(g.edge_count)
+            _toggle_twist(alpha, e)
+            mask ^= 1 << e
+            assert alpha == _rotation_alpha(rs.rotations, mask, g.edge_count)
 
 
 def switch(rs: RotationSystem, v: int) -> RotationSystem:
