@@ -120,15 +120,6 @@ def _cmd_ops(args: argparse.Namespace) -> int:
     return OK if shown else NOT_APPLICABLE
 
 
-_CHECKS = {
-    "1": theorems.check_absorption,
-    "2": theorems.check_theorem2,
-    "3": theorems.check_theorem3,
-    "4": lambda m: [theorems.check_theorem4(m)],
-    "all": theorems.verify_all,
-}
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     analysis = MapAnalysis(_load_map(args.file))
@@ -138,7 +129,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # Build the whole analysis first, so its time shows apart from the checks'.
         analysis.complete()
     t2 = time.perf_counter()
-    reports = _CHECKS[args.theorem](analysis)
+    reports = theorems.check_group(analysis, args.theorem)
     if args.stats:
         v, f, z = analysis.counts
         stats = {
@@ -200,7 +191,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
     rs = codec.parse_rotation(_read(args.file))
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("MAPCALC_SEED", "0"))
+        try:
+            seed = int(os.environ.get("MAPCALC_SEED", "0"))
+        except ValueError:
+            raise ValueError("MAPCALC_SEED must be an integer") from None
     try:
         budget = search.SearchBudget(
             max_candidates=args.budget,
@@ -226,6 +220,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.size < 1:
+        raise ValueError("--size must be at least 1")
     profiles: dict[tuple[int, int, int], int] = {}
     failures = 0
     total = 0
@@ -297,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the subspace statements")
     p.add_argument("file")
-    p.add_argument("--theorem", choices=("1", "2", "3", "4", "all"), default="all")
+    p.add_argument("--theorem", choices=(*theorems.GROUPS, "all"), default="all")
     p.add_argument("--json", action="store_true")
     p.add_argument("--stats", action="store_true",
                    help="print m, gon counts, per-phase seconds and eliminations as JSON to stderr")
@@ -339,20 +335,12 @@ def run(argv: list[str] | None = None) -> int:
         return OK if exc.code in (0, None) else USAGE
     try:
         return args.func(args)
-    except codec.MapFormatError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except codec.ValidationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return VIOLATED
-    except words.NotApplicableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return NOT_APPLICABLE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, codec.ValidationFailure):
+            return VIOLATED
+        if isinstance(exc, words.NotApplicableError):
+            return NOT_APPLICABLE
         return USAGE
 
 

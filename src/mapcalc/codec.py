@@ -103,8 +103,8 @@ def parse_word(text: str) -> SignedWord:
     tokens: list[tuple[int, int]] = []
     for ln, line in _content_lines(text):
         for tok in line.split():
-            body = tok.lstrip("-")
             sign = -1 if tok.startswith("-") else 1
+            body = tok[1:] if sign < 0 else tok
             if not body.isdigit() or int(body) < 1:
                 raise MapFormatError(f"bad edge token {tok!r}", ln)
             tokens.append((int(body) - 1, sign))

@@ -1,27 +1,32 @@
-"""Machine checks of the four structural statements about map subspaces.
+"""Machine checks of the eleven claims about map subspaces, from one table.
 
-Identifiers 1a..1c cover the absorption containments between the three
-bond spaces; 2a..2d compare the zigzag operator's image and kernel (and
-its complement's) with cycle and bond spaces; 3a..3c do the same for the
-composed operator against the surface invariant; 4 asserts that the
-complement composed with the face operator is the identity.  Hypotheses
-that fail make a check inapplicable, which is a first-class result, not
-an error.
+Each entry of _CLAIMS is one claim: its id, whose first character is its
+group 1..4; the gon counts its hypothesis needs to be 1 (none, z, or f and
+z); got and want, read from the map's MapAnalysis; the dims key of got;
+and the relation that must hold:
 
-Every check takes a map or its MapAnalysis; verify_all builds one
-analysis and hands it to each check, so the spaces and operators of a map
-are computed once however many checks read them.
+  meet      got is two subspaces whose intersection lies in want (1a..1c);
+  equal     got and want are the same subspace (2a..2d, 3b, 3c);
+  xi        got's dimension is want, the connectivity xi (3a);
+  identity  got is the identity operator (4).
+
+Checks, rechecks, THEOREM_IDS and GROUPS (the CLI's --theorem choices) all
+derive from the table.  A failed hypothesis makes a claim inapplicable, a
+first-class result, not an error.  A violated claim reports a witness,
+which recheck_counterexample tests for membership in got and want
+themselves (for a meet, in both subspaces), never in what the check
+computed from them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 from .analysis import MapAnalysis
 from .gem import FlagMap, euler_of_counts
-from .gf2 import Gf2Subspace, Gf2Vec, LinearOp
-
-THEOREM_IDS = ("1a", "1b", "1c", "2a", "2b", "2c", "2d", "3a", "3b", "3c", "4")
+from .gf2 import Gf2Subspace, Gf2Vec
 
 
 @dataclass(frozen=True)
@@ -69,158 +74,124 @@ def _equality_witness(a: Gf2Subspace, b: Gf2Subspace) -> tuple[int, ...] | None:
     return _containment_witness(a, b) or _containment_witness(b, a)
 
 
+@dataclass(frozen=True)
+class _Claim:
+    """One claim of the table; see the module docstring."""
+
+    theorem: str
+    needs: tuple[tuple[int, str], ...]  # (index in (v, f, z), noun) of each count that must be 1
+    relation: str  # "meet", "equal", "xi" or "identity"
+    key: str
+    got: Callable[[MapAnalysis], Any]
+    want: Callable[[MapAnalysis], Any] = lambda analysis: None
+
+    def unmet(self, analysis: MapAnalysis) -> str:
+        """The not-applicable note, or "" when the hypothesis holds."""
+        parts = [f"{analysis.counts[i]} {noun}"
+                 for i, noun in self.needs if analysis.counts[i] != 1]
+        return "not applicable: " + ", ".join(parts) if parts else ""
+
+    def check(self, analysis: MapAnalysis) -> TheoremReport:
+        if self.needs and (note := self.unmet(analysis)):
+            return TheoremReport(self.theorem, False, True, note=note)
+        got, want = self.got(analysis), self.want(analysis)
+        if self.relation == "xi":
+            dims = {self.key: got.dim, "xi": want}
+            return TheoremReport(self.theorem, True, got.dim == want, dims)
+        if self.relation == "identity":
+            witness = next(((x,) for x, col in enumerate(got.cols) if col != 1 << x), None)
+            return TheoremReport(self.theorem, True, witness is None, {self.key: got.m}, witness)
+        if self.relation == "meet":
+            got = got[0].intersect(got[1])
+            witness = _containment_witness(got, want)
+        else:
+            witness = _equality_witness(got, want)
+        dims = {self.key: got.dim, "target": want.dim}
+        return TheoremReport(self.theorem, True, witness is None, dims, witness)
+
+    def confirms(self, analysis: MapAnalysis, edges: tuple[int, ...]) -> bool:
+        """Whether the edge set violates the claim on the analysed map."""
+        if self.relation == "xi" or self.unmet(analysis):
+            return False
+        vec = Gf2Vec.from_edges(analysis.map.m, edges)
+        got, want = self.got(analysis), self.want(analysis)
+        if self.relation == "identity":
+            return got.apply(vec) != vec
+        if self.relation == "meet":
+            return got[0].contains(vec) and got[1].contains(vec) and not want.contains(vec)
+        return got.contains(vec) != want.contains(vec)
+
+
+_Z = ((2, "zigzags"),)
+_FZ = ((1, "faces"), (2, "zigzags"))
+_CLAIMS = (
+    _Claim("1a", (), "meet", "intersection",
+           lambda a: (a.bundle.vertex_bonds, a.bundle.face_bonds), lambda a: a.bundle.zigzag_bonds),
+    _Claim("1b", (), "meet", "intersection",
+           lambda a: (a.bundle.face_bonds, a.bundle.zigzag_bonds), lambda a: a.bundle.vertex_bonds),
+    _Claim("1c", (), "meet", "intersection",
+           lambda a: (a.bundle.zigzag_bonds, a.bundle.vertex_bonds), lambda a: a.bundle.face_bonds),
+    _Claim("2a", _Z, "equal", "im",
+           lambda a: a.operators.zigzag.image(), lambda a: a.bundle.vertex_cycles),
+    _Claim("2b", _Z, "equal", "ker",
+           lambda a: a.operators.zigzag.kernel(), lambda a: a.bundle.vertex_bonds),
+    _Claim("2c", _Z, "equal", "im",
+           lambda a: a.operators.zigzag_complement.image(), lambda a: a.bundle.face_cycles),
+    _Claim("2d", _Z, "equal", "ker",
+           lambda a: a.operators.zigzag_complement.kernel(), lambda a: a.bundle.face_bonds),
+    _Claim("3a", _Z, "xi", "im",
+           lambda a: a.zigzag_product.image(),
+           lambda a: euler_of_counts(a.map.m, *a.counts[:2])[1]),
+    _Claim("3b", _Z, "equal", "im",
+           lambda a: a.zigzag_product.image(),
+           lambda a: a.bundle.vertex_cycles.intersect(a.bundle.face_cycles)),
+    _Claim("3c", _Z, "equal", "ker",
+           lambda a: a.zigzag_product.kernel(),
+           lambda a: a.bundle.vertex_bonds.sum(a.bundle.face_bonds)),
+    _Claim("4", _FZ, "identity", "m", lambda a: a.face_product),
+)
+
+THEOREM_IDS = tuple(claim.theorem for claim in _CLAIMS)
+GROUPS = tuple(dict.fromkeys(tid[0] for tid in THEOREM_IDS))
+_BY_ID = {claim.theorem: claim for claim in _CLAIMS}
+_BY_GROUP = {group: tuple(c for c in _CLAIMS if c.theorem[0] == group) for group in GROUPS}
+_BY_GROUP["all"] = _CLAIMS
+
+
+def check_group(map_: FlagMap | MapAnalysis, group: str) -> list[TheoremReport]:
+    """The claims of one group, "1" to "4", or "all" of them, in id order."""
+    analysis = MapAnalysis.of(map_)
+    return [claim.check(analysis) for claim in _BY_GROUP[group]]
+
+
 def check_absorption(map_: FlagMap | MapAnalysis) -> list[TheoremReport]:
-    """Each pairwise intersection of bond spaces sits inside the third."""
-    bundle = MapAnalysis.of(map_).bundle
-    triples = (
-        ("1a", bundle.vertex_bonds, bundle.face_bonds, bundle.zigzag_bonds),
-        ("1b", bundle.face_bonds, bundle.zigzag_bonds, bundle.vertex_bonds),
-        ("1c", bundle.zigzag_bonds, bundle.vertex_bonds, bundle.face_bonds),
-    )
-    reports = []
-    for tid, first, second, target in triples:
-        meet = first.intersect(second)
-        witness = _containment_witness(meet, target)
-        reports.append(
-            TheoremReport(
-                tid,
-                True,
-                witness is None,
-                {"intersection": meet.dim, "target": target.dim},
-                witness,
-            )
-        )
-    return reports
-
-
-def _not_applicable(tids: tuple[str, ...], note: str) -> list[TheoremReport]:
-    return [TheoremReport(tid, False, True, note=note) for tid in tids]
+    """1a..1c: each pairwise intersection of bond spaces sits inside the third."""
+    return check_group(map_, "1")
 
 
 def check_theorem2(map_: FlagMap | MapAnalysis) -> list[TheoremReport]:
-    """On single-zigzag maps the zigzag operator has image the cycle space
-    and kernel the bond space of the vertex graph; its complement has the
-    same relation to the face graph."""
-    analysis = MapAnalysis.of(map_)
-    _, _, z = analysis.counts
-    if z != 1:
-        return _not_applicable(("2a", "2b", "2c", "2d"), f"not applicable: {z} zigzags")
-    bundle = analysis.bundle
-    ops = analysis.operators
-    cases = (
-        ("2a", "im", ops.zigzag.image(), bundle.vertex_cycles),
-        ("2b", "ker", ops.zigzag.kernel(), bundle.vertex_bonds),
-        ("2c", "im", ops.zigzag_complement.image(), bundle.face_cycles),
-        ("2d", "ker", ops.zigzag_complement.kernel(), bundle.face_bonds),
-    )
-    reports = []
-    for tid, key, got, want in cases:
-        witness = _equality_witness(got, want)
-        reports.append(
-            TheoremReport(
-                tid,
-                True,
-                witness is None,
-                {key: got.dim, "target": want.dim},
-                witness,
-            )
-        )
-    return reports
+    """2a..2d: on single-zigzag maps, image and kernel of c_P and c_P~."""
+    return check_group(map_, "2")
 
 
 def check_theorem3(map_: FlagMap | MapAnalysis) -> list[TheoremReport]:
-    """The composed operator measures the surface: its image dimension is
-    xi, its image the meet of the two cycle spaces and its kernel the sum
-    of the two bond spaces."""
-    analysis = MapAnalysis.of(map_)
-    v, f, z = analysis.counts
-    if z != 1:
-        return _not_applicable(("3a", "3b", "3c"), f"not applicable: {z} zigzags")
-    bundle = analysis.bundle
-    composed = analysis.zigzag_product
-    im, ker = composed.image(), composed.kernel()
-    _, xi = euler_of_counts(analysis.map.m, v, f)
-    reports = [
-        TheoremReport("3a", True, im.dim == xi, {"im": im.dim, "xi": xi})
-    ]
-    meet = bundle.vertex_cycles.intersect(bundle.face_cycles)
-    witness = _equality_witness(im, meet)
-    reports.append(
-        TheoremReport("3b", True, witness is None, {"im": im.dim, "target": meet.dim}, witness)
-    )
-    total = bundle.vertex_bonds.sum(bundle.face_bonds)
-    witness = _equality_witness(ker, total)
-    reports.append(
-        TheoremReport("3c", True, witness is None, {"ker": ker.dim, "target": total.dim}, witness)
-    )
-    return reports
+    """3a..3c: on single-zigzag maps, c_P~ o c_P measures the surface."""
+    return check_group(map_, "3")
 
 
 def check_theorem4(map_: FlagMap | MapAnalysis) -> TheoremReport:
-    """With one face and one zigzag, complement-after-face is the identity."""
-    analysis = MapAnalysis.of(map_)
-    _, f, z = analysis.counts
-    if f != 1 or z != 1:
-        parts = []
-        if f != 1:
-            parts.append(f"{f} faces")
-        if z != 1:
-            parts.append(f"{z} zigzags")
-        return TheoremReport("4", False, True, note="not applicable: " + ", ".join(parts))
-    composed = analysis.face_product
-    m = analysis.map.m
-    identity = LinearOp.identity(m)
-    witness = None
-    for x in range(m):
-        if composed.cols[x] != identity.cols[x]:
-            witness = (x,)
-            break
-    return TheoremReport("4", True, witness is None, {"m": m}, witness)
+    """4: with one face and one zigzag, c_P~ o c_D is the identity."""
+    return check_group(map_, "4")[0]
 
 
 def verify_all(map_: FlagMap | MapAnalysis) -> list[TheoremReport]:
     """All eleven checks in identifier order, on one analysis of the map."""
-    analysis = MapAnalysis.of(map_)
-    return [
-        *check_absorption(analysis),
-        *check_theorem2(analysis),
-        *check_theorem3(analysis),
-        check_theorem4(analysis),
-    ]
+    return check_group(map_, "all")
 
 
 def recheck_counterexample(map_: FlagMap | MapAnalysis, report: TheoremReport) -> bool:
     """Confirm that a reported counterexample indeed violates the claim."""
-    if report.counterexample is None:
+    claim = _BY_ID.get(report.theorem)
+    if claim is None or report.counterexample is None:
         return False
-    analysis = MapAnalysis.of(map_)
-    vec = Gf2Vec.from_edges(analysis.map.m, report.counterexample)
-    bundle = analysis.bundle
-    if report.theorem == "1a":
-        return (bundle.vertex_bonds.contains(vec) and bundle.face_bonds.contains(vec)
-                and not bundle.zigzag_bonds.contains(vec))
-    if report.theorem == "1b":
-        return (bundle.face_bonds.contains(vec) and bundle.zigzag_bonds.contains(vec)
-                and not bundle.vertex_bonds.contains(vec))
-    if report.theorem == "1c":
-        return (bundle.zigzag_bonds.contains(vec) and bundle.vertex_bonds.contains(vec)
-                and not bundle.face_bonds.contains(vec))
-    ops = analysis.operators
-    if report.theorem in ("2a", "2b", "2c", "2d"):
-        got, want = {
-            "2a": (ops.zigzag.image(), bundle.vertex_cycles),
-            "2b": (ops.zigzag.kernel(), bundle.vertex_bonds),
-            "2c": (ops.zigzag_complement.image(), bundle.face_cycles),
-            "2d": (ops.zigzag_complement.kernel(), bundle.face_bonds),
-        }[report.theorem]
-        return got.contains(vec) != want.contains(vec)
-    composed = analysis.zigzag_product
-    if report.theorem == "3b":
-        meet = bundle.vertex_cycles.intersect(bundle.face_cycles)
-        return composed.image().contains(vec) != meet.contains(vec)
-    if report.theorem == "3c":
-        total = bundle.vertex_bonds.sum(bundle.face_bonds)
-        return composed.kernel().contains(vec) != total.contains(vec)
-    if report.theorem == "4":
-        return analysis.face_product.apply(vec) != vec
-    return False
+    return claim.confirms(MapAnalysis.of(map_), report.counterexample)

@@ -9,6 +9,9 @@ from mapcalc import (
     Gf2Subspace,
     MultiGraph,
     SignedWord,
+    dual,
+    from_signed_word,
+    gon_counts,
     parse_rotation,
     parse_word,
     validate,
@@ -51,6 +54,15 @@ def random_signed_word(rng: random.Random, m: int) -> SignedWord:
             seen.add(e)
             entries.append((e, 1))
     return SignedWord(m, tuple(entries))
+
+
+def single_face_dual() -> FlagMap:
+    """Dual of a one-vertex map with one zigzag: f = z = 1."""
+    rng = random.Random(7)
+    while True:
+        map_ = from_signed_word(random_signed_word(rng, 8))
+        if gon_counts(map_)[2] == 1:
+            return dual(map_)
 
 
 def random_connected_map(rng: random.Random, m: int) -> FlagMap:

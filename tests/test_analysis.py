@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import random
 import sys
 from collections import Counter
 
 import pytest
 
-from conftest import k33_map, random_signed_word
+from conftest import k33_map, single_face_dual
 from mapcalc import (
     MapAnalysis,
     TheoremReport,
@@ -16,22 +15,10 @@ from mapcalc import (
     check_theorem2,
     check_theorem3,
     check_theorem4,
-    dual,
-    from_signed_word,
-    gon_counts,
     recheck_counterexample,
     verify_all,
 )
 from mapcalc import gem, spaces, words
-
-
-def single_face_dual():
-    """Dual of a one-vertex map with one zigzag: f = z = 1."""
-    rng = random.Random(7)
-    while True:
-        map_ = from_signed_word(random_signed_word(rng, 8))
-        if gon_counts(map_)[2] == 1:
-            return dual(map_)
 
 
 def count_calls(monkeypatch, module, name: str, key=lambda *args: None) -> Counter:
@@ -57,7 +44,7 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     graphs = count_calls(monkeypatch, gem, "induced_graph", key=lambda m, kind: kind)
     bonds = count_calls(monkeypatch, spaces, "bond_space")
     bundles = count_calls(monkeypatch, spaces, "bundle_of_graphs")
-    operators = count_calls(monkeypatch, words, "map_operators")
+    operators = count_calls(monkeypatch, words, "c_operator")
     own_gons = count_calls(monkeypatch, gem, "gons",
                            key=lambda m, kind: kind if m is map_ else None)
     reports = verify_all(map_)
@@ -66,7 +53,8 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     assert graphs == {"v": 1, "f": 1, "z": 1}
     assert sum(bonds.values()) == 3
     assert sum(bundles.values()) == 1
-    assert sum(operators.values()) <= 1
+    # c_P is built from its word and c_P~ = 1 + c_P; c_D too when f = 1.
+    assert sum(operators.values()) == (2 if theorem4 else 1)
     assert own_gons["v"] == own_gons["f"] == 1
 
 

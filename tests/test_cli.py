@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
@@ -16,8 +17,9 @@ from mapcalc import (
     write_gem,
     zigzag_map_from_word,
 )
-from mapcalc.cli import run
+from mapcalc.cli import build_parser, run
 from mapcalc.codec import parse_word
+from mapcalc.theorems import GROUPS, THEOREM_IDS
 
 TWO_SPHERES = "gem 2\na 1 2\na 3 0\na 5 6\na 7 4\n"
 
@@ -164,6 +166,22 @@ def test_verify_json(files, capsys):
     assert all(set(r) <= {"theorem", "applicable", "holds", "dims", "counterexample"} for r in reports)
 
 
+def test_verify_theorem_choices_are_the_table_groups(files, capsys):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    theorem = next(a for a in sub.choices["verify"]._actions if a.dest == "theorem")
+    assert tuple(theorem.choices) == (*GROUPS, "all")
+    assert GROUPS == tuple(dict.fromkeys(t[0] for t in THEOREM_IDS)) == ("1", "2", "3", "4")
+    for name in ("s1", "k33"):
+        _, out, _ = run_cli(capsys, "verify", files[name], "--theorem", "all", "--json")
+        parts = []
+        for group in GROUPS:
+            part = run_cli(capsys, "verify", files[name], "--theorem", group, "--json")
+            parts += json.loads(part[1])
+        assert json.loads(out) == parts
+        assert [r["theorem"] for r in parts] == list(THEOREM_IDS)
+
+
 def test_verify_stats_schema(files, capsys):
     """Keys and types only; the timing values are never checked."""
     plain = run_cli(capsys, "verify", files["k33"])
@@ -197,9 +215,11 @@ def test_from_word(files, capsys):
 
 def test_from_word_bad_input(files, capsys):
     bad = files["tmp"] / "bad.szw"
-    bad.write_text("1 2 1\n")
-    code, _, err = run_cli(capsys, "from-word", bad, "-o", files["tmp"] / "x.gem")
-    assert code == 2 and "error" in err
+    for text in ("1 2 1", "1 --1"):
+        bad.write_text(text + "\n")
+        code, _, err = run_cli(capsys, "from-word", bad, "-o", files["tmp"] / "x.gem")
+        assert code == 2 and "error" in err
+        assert not (files["tmp"] / "x.gem").exists()
 
 
 def test_search_k4(files, capsys):
@@ -221,6 +241,15 @@ def test_search_exhausted_reports_seed(files, capsys, monkeypatch):
     assert not out_path.exists()
 
 
+def test_search_bad_seed_variable_is_named(files, capsys, monkeypatch):
+    monkeypatch.setenv("MAPCALC_SEED", "abc")
+    out_path = files["tmp"] / "k4.gem"
+    code, out, err = run_cli(capsys, "search", files["k4"], "-o", out_path)
+    assert code == 2 and err.startswith("error: MAPCALC_SEED must be ")
+    assert "Traceback" not in out + err
+    assert not out_path.exists()
+
+
 def test_search_with_subdivision(files, capsys):
     out_path = files["tmp"] / "sub.gem"
     code, out, _ = run_cli(capsys, "search", files["loop"], "--subdiv", "1", "-o", out_path)
@@ -234,6 +263,13 @@ def test_enumerate(files, capsys):
     assert "m=1: 3 connected maps" in out
     assert "profile v=1 f=1 z=2: 1" in out
     assert "absorption: holds on all 3 maps" in out
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_enumerate_bad_size_names_the_flag(capsys, size):
+    code, out, err = run_cli(capsys, "enumerate", "--size", size)
+    assert code == 2 and err.startswith("error: --size must be ")
+    assert out == "" and "Traceback" not in err
 
 
 def test_enumerate_stats_schema(capsys):

@@ -92,7 +92,7 @@ def test_parse_word():
 
 
 def test_parse_word_errors():
-    for bad in ("", "1", "1 1 2", "1 1 3 3", "-1 1", "1 x", "0 0"):
+    for bad in ("", "1", "1 1 2", "1 1 3 3", "-1 1", "1 x", "0 0", "1 --1"):
         with pytest.raises(MapFormatError):
             parse_word(bad)
 

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
-from conftest import k33_map, random_signed_word
+import pytest
+
+from conftest import k33_map, random_signed_word, single_face_dual
 from mapcalc import (
     Gf2Subspace,
     LinearOp,
+    MapAnalysis,
     TheoremReport,
     apply_permutation,
     bond_of,
@@ -28,6 +32,7 @@ from mapcalc import (
     vertex_word,
     zigzag_map_from_word,
 )
+from mapcalc import theorems
 from mapcalc.theorems import THEOREM_IDS, _containment_witness, _equality_witness
 
 # Operator columns of a known one-face-one-zigzag embedding of K4, 1-based
@@ -126,6 +131,34 @@ def test_recheck_rejects_fake_counterexamples():
     assert not recheck_counterexample(m33, TheoremReport("1a", True, False, {}, (1, 2)))
     assert not recheck_counterexample(m33, TheoremReport("3b", True, False, {}, (4,)))
     assert not recheck_counterexample(m33, TheoremReport("2a", True, True, {}, None))
+    # No counterexample exists where the hypothesis fails or the id is unknown.
+    assert not recheck_counterexample(m33, TheoremReport("4", True, False, {}, (0,)))
+    p1 = projective_loop_map()
+    assert not recheck_counterexample(p1, TheoremReport("2a", True, False, {}, (0,)))
+    assert not recheck_counterexample(m33, TheoremReport("9", True, False, {}, (0,)))
+
+
+@pytest.mark.parametrize("build, tid, field, wrong", [
+    (k33_map, "2a", "want", lambda a: a.bundle.vertex_bonds),
+    (k33_map, "3c", "want", lambda a: a.bundle.vertex_bonds),
+    (k33_map, "1a", "got", lambda a: (a.bundle.vertex_bonds, a.bundle.vertex_bonds)),
+    (single_face_dual, "4", "got", lambda a: a.operators.face),
+], ids=["2a", "3c", "1a", "4"])
+def test_recheck_confirms_a_wrong_claims_witness(monkeypatch, build, tid, field, wrong):
+    """A table entry with a deliberately wrong operand is violated on a real
+    map: the check reports a witness, recheck of the same entry confirms
+    it, and the true claim rejects it."""
+    analysis = MapAnalysis(build())
+    claim = replace(theorems._BY_ID[tid], **{field: wrong})
+    report = claim.check(analysis)
+    assert report.applicable and not report.holds
+    assert report.counterexample is not None
+    assert claim.confirms(analysis, report.counterexample)
+    assert not recheck_counterexample(analysis, report)
+    if claim.relation == "meet":
+        # Recheck tests membership in both operands, not in a computed meet.
+        monkeypatch.setattr(Gf2Subspace, "intersect", None)
+        assert claim.confirms(analysis, report.counterexample)
 
 
 def test_theorem4_on_searched_k4_map():
