@@ -59,19 +59,19 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return OK
 
 
-def _parse_id_list(text: str, limit: int, what: str) -> list[int]:
+def _parse_id_list(text: str, limit: int, flag: str) -> list[int]:
     out = []
     for tok in text.split(","):
         tok = tok.strip()
-        if not tok.isdigit() or not 1 <= int(tok) <= limit:
-            raise codec.MapFormatError(f"bad {what} id {tok!r} (want 1..{limit})")
+        if not codec.ascii_digits(tok) or not 1 <= int(tok) <= limit:
+            raise codec.MapFormatError(f"{flag}: bad id {tok!r} (want 1..{limit})")
         out.append(int(tok) - 1)
     return out
 
 
 def _cmd_omega(args: argparse.Namespace) -> int:
     map_ = _load_map(args.file)
-    rects = _parse_id_list(args.rects, map_.m, "rectangle") if args.rects else None
+    rects = _parse_id_list(args.rects, map_.m, "--rects") if args.rects else None
     result = gem.apply_permutation(map_, rects, args.perm)
     _write(args.output, codec.write_gem(result))
     v, f, z = gem.gon_counts(result)

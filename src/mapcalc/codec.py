@@ -37,6 +37,17 @@ class ValidationFailure(ValueError):
     """Text parsed fine but the resulting map breaks a structural invariant."""
 
 
+def ascii_digits(token: str) -> bool:
+    """Whether token is a nonempty run of the ASCII digits 0-9.
+
+    Ids and counts in every format are read with int() only after this
+    check: int() alone also takes signs, underscores, surrounding spaces
+    and digits of other scripts, and str.isdigit() also takes superscripts,
+    which int() then rejects with a bare ValueError.
+    """
+    return token.isascii() and token.isdigit()
+
+
 def _content_lines(text: str) -> list[tuple[int, str]]:
     """(1-based line number, stripped content) with comments and blanks gone."""
     out = []
@@ -56,10 +67,9 @@ def parse_gem(text: str, strict: bool = True) -> FlagMap:
     parts = header.split()
     if len(parts) != 2 or parts[0] != "gem":
         raise MapFormatError(f"expected header 'gem m', got {header!r}", ln)
-    try:
-        m = int(parts[1])
-    except ValueError:
-        raise MapFormatError(f"bad rectangle count {parts[1]!r}", ln) from None
+    if not ascii_digits(parts[1]):
+        raise MapFormatError(f"bad rectangle count {parts[1]!r}", ln)
+    m = int(parts[1])
     if m < 1:
         raise MapFormatError(f"bad rectangle count {m}", ln)
     if len(lines) - 1 != 2 * m:
@@ -69,10 +79,10 @@ def parse_gem(text: str, strict: bool = True) -> FlagMap:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "a":
             raise MapFormatError(f"expected 'a f1 f2', got {line!r}", ln)
-        try:
-            x, y = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise MapFormatError(f"bad flag ids in {line!r}", ln) from None
+        # ascii_digits inlined: this loop runs 2m times per map.
+        if not (line.isascii() and parts[1].isdigit() and parts[2].isdigit()):
+            raise MapFormatError(f"bad flag ids in {line!r}", ln)
+        x, y = int(parts[1]), int(parts[2])
         for z in (x, y):
             if not 0 <= z < 4 * m:
                 raise MapFormatError(f"flag {z} out of range 0..{4 * m - 1}", ln)
@@ -105,7 +115,7 @@ def parse_word(text: str) -> SignedWord:
         for tok in line.split():
             sign = -1 if tok.startswith("-") else 1
             body = tok[1:] if sign < 0 else tok
-            if not body.isdigit() or int(body) < 1:
+            if not ascii_digits(body) or int(body) < 1:
                 raise MapFormatError(f"bad edge token {tok!r}", ln)
             tokens.append((int(body) - 1, sign))
     if not tokens:
@@ -193,18 +203,18 @@ def parse_rotation(text: str) -> RotationSystem:
                 raise MapFormatError("malformed or repeated twist line", ln)
             twist_tokens = []
             for tok in rest.split():
-                if not tok.isdigit() or int(tok) < 1:
+                if not ascii_digits(tok) or int(tok) < 1:
                     raise MapFormatError(f"bad twist token {tok!r}", ln)
                 twist_tokens.append(int(tok) - 1)
             continue
-        if len(head_parts) != 2 or head_parts[0] != "v" or not head_parts[1].isdigit():
+        if len(head_parts) != 2 or head_parts[0] != "v" or not ascii_digits(head_parts[1]):
             raise MapFormatError(f"expected 'v k: ...' or 'twist: ...', got {line!r}", ln)
         vid = int(head_parts[1]) - 1
         if vid in vertex_lines:
             raise MapFormatError(f"vertex {vid + 1} listed twice", ln)
         tokens = []
         for tok in rest.split():
-            if not tok.isdigit() or int(tok) < 1:
+            if not ascii_digits(tok) or int(tok) < 1:
                 raise MapFormatError(f"bad edge token {tok!r}", ln)
             tokens.append(int(tok) - 1)
         vertex_lines[vid] = tokens

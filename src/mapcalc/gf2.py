@@ -9,10 +9,17 @@ stored column-wise (column x = image of the singleton {x}).
 A row's pivot is its lowest set bit, kept as the power of two `row & -row`.
 Elimination indexes rows by pivot in a dict, so reducing a row costs one
 lookup and one big-int XOR per pivot it meets; membership tests use the
-same index.  Intersections and kernels both come from one elimination on
-rows of 2m bits, keeping the members of the span whose low m bits are
-zero (Zassenhaus); an operator's image comes from the same elimination as
-its kernel, and both are kept on the operator.
+same index.  Intersections come from one elimination on rows of 2m bits,
+keeping the members of the span whose low m bits are zero (Zassenhaus).
+An operator's image and kernel are both read off one canonical RREF of
+the 2m-bit rows col_j | 1 << (m + j), and kept on the operator.
+
+That RREF and `compose` use Four-Russians tables (M4RI: Albrecht, Bard
+and Hart, ACM TOMS 37(1), 2010).  The columns are taken in blocks of
+_K = 8; a table of the 2^8 combinations of a block's rows then replaces
+up to eight XORs by one lookup.  Subspace `span`, `sum`, `perp` and
+`intersect` keep the pivot-dict elimination: their rows are sparse, and
+a lookup per row costs more than the few XORs it would replace.
 """
 
 from __future__ import annotations
@@ -23,10 +30,15 @@ from typing import Iterable, Iterator
 
 _eliminations = 0
 
+# Four-Russians block width: of k = 6..10, 8 was fastest on operators with
+# m = 250..350 (see CHANGES.md).
+_K = 8
+
 
 def elimination_count() -> int:
     """Eliminations run in this process so far: the number of echelon
-    forms computed, whatever asked for them."""
+    forms computed, whatever asked for them.  An operator's image and
+    kernel together take one."""
     return _eliminations
 
 
@@ -55,14 +67,21 @@ def _echelon(rows: Iterable[int]) -> dict[int, int]:
 def _rref(rows: Iterable[int]) -> tuple[int, ...]:
     """Reduce bitset rows to reduced row echelon form (pivots increasing).
 
-    After `_echelon`, rows are back-substituted once in descending pivot
-    order: the other pivot bits of a row all lie above its own pivot, and
-    the rows of those pivots are already reduced, so XOR-ing them in clears
-    exactly those bits.  The result is the unique canonical basis: nonzero
-    rows, strictly increasing pivots, each pivot column clear in all other
-    rows.
+    `_echelon`, then `_back_substitute`.  The result is the unique
+    canonical basis: nonzero rows, strictly increasing pivots, each pivot
+    column clear in all other rows.
     """
-    pivots = _echelon(rows)
+    return _back_substitute(_echelon(rows))
+
+
+def _back_substitute(pivots: dict[int, int]) -> tuple[int, ...]:
+    """Clear every pivot bit from the other rows of {pivot bit: row}, in
+    place, and return the rows in increasing pivot order.
+
+    The rows are visited in descending pivot order: the other pivot bits
+    of a row all lie above its own pivot, and the rows of those pivots are
+    already reduced, so XOR-ing them in clears exactly those bits.
+    """
     mask = sum(pivots)
     out = []
     for p in sorted(pivots, reverse=True):
@@ -76,6 +95,66 @@ def _rref(rows: Iterable[int]) -> tuple[int, ...]:
         out.append(row)
     out.reverse()
     return tuple(out)
+
+
+def _combinations(rows: Iterable[int]) -> list[int]:
+    """Table of all 2^len(rows) sums of rows: entry v is the XOR of the
+    rows[i] with bit i of v set.  Built by doubling, one XOR per entry:
+    the upper half of each step is the lower half plus the next row."""
+    table = [0]
+    for row in rows:
+        table += [t ^ row for t in table]
+    return table
+
+
+def _rref_tables(rows: Iterable[int], width: int, k: int = _K) -> tuple[int, ...]:
+    """The canonical RREF of `_rref`, by Four-Russians elimination.
+
+    Columns 0..width-1 (every bit of every row must lie below width) are
+    taken in blocks of k, low to high.  In each block, up to k pivots are
+    found among the rows not yet used, as in `_echelon` but on the block's
+    bits only, and reduced against each other as in `_rref`.  A table of
+    their combinations, keyed by the block's bits (a column without a
+    pivot adds the zero row), then clears the block in every other row,
+    earlier pivot rows included, with one lookup and one XOR per row.
+    """
+    global _eliminations
+    _eliminations += 1
+    done: list[int] = []  # pivot rows of earlier blocks, pivots increasing
+    rest = [r for r in rows if r]  # the other rows, zero below the block
+    for lo in range(0, width, k):
+        if not rest:
+            break
+        kb = min(k, width - lo)
+        key = (1 << kb) - 1
+        block = key << lo
+        pivots: dict[int, int] = {}
+        others = []
+        for i, row in enumerate(rest):
+            bits = row & block
+            while bits:
+                low = bits & -bits
+                b = pivots.get(low)
+                if b is None:
+                    pivots[low] = row
+                    break
+                row ^= b
+                bits = row & block
+            else:
+                if row:
+                    others.append(row)
+                continue
+            if len(pivots) == kb:
+                others += rest[i + 1:]
+                break
+        if not pivots:
+            continue
+        reduced = _back_substitute(pivots)
+        table = _combinations([pivots.get(1 << c, 0) for c in range(lo, lo + kb)])
+        done = [r ^ table[(r >> lo) & key] for r in done]
+        done += reduced
+        rest = [y for r in others if (y := r ^ table[(r >> lo) & key])]
+    return tuple(done)
 
 
 def _low_zero_part(rows: Iterable[int], m: int) -> tuple[int, ...]:
@@ -313,10 +392,25 @@ class LinearOp:
         return Gf2Vec(self.m, _apply_bits(self.cols, v.bits))
 
     def compose(self, inner: LinearOp) -> LinearOp:
-        """self o inner (apply `inner` first)."""
+        """self o inner (apply `inner` first).
+
+        Each block of _K columns of self gets a table of its combinations,
+        and an inner column costs m / _K lookups, one per block, whatever
+        its weight.
+        """
         if inner.m != self.m:
             raise ValueError("universe mismatch")
-        return LinearOp(self.m, tuple(_apply_bits(self.cols, c) for c in inner.cols))
+        m = self.m
+        key = (1 << _K) - 1
+        tables = [_combinations(self.cols[i:i + _K]) for i in range(0, m, _K)]
+        out = []
+        for c in inner.cols:
+            x = 0
+            for table in tables:
+                x ^= table[c & key]
+                c >>= _K
+            out.append(x)
+        return LinearOp(m, tuple(out))
 
     def __add__(self, other: LinearOp) -> LinearOp:
         if other.m != self.m:
@@ -340,23 +434,22 @@ class LinearOp:
 
     @cached_property
     def _image_kernel(self) -> tuple[Gf2Subspace, Gf2Subspace]:
-        """Image and kernel from one elimination of the rows col_j | 1 << (m + j).
+        """Image and kernel from one canonical RREF of the rows col_j | 1 << (m + j).
 
-        An echelon row with its pivot in the low half has a nonzero low
-        half, and those low halves, with distinct pivots, span the column
-        space.  The rows with a high pivot have zero low half; their high
-        halves are the combinations of columns that vanish (as in
-        `_low_zero_part`).
+        A combination of those rows is (A x) | x << m.  The RREF rows with
+        a low pivot have a nonzero low half, and those low halves, with
+        increasing pivots that are clear in each other, are the canonical
+        basis of the column space.  The other rows have a zero low half;
+        their high halves are the canonical basis of the null space.  The
+        RREF is computed by `_rref_tables`.
         """
         m = self.m
+        rows = [c | 1 << (m + j) for j, c in enumerate(self.cols)]
+        rref = _rref_tables(rows, 2 * m)
         low = (1 << m) - 1
-        image, kernel = [], []
-        for p, r in _echelon(c | 1 << (m + j) for j, c in enumerate(self.cols)).items():
-            if p >> m:
-                kernel.append(r >> m)
-            else:
-                image.append(r & low)
-        return Gf2Subspace(m, _rref(image)), Gf2Subspace(m, _rref(kernel))
+        image = tuple(r & low for r in rref if r & low)
+        kernel = tuple(r >> m for r in rref if not r & low)
+        return Gf2Subspace(m, image), Gf2Subspace(m, kernel)
 
     def image(self) -> Gf2Subspace:
         """Column space."""

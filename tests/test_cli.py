@@ -107,6 +107,16 @@ def test_omega_bad_arguments(files, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("rects", ["\u00b2", "\u0661", "+1", "1,0_1"])
+def test_omega_bad_rect_token_names_the_flag(files, capsys, rects):
+    out_path = files["tmp"] / "x.gem"
+    code, out, err = run_cli(capsys, "omega", files["k33"], "--perm", "lsd",
+                             "--rects", rects, "-o", out_path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --rects: bad id")
+    assert not out_path.exists()
+
+
 def test_word_zigzag_round_trip(files, capsys):
     code, out, _ = run_cli(capsys, "word", files["k33"])
     assert code == 0

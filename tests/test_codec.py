@@ -97,6 +97,30 @@ def test_parse_word_errors():
             parse_word(bad)
 
 
+# Tokens that str.isdigit() or int() accept but that are not plain ASCII
+# digits: a superscript, Arabic-Indic and fullwidth digits, a sign, an
+# underscore separator.
+NON_ASCII_DIGITS = ("\u00b2", "\u0661", "\uff13", "+1", "0_1", "1_0")
+
+
+@pytest.mark.parametrize("tok", NON_ASCII_DIGITS)
+def test_parsers_take_ascii_digits_only(tok):
+    texts = [
+        (parse_gem, f"gem {tok}\n"),
+        (parse_gem, f"gem 1\na {tok} 3\na 1 2\n"),
+        (parse_gem, f"gem 1\na 0 3\na 1 {tok}\n"),
+        (parse_word, f"1 {tok}"),
+        (parse_word, f"{tok} {tok}"),
+        (parse_word, f"1 -{tok}"),
+        (parse_rotation, f"v {tok}: 1 1\n"),
+        (parse_rotation, f"v 1: 1 {tok}\n"),
+        (parse_rotation, f"v 1: 1 1\ntwist: {tok}\n"),
+    ]
+    for parse, text in texts:
+        with pytest.raises(MapFormatError):
+            parse(text)
+
+
 def test_format_word_round_trip():
     rng = random.Random(53)
     for _ in range(20):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import members, random_subspace
-from mapcalc import Gf2Subspace, Gf2Vec, LinearOp
+from mapcalc import Gf2Subspace, Gf2Vec, LinearOp, gf2
 
 
 def test_vec_basics():
@@ -140,3 +140,14 @@ def test_operator_universe_mismatch():
         LinearOp.identity(3).compose(LinearOp.identity(4))
     with pytest.raises(ValueError):
         Gf2Subspace.span(3, [0]).sum(Gf2Subspace.span(4, [0]))
+
+
+@pytest.mark.parametrize("m", [0, 3, 63, 64, 100])
+def test_image_and_kernel_take_one_elimination(m):
+    rng = random.Random(m)
+    op = LinearOp(m, tuple(rng.getrandbits(m) for _ in range(m)))
+    before = gf2.elimination_count()
+    op.image()
+    op.kernel()
+    assert gf2.elimination_count() - before == 1
+

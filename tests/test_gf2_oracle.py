@@ -6,7 +6,9 @@ call per (row, basis) pair, intersection as the complement of the sum of
 complements, and bit-by-bit transposition.  They are slow but plainly
 correct, and the pivot-indexed kernels in `mapcalc.gf2` must agree with
 them on every input.  Every output is also checked for the canonical RREF
-invariants that make subspace equality plain dataclass equality.
+invariants that make subspace equality plain dataclass equality.  The
+Four-Russians elimination is checked directly at several block widths, and
+through the operators at sizes past one block of rows.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import random
 
 from mapcalc import Gf2Subspace, Gf2Vec, LinearOp
-from mapcalc.gf2 import _rref
+from mapcalc.gf2 import _rref, _rref_tables
 
 SIZES = range(65)
 
@@ -248,3 +250,49 @@ def test_shared_image_kernel_elimination_matches_reference():
             assert_canonical(m, ker.rows)
             assert im.dim + ker.dim == m
             assert op.image() is im and op.kernel() is ker
+
+
+def test_table_rref_matches_reference():
+    """Every width up to 130, so blocks end short of k as well as on it;
+    random_rows mixes in zero, duplicate and rank-deficient rows."""
+    for width in range(131):
+        rng = random.Random(7000 + width)
+        rows = random_rows(rng, width)
+        want = ref_rref(rows)
+        for k in (1, 2, 6):
+            got = _rref_tables(rows, width, k)
+            assert got == want, (width, k)
+            assert_canonical(width, got)
+        assert _rref_tables(rows, width) == want
+        assert _rref_tables([], width, 6) == ()
+        assert _rref_tables([0, 0], width, 6) == ()
+
+
+def test_table_rref_special_inputs():
+    for width in (5, 6, 7, 64, 130):
+        rng = random.Random(8000 + width)
+        full = [1 << i for i in range(width)]
+        rng.shuffle(full)
+        dense = independent(rng, width)
+        low_rank = [combo(rng, dense[:3]) for _ in range(2 * width)]
+        for rows in (full, dense, dense + dense, low_rank, [0] * width + dense[:1]):
+            for k in (1, 2, 6):
+                got = _rref_tables(rows, width, k)
+                assert got == ref_rref(rows)
+                assert_canonical(width, got)
+
+
+def test_large_operators_match_reference():
+    """image, kernel and compose up to m = 130, on sizes that do and do
+    not end on a whole table block, against the loop references."""
+    for m in (63, 64, 65, 97, 130):
+        rng = random.Random(9000 + m)
+        for op in operator_cases(rng, m):
+            im, ker = op.image(), op.kernel()
+            assert im.rows == ref_rref(op.cols)
+            assert ker.rows == ref_kernel(m, op.cols)
+            assert_canonical(m, im.rows)
+            assert_canonical(m, ker.rows)
+            inner = LinearOp(m, tuple(rng.getrandbits(m) for _ in range(m)))
+            for a, b in ((op, inner), (inner, op)):
+                assert a.compose(b).cols == tuple(ref_apply(m, a.cols, c) for c in b.cols)
