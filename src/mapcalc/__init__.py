@@ -16,7 +16,6 @@ from .gem import (
     induced_graph,
     loop_balance,
     loop_balances,
-    normalize,
     orientable,
     phial,
     projective_loop_map,

@@ -35,6 +35,27 @@ def _load_map(path: str, strict: bool = True) -> gem.FlagMap:
     return codec.parse_gem(_read(path), strict=strict)
 
 
+def _integer(text: str) -> int:
+    """Integer flag value: ASCII digits after at most one leading '-'.
+
+    int() alone also takes '+', '_', surrounding spaces and the digits of
+    other scripts; the sign is kept so range errors still name the value.
+    """
+    if not codec.ascii_digits(text[1:] if text.startswith("-") else text):
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}")
+    return int(text)
+
+
+def _seconds(text: str) -> float:
+    """--time-limit value: float() of ASCII text only."""
+    if not text.isascii():
+        raise argparse.ArgumentTypeError(f"bad number {text!r}")
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     map_ = _load_map(args.file, strict=False)
     report = gem.validate(map_)
@@ -192,8 +213,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     seed = args.seed
     if seed is None:
         try:
-            seed = int(os.environ.get("MAPCALC_SEED", "0"))
-        except ValueError:
+            seed = _integer(os.environ.get("MAPCALC_SEED", "0"))
+        except argparse.ArgumentTypeError:
             raise ValueError("MAPCALC_SEED must be an integer") from None
     try:
         budget = search.SearchBudget(
@@ -284,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("word", help="print the zigzag or vertex word")
     p.add_argument("file")
     p.add_argument("--kind", choices=("z", "v"), default="z")
-    p.add_argument("--gon", type=int, default=1, help="1-based v-gon index")
+    p.add_argument("--gon", type=_integer, default=1, help="1-based v-gon index")
     p.set_defaults(func=_cmd_word)
 
     p = sub.add_parser("ops", help="print the word operators the map admits")
@@ -306,18 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="hunt for a single-face-single-zigzag embedding")
     p.add_argument("file", help=".rot file naming the graph")
-    p.add_argument("--budget", type=int, default=100_000, help="max candidates")
-    p.add_argument("--subdiv", type=int, default=0, help="max total edge subdivisions")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--budget", type=_integer, default=100_000, help="max candidates")
+    p.add_argument("--subdiv", type=_integer, default=0, help="max total edge subdivisions")
+    p.add_argument("--seed", type=_integer, default=None,
                    help="randomization seed (default: MAPCALC_SEED or 0)")
-    p.add_argument("--time-limit", type=float, default=None, help="seconds (positive)")
+    p.add_argument("--time-limit", type=_seconds, default=None, help="seconds (positive)")
     p.add_argument("--stats", action="store_true",
                    help="print per-level candidates, restarts and best f + z as JSON to stderr")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("enumerate", help="census of all connected maps of a size")
-    p.add_argument("--size", type=int, required=True, metavar="M")
+    p.add_argument("--size", type=_integer, required=True, metavar="M")
     p.add_argument("--verify-absorption", action="store_true")
     p.add_argument("--stats", action="store_true",
                    help="print map and profile counts, absorption failures and per-phase "

@@ -4,7 +4,7 @@ Three line-oriented ASCII formats, all with '#' comments and 1-based edge
 ids on disk (0-based internally):
 
   .gem   header "gem m", then 2m lines "a f1 f2" listing the alpha pairs
-         of a canonical-role map over flags 0..4m-1.
+         of a map over flags 0..4m-1.
   .szw   whitespace-separated signed edge tokens of a cyclic
          double-occurrence word, e.g. "1 2 -1 2".
   .rot   vertex lines "v k: e1 e2 ..." giving the cyclic order of edge
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gem import FlagMap, MultiGraph, normalize, phial, validate
+from .gem import FlagMap, MultiGraph, phial, validate
 from .words import SignedWord
 
 
@@ -100,10 +100,9 @@ def parse_gem(text: str, strict: bool = True) -> FlagMap:
 
 
 def write_gem(map_: FlagMap) -> str:
-    """Serialize normalize(map_) with pairs sorted by smaller flag."""
-    nm = normalize(map_)
-    pairs = sorted({(min(x, y), max(x, y)) for x, y in enumerate(nm.alpha)})
-    lines = [f"gem {nm.m}"]
+    """Serialize map_ with pairs sorted by smaller flag."""
+    pairs = sorted({(min(x, y), max(x, y)) for x, y in enumerate(map_.alpha)})
+    lines = [f"gem {map_.m}"]
     lines.extend(f"a {x} {y}" for x, y in pairs)
     return "\n".join(lines) + "\n"
 

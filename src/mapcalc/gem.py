@@ -1,18 +1,17 @@
 """Combinatorial maps on closed surfaces, encoded as flag involutions.
 
 A map with m edges is stored as m rectangles of four flags each; rectangle
-e owns flags 4e..4e+3.  The three ways to split a rectangle's four flags
-into two pairs are the classes A = {01, 23}, B = {12, 30} and C = {02, 13}.
-A per-rectangle role string says which class plays the short sides, the
-long sides and the diagonals, in that order; the canonical assignment is
-"ABC".  A fixed-point-free involution alpha glues rectangle corners
-together.  The cycles that alternate alpha with short, long or diagonal
-pairs are the v-, f- and z-gons; they are the vertices, faces and zigzag
-walks of the embedded graph, whose edges are the rectangles.
+e owns flags 4e..4e+3.  Inside its rectangle, flag x has a short partner
+x ^ 1, a long partner x ^ 3 and a diagonal partner x ^ 2 (PARTNER).  A
+fixed-point-free involution alpha glues rectangle corners together.  The
+cycles that alternate alpha with short, long or diagonal partners are the
+v-, f- and z-gons; they are the vertices, faces and zigzag walks of the
+embedded graph, whose edges are the rectangles.
 
-Role permutations (dual, phial, antimap) only rewrite the role strings;
-normalize relabels flags inside each rectangle so the canonical role
-string becomes correct again, without touching the gon structure.
+Role permutations (dual, phial, antimap and partial ones) relabel the
+flags inside each chosen rectangle so that the fixed partners take on the
+permuted roles: alpha is conjugated, and the v-, f- and z-gons of the
+result are the permuted gons of the input.
 """
 
 from __future__ import annotations
@@ -21,47 +20,39 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 ROLE_INDEX = {"s": 0, "l": 1, "d": 2}
-KIND_TO_ROLE = {"v": 0, "f": 1, "z": 2}
+
+# The short (v), long (f) and diagonal (z) partner of flag x is x ^ PARTNER[kind].
+PARTNER = {"v": 1, "f": 3, "z": 2}
 
 DUAL_WORD = "lsd"
 PHIAL_WORD = "dls"
 ANTIMAP_WORD = "sdl"
 
-# partner offset inside the rectangle, per pair-class
-_PARTNER = {"A": (1, 0, 3, 2), "B": (3, 2, 1, 0), "C": (2, 3, 0, 1)}
-
-# the two pairs of each class, as offset tuples
-_CLASS_PAIRS = {
-    "A": ((0, 1), (2, 3)),
-    "B": ((1, 2), (3, 0)),
-    "C": ((0, 2), (1, 3)),
-}
-
-# Offset permutation h for a rectangle with role string c: h carries A-pairs
-# onto c[0]-pairs, B-pairs onto c[1]-pairs and C-pairs onto c[2]-pairs, so
-# conjugating alpha by h makes the canonical role string "ABC" correct.
-_NORMALIZE_OFFSETS = {
-    "ABC": (0, 1, 2, 3),
-    "BAC": (0, 3, 2, 1),
-    "CBA": (0, 2, 1, 3),
-    "ACB": (0, 1, 3, 2),
-    "BCA": (1, 2, 0, 3),
-    "CAB": (0, 2, 3, 1),
+# Offset permutation h per permutation word w, whose letter i names the
+# image of role i (s, l, d = v, f, z): h carries the pairs {o, o ^ partner
+# of role w[i]} onto the pairs {o, o ^ partner of role i}, so conjugating
+# alpha by h inside a rectangle moves role i's gons onto role w[i].
+_PERMUTATION_OFFSETS = {
+    "sld": (0, 1, 2, 3),
+    "lsd": (0, 3, 2, 1),
+    "dls": (0, 2, 1, 3),
+    "sdl": (0, 1, 3, 2),
+    "dsl": (1, 2, 0, 3),
+    "lds": (0, 2, 3, 1),
 }
 
 
 @dataclass(frozen=True)
 class FlagMap:
-    """A map: rectangle count, flag involution and per-rectangle roles.
+    """A map: rectangle count and flag involution.
 
-    The constructor only enforces shape (lengths, ranges, role alphabet);
+    The constructor only enforces shape (lengths, ranges);
     use validate() to check the semantic invariants, so that broken
     candidates can still be inspected and reported on.
     """
 
     m: int
     alpha: tuple[int, ...]
-    roles: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -73,23 +64,9 @@ class FlagMap:
         for x, y in enumerate(self.alpha):
             if not isinstance(y, int) or not 0 <= y < n:
                 raise ValueError(f"alpha[{x}] = {y!r} is not a flag id")
-        if self.roles is None:
-            object.__setattr__(self, "roles", ("ABC",) * self.m)
-        else:
-            object.__setattr__(self, "roles", tuple(self.roles))
-        if len(self.roles) != self.m:
-            raise ValueError("need one role string per rectangle")
-        for r in self.roles:
-            if not (isinstance(r, str) and len(r) == 3 and set(r) <= set("ABC")):
-                raise ValueError(f"bad role string {r!r}")
 
     @classmethod
-    def from_pairs(
-        cls,
-        m: int,
-        pairs: Iterable[tuple[int, int]],
-        roles: Sequence[str] | None = None,
-    ) -> FlagMap:
+    def from_pairs(cls, m: int, pairs: Iterable[tuple[int, int]]) -> FlagMap:
         """Build alpha from explicit flag pairs covering every flag once."""
         alpha = [-1] * (4 * m)
         for x, y in pairs:
@@ -101,25 +78,11 @@ class FlagMap:
             alpha[x], alpha[y] = y, x
         if -1 in alpha:
             raise ValueError(f"flag {alpha.index(-1)} left unpaired")
-        return cls(m, tuple(alpha), tuple(roles) if roles is not None else None)
+        return cls(m, tuple(alpha))
 
     @property
     def flag_count(self) -> int:
         return 4 * self.m
-
-    def role_class(self, rect: int, kind: str) -> str:
-        """Pair-class letter playing role `kind` on rectangle `rect`."""
-        return self.roles[rect][KIND_TO_ROLE[kind]]
-
-    def role_partner(self, flag: int, kind: str) -> int:
-        """The flag paired with `flag` by its rectangle's `kind` pairs."""
-        r, o = divmod(flag, 4)
-        return 4 * r + _PARTNER[self.roles[r][KIND_TO_ROLE[kind]]][o]
-
-
-def _partner(map_: FlagMap, role_idx: int, flag: int) -> int:
-    r, o = divmod(flag, 4)
-    return 4 * r + _PARTNER[map_.roles[r][role_idx]][o]
 
 
 def sphere_loop_map() -> FlagMap:
@@ -143,11 +106,9 @@ class ValidationReport:
 
     involution: bool
     fixed_point_free: bool
-    roles_bijective: bool
-    squares_ok: bool
     connected: bool
 
-    _NAMES = ("involution", "fixed_point_free", "roles_bijective", "squares_ok", "connected")
+    _NAMES = ("involution", "fixed_point_free", "connected")
 
     @property
     def ok(self) -> bool:
@@ -160,30 +121,26 @@ class ValidationReport:
         return tuple(n for n, ok in self.checks() if not ok)
 
 
-def _flag_connected(map_: FlagMap) -> bool:
-    n = map_.flag_count
-    seen = [False] * n
+def _flag_walk(map_: FlagMap) -> tuple[int, bool]:
+    """Two-colour the component of flag 0 in the graph on alpha, short and
+    long partners: (flags reached, whether the colouring is proper)."""
+    a = map_.alpha
+    color = [-1] * len(a)
+    color[0] = 0
     stack = [0]
-    seen[0] = True
     count = 1
+    proper = True
     while stack:
         x = stack.pop()
-        for y in (map_.alpha[x], _partner(map_, 0, x), _partner(map_, 1, x)):
-            if not seen[y]:
-                seen[y] = True
+        c = color[x] ^ 1
+        for y in (a[x], x ^ 1, x ^ 3):
+            if color[y] == -1:
+                color[y] = c
                 count += 1
                 stack.append(y)
-    return count == n
-
-
-def _square_is_cycle(map_: FlagMap, rect: int) -> bool:
-    start = 4 * rect
-    x = start
-    visited = set()
-    for step in range(4):
-        visited.add(x)
-        x = _partner(map_, step % 2, x)
-    return x == start and len(visited) == 4
+            elif color[y] != c:
+                proper = False
+    return count, proper
 
 
 def validate(map_: FlagMap) -> ValidationReport:
@@ -191,10 +148,8 @@ def validate(map_: FlagMap) -> ValidationReport:
     a = map_.alpha
     involution = all(a[a[x]] == x for x in range(len(a)))
     fixed_point_free = all(a[x] != x for x in range(len(a)))
-    roles_bijective = all(sorted(r) == ["A", "B", "C"] for r in map_.roles)
-    squares_ok = roles_bijective and all(_square_is_cycle(map_, r) for r in range(map_.m))
-    connected = _flag_connected(map_)
-    return ValidationReport(involution, fixed_point_free, roles_bijective, squares_ok, connected)
+    connected = _flag_walk(map_)[0] == len(a)
+    return ValidationReport(involution, fixed_point_free, connected)
 
 
 @dataclass(frozen=True)
@@ -224,7 +179,7 @@ class GonDecomposition:
 
 def gons(map_: FlagMap, kind: str) -> GonDecomposition:
     """Components of the flag graph restricted to kind-pairs and alpha."""
-    role_idx = KIND_TO_ROLE[kind]
+    p = PARTNER[kind]
     n = map_.flag_count
     gon_of = [-1] * n
     out: list[tuple[int, ...]] = []
@@ -236,7 +191,7 @@ def gons(map_: FlagMap, kind: str) -> GonDecomposition:
         while True:
             seq.append(x)
             gon_of[x] = len(out)
-            y = _partner(map_, role_idx, x)
+            y = x ^ p
             seq.append(y)
             gon_of[y] = len(out)
             x = map_.alpha[y]
@@ -246,9 +201,28 @@ def gons(map_: FlagMap, kind: str) -> GonDecomposition:
     return GonDecomposition(kind, tuple(out), tuple(gon_of))
 
 
+def gon_count(alpha: Sequence[int], partner: int) -> int:
+    """Number of gons that alternate alpha with x ^ partner."""
+    seen = bytearray(len(alpha))
+    count = 0
+    for start in range(len(alpha)):
+        if seen[start]:
+            continue
+        count += 1
+        x = start
+        while True:
+            seen[x] = 1
+            y = x ^ partner
+            seen[y] = 1
+            x = alpha[y]
+            if x == start:
+                break
+    return count
+
+
 def gon_counts(map_: FlagMap) -> tuple[int, int, int]:
     """(v, f, z) gon counts."""
-    return tuple(gons(map_, k).count for k in ("v", "f", "z"))
+    return tuple(gon_count(map_.alpha, PARTNER[k]) for k in ("v", "f", "z"))
 
 
 def parse_role_permutation(word: str) -> tuple[int, int, int]:
@@ -266,21 +240,26 @@ def apply_permutation(
     """Permute the short/long/diagonal roles on the chosen rectangles.
 
     `perm` is a word over s, l, d giving the images of s, l, d in order
-    ("lsd" swaps short and long, and so on); rects=None means all.
-    Only role strings change; alpha and the flag labels stay put.
+    ("lsd" swaps short and long, and so on); rects=None means all.  The
+    flags of each chosen rectangle are relabeled by the offset permutation
+    of `perm`, and alpha is conjugated to match.
     """
-    p = parse_role_permutation(perm) if isinstance(perm, str) else perm
+    p = parse_role_permutation(perm) if isinstance(perm, str) else tuple(perm)
+    if sorted(p) != [0, 1, 2]:
+        raise ValueError(f"role permutation must rearrange 0, 1, 2, got {perm!r}")
+    h = _PERMUTATION_OFFSETS["".join("sld"[i] for i in p)]
     chosen = range(map_.m) if rects is None else sorted(set(rects))
-    roles = list(map_.roles)
+    n = map_.flag_count
+    phi = list(range(n))
+    phi_inv = list(range(n))
     for r in chosen:
         if not 0 <= r < map_.m:
             raise ValueError(f"rectangle {r} out of range")
-        old = roles[r]
-        new = ["", "", ""]
-        for i in range(3):
-            new[p[i]] = old[i]
-        roles[r] = "".join(new)
-    return FlagMap(map_.m, map_.alpha, tuple(roles))
+        for o in range(4):
+            phi[4 * r + o] = 4 * r + h[o]
+            phi_inv[4 * r + h[o]] = 4 * r + o
+    a = map_.alpha
+    return FlagMap(map_.m, tuple(phi_inv[a[phi[x]]] for x in range(n)))
 
 
 def dual(map_: FlagMap) -> FlagMap:
@@ -296,27 +275,6 @@ def phial(map_: FlagMap) -> FlagMap:
 def antimap(map_: FlagMap) -> FlagMap:
     """Swap long and diagonal roles everywhere; exchanges f- and z-gons."""
     return apply_permutation(map_, None, ANTIMAP_WORD)
-
-
-def normalize(map_: FlagMap) -> FlagMap:
-    """Equivalent map with canonical roles, via per-rectangle relabeling.
-
-    Conjugates alpha with the offset permutation that realizes each
-    rectangle's role string; gon structure is preserved.
-    """
-    if all(r == "ABC" for r in map_.roles):
-        return map_
-    n = map_.flag_count
-    phi = [0] * n
-    for r, role in enumerate(map_.roles):
-        h = _NORMALIZE_OFFSETS[role]
-        for o in range(4):
-            phi[4 * r + o] = 4 * r + h[o]
-    phi_inv = [0] * n
-    for x, y in enumerate(phi):
-        phi_inv[y] = x
-    alpha = tuple(phi_inv[map_.alpha[phi[x]]] for x in range(n))
-    return FlagMap(map_.m, alpha, ("ABC",) * map_.m)
 
 
 @dataclass(frozen=True)
@@ -401,11 +359,11 @@ def induced_graph(map_: FlagMap, kind: str) -> MultiGraph:
     induced by zigzags.
     """
     dec = gons(map_, kind)
-    role_idx = KIND_TO_ROLE[kind]
+    # Offsets 0 and b lie on the rectangle's two different kind-pairs.
+    b = 2 if PARTNER[kind] == 1 else 1
     edges = []
     for e in range(map_.m):
-        (a, _), (b, _) = _CLASS_PAIRS[map_.roles[e][role_idx]]
-        u, v = dec.gon_of[4 * e + a], dec.gon_of[4 * e + b]
+        u, v = dec.gon_of[4 * e], dec.gon_of[4 * e + b]
         edges.append((min(u, v), max(u, v)))
     return MultiGraph(dec.count, tuple(edges))
 
@@ -427,18 +385,16 @@ def loop_balances(map_: FlagMap) -> tuple[str, ...]:
 
     A loop (both short pairs on one v-gon) is balanced when its two short
     sides point in opposite geometric directions along the gon traversal,
-    which with canonical roles means flags 4e and 4e+2 sit at positions of
-    equal parity.  Non-canonical roles are normalized first; one v-gon
-    trace serves every edge.
+    which means flags 4e and 4e+2 sit at positions of equal parity; one
+    v-gon trace serves every edge.
     """
-    nm = normalize(map_)
-    dec = gons(nm, "v")
-    parity = [0] * nm.flag_count
+    dec = gons(map_, "v")
+    parity = [0] * map_.flag_count
     for seq in dec.gons:
         for i in range(1, len(seq), 2):
             parity[seq[i]] = 1
     out = []
-    for e in range(nm.m):
+    for e in range(map_.m):
         a, b = 4 * e, 4 * e + 2
         if dec.gon_of[a] != dec.gon_of[b]:
             out.append("not_a_loop")
@@ -455,17 +411,6 @@ def loop_balance(map_: FlagMap, edge: int) -> str:
 
 
 def orientable(map_: FlagMap) -> bool:
-    """True when the flag graph on short, long and alpha edges is bipartite."""
-    n = map_.flag_count
-    color = [-1] * n
-    color[0] = 0
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in (map_.alpha[x], _partner(map_, 0, x), _partner(map_, 1, x)):
-            if color[y] == -1:
-                color[y] = color[x] ^ 1
-                stack.append(y)
-            elif color[y] == color[x]:
-                return False
-    return True
+    """True when the flag graph on short, long and alpha edges is bipartite
+    (on the component of flag 0)."""
+    return _flag_walk(map_)[1]

@@ -1,25 +1,25 @@
 """Map enumeration and embedding search.
 
 enumerate_maps walks every fixed-point-free pairing of 4m flags and keeps
-the connected ones, which gives the full census of m-edge maps with
-canonical roles.  search_embedding hunts for an embedding of a given
-multigraph (after optional edge subdivision) whose map has one face and
-one zigzag: small candidate spaces are swept exhaustively in a fixed
-order, larger ones by seeded random restarts with local moves, so a fixed
-seed and budget always reproduce the same outcome.
+the connected ones, which gives the full census of m-edge maps.
+search_embedding hunts for an embedding of a given multigraph (after
+optional edge subdivision) whose map has one face and one zigzag: small
+candidate spaces are swept exhaustively in a fixed order, larger ones by
+seeded random restarts with local moves, so a fixed seed and budget
+always reproduce the same outcome.
 
 A candidate is a rotation per vertex plus a twist bit mask.  It is scored
 on the flat flag involution that embedding_to_map would build (the list
-from codec._rotation_alpha), walking gons with the canonical partners
-x ^ 3 (faces) and x ^ 2 (zigzags); no FlagMap is built until a candidate
-wins.  The exhaustive sweep builds that list once per rotation tuple,
-with no twists, and visits the twist masks in increasing order, toggling
-in place (codec._toggle_twist) the twists that differ from the previous
-mask; it walks only the face, then the zigzag, through flag 0 and
-rejects the candidate as soon as one of them misses a flag.  The
+from codec._rotation_alpha), walking gons with the long (face) and
+diagonal (zigzag) partners of gem.PARTNER; no FlagMap is built until a
+candidate wins.  The exhaustive sweep builds that list once per rotation
+tuple, with no twists, and visits the twist masks in increasing order,
+toggling in place (codec._toggle_twist) the twists that differ from the
+previous mask; it walks only the face, then the zigzag, through flag 0
+and rejects the candidate as soon as one of them misses a flag.  The
 randomized phase rebuilds the list per candidate and counts f + z
-exactly.  SearchBudget rejects negative limits and a time limit that is
-not positive.
+exactly with gem.gon_count.  SearchBudget rejects negative limits and a
+time limit that is not positive.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ from math import factorial
 from typing import Iterator
 
 from .codec import RotationSystem, _rotation_alpha, _toggle_twist, embedding_to_map
-from .gem import FlagMap, MultiGraph, validate
+from .gem import PARTNER, FlagMap, MultiGraph, gon_count, validate
 
 EXHAUSTIVE_LIMIT = 10**6
 _RESTART_STALL = 200
 
 
 def enumerate_maps(m: int) -> Iterator[FlagMap]:
-    """Yield every connected map with m rectangles and canonical roles."""
+    """Yield every connected map with m rectangles."""
     if m < 1:
         raise ValueError("need at least one rectangle")
 
@@ -144,11 +144,6 @@ def candidate_count(g: MultiGraph) -> int:
     return total
 
 
-# Partner offsets under canonical roles: the long (face) pair of flag x is
-# x ^ 3 and the diagonal (zigzag) pair is x ^ 2.
-_FACE, _ZIGZAG = 3, 2
-
-
 def _gon_length(alpha: list[int], partner: int) -> int:
     """Flags on the gon through flag 0 that alternates alpha with x ^ partner."""
     x = 0
@@ -158,25 +153,6 @@ def _gon_length(alpha: list[int], partner: int) -> int:
         length += 2
         if x == 0:
             return length
-
-
-def _gon_count(alpha: list[int], partner: int) -> int:
-    """Number of gons that alternate alpha with x ^ partner."""
-    seen = bytearray(len(alpha))
-    count = 0
-    for start in range(len(alpha)):
-        if seen[start]:
-            continue
-        count += 1
-        x = start
-        while True:
-            seen[x] = 1
-            y = x ^ partner
-            seen[y] = 1
-            x = alpha[y]
-            if x == start:
-                break
-    return count
 
 
 def _winner(g: MultiGraph, rots, mask: int) -> FlagMap:
@@ -218,6 +194,7 @@ def _exhaustive(g: MultiGraph, counter: _Counter) -> FlagMap | None:
         per_vertex.append([(head, *p) for p in permutations(rest)])
     n_edges = g.edge_count
     n_flags = 4 * n_edges
+    face, zigzag = PARTNER["f"], PARTNER["z"]
     for rots in product(*per_vertex):
         alpha = _rotation_alpha(rots, 0, n_edges)
         for mask in range(1 << n_edges):
@@ -225,7 +202,7 @@ def _exhaustive(g: MultiGraph, counter: _Counter) -> FlagMap | None:
             # mask - 1 and mask differ in the twists of edges 0 .. (lowest set bit of mask).
             for e in range((mask & -mask).bit_length()):
                 _toggle_twist(alpha, e)
-            if _gon_length(alpha, _FACE) == n_flags and _gon_length(alpha, _ZIGZAG) == n_flags:
+            if _gon_length(alpha, face) == n_flags and _gon_length(alpha, zigzag) == n_flags:
                 return _winner(g, rots, mask)
     return None
 
@@ -249,7 +226,7 @@ def _randomized(g: MultiGraph, counter: _Counter, rng: random.Random) -> FlagMap
     def score(rots, mask) -> int:
         counter.tick()
         alpha = _rotation_alpha(rots, mask, n_edges)
-        return _gon_count(alpha, _FACE) + _gon_count(alpha, _ZIGZAG)
+        return gon_count(alpha, PARTNER["f"]) + gon_count(alpha, PARTNER["z"])
 
     rots: list[tuple[tuple[int, int], ...]] | None = None
     mask = 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gem import FlagMap, antimap, dual, gon_counts, gons, normalize, phial
+from .gem import FlagMap, antimap, dual, gon_counts, gons, phial
 from .gf2 import Gf2Vec, LinearOp
 
 
@@ -90,18 +90,13 @@ class SignedWord:
 
 
 def vertex_word(map_: FlagMap, which: int = 0) -> SignedWord:
-    """Signed word of one v-gon traversal; needs every edge on that gon twice.
-
-    The map is normalized first, so gon indices and the traversal refer to
-    the canonical relabeling; word identity is meant up to canonical form.
-    """
-    nm = normalize(map_)
-    dec = gons(nm, "v")
+    """Signed word of one v-gon traversal; needs every edge on that gon twice."""
+    dec = gons(map_, "v")
     if not 0 <= which < dec.count:
         raise ValueError(f"v-gon index {which} out of range (map has {dec.count})")
     seq = dec.gons[which]
     edges_seq = [seq[i] // 4 for i in range(0, len(seq), 2)]
-    if sorted(edges_seq) != sorted(list(range(nm.m)) * 2):
+    if sorted(edges_seq) != sorted(list(range(map_.m)) * 2):
         raise NotApplicableError(
             f"v-gon word needs a single v-gon covering every edge twice; map has {dec.count} v-gons"
         )
@@ -115,7 +110,7 @@ def vertex_word(map_: FlagMap, which: int = 0) -> SignedWord:
         else:
             balanced = pos[4 * e] % 2 == pos[4 * e + 2] % 2
             entries.append((e, 1 if balanced else -1))
-    return SignedWord(nm.m, tuple(entries))
+    return SignedWord(map_.m, tuple(entries))
 
 
 def zigzag_word(map_: FlagMap) -> SignedWord:

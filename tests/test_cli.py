@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -54,8 +55,7 @@ def run_cli(capsys, *argv):
 def test_validate_ok(files, capsys):
     code, out, _ = run_cli(capsys, "validate", files["s1"])
     assert code == 0
-    assert "involution: ok" in out
-    assert "map: valid" in out
+    assert out == "involution: ok\nfixed_point_free: ok\nconnected: ok\nmap: valid\n"
 
 
 def test_validate_reports_failures(files, capsys):
@@ -97,6 +97,33 @@ def test_omega_rect_subset(files, capsys):
     code, _, _ = run_cli(capsys, "omega", files["k33"], "--rects", "1,3", "--perm", "dls", "-o", out_path)
     assert code == 0
     assert parse_gem(out_path.read_text()).m == 9
+
+
+# sha256 of the .gem text `omega` writes for K3,3, per (--perm, --rects).
+OMEGA_PINS = {
+    ("sld", None): "25b4d80070e26efb3f0b805c409c7727794bfbab2d4e38bdab94afc46b377dad",
+    ("sld", "1,3"): "25b4d80070e26efb3f0b805c409c7727794bfbab2d4e38bdab94afc46b377dad",
+    ("lsd", None): "f31f7041acf8b68f7e5ac97420ac33a18ca53612e11e9136c398930ce5146892",
+    ("lsd", "1,3"): "c3142c89149a13b8bc7a3f9fb2b76b01efc4f9f3a620c5229eb258c0f57688a5",
+    ("dls", None): "111299af135a5180a3424fe605bb872c6dcb8aa3af9cb17076edb5c2bb7431d0",
+    ("dls", "1,3"): "27dd157eb33d7602adf41d5caabb0f1f015a0aab91a64d88ae6df23cb0867800",
+    ("sdl", None): "2b1d833ad05194c864130563829ee2615b7d17716605f09c2201a75a7f6323c3",
+    ("sdl", "1,3"): "90ca89283a9c35774b6ca88ebd24e43235517a7d68fbdfbe49849c781bb57460",
+    ("dsl", None): "c887e32960936d78a957d7ef25d5fa1ef85a4a17c91d38e15b9bfd98e496fe38",
+    ("dsl", "1,3"): "555894fd7f93b00e3ae4f85a39b3339db5f9024027fb95e7efdf6d0e5f5526bc",
+    ("lds", None): "c9c986ef65faba5b4127c746604c44e32065e8f4d356a9ecc0bc5cb9a47364aa",
+    ("lds", "1,3"): "5d20097ec7ce98367946859c44f0268fd73f9413fcdacec538d61acbb8f93021",
+}
+
+
+@pytest.mark.parametrize("perm,rects", sorted(OMEGA_PINS, key=str))
+def test_omega_output_is_pinned(files, capsys, perm, rects):
+    out_path = files["tmp"] / "pinned.gem"
+    argv = ["omega", files["k33"], "--perm", perm, "-o", out_path]
+    code, _, _ = run_cli(capsys, *argv, *(("--rects", rects) if rects else ()))
+    assert code == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == OMEGA_PINS[perm, rects]
 
 
 def test_omega_bad_arguments(files, capsys):
@@ -257,6 +284,32 @@ def test_search_bad_seed_variable_is_named(files, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "search", files["k4"], "-o", out_path)
     assert code == 2 and err.startswith("error: MAPCALC_SEED must be ")
     assert "Traceback" not in out + err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv,env,named", [
+    pytest.param(("enumerate", "--size", "\uff13"), None, "--size", id="size-fullwidth"),
+    pytest.param(("enumerate", "--size", "\u0663"), None, "--size", id="size-arabic-indic"),
+    pytest.param(("search", "k4", "--budget", "1_000"), None, "--budget", id="budget-underscore"),
+    pytest.param(("search", "k4", "--budget", "\u00b9"), None, "--budget", id="budget-superscript"),
+    pytest.param(("search", "k4", "--subdiv", "+1"), None, "--subdiv", id="subdiv-plus"),
+    pytest.param(("search", "k4", "--seed", " 7 "), None, "--seed", id="seed-spaces"),
+    pytest.param(("search", "k4", "--time-limit", "\uff11"), None, "--time-limit",
+                 id="time-limit-fullwidth"),
+    pytest.param(("word", "k33", "--kind", "v", "--gon", "+2"), None, "--gon", id="gon-plus"),
+    pytest.param(("search", "k4"), "\u0661", "MAPCALC_SEED", id="env-arabic-indic"),
+    pytest.param(("search", "k4"), " 7 ", "MAPCALC_SEED", id="env-spaces"),
+])
+def test_integer_inputs_take_ascii_digits_only(files, capsys, monkeypatch, argv, env, named):
+    if env is not None:
+        monkeypatch.setenv("MAPCALC_SEED", env)
+    out_path = files["tmp"] / "out.gem"
+    argv = [files[a] if a in ("k4", "k33") else a for a in argv]
+    if argv[0] == "search":
+        argv += ["-o", out_path]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert named in err and "Traceback" not in err
     assert not out_path.exists()
 
 

@@ -20,7 +20,6 @@ from mapcalc import (
     induced_graph,
     loop_balance,
     loop_balances,
-    normalize,
     orientable,
     phial,
     projective_loop_map,
@@ -28,7 +27,7 @@ from mapcalc import (
     sphere_loop_map,
     validate,
 )
-from mapcalc.gem import _CLASS_PAIRS, _NORMALIZE_OFFSETS, parse_role_permutation
+from mapcalc.gem import _PERMUTATION_OFFSETS, PARTNER, parse_role_permutation
 
 ALL_PERMS = ("sld", "lsd", "dls", "sdl", "dsl", "lds")
 
@@ -66,10 +65,9 @@ def test_loop_balance_values():
 
 
 def reference_loop_balance(map_: FlagMap, edge: int) -> str:
-    """The per-edge rule: normalize, trace the v-gons, compare the
-    positions of flags 4e and 4e+2 on their gon."""
-    nm = normalize(map_)
-    dec = gons(nm, "v")
+    """The per-edge rule: trace the v-gons, compare the positions of
+    flags 4e and 4e+2 on their gon."""
+    dec = gons(map_, "v")
     if dec.gon_of[4 * edge] != dec.gon_of[4 * edge + 2]:
         return "not_a_loop"
     seq = dec.gons[dec.gon_of[4 * edge]]
@@ -102,12 +100,6 @@ def test_constructor_shape_checks():
         FlagMap(1, (1, 0, 3))
     with pytest.raises(ValueError):
         FlagMap(1, (1, 0, 3, 4))
-    with pytest.raises(ValueError):
-        FlagMap(1, (1, 0, 3, 2), roles=("AB",))
-    with pytest.raises(ValueError):
-        FlagMap(1, (1, 0, 3, 2), roles=("ABD",))
-    with pytest.raises(ValueError):
-        FlagMap(1, (1, 0, 3, 2), roles=("ABC", "ABC"))
 
 
 def test_from_pairs_checks():
@@ -140,18 +132,12 @@ def test_validate_reports_disconnected():
     assert "connected" in report.failures()
 
 
-def test_validate_reports_bad_roles():
-    report = validate(FlagMap(1, (1, 0, 3, 2), roles=("AAB",)))
-    assert not report.roles_bijective
-    assert not report.squares_ok
-
-
 def test_role_partners_on_canonical_roles():
+    assert PARTNER == {"v": 1, "f": 3, "z": 2}
     map_ = single_edge_map()
-    assert map_.role_partner(0, "v") == 1
-    assert map_.role_partner(0, "f") == 3
-    assert map_.role_partner(0, "z") == 2
-    assert map_.role_class(0, "v") == "A"
+    for kind, p in PARTNER.items():
+        for seq in gons(map_, kind).gons:
+            assert all(seq[i + 1] == seq[i] ^ p for i in range(0, len(seq), 2))
 
 
 def test_gon_traversals_on_sphere_loop():
@@ -187,18 +173,21 @@ def test_parse_role_permutation():
 
 def test_role_permutation_words():
     s1 = sphere_loop_map()
-    assert dual(s1).roles == ("BAC",)
-    assert phial(s1).roles == ("CBA",)
-    assert antimap(s1).roles == ("ACB",)
-    assert apply_permutation(s1, None, "sld").roles == ("ABC",)
+    assert phial(s1) == s1
+    assert antimap(s1) == projective_loop_map()
+    assert apply_permutation(s1, None, "sld") == s1
+    assert apply_permutation(s1, None, (1, 0, 2)) == dual(s1)
+    for bad in ((0, 1, 5), (0, 0, 1), (0, 1)):
+        with pytest.raises(ValueError):
+            apply_permutation(s1, None, bad)
 
 
 def test_permutations_compose_like_s3():
     m33 = k33_map()
     assert dual(phial(m33)) == antimap(dual(m33))
     s1 = sphere_loop_map()
-    assert dual(phial(s1)).roles == ("BCA",)
-    assert phial(dual(s1)).roles == ("CAB",)
+    assert dual(phial(s1)) == single_edge_map()
+    assert phial(dual(s1)) == projective_loop_map()
 
 
 def test_permutations_are_involutions():
@@ -227,42 +216,116 @@ def test_permutation_fixes_named_gons():
 
 
 def test_partial_permutation():
-    m33 = normalize(k33_map())
+    m33 = k33_map()
     mixed = apply_permutation(m33, [0, 2], "lsd")
-    assert mixed.roles[0] == "BAC" and mixed.roles[2] == "BAC"
-    assert mixed.roles[1] == "ABC"
+    changed = {x // 4 for x in range(m33.flag_count) if mixed.alpha[x] != m33.alpha[x]}
+    assert {0, 2} <= changed
     assert apply_permutation(mixed, [0, 2], "lsd") == m33
     with pytest.raises(ValueError):
         apply_permutation(m33, [9], "lsd")
 
 
-def test_normalize_offsets_realize_role_strings():
-    for role, h in _NORMALIZE_OFFSETS.items():
-        for i, letter in enumerate("ABC"):
-            images = frozenset(
-                frozenset(h[o] for o in pair) for pair in _CLASS_PAIRS[letter]
-            )
-            want = frozenset(frozenset(pair) for pair in _CLASS_PAIRS[role[i]])
-            assert images == want, (role, letter)
+def test_permutation_offsets_realize_role_words():
+    def pairs(p):
+        return frozenset(frozenset((o, o ^ p)) for o in range(4))
+
+    partners = (PARTNER["v"], PARTNER["f"], PARTNER["z"])
+    assert sorted(_PERMUTATION_OFFSETS) == sorted(ALL_PERMS)
+    for word, h in _PERMUTATION_OFFSETS.items():
+        assert sorted(h) == [0, 1, 2, 3]
+        image = parse_role_permutation(word)
+        for i in range(3):
+            moved = frozenset(frozenset(h[o] for o in pair) for pair in pairs(partners[image[i]]))
+            assert moved == pairs(partners[i]), (word, i)
 
 
-def test_normalize_dual_of_sphere_loop():
-    normalized = normalize(dual(sphere_loop_map()))
-    assert normalized == single_edge_map()
+def test_dual_of_sphere_loop_is_single_edge():
+    assert dual(sphere_loop_map()) == single_edge_map()
 
 
-def test_normalize_preserves_gon_structure():
+def test_permutations_carry_gon_structure():
     rng = random.Random(17)
     for _ in range(15):
         map_ = random_connected_map(rng, rng.randint(1, 3))
         for word in ALL_PERMS:
             turned = apply_permutation(map_, None, word)
-            flat = normalize(turned)
-            assert flat.roles == ("ABC",) * flat.m
-            assert validate(flat).ok
+            assert validate(turned).ok
+            image = parse_role_permutation(word)
+            for i, kind in enumerate("vfz"):
+                moved = "vfz"[image[i]]
+                assert sorted(gons(turned, moved).sizes()) == sorted(gons(map_, kind).sizes())
+
+
+# An oracle for permutations that uses neither gem's partners nor its
+# offset table: each rectangle carries a role string naming which of the
+# pair classes A = {01, 23}, B = {12, 30} and C = {02, 13} plays its short,
+# long and diagonal sides, a permutation rewrites only those strings and
+# alpha stays put, and gons are walked through the named classes.
+CLASS_PARTNER = {"A": (1, 0, 3, 2), "B": (3, 2, 1, 0), "C": (2, 3, 0, 1)}
+
+
+def permute_role_strings(roles, rects, word):
+    image = parse_role_permutation(word)
+    out = list(roles)
+    for r in rects:
+        new = [""] * 3
+        for i in range(3):
+            new[image[i]] = out[r][i]
+        out[r] = "".join(new)
+    return out
+
+
+def cyclic_key(seq):
+    """seq as a cycle, up to rotation and reversal."""
+    return min(tuple(s[i:] + s[:i]) for s in (seq, seq[::-1]) for i in range(len(seq)))
+
+
+def role_string_gon_rects(map_, roles, kind):
+    """Sorted cyclic rectangle sequences of the gons of one kind."""
+    idx = "vfz".index(kind)
+    seen = set()
+    out = []
+    for start in range(map_.flag_count):
+        if start in seen:
+            continue
+        rects = []
+        x = start
+        while True:
+            r, o = divmod(x, 4)
+            y = 4 * r + CLASS_PARTNER[roles[r][idx]][o]
+            seen.update((x, y))
+            rects.append(r)
+            x = map_.alpha[y]
+            if x == start:
+                break
+        out.append(cyclic_key(rects))
+    return sorted(out)
+
+
+def gon_rects(map_, kind):
+    return sorted(cyclic_key([x // 4 for x in seq[::2]]) for seq in gons(map_, kind).gons)
+
+
+def test_partial_permutations_match_role_string_walk():
+    rng = random.Random(23)
+    for i in range(80):
+        m = rng.randint(1, 5)
+        if i % 2:
+            map_ = random_connected_map(rng, m)
+        else:
+            map_ = from_signed_word(random_signed_word(rng, m))
+        for word in ALL_PERMS:
+            rects = [r for r in range(m) if rng.random() < 0.5]
+            roles = permute_role_strings(["ABC"] * m, rects, word)
+            turned = apply_permutation(map_, rects, word)
+            # A second permutation on another subset composes with the first.
+            word2 = rng.choice(ALL_PERMS)
+            rects2 = [r for r in range(m) if rng.random() < 0.5]
+            roles2 = permute_role_strings(roles, rects2, word2)
+            turned2 = apply_permutation(turned, rects2, word2)
             for kind in "vfz":
-                assert sorted(gons(flat, kind).sizes()) == sorted(gons(turned, kind).sizes())
-        assert normalize(map_) is map_
+                assert gon_rects(turned, kind) == role_string_gon_rects(map_, roles, kind)
+                assert gon_rects(turned2, kind) == role_string_gon_rects(map_, roles2, kind)
 
 
 def test_balance_flips_under_antimap():

@@ -24,11 +24,15 @@ from mapcalc import (
     SearchBudget,
     embedding_to_map,
     gon_counts,
+    gons,
     search_embedding,
     write_gem,
 )
 from mapcalc.codec import _rotation_alpha, _toggle_twist
-from mapcalc.search import _FACE, _ZIGZAG, _dart_lists, _gon_count, _gon_length
+from mapcalc.gem import PARTNER, gon_count
+from mapcalc.search import _dart_lists, _gon_length
+
+FACE, ZIGZAG = PARTNER["f"], PARTNER["z"]
 
 K4 = MultiGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 K5 = MultiGraph(5, tuple((u, v) for u in range(5) for v in range(u + 1, 5)))
@@ -95,10 +99,11 @@ def assert_flat_matches(rs: RotationSystem, mask: int) -> None:
     map_ = embedding_to_map(rs)
     assert tuple(alpha) == map_.alpha
     assert map_ == reference_embedding_map(rs)
-    _, f, z = gon_counts(map_)
-    assert (_gon_count(alpha, _FACE), _gon_count(alpha, _ZIGZAG)) == (f, z)
-    assert (_gon_length(alpha, _FACE) == 4 * m) == (f == 1)
-    assert (_gon_length(alpha, _ZIGZAG) == 4 * m) == (z == 1)
+    f, z = gons(map_, "f").count, gons(map_, "z").count
+    assert gon_counts(map_)[1:] == (f, z)
+    assert (gon_count(alpha, FACE), gon_count(alpha, ZIGZAG)) == (f, z)
+    assert (_gon_length(alpha, FACE) == 4 * m) == (f == 1)
+    assert (_gon_length(alpha, ZIGZAG) == 4 * m) == (z == 1)
 
 
 def test_flat_alpha_and_counts_on_random_rotation_systems():
