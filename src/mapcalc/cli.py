@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -46,14 +47,22 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-def _seconds(text: str) -> float:
-    """--time-limit value: float() of ASCII text only."""
-    if not text.isascii():
-        raise argparse.ArgumentTypeError(f"bad number {text!r}")
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+_DECIMAL = re.compile(r"-?(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)")
+
+
+def _seconds(text: str | None) -> float | None:
+    """--time-limit value: ASCII digits[.digits] or .digits after at most
+    one leading '-' (SearchBudget then rejects the range).
+
+    float() alone also takes '_', surrounding spaces, exponents, inf and
+    nan.  It runs in _cmd_search, not as an argparse type, so a malformed
+    value and an out-of-range one both end as "error: --time-limit must be".
+    """
+    if text is None:
+        return None
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"--time-limit must be a decimal number of seconds, not {text!r}")
+    return float(text)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -195,8 +204,8 @@ def _search_stats(outcome: search.SearchOutcome) -> dict:
         "candidates": outcome.candidates,
         "seed": outcome.seed,
         "levels": [
-            {"subdivisions": list(counts), "mode": mode, "candidates": used}
-            for counts, mode, used in outcome.levels
+            {"subdivisions": list(counts), "mode": mode, "candidates": used, "space": space}
+            for counts, mode, used, space in outcome.levels
         ],
         "restarts": outcome.restarts,
         "best_score": outcome.best_score,
@@ -216,11 +225,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
             seed = _integer(os.environ.get("MAPCALC_SEED", "0"))
         except argparse.ArgumentTypeError:
             raise ValueError("MAPCALC_SEED must be an integer") from None
+    time_limit = _seconds(args.time_limit)
     try:
         budget = search.SearchBudget(
             max_candidates=args.budget,
             max_subdivisions=args.subdiv,
-            time_limit=args.time_limit,
+            time_limit=time_limit,
         )
     except ValueError as exc:
         field, _, rule = str(exc).partition(" ")
@@ -331,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subdiv", type=_integer, default=0, help="max total edge subdivisions")
     p.add_argument("--seed", type=_integer, default=None,
                    help="randomization seed (default: MAPCALC_SEED or 0)")
-    p.add_argument("--time-limit", type=_seconds, default=None, help="seconds (positive)")
+    p.add_argument("--time-limit", default=None, help="seconds (positive)")
     p.add_argument("--stats", action="store_true",
                    help="print per-level candidates, restarts and best f + z as JSON to stderr")
     p.add_argument("-o", "--output", required=True)

@@ -19,7 +19,18 @@ previous mask; it walks only the face, then the zigzag, through flag 0
 and rejects the candidate as soon as one of them misses a flag.  The
 randomized phase rebuilds the list per candidate and counts f + z
 exactly with gem.gon_count.  SearchBudget rejects negative limits and a
-time limit that is not positive.
+time limit that is not positive and finite.
+
+The exhaustive sweep is quotiented by vertex switching.  Switching at a
+vertex reverses its rotation (the first dart stays first) and toggles
+the twists of its non-loop edges; the map does not change (Mohar and
+Thomassen, Graphs on Surfaces, 2001).  Switching a set of vertices
+toggles exactly the edges of its cut, so every candidate switches into
+one with the tree twists fixed at 0 on the spanning tree of _tree_edges.
+The sweep therefore visits only the masks of the other edges: each level
+sweeps candidate_count(sub) >> (sub.n - 1) candidates, its `space` in
+SearchOutcome.levels, and loses no embedding.  Whether a level is swept
+exhaustively is still decided on the full candidate_count.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
-from math import factorial
+from math import factorial, inf
 from typing import Iterator
 
 from .codec import RotationSystem, _rotation_alpha, _toggle_twist, embedding_to_map
@@ -101,8 +112,8 @@ class SearchBudget:
             raise ValueError("max_candidates must be nonnegative")
         if self.max_subdivisions < 0:
             raise ValueError("max_subdivisions must be nonnegative")
-        if self.time_limit is not None and not self.time_limit > 0:
-            raise ValueError("time_limit must be positive")
+        if self.time_limit is not None and not 0 < self.time_limit < inf:
+            raise ValueError("time_limit must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -111,9 +122,12 @@ class SearchOutcome:
     per-original-edge counts used by the found map.
 
     levels has one (subdivision counts, "exhaustive" or "randomized",
-    candidates used) entry per subdivision pattern tried, in order; their
-    candidates sum to `candidates`.  restarts counts the random starting
-    points the randomized phase drew.  best_score is the lowest f + z
+    candidates used, space) entry per subdivision pattern tried, in order;
+    their candidates sum to `candidates`.  space is the number of
+    candidates the level sweeps: candidate_count(sub) >> (sub.n - 1) for
+    an exhaustive level, which fixes the tree twists, and
+    candidate_count(sub) for a randomized one.  restarts counts the
+    random starting points the randomized phase drew.  best_score is the lowest f + z
     seen: 2 when found, else the randomized phase's lowest, and None when
     only exhaustive sweeps ran (they reject candidates without counting).
     """
@@ -123,7 +137,7 @@ class SearchOutcome:
     subdivisions: tuple[int, ...] | None
     candidates: int
     seed: int
-    levels: tuple[tuple[tuple[int, ...], str, int], ...] = ()
+    levels: tuple[tuple[tuple[int, ...], str, int, int], ...] = ()
     restarts: int = 0
     best_score: int | None = None
 
@@ -187,6 +201,28 @@ class _Counter:
         self.used += 1
 
 
+def _tree_edges(g: MultiGraph) -> list[int]:
+    """The spanning tree whose twists the exhaustive sweep fixes at 0.
+
+    Breadth-first from vertex 0, each vertex's edges in id order; the
+    first edge that reaches a new vertex joins the tree, so loops never do.
+    """
+    darts = _dart_lists(g)
+    seen = [False] * g.n
+    seen[0] = True
+    queue = [0]
+    tree = []
+    for u in queue:
+        for e, _ in darts[u]:
+            a, b = g.edges[e]
+            v = b if a == u else a
+            if not seen[v]:
+                seen[v] = True
+                tree.append(e)
+                queue.append(v)
+    return tree
+
+
 def _exhaustive(g: MultiGraph, counter: _Counter) -> FlagMap | None:
     per_vertex = []
     for darts in _dart_lists(g):
@@ -195,14 +231,19 @@ def _exhaustive(g: MultiGraph, counter: _Counter) -> FlagMap | None:
     n_edges = g.edge_count
     n_flags = 4 * n_edges
     face, zigzag = PARTNER["f"], PARTNER["z"]
+    tree = set(_tree_edges(g))
+    free = [e for e in range(n_edges) if e not in tree]
+    # Sweep index i sets the twist of free[j] to bit j of i; i - 1 and i
+    # differ in free[0 .. lowest set bit of i], which is toggles[bit_length].
+    toggles = [free[:k] for k in range(len(free) + 1)]
     for rots in product(*per_vertex):
         alpha = _rotation_alpha(rots, 0, n_edges)
-        for mask in range(1 << n_edges):
+        for i in range(1 << len(free)):
             counter.tick()
-            # mask - 1 and mask differ in the twists of edges 0 .. (lowest set bit of mask).
-            for e in range((mask & -mask).bit_length()):
+            for e in toggles[(i & -i).bit_length()]:
                 _toggle_twist(alpha, e)
             if _gon_length(alpha, face) == n_flags and _gon_length(alpha, zigzag) == n_flags:
+                mask = sum(1 << e for j, e in enumerate(free) if (i >> j) & 1)
                 return _winner(g, rots, mask)
     return None
 
@@ -284,7 +325,7 @@ def search_embedding(
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     counter = _Counter(budget.max_candidates, deadline)
     rng = random.Random(seed)
-    levels: list[tuple[tuple[int, ...], str, int]] = []
+    levels: list[tuple[tuple[int, ...], str, int, int]] = []
 
     def outcome(status: str, found: FlagMap | None = None, counts=None) -> SearchOutcome:
         best = 2 if found is not None else counter.best_score
@@ -300,7 +341,9 @@ def search_embedding(
                 counts = tuple(per_edge)
                 sub = subdivide_graph(g, counts)
                 used = counter.used
-                exhaustive = candidate_count(sub) <= EXHAUSTIVE_LIMIT
+                count = candidate_count(sub)
+                exhaustive = count <= EXHAUSTIVE_LIMIT
+                space = count >> (sub.n - 1) if exhaustive else count
                 try:
                     if exhaustive:
                         found = _exhaustive(sub, counter)
@@ -308,7 +351,7 @@ def search_embedding(
                         found = _randomized(sub, counter, rng)
                 finally:
                     mode = "exhaustive" if exhaustive else "randomized"
-                    levels.append((counts, mode, counter.used - used))
+                    levels.append((counts, mode, counter.used - used, space))
                 if found is not None:
                     return outcome("found", found, counts)
     except _Stop:

@@ -296,6 +296,16 @@ def test_search_bad_seed_variable_is_named(files, capsys, monkeypatch):
     pytest.param(("search", "k4", "--seed", " 7 "), None, "--seed", id="seed-spaces"),
     pytest.param(("search", "k4", "--time-limit", "\uff11"), None, "--time-limit",
                  id="time-limit-fullwidth"),
+    pytest.param(("search", "k4", "--time-limit", "1_0"), None, "--time-limit",
+                 id="time-limit-underscore"),
+    pytest.param(("search", "k4", "--time-limit", " 2 "), None, "--time-limit",
+                 id="time-limit-spaces"),
+    pytest.param(("search", "k4", "--time-limit", "inf"), None, "--time-limit", id="time-limit-inf"),
+    pytest.param(("search", "k4", "--time-limit", "nan"), None, "--time-limit", id="time-limit-nan"),
+    pytest.param(("search", "k4", "--time-limit", "1e400"), None, "--time-limit",
+                 id="time-limit-exponent"),
+    pytest.param(("search", "k4", "--time-limit", "1" + "0" * 400), None, "--time-limit",
+                 id="time-limit-overflow"),
     pytest.param(("word", "k33", "--kind", "v", "--gon", "+2"), None, "--gon", id="gon-plus"),
     pytest.param(("search", "k4"), "\u0661", "MAPCALC_SEED", id="env-arabic-indic"),
     pytest.param(("search", "k4"), " 7 ", "MAPCALC_SEED", id="env-spaces"),

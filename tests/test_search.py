@@ -145,6 +145,7 @@ def test_search_reports_seed():
     {"time_limit": 0},
     {"time_limit": -1.0},
     {"time_limit": math.nan},
+    {"time_limit": math.inf},
 ])
 def test_search_budget_rejects_meaningless_limits(limits):
     with pytest.raises(ValueError):
@@ -191,11 +192,12 @@ def test_cli_limit_errors_name_the_flag(tmp_path, capsys, flags):
 
 def check_levels(outcome):
     assert isinstance(outcome.levels, tuple)
-    for counts, mode, used in outcome.levels:
+    for counts, mode, used, space in outcome.levels:
         assert isinstance(counts, tuple) and all(isinstance(k, int) for k in counts)
         assert mode in ("exhaustive", "randomized")
         assert isinstance(used, int) and used >= 0
-    assert sum(used for _, _, used in outcome.levels) == outcome.candidates
+        assert isinstance(space, int) and space > 0
+    assert sum(used for _, _, used, _ in outcome.levels) == outcome.candidates
     assert isinstance(outcome.restarts, int) and outcome.restarts >= 0
     assert outcome.best_score is None or isinstance(outcome.best_score, int)
 
@@ -203,7 +205,7 @@ def check_levels(outcome):
 def test_search_outcome_levels_exhaustive():
     outcome = search_embedding(LOOP, SearchBudget(max_subdivisions=1))
     check_levels(outcome)
-    assert outcome.levels == (((0,), "exhaustive", 2), ((1,), "exhaustive", 2))
+    assert outcome.levels == (((0,), "exhaustive", 2, 2), ((1,), "exhaustive", 2, 2))
     assert (outcome.restarts, outcome.best_score) == (0, 2)
     flat = search_embedding(LOOP)
     check_levels(flat)
@@ -215,7 +217,8 @@ def test_search_outcome_levels_randomized():
     outcome = search_embedding(bouquets, SearchBudget(max_candidates=2000), seed=0)
     check_levels(outcome)
     assert outcome.status == "budget_exceeded"
-    assert [mode for _, mode, _ in outcome.levels] == ["randomized"]
+    assert [mode for _, mode, _, _ in outcome.levels] == ["randomized"]
+    assert outcome.levels[0][3] == candidate_count(bouquets)
     assert outcome.restarts > 1
     assert outcome.best_score > 2
 
@@ -224,7 +227,29 @@ def test_search_outcome_levels_cut_by_budget():
     outcome = search_embedding(LOOP, SearchBudget(max_candidates=3, max_subdivisions=2))
     check_levels(outcome)
     assert outcome.status == "budget_exceeded"
-    assert [used for _, _, used in outcome.levels] == [2, 1]
+    assert [used for _, _, used, _ in outcome.levels] == [2, 1]
+
+
+# Graph 43 of the search-subdiv benchmark pool: no embedding at level 0.
+POOL_43 = MultiGraph(4, ((0, 1), (3, 3), (0, 2), (0, 2), (0, 3), (1, 1), (0, 2)))
+
+
+def test_exhausted_levels_use_exactly_their_space():
+    """An exhaustive level that ends without a winner visits each of its
+    space = candidate_count >> (n - 1) switching-reduced candidates once."""
+    flat = search_embedding(LOOP)
+    assert (flat.status, flat.levels) == ("exhausted", (((0,), "exhaustive", 2, 2),))
+    budget = SearchBudget(max_candidates=20_000, max_subdivisions=2)
+    outcome = search_embedding(POOL_43, budget, seed=43)
+    check_levels(outcome)
+    assert outcome.status == "budget_exceeded"
+    *swept, cut = outcome.levels
+    assert swept[0] == ((0,) * 7, "exhaustive", 3072, 3072)
+    for counts, mode, used, space in swept:
+        sub = subdivide_graph(POOL_43, counts)
+        assert (mode, used) == ("exhaustive", space)
+        assert space == candidate_count(sub) >> (sub.n - 1)
+    assert 0 < cut[2] < cut[3]
 
 
 def test_cli_search_stats(tmp_path, capsys):
@@ -240,10 +265,11 @@ def test_cli_search_stats(tmp_path, capsys):
     assert isinstance(stats["restarts"], int)
     assert stats["best_score"] is None or isinstance(stats["best_score"], int)
     for level in stats["levels"]:
-        assert set(level) == {"subdivisions", "mode", "candidates"}
+        assert set(level) == {"subdivisions", "mode", "candidates", "space"}
         assert all(isinstance(k, int) for k in level["subdivisions"])
         assert level["mode"] in ("exhaustive", "randomized")
         assert isinstance(level["candidates"], int)
+        assert isinstance(level["space"], int) and level["space"] > 0
     assert sum(level["candidates"] for level in stats["levels"]) == stats["candidates"]
     assert run(["search", str(rot), "-o", str(tmp_path / "none.gem")]) == 3
     assert capsys.readouterr().err == ""

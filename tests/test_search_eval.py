@@ -6,8 +6,9 @@ with the canonical partners x ^ 3 (faces) and x ^ 2 (zigzags).  These
 tests compare that list with embedding_to_map and with the original
 pair-by-pair expansion kept below, compare the in-place twist toggles of
 the exhaustive sweep with a rebuild, compare the counts with gon_counts,
-pin whole search outcomes, and check that switching at a vertex leaves
-the gon counts alone.
+pin whole search outcomes, check that switching at a vertex leaves the
+gon counts alone, and compare the switching-reduced exhaustive sweep
+(tree twists fixed at 0) with a full sweep of every candidate.
 """
 
 from __future__ import annotations
@@ -26,11 +27,14 @@ from mapcalc import (
     gon_counts,
     gons,
     search_embedding,
+    subdivide_graph,
+    validate,
     write_gem,
 )
+from mapcalc import search
 from mapcalc.codec import _rotation_alpha, _toggle_twist
 from mapcalc.gem import PARTNER, gon_count
-from mapcalc.search import _dart_lists, _gon_length
+from mapcalc.search import _Counter, _dart_lists, _exhaustive, _gon_length, _tree_edges
 
 FACE, ZIGZAG = PARTNER["f"], PARTNER["z"]
 
@@ -196,17 +200,21 @@ def test_switching_oracle_sees_a_plain_twist_toggle():
 # (name, seed, max_candidates, max_subdivisions, status, candidates,
 #  subdivisions, alpha pairs of write_gem(map) joined on one line),
 # recorded with the object-based evaluator that built a FlagMap and ran
-# gons per candidate.  k4 to bouquet4 end in the exhaustive sweep, k5 and
-# bouquets in the randomized phase.
+# gons per candidate, except k4-seed0-sub0, loop-seed0-sub1,
+# theta-seed0-sub2 and pendant-seed0-sub2, recorded with the
+# switching-reduced exhaustive sweep (tree twists fixed at 0), which
+# visits fewer candidates and can meet a different winner first.  k4 to
+# bouquet4 end in the exhaustive sweep, k5 and bouquets in the
+# randomized phase.
 PINNED = [
     ("k4", 0, 100000, 0, "found", 2, (0, 0, 0, 0, 0, 0),
-     "a 0 9 a 1 4 a 2 12 a 3 17 a 5 8 a 6 21 a 7 14 a 10 23 a 11 18 a 13 16 a 15 20 a 19 22"),
+     "a 0 9 a 1 4 a 2 17 a 3 12 a 5 8 a 6 21 a 7 15 a 10 23 a 11 18 a 13 16 a 14 20 a 19 22"),
     ("loop", 0, 100000, 0, "exhausted", 2, None, None),
-    ("loop", 0, 100000, 1, "found", 4, (1,), "a 0 7 a 1 6 a 2 4 a 3 5"),
-    ("theta", 0, 100000, 2, "found", 35, (1, 0, 0),
-     "a 0 9 a 1 4 a 2 13 a 3 12 a 5 8 a 6 10 a 7 15 a 11 14"),
-    ("pendant", 0, 100000, 2, "found", 34, (1, 0, 0, 0),
-     "a 0 11 a 1 10 a 2 16 a 3 17 a 4 19 a 5 18 a 6 13 a 7 8 a 9 12 a 14 15"),
+    ("loop", 0, 100000, 1, "found", 4, (1,), "a 0 6 a 1 7 a 2 5 a 3 4"),
+    ("theta", 0, 100000, 2, "found", 18, (1, 0, 0),
+     "a 0 9 a 1 4 a 2 13 a 3 12 a 5 8 a 6 15 a 7 11 a 10 14"),
+    ("pendant", 0, 100000, 2, "found", 6, (1, 0, 0, 0),
+     "a 0 11 a 1 10 a 2 17 a 3 16 a 4 19 a 5 18 a 6 8 a 7 13 a 9 12 a 14 15"),
     ("bouquet4", 0, 2000, 0, "budget_exceeded", 2000, None, None),
     ("k5", 0, 2000, 0, "found", 14, (0,) * 10,
      "a 0 9 a 1 4 a 2 24 a 3 17 a 5 12 a 6 18 a 7 33 a 8 13 a 10 22 a 11 31 "
@@ -239,5 +247,91 @@ def test_pinned_family_reaches_both_phases():
     for name, seed, max_candidates, max_subdivisions, *_ in PINNED:
         budget = SearchBudget(max_candidates=max_candidates, max_subdivisions=max_subdivisions)
         outcome = search_embedding(GRAPHS[name], budget, seed=seed)
-        modes.update(mode for _, mode, _ in outcome.levels)
+        modes.update(mode for _, mode, _, _ in outcome.levels)
     assert modes == {"exhaustive", "randomized"}
+
+
+# Each graph is swept at subdivision levels 0 and 1 (every single-edge
+# subdivision): loops, multi-edges, pendant edges, bouquets, theta and K4.
+QUOTIENT_GRAPHS = {"loop": LOOP, "theta": THETA, "pendant": PENDANT, "bouquet2": BOUQUET2,
+                   "bouquet3": MultiGraph(1, ((0, 0),) * 3), "edge": MultiGraph(2, ((0, 1),)),
+                   "loop-pendant": MultiGraph(2, ((0, 0), (0, 1))),
+                   "digon-loop": MultiGraph(2, ((0, 1), (1, 1), (0, 1))), "k4": K4}
+
+
+def levels_0_and_1(g: MultiGraph) -> list[MultiGraph]:
+    subs = [g]
+    for e in range(g.edge_count):
+        counts = [0] * g.edge_count
+        counts[e] = 1
+        subs.append(subdivide_graph(g, tuple(counts)))
+    return subs
+
+
+def tree_normal_form(rs: RotationSystem, tree: list[int]) -> RotationSystem:
+    """Switch the vertices whose tree path from vertex 0 has an odd number
+    of twisted edges; afterwards no tree edge is twisted."""
+    g = rs.graph
+    odd = {0: False}
+    for _ in tree:
+        for e in tree:
+            u, v = g.edges[e]
+            if (u in odd) != (v in odd):
+                known, other = (u, v) if u in odd else (v, u)
+                odd[other] = odd[known] ^ (e in rs.twists)
+    for v in (v for v, flip in odd.items() if flip):
+        rs = switch(rs, v)
+    return rs
+
+
+def reduced_sweep(g: MultiGraph, monkeypatch) -> list[tuple[int, ...]]:
+    """The flag involution of every candidate _exhaustive visits, in order.
+    The face walk is recorded and reported short, so no candidate wins."""
+    seen = []
+
+    def face_walk(alpha, partner):
+        seen.append(tuple(alpha))
+        return 0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_gon_length", face_walk)
+        assert _exhaustive(g, _Counter(10**9, None)) is None
+    return seen
+
+
+def assert_spanning_tree(g: MultiGraph, tree: list[int]) -> None:
+    """n - 1 edges that join every vertex to vertex 0; a loop joins nothing."""
+    assert len(tree) == g.n - 1
+    reached = {0}
+    for _ in tree:
+        reached |= {w for e in tree if reached & set(g.edges[e]) for w in g.edges[e]}
+    assert reached == set(range(g.n))
+
+
+@pytest.mark.parametrize("name", QUOTIENT_GRAPHS)
+def test_reduced_sweep_matches_a_full_sweep(name, monkeypatch):
+    for g in levels_0_and_1(QUOTIENT_GRAPHS[name]):
+        m = g.edge_count
+        tree = _tree_edges(g)
+        assert_spanning_tree(g, tree)
+        visited = reduced_sweep(g, monkeypatch)
+        normal_forms = set()
+        full_found = False
+        full = 0
+        for rs, mask in all_rotation_systems(g):
+            full += 1
+            alpha = _rotation_alpha(rs.rotations, mask, m)
+            fz = (gon_count(alpha, FACE), gon_count(alpha, ZIGZAG))
+            full_found |= fz == (1, 1)
+            normal = tree_normal_form(rs, tree)
+            assert not normal.twists & set(tree)
+            normal_alpha = embedding_to_map(normal).alpha
+            assert (gon_count(list(normal_alpha), FACE), gon_count(list(normal_alpha), ZIGZAG)) == fz
+            normal_forms.add(normal_alpha)
+        assert len(visited) == full >> (g.n - 1) == len(set(visited))
+        assert set(visited) == normal_forms
+        found = _exhaustive(g, _Counter(10**9, None))
+        assert (found is not None) == full_found
+        if found is not None:
+            assert validate(found).ok
+            assert gon_counts(found)[1:] == (1, 1)
