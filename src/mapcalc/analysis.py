@@ -7,8 +7,12 @@ themselves are not kept: nothing reads them once the graphs are built.
 Each artefact is computed on first use and kept on the analysis, so a
 check that needs it again reads it instead of rebuilding it; the image
 and kernel of an operator are kept on the operator itself (see
-gf2.LinearOp).  Nothing is cached elsewhere: an analysis and all it holds
-go away with the last reference to it.
+gf2.LinearOp).  The subspaces are kept on the SpaceBundle, which builds
+each one when a claim first reads it: the absorption checks build only
+the three bond spaces, verify_all adds the vertex and face cycle spaces
+on a single-zigzag map (no claim reads the zigzag graph's), and
+complete() builds all six.  Nothing is cached elsewhere: an analysis and
+all it holds go away with the last reference to it.
 """
 
 from __future__ import annotations
@@ -33,9 +37,11 @@ class MapAnalysis:
         return subject if isinstance(subject, cls) else cls(subject)
 
     def complete(self) -> MapAnalysis:
-        """Compute every artefact now rather than on first use."""
+        """Compute every artefact now rather than on first use, all six
+        subspaces included."""
         for name in ("counts", "bundle", "zigzag_product", "face_product"):
             getattr(self, name)
+        self.bundle.dims()
         return self
 
     @cached_property
@@ -50,7 +56,8 @@ class MapAnalysis:
 
     @cached_property
     def bundle(self) -> SpaceBundle:
-        """The three induced graphs and their bond and cycle spaces."""
+        """The three induced graphs; their bond and cycle spaces are built
+        on first read."""
         return bundle_of_graphs(*self.graphs)
 
     @cached_property

@@ -257,6 +257,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     failures = 0
     total = 0
     checks_s = 0.0
+    eliminations = gf2.elimination_count()
     t0 = time.perf_counter()
     for map_ in search.enumerate_maps(args.size):
         total += 1
@@ -276,6 +277,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                          for (v, f, z), count in sorted(profiles.items())],
             "absorption_failures": failures if args.verify_absorption else None,
             "seconds": {"enumerate": time.perf_counter() - t0 - checks_s, "checks": checks_s},
+            "eliminations": gf2.elimination_count() - eliminations,
         }
         print(json.dumps(stats), file=sys.stderr)
     print(f"m={args.size}: {total} connected maps")
@@ -351,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=_integer, required=True, metavar="M")
     p.add_argument("--verify-absorption", action="store_true")
     p.add_argument("--stats", action="store_true",
-                   help="print map and profile counts, absorption failures and per-phase "
-                        "seconds as JSON to stderr")
+                   help="print map and profile counts, absorption failures, per-phase "
+                        "seconds and eliminations as JSON to stderr")
     p.set_defaults(func=_cmd_enumerate)
 
     return parser

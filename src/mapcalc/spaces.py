@@ -4,12 +4,15 @@ For a connected multigraph the bond space is spanned by the single-vertex
 edge cuts and the cycle space by the fundamental cycles of any spanning
 tree; the two are orthogonal complements of each other under the parity
 form.  A map yields three graphs (from its v-, f- and z-gons) and so six
-subspaces of the edge universe.
+subspaces of the edge universe.  A SpaceBundle builds each of them on its
+first read: the absorption claims read only the three bond spaces, and no
+claim reads the zigzag graph's cycle space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gem import FlagMap, MultiGraph, induced_graph
 from .gf2 import Gf2Subspace, Gf2Vec
@@ -29,10 +32,21 @@ def bond_of(g: MultiGraph, vertices: set[int] | frozenset[int]) -> Gf2Vec:
 
 
 def bond_space(g: MultiGraph) -> Gf2Subspace:
-    """Span of the single-vertex cuts of a connected multigraph."""
+    """Span of the single-vertex cuts of a connected multigraph.
+
+    The cuts come from one pass over the edges; a loop toggles its bit at
+    the same vertex twice, so it is in no cut.
+    """
     if not g.is_connected():
         raise ValueError("bond space needs a connected graph")
-    return Gf2Subspace.span(g.edge_count, (bond_of(g, {v}) for v in range(g.n)))
+    stars = [0] * g.n
+    for e, (u, v) in enumerate(g.edges):
+        stars[u] ^= 1 << e
+        stars[v] ^= 1 << e
+    space = Gf2Subspace.span(g.edge_count, stars)
+    if space.dim != g.n - 1:
+        raise AssertionError("bond space dimension violates the connected-graph formula")
+    return space
 
 
 def _fundamental_cycles(g: MultiGraph) -> list[int]:
@@ -74,26 +88,51 @@ def _checked_cycle_space(g: MultiGraph, bonds: Gf2Subspace) -> Gf2Subspace:
     space = Gf2Subspace.span(g.edge_count, _fundamental_cycles(g))
     if space != bonds.perp():
         raise AssertionError("cycle space disagrees with bond space complement")
+    if space.dim != g.edge_count - g.n + 1:
+        raise AssertionError("cycle space dimension violates the connected-graph formula")
     return space
 
 
 @dataclass(frozen=True)
 class SpaceBundle:
-    """The three induced graphs of a map and their six edge subspaces."""
+    """The three induced graphs of a map and their six edge subspaces.
+
+    Each subspace is built on its first read and kept.  A cycle space reads
+    the bond space of its graph for its cross-check, so a failed check
+    raises AssertionError on the first read of that cycle space.
+    """
 
     m: int
     vertex_graph: MultiGraph
     face_graph: MultiGraph
     zigzag_graph: MultiGraph
-    vertex_bonds: Gf2Subspace
-    vertex_cycles: Gf2Subspace
-    face_bonds: Gf2Subspace
-    face_cycles: Gf2Subspace
-    zigzag_bonds: Gf2Subspace
-    zigzag_cycles: Gf2Subspace
+
+    @cached_property
+    def vertex_bonds(self) -> Gf2Subspace:
+        return bond_space(self.vertex_graph)
+
+    @cached_property
+    def vertex_cycles(self) -> Gf2Subspace:
+        return _checked_cycle_space(self.vertex_graph, self.vertex_bonds)
+
+    @cached_property
+    def face_bonds(self) -> Gf2Subspace:
+        return bond_space(self.face_graph)
+
+    @cached_property
+    def face_cycles(self) -> Gf2Subspace:
+        return _checked_cycle_space(self.face_graph, self.face_bonds)
+
+    @cached_property
+    def zigzag_bonds(self) -> Gf2Subspace:
+        return bond_space(self.zigzag_graph)
+
+    @cached_property
+    def zigzag_cycles(self) -> Gf2Subspace:
+        return _checked_cycle_space(self.zigzag_graph, self.zigzag_bonds)
 
     def dims(self) -> tuple[int, int, int, int, int, int]:
-        """Dimensions in the order (vb, vc, fb, fc, zb, zc)."""
+        """Dimensions in the order (vb, vc, fb, fc, zb, zc); builds all six."""
         return (
             self.vertex_bonds.dim,
             self.vertex_cycles.dim,
@@ -105,21 +144,12 @@ class SpaceBundle:
 
 
 def space_bundle(map_: FlagMap) -> SpaceBundle:
-    """Build all three induced graphs and their bond and cycle spaces."""
+    """The three induced graphs of a map, with their spaces built on first read."""
     return bundle_of_graphs(*(induced_graph(map_, k) for k in ("v", "f", "z")))
 
 
 def bundle_of_graphs(
     vertex_graph: MultiGraph, face_graph: MultiGraph, zigzag_graph: MultiGraph
 ) -> SpaceBundle:
-    """The six subspaces of a map's three induced graphs; each cycle space
-    is cross-checked against the bond space built beside it."""
-    graphs = (vertex_graph, face_graph, zigzag_graph)
-    spaces = []
-    for g in graphs:
-        b = bond_space(g)
-        c = _checked_cycle_space(g, b)
-        if b.dim != g.n - 1 or c.dim != g.edge_count - g.n + 1:
-            raise AssertionError("subspace dimensions violate the connected-graph formulas")
-        spaces.extend((b, c))
-    return SpaceBundle(vertex_graph.edge_count, *graphs, *spaces)
+    """The bundle of a map's three induced graphs; no subspace is built yet."""
+    return SpaceBundle(vertex_graph.edge_count, vertex_graph, face_graph, zigzag_graph)

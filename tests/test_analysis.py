@@ -18,7 +18,7 @@ from mapcalc import (
     recheck_counterexample,
     verify_all,
 )
-from mapcalc import gem, spaces, words
+from mapcalc import gem, gf2, spaces, words
 
 
 def count_calls(monkeypatch, module, name: str, key=lambda *args: None) -> Counter:
@@ -83,3 +83,63 @@ def test_artefacts_are_kept_and_complete_builds_them(monkeypatch):
     check_absorption(analysis)
     check_theorem3(analysis)
     assert sum(bundles.values()) == 1
+
+
+def count_perp(monkeypatch) -> Counter:
+    """Count the calls of Gf2Subspace.perp, whoever makes them."""
+    original = gf2.Gf2Subspace.perp
+    calls: Counter = Counter()
+
+    def counted(self):
+        calls[None] += 1
+        return original(self)
+
+    monkeypatch.setattr(gf2.Gf2Subspace, "perp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("build", [k33_map, single_face_dual])
+def test_absorption_builds_no_cycle_space(monkeypatch, build):
+    map_ = build()
+    cycles = count_calls(monkeypatch, spaces, "_checked_cycle_space")
+    perps = count_perp(monkeypatch)
+    bonds = count_calls(monkeypatch, spaces, "bond_space")
+    assert all(r.holds for r in check_absorption(map_))
+    assert sum(cycles.values()) == 0
+    assert sum(perps.values()) == 0
+    assert sum(bonds.values()) == 3
+
+
+@pytest.mark.parametrize("build", [k33_map, single_face_dual])
+def test_verify_all_builds_no_zigzag_cycle_space(monkeypatch, build):
+    analysis = MapAnalysis(build())
+    cycles = count_calls(monkeypatch, spaces, "_checked_cycle_space",
+                         key=lambda g, bonds: g)
+    verify_all(analysis)
+    vertex_graph, face_graph, _ = analysis.graphs
+    assert cycles == {vertex_graph: 1, face_graph: 1}
+
+
+def test_complete_builds_all_six_spaces(monkeypatch):
+    analysis = MapAnalysis(k33_map())
+    cycles = count_calls(monkeypatch, spaces, "_checked_cycle_space",
+                         key=lambda g, bonds: g)
+    bonds = count_calls(monkeypatch, spaces, "bond_space", key=lambda g: g)
+    analysis.complete()
+    assert cycles == bonds == {g: 1 for g in analysis.graphs}
+    verify_all(analysis)
+    assert cycles == bonds == {g: 1 for g in analysis.graphs}
+
+
+@pytest.mark.parametrize("build", [k33_map, single_face_dual])
+def test_cross_check_guards_every_cycle_space_read(monkeypatch, build):
+    map_ = build()
+    original = spaces._fundamental_cycles
+
+    def one_short(g):
+        return original(g)[1:]
+
+    monkeypatch.setattr(spaces, "_fundamental_cycles", one_short)
+    assert all(r.holds for r in check_absorption(map_))
+    with pytest.raises(AssertionError, match="cycle space"):
+        verify_all(map_)

@@ -352,13 +352,24 @@ def test_enumerate_stats_schema(capsys):
         code, out, err = run_cli(capsys, "enumerate", *argv, "--stats")
         assert (code, out) == plain[:2] and plain[2] == ""
         stats = json.loads(err)
-        assert set(stats) == {"m", "maps", "profiles", "absorption_failures", "seconds"}
+        assert set(stats) == {"m", "maps", "profiles", "absorption_failures", "seconds",
+                              "eliminations"}
         assert (stats["m"], stats["maps"], stats["absorption_failures"]) == (2, 96, failures)
         assert all(set(p) == {"v", "f", "z", "maps"} and all(isinstance(x, int) for x in p.values())
                    for p in stats["profiles"])
         assert sum(p["maps"] for p in stats["profiles"]) == 96
         assert set(stats["seconds"]) == {"enumerate", "checks"}
         assert all(isinstance(s, float) and s >= 0 for s in stats["seconds"].values())
+        assert isinstance(stats["eliminations"], int)
+
+
+def test_enumerate_stats_counts_eliminations(capsys):
+    """Absorption reads only bond spaces: per map, 3 spans and 3
+    intersections of 2 eliminations each; no checks, no eliminations."""
+    _, _, err = run_cli(capsys, "enumerate", "--size", "2", "--verify-absorption", "--stats")
+    assert json.loads(err)["eliminations"] == 96 * (3 + 3 * 2) == 864
+    _, _, err = run_cli(capsys, "enumerate", "--size", "2", "--stats")
+    assert json.loads(err)["eliminations"] == 0
 
 
 def test_parse_error_exit(files, capsys):

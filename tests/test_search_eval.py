@@ -7,7 +7,8 @@ tests compare that list with embedding_to_map and with the original
 pair-by-pair expansion kept below, compare the in-place twist toggles of
 the exhaustive sweep with a rebuild, compare the counts with gon_counts,
 pin whole search outcomes, check that switching at a vertex leaves the
-gon counts alone, and compare the switching-reduced exhaustive sweep
+gon counts alone, check how subdividing an edge moves the face and
+zigzag counts, and compare the switching-reduced exhaustive sweep
 (tree twists fixed at 0) with a full sweep of every candidate.
 """
 
@@ -195,6 +196,49 @@ def test_switching_oracle_sees_a_plain_twist_toggle():
             changed = True
             break
     assert changed
+
+
+def subdivided_embedding(g, rots, counts, twists):
+    """Rotations and twist mask of subdivide_graph(g, counts) that carry g's
+    rotations over: dart (e, 1) becomes the last segment's dart (s, 1), and
+    each new degree-2 vertex joins the two segments that meet there.
+    twists[e] lists the twists of e's segments, first segment first."""
+    segments = []
+    fresh = g.edge_count
+    for e, k in enumerate(counts):
+        segments.append([e] + list(range(fresh, fresh + k)))
+        fresh += k
+    sub_rots = [tuple((segments[e][-1], 1) if end else (e, 0) for e, end in rot)
+                for rot in rots]
+    mask = 0
+    for e, segs in enumerate(segments):
+        sub_rots += [((a, 1), (b, 0)) for a, b in zip(segs, segs[1:])]
+        mask |= sum(bit << s for s, bit in zip(segs, twists[e]))
+    return sub_rots, mask
+
+
+def test_subdivision_moves_faces_by_twist_sums_and_zigzags_by_parity():
+    # With t_e the XOR of e's segment twists and p_e = counts[e] mod 2:
+    # f(sub) = f(g, t) and z(sub) = z(g, t ^ p).
+    rng = random.Random(2003)
+    for _ in range(1000):
+        g = random_multigraph(rng)
+        rots = []
+        for darts in _dart_lists(g):
+            rng.shuffle(darts)
+            rots.append(tuple(darts))
+        counts = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(g.edge_count))
+        twists = [[rng.getrandbits(1) for _ in range(k + 1)] for k in counts]
+        sub = subdivide_graph(g, counts)
+        sub_rots, sub_mask = subdivided_embedding(g, rots, counts, twists)
+        assert [sorted(rot) for rot in sub_rots] == _dart_lists(sub)
+        summed = sum((sum(ts) & 1) << e for e, ts in enumerate(twists))
+        parity = sum((k & 1) << e for e, k in enumerate(counts))
+        sub_alpha = _rotation_alpha(sub_rots, sub_mask, sub.edge_count)
+        assert gon_count(sub_alpha, FACE) == gon_count(
+            _rotation_alpha(rots, summed, g.edge_count), FACE)
+        assert gon_count(sub_alpha, ZIGZAG) == gon_count(
+            _rotation_alpha(rots, summed ^ parity, g.edge_count), ZIGZAG)
 
 
 # (name, seed, max_candidates, max_subdivisions, status, candidates,

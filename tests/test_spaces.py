@@ -8,10 +8,13 @@ import pytest
 
 from conftest import all_cuts, is_even_subgraph, k33_map, members, random_connected_graph
 from mapcalc import (
+    Gf2Subspace,
     MultiGraph,
     bond_of,
     bond_space,
     cycle_space,
+    enumerate_maps,
+    induced_graph,
     projective_loop_map,
     space_bundle,
     sphere_loop_map,
@@ -48,6 +51,49 @@ def test_disconnected_graph_rejected():
         bond_space(g)
     with pytest.raises(ValueError):
         cycle_space(g)
+    with pytest.raises(ValueError):
+        bond_space(MultiGraph(3, ((0, 1), (1, 0), (2, 2))))
+
+
+def star_oracle(g: MultiGraph) -> Gf2Subspace:
+    """Span of the single-vertex cuts, one bond_of call per vertex."""
+    return Gf2Subspace.span(g.edge_count, (bond_of(g, {v}) for v in range(g.n)))
+
+
+def random_multigraph(rng: random.Random) -> MultiGraph:
+    """Connected multigraph on 1..7 vertices: a random tree, then random
+    edges, loops and parallel copies, in random order and orientation."""
+    n = rng.randint(1, 7)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    for _ in range(rng.randint(0, 4)):
+        edges.append((rng.randrange(n), rng.randrange(n)))
+    for _ in range(rng.randint(0, 2)):
+        w = rng.randrange(n)
+        edges.append((w, w))
+    for _ in range(rng.randint(0, 2)):
+        if edges:
+            edges.append(rng.choice(edges))
+    rng.shuffle(edges)
+    return MultiGraph(n, tuple((v, u) if rng.random() < 0.5 else (u, v) for u, v in edges))
+
+
+def test_one_pass_stars_match_bond_of_on_random_multigraphs():
+    rng = random.Random(41)
+    loops = parallels = 0
+    for _ in range(300):
+        g = random_multigraph(rng)
+        assert bond_space(g) == star_oracle(g)
+        loops += any(u == v for u, v in g.edges)
+        parallels += len(set(map(frozenset, g.edges))) < g.edge_count
+    assert loops >= 100 and parallels >= 100
+
+
+def test_one_pass_stars_match_bond_of_on_census_graphs():
+    for m in (1, 2, 3):
+        for map_ in enumerate_maps(m):
+            for kind in ("v", "f", "z"):
+                g = induced_graph(map_, kind)
+                assert bond_space(g) == star_oracle(g)
 
 
 def test_bond_space_matches_cut_enumeration():
