@@ -1,14 +1,14 @@
 """Everything the structural checks read from one map, computed once.
 
-A MapAnalysis holds the map's three induced graphs, whose vertex counts
-are its gon counts, their six edge subspaces, the word operators and the
-two composed operators the theorems speak about.  The gon decompositions
-themselves are not kept: nothing reads them once the graphs are built.
-Each artefact is computed on first use and kept on the analysis, so a
-check that needs it again reads it instead of rebuilding it; the image
-and kernel of an operator are kept on the operator itself (see
-gf2.LinearOp).  The subspaces are kept on the SpaceBundle, which builds
-each one when a claim first reads it: the absorption checks build only
+A MapAnalysis holds the map's SpaceBundle: its three induced graphs,
+whose vertex counts are its gon counts, and their six edge subspaces.
+It also holds the word operators and the two composed operators the
+theorems speak about.  The gon decompositions themselves are not kept:
+nothing reads them once the graphs are built.  Each artefact is computed
+on first use and kept on the analysis, so a check that needs it again
+reads it instead of rebuilding it; the image and kernel of an operator
+are kept on the operator itself (see gf2.LinearOp).  The bundle builds
+each subspace when a claim first reads it: the absorption checks build only
 the three bond spaces, verify_all adds the vertex and face cycle spaces
 on a single-zigzag map (no claim reads the zigzag graph's), and
 complete() builds all six.  Nothing is cached elsewhere: an analysis and
@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .gem import FlagMap, MultiGraph, induced_graph
+from .gem import FlagMap
 from .gf2 import LinearOp
-from .spaces import SpaceBundle, bundle_of_graphs
+from .spaces import SpaceBundle, space_bundle
 from .words import MapOperators, operators_of_counts
 
 
@@ -45,20 +45,16 @@ class MapAnalysis:
         return self
 
     @cached_property
-    def graphs(self) -> tuple[MultiGraph, MultiGraph, MultiGraph]:
-        """The v-, f- and z-graphs: one vertex per gon of the kind."""
-        return tuple(induced_graph(self.map, k) for k in ("v", "f", "z"))
-
-    @cached_property
     def counts(self) -> tuple[int, int, int]:
         """(v, f, z) gon counts, the vertex counts of the three graphs."""
-        return tuple(g.n for g in self.graphs)
+        b = self.bundle
+        return b.vertex_graph.n, b.face_graph.n, b.zigzag_graph.n
 
     @cached_property
     def bundle(self) -> SpaceBundle:
         """The three induced graphs; their bond and cycle spaces are built
         on first read."""
-        return bundle_of_graphs(*self.graphs)
+        return space_bundle(self.map)
 
     @cached_property
     def operators(self) -> MapOperators:

@@ -101,7 +101,7 @@ def _parse_id_list(text: str, limit: int, flag: str) -> list[int]:
 
 def _cmd_omega(args: argparse.Namespace) -> int:
     map_ = _load_map(args.file)
-    rects = _parse_id_list(args.rects, map_.m, "--rects") if args.rects else None
+    rects = _parse_id_list(args.rects, map_.m, "--rects") if args.rects is not None else None
     result = gem.apply_permutation(map_, rects, args.perm)
     _write(args.output, codec.write_gem(result))
     v, f, z = gem.gon_counts(result)

@@ -139,25 +139,14 @@ def format_word(w: SignedWord) -> str:
 def from_signed_word(w: SignedWord) -> FlagMap:
     """Rebuild the one-vertex map whose v-gon narrates the word.
 
-    Occurrence one of edge e enters flag 4e and leaves 4e+1; occurrence
-    two uses the opposite short pair, entering 4e+2 when positive and
-    4e+3 when negative; alpha joins each exit to the next entry around
-    the cycle.  The round trip back through vertex_word is a tested
-    property, not an assumption.
+    The word is the rotation at that vertex: occurrence one of edge e is
+    dart (e, 0) and occurrence two is dart (e, 1), twisted when negative,
+    with flags by the rule in _rotation_alpha.  The round trip back
+    through vertex_word is a tested property, not an assumption.
     """
-    entries = []
-    seen: set[int] = set()
-    for e, s in w.entries:
-        if e not in seen:
-            seen.add(e)
-            entries.append((4 * e, 4 * e + 1))
-        elif s == 1:
-            entries.append((4 * e + 2, 4 * e + 3))
-        else:
-            entries.append((4 * e + 3, 4 * e + 2))
-    n = len(entries)
-    pairs = [(entries[i][1], entries[(i + 1) % n][0]) for i in range(n)]
-    return FlagMap.from_pairs(w.m, pairs)
+    rotation = [(e, int(i == w.occurrences(e)[1])) for i, (e, _) in enumerate(w.entries)]
+    twist_mask = sum(1 << e for e, s in w.entries if s < 0)
+    return FlagMap(w.m, tuple(_rotation_alpha([rotation], twist_mask, w.m)))
 
 
 def zigzag_map_from_word(w: SignedWord) -> FlagMap:

@@ -307,48 +307,42 @@ class MultiGraph:
             deg[v] += 1
         return tuple(deg)
 
-    def incidence(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (edge id, other end); loops listed twice."""
+    def spanning_forest(self) -> tuple[list[int], list[int]]:
+        """(tree edge ids, paths) of a breadth-first spanning forest.
+
+        Each component is searched from its lowest vertex, each vertex's
+        edges in id order; the first edge that reaches a new vertex joins
+        the tree, so loops never do.  Tree edges are listed in that order,
+        and paths[v] is the bitmask of the tree edges between v and its
+        component's root.
+        """
         inc: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for e, (u, v) in enumerate(self.edges):
             inc[u].append((e, v))
             inc[v].append((e, u))
-        return inc
+        paths = [-1] * self.n
+        tree = []
+        for root in range(self.n):
+            if paths[root] != -1:
+                continue
+            paths[root] = 0
+            queue = [root]
+            for u in queue:
+                for e, w in inc[u]:
+                    if paths[w] == -1:
+                        paths[w] = paths[u] | 1 << e
+                        tree.append(e)
+                        queue.append(w)
+        return tree, paths
 
     def is_connected(self) -> bool:
-        inc = self.incidence()
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for _, w in inc[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.n
+        return len(self.spanning_forest()[0]) == self.n - 1
 
     def is_bipartite(self) -> bool:
-        inc = self.incidence()
-        color = [-1] * self.n
-        for s0 in range(self.n):
-            if color[s0] != -1:
-                continue
-            color[s0] = 0
-            stack = [s0]
-            while stack:
-                u = stack.pop()
-                for _, w in inc[u]:
-                    if w == u:
-                        return False
-                    if color[w] == -1:
-                        color[w] = color[u] ^ 1
-                        stack.append(w)
-                    elif color[w] == color[u]:
-                        return False
-        return True
+        """Every edge joins ends whose tree paths differ in an odd number of
+        edges; a loop's ends differ in none."""
+        paths = self.spanning_forest()[1]
+        return all((paths[u] ^ paths[v]).bit_count() & 1 for u, v in self.edges)
 
 
 def induced_graph(map_: FlagMap, kind: str) -> MultiGraph:

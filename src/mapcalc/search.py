@@ -26,7 +26,7 @@ vertex reverses its rotation (the first dart stays first) and toggles
 the twists of its non-loop edges; the map does not change (Mohar and
 Thomassen, Graphs on Surfaces, 2001).  Switching a set of vertices
 toggles exactly the edges of its cut, so every candidate switches into
-one with the tree twists fixed at 0 on the spanning tree of _tree_edges.
+one with the tree twists fixed at 0 on MultiGraph.spanning_forest's tree.
 The sweep therefore visits only the masks of the other edges: each level
 sweeps candidate_count(sub) >> (sub.n - 1) candidates, its `space` in
 SearchOutcome.levels, and loses no embedding.  Whether a level is swept
@@ -201,28 +201,6 @@ class _Counter:
         self.used += 1
 
 
-def _tree_edges(g: MultiGraph) -> list[int]:
-    """The spanning tree whose twists the exhaustive sweep fixes at 0.
-
-    Breadth-first from vertex 0, each vertex's edges in id order; the
-    first edge that reaches a new vertex joins the tree, so loops never do.
-    """
-    darts = _dart_lists(g)
-    seen = [False] * g.n
-    seen[0] = True
-    queue = [0]
-    tree = []
-    for u in queue:
-        for e, _ in darts[u]:
-            a, b = g.edges[e]
-            v = b if a == u else a
-            if not seen[v]:
-                seen[v] = True
-                tree.append(e)
-                queue.append(v)
-    return tree
-
-
 def _exhaustive(g: MultiGraph, counter: _Counter) -> FlagMap | None:
     per_vertex = []
     for darts in _dart_lists(g):
@@ -231,7 +209,7 @@ def _exhaustive(g: MultiGraph, counter: _Counter) -> FlagMap | None:
     n_edges = g.edge_count
     n_flags = 4 * n_edges
     face, zigzag = PARTNER["f"], PARTNER["z"]
-    tree = set(_tree_edges(g))
+    tree = set(g.spanning_forest()[0])
     free = [e for e in range(n_edges) if e not in tree]
     # Sweep index i sets the twist of free[j] to bit j of i; i - 1 and i
     # differ in free[0 .. lowest set bit of i], which is toggles[bit_length].

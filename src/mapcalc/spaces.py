@@ -50,26 +50,11 @@ def bond_space(g: MultiGraph) -> Gf2Subspace:
 
 
 def _fundamental_cycles(g: MultiGraph) -> list[int]:
-    """Cycle bitmasks of the non-tree edges of a DFS spanning tree."""
-    inc = g.incidence()
-    path = [0] * g.n
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    in_tree = set()
-    while stack:
-        u = stack.pop()
-        for e, w in inc[u]:
-            if not seen[w]:
-                seen[w] = True
-                in_tree.add(e)
-                path[w] = path[u] ^ (1 << e)
-                stack.append(w)
-    cycles = []
-    for e, (u, v) in enumerate(g.edges):
-        if e not in in_tree:
-            cycles.append(path[u] ^ path[v] ^ (1 << e))
-    return cycles
+    """Cycle bitmasks of the non-tree edges of g's spanning forest."""
+    tree, paths = g.spanning_forest()
+    in_tree = set(tree)
+    return [paths[u] ^ paths[v] ^ 1 << e
+            for e, (u, v) in enumerate(g.edges) if e not in in_tree]
 
 
 def cycle_space(g: MultiGraph) -> Gf2Subspace:
@@ -145,11 +130,4 @@ class SpaceBundle:
 
 def space_bundle(map_: FlagMap) -> SpaceBundle:
     """The three induced graphs of a map, with their spaces built on first read."""
-    return bundle_of_graphs(*(induced_graph(map_, k) for k in ("v", "f", "z")))
-
-
-def bundle_of_graphs(
-    vertex_graph: MultiGraph, face_graph: MultiGraph, zigzag_graph: MultiGraph
-) -> SpaceBundle:
-    """The bundle of a map's three induced graphs; no subspace is built yet."""
-    return SpaceBundle(vertex_graph.edge_count, vertex_graph, face_graph, zigzag_graph)
+    return SpaceBundle(map_.m, *(induced_graph(map_, k) for k in ("v", "f", "z")))

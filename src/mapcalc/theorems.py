@@ -41,8 +41,9 @@ class TheoremReport:
     note: str = ""
 
 
-def report_json(report: TheoremReport, one_based: bool = True) -> dict:
-    """Schema: {theorem, applicable, holds, dims, counterexample?}."""
+def report_json(report: TheoremReport) -> dict:
+    """Schema: {theorem, applicable, holds, dims, counterexample?}, with
+    1-based edge ids in the counterexample."""
     out = {
         "theorem": report.theorem,
         "applicable": report.applicable,
@@ -50,8 +51,7 @@ def report_json(report: TheoremReport, one_based: bool = True) -> dict:
         "dims": dict(report.dims),
     }
     if report.counterexample is not None:
-        shift = 1 if one_based else 0
-        out["counterexample"] = [e + shift for e in report.counterexample]
+        out["counterexample"] = [e + 1 for e in report.counterexample]
     return out
 
 

@@ -43,7 +43,7 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     expected = verify_all(map_)
     graphs = count_calls(monkeypatch, gem, "induced_graph", key=lambda m, kind: kind)
     bonds = count_calls(monkeypatch, spaces, "bond_space")
-    bundles = count_calls(monkeypatch, spaces, "bundle_of_graphs")
+    bundles = count_calls(monkeypatch, spaces, "space_bundle")
     operators = count_calls(monkeypatch, words, "c_operator")
     own_gons = count_calls(monkeypatch, gem, "gons",
                            key=lambda m, kind: kind if m is map_ else None)
@@ -72,7 +72,7 @@ def test_checks_accept_a_map_or_its_analysis():
 
 def test_artefacts_are_kept_and_complete_builds_them(monkeypatch):
     analysis = MapAnalysis(k33_map())
-    bundles = count_calls(monkeypatch, spaces, "bundle_of_graphs")
+    bundles = count_calls(monkeypatch, spaces, "space_bundle")
     assert analysis.complete() is analysis
     assert analysis.counts == (6, 4, 1)
     assert analysis.bundle is analysis.bundle
@@ -116,8 +116,8 @@ def test_verify_all_builds_no_zigzag_cycle_space(monkeypatch, build):
     cycles = count_calls(monkeypatch, spaces, "_checked_cycle_space",
                          key=lambda g, bonds: g)
     verify_all(analysis)
-    vertex_graph, face_graph, _ = analysis.graphs
-    assert cycles == {vertex_graph: 1, face_graph: 1}
+    bundle = analysis.bundle
+    assert cycles == {bundle.vertex_graph: 1, bundle.face_graph: 1}
 
 
 def test_complete_builds_all_six_spaces(monkeypatch):
@@ -126,9 +126,11 @@ def test_complete_builds_all_six_spaces(monkeypatch):
                          key=lambda g, bonds: g)
     bonds = count_calls(monkeypatch, spaces, "bond_space", key=lambda g: g)
     analysis.complete()
-    assert cycles == bonds == {g: 1 for g in analysis.graphs}
+    bundle = analysis.bundle
+    graphs = (bundle.vertex_graph, bundle.face_graph, bundle.zigzag_graph)
+    assert cycles == bonds == {g: 1 for g in graphs}
     verify_all(analysis)
-    assert cycles == bonds == {g: 1 for g in analysis.graphs}
+    assert cycles == bonds == {g: 1 for g in graphs}
 
 
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])

@@ -134,7 +134,7 @@ def test_omega_bad_arguments(files, capsys):
     assert code == 2 and "error" in err
 
 
-@pytest.mark.parametrize("rects", ["\u00b2", "\u0661", "+1", "1,0_1"])
+@pytest.mark.parametrize("rects", ["\u00b2", "\u0661", "+1", "1,0_1", ""])
 def test_omega_bad_rect_token_names_the_flag(files, capsys, rects):
     out_path = files["tmp"] / "x.gem"
     code, out, err = run_cli(capsys, "omega", files["k33"], "--perm", "lsd",

@@ -352,6 +352,128 @@ def test_multigraph_bipartite():
     assert not MultiGraph(1, ((0, 0),)).is_bipartite()
 
 
+def reference_incidence(g: MultiGraph) -> list[list[tuple[int, int]]]:
+    """Per-vertex list of (edge id, other end); loops listed twice."""
+    inc: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        inc[u].append((e, v))
+        inc[v].append((e, u))
+    return inc
+
+
+def reference_tree_edges(g: MultiGraph) -> list[int]:
+    """The search's former tree: breadth-first from vertex 0, each vertex's
+    darts in order; the first edge that reaches a new vertex joins."""
+    darts: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        darts[u].append((e, 0))
+        darts[v].append((e, 1))
+    seen = [False] * g.n
+    seen[0] = True
+    queue = [0]
+    tree = []
+    for u in queue:
+        for e, _ in sorted(darts[u]):
+            a, b = g.edges[e]
+            v = b if a == u else a
+            if not seen[v]:
+                seen[v] = True
+                tree.append(e)
+                queue.append(v)
+    return tree
+
+
+def reference_roots(g: MultiGraph) -> list[int]:
+    """The lowest vertex of each vertex's component, by depth-first search."""
+    inc = reference_incidence(g)
+    root = [-1] * g.n
+    for s0 in range(g.n):
+        if root[s0] != -1:
+            continue
+        root[s0] = s0
+        stack = [s0]
+        while stack:
+            u = stack.pop()
+            for _, w in inc[u]:
+                if root[w] == -1:
+                    root[w] = s0
+                    stack.append(w)
+    return root
+
+
+def reference_is_connected(g: MultiGraph) -> bool:
+    """The former MultiGraph.is_connected: a depth-first count from vertex 0."""
+    inc = reference_incidence(g)
+    seen = [False] * g.n
+    seen[0] = True
+    stack = [0]
+    count = 1
+    while stack:
+        u = stack.pop()
+        for _, w in inc[u]:
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                stack.append(w)
+    return count == g.n
+
+
+def reference_is_bipartite(g: MultiGraph) -> bool:
+    """The former MultiGraph.is_bipartite: a depth-first two-colouring."""
+    inc = reference_incidence(g)
+    color = [-1] * g.n
+    for s0 in range(g.n):
+        if color[s0] != -1:
+            continue
+        color[s0] = 0
+        stack = [s0]
+        while stack:
+            u = stack.pop()
+            for _, w in inc[u]:
+                if w == u:
+                    return False
+                if color[w] == -1:
+                    color[w] = color[u] ^ 1
+                    stack.append(w)
+                elif color[w] == color[u]:
+                    return False
+    return True
+
+
+def assert_tree_path(g: MultiGraph, tree: list[int], path: int, v: int, root: int) -> None:
+    """path is the edge set of a path of tree edges from v to root."""
+    left = {e for e in range(g.edge_count) if path >> e & 1}
+    assert left <= set(tree)
+    x = v
+    while left:
+        step = [e for e in left if x in g.edges[e]]
+        assert len(step) == 1
+        left.remove(step[0])
+        a, b = g.edges[step[0]]
+        assert a != b
+        x = b if a == x else a
+    assert x == root
+
+
+def test_spanning_forest_matches_the_reference_walks():
+    rng = random.Random(1101)
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 10))]
+        g = MultiGraph(n, tuple(edges))
+        tree, paths = g.spanning_forest()
+        roots = reference_roots(g)
+        ref = reference_tree_edges(g)
+        assert tree[:len(ref)] == ref
+        assert len(tree) == g.n - len(set(roots))
+        if reference_is_connected(g):
+            assert tree == ref
+        for v in range(g.n):
+            assert_tree_path(g, tree, paths[v], v, roots[v])
+        assert g.is_connected() == reference_is_connected(g)
+        assert g.is_bipartite() == reference_is_bipartite(g)
+
+
 def test_induced_graph_of_sphere_loop():
     s1 = sphere_loop_map()
     gv = induced_graph(s1, "v")

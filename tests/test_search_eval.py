@@ -8,8 +8,9 @@ pair-by-pair expansion kept below, compare the in-place twist toggles of
 the exhaustive sweep with a rebuild, compare the counts with gon_counts,
 pin whole search outcomes, check that switching at a vertex leaves the
 gon counts alone, check how subdividing an edge moves the face and
-zigzag counts, and compare the switching-reduced exhaustive sweep
-(tree twists fixed at 0) with a full sweep of every candidate.
+zigzag counts, check that the zigzags are the faces of the Petrie dual,
+and compare the switching-reduced exhaustive sweep (tree twists fixed
+at 0) with a full sweep of every candidate.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from mapcalc import (
 from mapcalc import search
 from mapcalc.codec import _rotation_alpha, _toggle_twist
 from mapcalc.gem import PARTNER, gon_count
-from mapcalc.search import _Counter, _dart_lists, _exhaustive, _gon_length, _tree_edges
+from mapcalc.search import _Counter, _dart_lists, _exhaustive, _gon_length
 
 FACE, ZIGZAG = PARTNER["f"], PARTNER["z"]
 
@@ -122,6 +123,18 @@ def test_flat_alpha_and_counts_on_random_rotation_systems():
 def test_flat_alpha_and_counts_on_every_candidate(g):
     for rs, mask in all_rotation_systems(g):
         assert_flat_matches(rs, mask)
+
+
+def test_zigzags_are_the_faces_of_the_petrie_dual():
+    """z(rot, t) = f(rot, t ^ 1...1): the Petrie dual twists every edge,
+    and its faces are the zigzags of the original."""
+    rng = random.Random(2020)
+    for _ in range(3000):
+        rs, mask = random_rotation_system(rng, random_multigraph(rng))
+        m = rs.graph.edge_count
+        petrie = mask ^ ((1 << m) - 1)
+        assert (gon_count(_rotation_alpha(rs.rotations, mask, m), ZIGZAG)
+                == gon_count(_rotation_alpha(rs.rotations, petrie, m), FACE))
 
 
 def test_flat_alpha_skips_isolated_vertices():
@@ -356,7 +369,7 @@ def assert_spanning_tree(g: MultiGraph, tree: list[int]) -> None:
 def test_reduced_sweep_matches_a_full_sweep(name, monkeypatch):
     for g in levels_0_and_1(QUOTIENT_GRAPHS[name]):
         m = g.edge_count
-        tree = _tree_edges(g)
+        tree = g.spanning_forest()[0]
         assert_spanning_tree(g, tree)
         visited = reduced_sweep(g, monkeypatch)
         normal_forms = set()

@@ -113,7 +113,6 @@ def test_report_json_schema():
     assert out == {"theorem": "2a", "applicable": True, "holds": True, "dims": {"im": 4, "target": 4}}
     witnessed = TheoremReport("1a", True, False, {}, (0, 2))
     assert report_json(witnessed)["counterexample"] == [1, 3]
-    assert report_json(witnessed, one_based=False)["counterexample"] == [0, 2]
 
 
 def test_witness_helpers():
