@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands wrap single library calls; all human-facing edge, rectangle
-and gon ids are 1-based, files store the formats described in codec.
+Subcommands wrap single library calls; all human-facing edge and rectangle
+ids are 1-based, files store the formats described in codec.
 Exit codes: 0 success or all checks hold, 1 a check is violated or the
 map is invalid, 2 usage or parse error, 3 hypothesis not met or nothing
 found.
@@ -111,13 +111,7 @@ def _cmd_omega(args: argparse.Namespace) -> int:
 
 def _cmd_word(args: argparse.Namespace) -> int:
     map_ = _load_map(args.file)
-    if args.kind == "z":
-        w = words.zigzag_word(map_)
-    else:
-        v = gem.gons(map_, "v").count
-        if not 1 <= args.gon <= v:
-            raise ValueError(f"--gon {args.gon} out of range 1..{v}")
-        w = words.vertex_word(map_, args.gon - 1)
+    w = words.zigzag_word(map_) if args.kind == "z" else words.vertex_word(map_)
     sys.stdout.write(codec.format_word(w))
     return OK
 
@@ -317,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("word", help="print the zigzag or vertex word")
     p.add_argument("file")
     p.add_argument("--kind", choices=("z", "v"), default="z")
-    p.add_argument("--gon", type=_integer, default=1, help="1-based v-gon index")
     p.set_defaults(func=_cmd_word)
 
     p = sub.add_parser("ops", help="print the word operators the map admits")

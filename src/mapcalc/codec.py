@@ -110,13 +110,18 @@ def write_gem(map_: FlagMap) -> str:
 def parse_word(text: str) -> SignedWord:
     """Read a .szw word: signed 1-based edge tokens in traversal order."""
     tokens: list[tuple[int, int]] = []
+    seen: set[int] = set()
     for ln, line in _content_lines(text):
         for tok in line.split():
             sign = -1 if tok.startswith("-") else 1
             body = tok[1:] if sign < 0 else tok
             if not ascii_digits(body) or int(body) < 1:
                 raise MapFormatError(f"bad edge token {tok!r}", ln)
-            tokens.append((int(body) - 1, sign))
+            k = int(body)
+            if sign < 0 and k not in seen:
+                raise MapFormatError(f"first occurrence of edge {k} must be positive", ln)
+            seen.add(k)
+            tokens.append((k - 1, sign))
     if not tokens:
         raise MapFormatError("empty word")
     if len(tokens) % 2:
@@ -125,10 +130,7 @@ def parse_word(text: str) -> SignedWord:
     ids = sorted(e for e, _ in tokens)
     if ids != sorted(list(range(m)) * 2):
         raise MapFormatError(f"word must use each of the edge ids 1..{m} exactly twice")
-    try:
-        return SignedWord(m, tuple(tokens))
-    except ValueError as exc:
-        raise MapFormatError(str(exc)) from None
+    return SignedWord(m, tuple(tokens))
 
 
 def format_word(w: SignedWord) -> str:

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-ROLE_INDEX = {"s": 0, "l": 1, "d": 2}
-
 # The short (v), long (f) and diagonal (z) partner of flag x is x ^ PARTNER[kind].
 PARTNER = {"v": 1, "f": 3, "z": 2}
 
@@ -225,17 +223,10 @@ def gon_counts(map_: FlagMap) -> tuple[int, int, int]:
     return tuple(gon_count(map_.alpha, PARTNER[k]) for k in ("v", "f", "z"))
 
 
-def parse_role_permutation(word: str) -> tuple[int, int, int]:
-    """Read a permutation word over s, l, d listing the images in order."""
-    if sorted(word) != ["d", "l", "s"]:
-        raise ValueError(f"permutation word must rearrange 'sld', got {word!r}")
-    return tuple(ROLE_INDEX[c] for c in word)
-
-
 def apply_permutation(
     map_: FlagMap,
     rects: Iterable[int] | None,
-    perm: str | tuple[int, int, int],
+    perm: str,
 ) -> FlagMap:
     """Permute the short/long/diagonal roles on the chosen rectangles.
 
@@ -244,10 +235,9 @@ def apply_permutation(
     flags of each chosen rectangle are relabeled by the offset permutation
     of `perm`, and alpha is conjugated to match.
     """
-    p = parse_role_permutation(perm) if isinstance(perm, str) else tuple(perm)
-    if sorted(p) != [0, 1, 2]:
-        raise ValueError(f"role permutation must rearrange 0, 1, 2, got {perm!r}")
-    h = _PERMUTATION_OFFSETS["".join("sld"[i] for i in p)]
+    h = _PERMUTATION_OFFSETS.get(perm)
+    if h is None:
+        raise ValueError(f"permutation word must rearrange 'sld', got {perm!r}")
     chosen = range(map_.m) if rects is None else sorted(set(rects))
     n = map_.flag_count
     phi = list(range(n))

@@ -38,7 +38,7 @@ def bond_space(g: MultiGraph) -> Gf2Subspace:
     the same vertex twice, so it is in no cut.
     """
     if not g.is_connected():
-        raise ValueError("bond space needs a connected graph")
+        raise ValueError("bond and cycle spaces need a connected graph")
     stars = [0] * g.n
     for e, (u, v) in enumerate(g.edges):
         stars[u] ^= 1 << e
@@ -62,9 +62,8 @@ def cycle_space(g: MultiGraph) -> Gf2Subspace:
 
     Cross-checked against the orthogonal complement of the bond space; the
     two constructions are independent, so a mismatch is an internal error.
+    bond_space raises ValueError first when g is not connected.
     """
-    if not g.is_connected():
-        raise ValueError("cycle space needs a connected graph")
     return _checked_cycle_space(g, bond_space(g))
 
 

@@ -89,17 +89,19 @@ class SignedWord:
         return SignedWord(self.m, tuple(best))
 
 
-def vertex_word(map_: FlagMap, which: int = 0) -> SignedWord:
-    """Signed word of one v-gon traversal; needs every edge on that gon twice."""
+def vertex_word(map_: FlagMap) -> SignedWord:
+    """Signed word of the map's single v-gon, which passes every edge twice.
+
+    A gon that meets every edge twice holds all 4m flags, so the word
+    exists exactly when the map has one v-gon.
+    """
     dec = gons(map_, "v")
-    if not 0 <= which < dec.count:
-        raise ValueError(f"v-gon index {which} out of range (map has {dec.count})")
-    seq = dec.gons[which]
-    edges_seq = [seq[i] // 4 for i in range(0, len(seq), 2)]
-    if sorted(edges_seq) != sorted(list(range(map_.m)) * 2):
+    if dec.count != 1:
         raise NotApplicableError(
             f"v-gon word needs a single v-gon covering every edge twice; map has {dec.count} v-gons"
         )
+    seq = dec.gons[0]
+    edges_seq = [seq[i] // 4 for i in range(0, len(seq), 2)]
     pos = {flag: i for i, flag in enumerate(seq)}
     entries = []
     first_seen: set[int] = set()
@@ -118,7 +120,7 @@ def zigzag_word(map_: FlagMap) -> SignedWord:
     z = gons(map_, "z").count
     if z != 1:
         raise NotApplicableError(f"zigzag word needs a single zigzag; map has {z}")
-    return vertex_word(phial(map_), 0)
+    return vertex_word(phial(map_))
 
 
 def interlacement(w: SignedWord, x: int) -> Gf2Vec:
@@ -186,7 +188,7 @@ def operators_of_counts(map_: FlagMap, f: int, z: int) -> MapOperators:
         zig = c_operator(zigzag_word(map_))
         comp = LinearOp.identity(map_.m) + zig
     if f == 1:
-        face = c_operator(vertex_word(dual(map_), 0))
+        face = c_operator(vertex_word(dual(map_)))
     return MapOperators(map_.m, zig, comp, face)
 
 
@@ -197,4 +199,4 @@ def cozigzag_word(map_: FlagMap) -> SignedWord:
     z = gons(map_, "z").count
     if z != 1:
         raise NotApplicableError(f"cozigzag word needs a single zigzag; map has {z}")
-    return vertex_word(antimap(phial(map_)), 0)
+    return vertex_word(antimap(phial(map_)))

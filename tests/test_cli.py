@@ -5,6 +5,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -156,17 +158,18 @@ def test_word_vertex(files, capsys):
     assert out.strip() == "1 1"
     code, _, err = run_cli(capsys, "word", files["k33"], "--kind", "v")
     assert code == 3 and "error" in err
-    code, _, err = run_cli(capsys, "word", files["s1"], "--kind", "v", "--gon", "5")
-    assert code == 2
-
-
-@pytest.mark.parametrize("gon", ["0", "3", "-1"])
-def test_word_gon_out_of_range_is_one_based(files, capsys, gon):
     two_gons = files["tmp"] / "edge.gem"
     two_gons.write_text(write_gem(single_edge_map()))
-    code, out, err = run_cli(capsys, "word", two_gons, "--kind", "v", "--gon", gon)
+    code, out, err = run_cli(capsys, "word", two_gons, "--kind", "v")
+    assert code == 3 and out == ""
+    assert err == ("error: v-gon word needs a single v-gon covering every edge twice; "
+                   "map has 2 v-gons\n")
+
+
+def test_word_takes_no_gon_index(files, capsys):
+    code, out, err = run_cli(capsys, "word", files["s1"], "--kind", "v", "--gon", "1")
     assert code == 2 and out == ""
-    assert err == f"error: --gon {gon} out of range 1..2\n"
+    assert "--gon" in err
 
 
 def test_ops_output(files, capsys):
@@ -259,6 +262,16 @@ def test_from_word_bad_input(files, capsys):
         assert not (files["tmp"] / "x.gem").exists()
 
 
+@pytest.mark.parametrize("text,line", [("1 -2 2 1", 1), ("# edge 2 starts negative\n1\n-2 2 1", 3)])
+def test_from_word_names_a_negative_first_occurrence(files, capsys, text, line):
+    bad = files["tmp"] / "bad.szw"
+    bad.write_text(text + "\n")
+    code, out, err = run_cli(capsys, "from-word", bad, "-o", files["tmp"] / "x.gem")
+    assert code == 2 and out == ""
+    assert err == f"error: line {line}: first occurrence of edge 2 must be positive\n"
+    assert not (files["tmp"] / "x.gem").exists()
+
+
 def test_search_k4(files, capsys):
     out_path = files["tmp"] / "k4.gem"
     code, out, _ = run_cli(capsys, "search", files["k4"], "-o", out_path)
@@ -306,7 +319,6 @@ def test_search_bad_seed_variable_is_named(files, capsys, monkeypatch):
                  id="time-limit-exponent"),
     pytest.param(("search", "k4", "--time-limit", "1" + "0" * 400), None, "--time-limit",
                  id="time-limit-overflow"),
-    pytest.param(("word", "k33", "--kind", "v", "--gon", "+2"), None, "--gon", id="gon-plus"),
     pytest.param(("search", "k4"), "\u0661", "MAPCALC_SEED", id="env-arabic-indic"),
     pytest.param(("search", "k4"), " 7 ", "MAPCALC_SEED", id="env-spaces"),
 ])
@@ -391,3 +403,16 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, )[0] == 2
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_readme_names_the_parser_long_options():
+    """Every --name in README.md is an option of some subcommand, and every
+    long option is documented (--output is spelled -o there)."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {opt for p in (parser, *sub.choices.values()) for a in p._actions
+               for opt in a.option_strings if opt.startswith("--")}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    assert named <= defined, sorted(named - defined)
+    assert defined - {"--help", "--output"} <= named, sorted(defined - named)

@@ -27,9 +27,14 @@ from mapcalc import (
     sphere_loop_map,
     validate,
 )
-from mapcalc.gem import _PERMUTATION_OFFSETS, PARTNER, parse_role_permutation
+from mapcalc.gem import _PERMUTATION_OFFSETS, PARTNER
 
 ALL_PERMS = ("sld", "lsd", "dls", "sdl", "dsl", "lds")
+
+
+def role_image(word):
+    """Role indices (s, l, d = 0, 1, 2) that a permutation word sends s, l, d to."""
+    return tuple("sld".index(c) for c in word)
 
 
 def test_factories_are_valid():
@@ -164,11 +169,11 @@ def test_gons_partition_all_flags():
 
 
 def test_parse_role_permutation():
-    assert parse_role_permutation("sld") == (0, 1, 2)
-    assert parse_role_permutation("lsd") == (1, 0, 2)
+    s1 = sphere_loop_map()
+    assert apply_permutation(s1, None, "lsd") == dual(s1)
     for bad in ("ssd", "xyz", "sl", "slds"):
-        with pytest.raises(ValueError):
-            parse_role_permutation(bad)
+        with pytest.raises(ValueError, match=f"must rearrange 'sld', got {bad!r}"):
+            apply_permutation(s1, None, bad)
 
 
 def test_role_permutation_words():
@@ -176,9 +181,9 @@ def test_role_permutation_words():
     assert phial(s1) == s1
     assert antimap(s1) == projective_loop_map()
     assert apply_permutation(s1, None, "sld") == s1
-    assert apply_permutation(s1, None, (1, 0, 2)) == dual(s1)
-    for bad in ((0, 1, 5), (0, 0, 1), (0, 1)):
-        with pytest.raises(ValueError):
+    # Only the word spelling is taken; a tuple of role indices is rejected.
+    for bad in ((1, 0, 2), (0, 1, 5), (0, 0, 1), (0, 1)):
+        with pytest.raises(ValueError, match="permutation word must rearrange 'sld'"):
             apply_permutation(s1, None, bad)
 
 
@@ -233,7 +238,7 @@ def test_permutation_offsets_realize_role_words():
     assert sorted(_PERMUTATION_OFFSETS) == sorted(ALL_PERMS)
     for word, h in _PERMUTATION_OFFSETS.items():
         assert sorted(h) == [0, 1, 2, 3]
-        image = parse_role_permutation(word)
+        image = role_image(word)
         for i in range(3):
             moved = frozenset(frozenset(h[o] for o in pair) for pair in pairs(partners[image[i]]))
             assert moved == pairs(partners[i]), (word, i)
@@ -250,7 +255,7 @@ def test_permutations_carry_gon_structure():
         for word in ALL_PERMS:
             turned = apply_permutation(map_, None, word)
             assert validate(turned).ok
-            image = parse_role_permutation(word)
+            image = role_image(word)
             for i, kind in enumerate("vfz"):
                 moved = "vfz"[image[i]]
                 assert sorted(gons(turned, moved).sizes()) == sorted(gons(map_, kind).sizes())
@@ -265,7 +270,7 @@ CLASS_PARTNER = {"A": (1, 0, 3, 2), "B": (3, 2, 1, 0), "C": (2, 3, 0, 1)}
 
 
 def permute_role_strings(roles, rects, word):
-    image = parse_role_permutation(word)
+    image = role_image(word)
     out = list(roles)
     for r in rects:
         new = [""] * 3

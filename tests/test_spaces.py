@@ -55,6 +55,23 @@ def test_disconnected_graph_rejected():
         bond_space(MultiGraph(3, ((0, 1), (1, 0), (2, 2))))
 
 
+def test_cycle_space_walks_the_spanning_forest_twice(monkeypatch):
+    """One walk for bond_space's connectivity check, one for the
+    fundamental cycles; a disconnected graph still raises ValueError."""
+    walks = []
+    forest = MultiGraph.spanning_forest
+
+    def counted(self):
+        walks.append(self)
+        return forest(self)
+
+    monkeypatch.setattr(MultiGraph, "spanning_forest", counted)
+    assert cycle_space(TRIANGLE).dim == 1
+    assert walks == [TRIANGLE, TRIANGLE]
+    with pytest.raises(ValueError, match="bond and cycle spaces need a connected graph"):
+        cycle_space(MultiGraph(3, ((0, 1), (1, 0), (2, 2))))
+
+
 def star_oracle(g: MultiGraph) -> Gf2Subspace:
     """Span of the single-vertex cuts, one bond_of call per vertex."""
     return Gf2Subspace.span(g.edge_count, (bond_of(g, {v}) for v in range(g.n)))

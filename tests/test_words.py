@@ -6,13 +6,16 @@ import random
 
 import pytest
 
-from conftest import k33_map, k33_word, random_signed_word
+from conftest import k33_map, k33_word, random_connected_map, random_signed_word
 from mapcalc import (
     LinearOp,
     NotApplicableError,
     SignedWord,
     c_operator,
     cozigzag_word,
+    dual,
+    from_signed_word,
+    gons,
     interlacement,
     kappa,
     map_operators,
@@ -101,8 +104,52 @@ def test_vertex_word_needs_single_covering_gon():
         vertex_word(single_edge_map())
     with pytest.raises(NotApplicableError):
         vertex_word(k33_map())
-    with pytest.raises(ValueError):
-        vertex_word(sphere_loop_map(), 5)
+    # The word is of the single v-gon; there is no gon index to choose.
+    with pytest.raises(TypeError):
+        vertex_word(sphere_loop_map(), 0)
+
+
+def reference_vertex_word(map_):
+    """Signed word of v-gon 0, applicable when that gon covers every edge
+    twice: a sort of its edge sequence checks the covering."""
+    dec = gons(map_, "v")
+    seq = dec.gons[0]
+    edges_seq = [seq[i] // 4 for i in range(0, len(seq), 2)]
+    if sorted(edges_seq) != sorted(list(range(map_.m)) * 2):
+        raise NotApplicableError(f"{dec.count} v-gons")
+    pos = {flag: i for i, flag in enumerate(seq)}
+    entries = []
+    first_seen: set[int] = set()
+    for e in edges_seq:
+        if e not in first_seen:
+            first_seen.add(e)
+            entries.append((e, 1))
+        else:
+            balanced = pos[4 * e] % 2 == pos[4 * e + 2] % 2
+            entries.append((e, 1 if balanced else -1))
+    return SignedWord(map_.m, tuple(entries))
+
+
+def test_vertex_word_matches_the_sorted_covering_check():
+    rng = random.Random(47)
+    applicable = 0
+    for i in range(3000):
+        m = rng.randint(1, 10)
+        if i % 3 == 0:
+            map_ = random_connected_map(rng, m)
+        else:
+            map_ = from_signed_word(random_signed_word(rng, m))
+            if i % 3 == 2:
+                map_ = dual(map_)
+        try:
+            want = reference_vertex_word(map_)
+        except NotApplicableError:
+            with pytest.raises(NotApplicableError):
+                vertex_word(map_)
+            continue
+        assert vertex_word(map_) == want
+        applicable += 1
+    assert 1000 < applicable < 3000
 
 
 def test_zigzag_word_hypothesis():
