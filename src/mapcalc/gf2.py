@@ -17,9 +17,12 @@ the 2m-bit rows col_j | 1 << (m + j), and kept on the operator.
 That RREF and `compose` use Four-Russians tables (M4RI: Albrecht, Bard
 and Hart, ACM TOMS 37(1), 2010).  The columns are taken in blocks of
 _K = 8; a table of the 2^8 combinations of a block's rows then replaces
-up to eight XORs by one lookup.  Subspace `span`, `sum`, `perp` and
-`intersect` keep the pivot-dict elimination: their rows are sparse, and
-a lookup per row costs more than the few XORs it would replace.
+up to eight XORs by one lookup.  Subspace `span`, `sum` and `intersect`
+keep the pivot-dict elimination: their rows are sparse, and a lookup per
+row costs more than the few XORs it would replace.  `perp` runs the same
+elimination on its own dim rows, keyed by highest bits, and then writes
+the canonical basis of the complement directly, without eliminating the
+complement's m - dim rows.
 """
 
 from __future__ import annotations
@@ -95,6 +98,37 @@ def _back_substitute(pivots: dict[int, int]) -> tuple[int, ...]:
         out.append(row)
     out.reverse()
     return tuple(out)
+
+
+def _top_rref(rows: Iterable[int]) -> dict[int, int]:
+    """Reduced echelon form on the highest bits: {top pivot bit: row}.
+
+    `_echelon` and `_back_substitute` mirrored: each row is reduced by the
+    stored row of its highest bit, then each pivot bit is cleared from the
+    other rows, visiting the pivots in increasing order.  Afterwards every
+    row's other bits lie below its pivot and outside all pivot columns.
+    """
+    global _eliminations
+    _eliminations += 1
+    tops: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = 1 << (row.bit_length() - 1)
+            b = tops.get(top)
+            if b is None:
+                tops[top] = row
+                break
+            row ^= b
+    mask = sum(tops)
+    for p in sorted(tops):
+        row = tops[p]
+        rest = (row ^ p) & mask
+        while rest:
+            q = rest & -rest
+            row ^= tops[q]
+            rest ^= q
+        tops[p] = row
+    return tops
 
 
 def _combinations(rows: Iterable[int]) -> list[int]:
@@ -312,22 +346,25 @@ class Gf2Subspace:
         return Gf2Subspace(self.m, _rref(self.rows + other.rows))
 
     def perp(self) -> Gf2Subspace:
-        """Orthogonal complement (null space of the basis matrix).
+        """Orthogonal complement, written straight in canonical form.
 
-        Each non-pivot column c gives the generator {c} plus the pivots of
-        the rows that contain c; they are built by walking each row's set
-        bits once.
+        The rows are first reduced on their highest bits (`_top_rref`),
+        giving top pivots Q.  Each column c outside Q gives the complement
+        row {c} plus the top pivot of every reduced row that contains c.
+        Those pivots all lie above c, so c is the row's lowest bit and its
+        only bit outside Q: in increasing c, the rows are already the
+        canonical basis, and the complement itself is never eliminated.
         """
-        pivot_mask, _ = self._pivot_index
-        gens = {1 << c: 1 << c for c in range(self.m) if not (pivot_mask >> c) & 1}
-        for r in self.rows:
-            p = r & -r
+        tops = _top_rref(self.rows)
+        top_mask = sum(tops)
+        gens = {1 << c: 1 << c for c in range(self.m) if not (top_mask >> c) & 1}
+        for p, r in tops.items():
             rest = r ^ p
             while rest:
                 q = rest & -rest
                 gens[q] |= p
                 rest ^= q
-        return Gf2Subspace(self.m, _rref(gens.values()))
+        return Gf2Subspace(self.m, tuple(gens.values()))
 
     def intersect(self, other: Gf2Subspace) -> Gf2Subspace:
         """Intersection by Zassenhaus' algorithm, in one elimination.

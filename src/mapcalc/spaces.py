@@ -3,10 +3,12 @@
 For a connected multigraph the bond space is spanned by the single-vertex
 edge cuts and the cycle space by the fundamental cycles of any spanning
 tree; the two are orthogonal complements of each other under the parity
-form.  A map yields three graphs (from its v-, f- and z-gons) and so six
-subspaces of the edge universe.  A SpaceBundle builds each of them on its
-first read: the absorption claims read only the three bond spaces, and no
-claim reads the zigzag graph's cycle space.
+form.  The cycle space is built as the complement of the bond space and
+checked against the fundamental cycles of the breadth-first forest.  A map
+yields three graphs (from its v-, f- and z-gons) and so six subspaces of
+the edge universe.  A SpaceBundle builds each of them on its first read:
+the absorption claims read only the three bond spaces, and no claim reads
+the zigzag graph's cycle space.
 """
 
 from __future__ import annotations
@@ -35,17 +37,17 @@ def bond_space(g: MultiGraph) -> Gf2Subspace:
     """Span of the single-vertex cuts of a connected multigraph.
 
     The cuts come from one pass over the edges; a loop toggles its bit at
-    the same vertex twice, so it is in no cut.
+    the same vertex twice, so it is in no cut.  The cuts of a graph with k
+    components span n - k dimensions, so the span itself tells whether g
+    is connected.
     """
-    if not g.is_connected():
-        raise ValueError("bond and cycle spaces need a connected graph")
     stars = [0] * g.n
     for e, (u, v) in enumerate(g.edges):
         stars[u] ^= 1 << e
         stars[v] ^= 1 << e
     space = Gf2Subspace.span(g.edge_count, stars)
     if space.dim != g.n - 1:
-        raise AssertionError("bond space dimension violates the connected-graph formula")
+        raise ValueError("bond and cycle spaces need a connected graph")
     return space
 
 
@@ -58,22 +60,27 @@ def _fundamental_cycles(g: MultiGraph) -> list[int]:
 
 
 def cycle_space(g: MultiGraph) -> Gf2Subspace:
-    """Span of the fundamental cycles; loops are their own cycles.
+    """Orthogonal complement of the bond space, cross-checked against the
+    fundamental cycles; loops are their own cycles.
 
-    Cross-checked against the orthogonal complement of the bond space; the
-    two constructions are independent, so a mismatch is an internal error.
-    bond_space raises ValueError first when g is not connected.
+    The two constructions are independent, so a mismatch is an internal
+    error.  bond_space raises ValueError first when g is not connected.
     """
     return _checked_cycle_space(g, bond_space(g))
 
 
 def _checked_cycle_space(g: MultiGraph, bonds: Gf2Subspace) -> Gf2Subspace:
-    """Cycle space of a connected g, cross-checked against bonds.perp()."""
-    space = Gf2Subspace.span(g.edge_count, _fundamental_cycles(g))
-    if space != bonds.perp():
-        raise AssertionError("cycle space disagrees with bond space complement")
-    if space.dim != g.edge_count - g.n + 1:
+    """bonds.perp() for a connected g, cross-checked by its fundamental cycles.
+
+    These are independent, so if there are dim = m - n + 1 of them and the
+    complement contains each, the complement is their span.
+    """
+    space = bonds.perp()
+    cycles = _fundamental_cycles(g)
+    if not len(cycles) == space.dim == g.edge_count - g.n + 1:
         raise AssertionError("cycle space dimension violates the connected-graph formula")
+    if not all(map(space.contains, cycles)):
+        raise AssertionError("cycle space disagrees with the fundamental cycles")
     return space
 
 
@@ -81,8 +88,8 @@ def _checked_cycle_space(g: MultiGraph, bonds: Gf2Subspace) -> Gf2Subspace:
 class SpaceBundle:
     """The three induced graphs of a map and their six edge subspaces.
 
-    Each subspace is built on its first read and kept.  A cycle space reads
-    the bond space of its graph for its cross-check, so a failed check
+    Each subspace is built on its first read and kept.  A cycle space is
+    checked against its graph's fundamental cycles, so a failed check
     raises AssertionError on the first read of that cycle space.
     """
 

@@ -145,3 +145,19 @@ def test_cross_check_guards_every_cycle_space_read(monkeypatch, build):
     assert all(r.holds for r in check_absorption(map_))
     with pytest.raises(AssertionError, match="cycle space"):
         verify_all(map_)
+
+
+@pytest.mark.parametrize("build", [k33_map, single_face_dual])
+def test_cross_check_guards_the_perp_side(monkeypatch, build):
+    """A perp that drops a row no longer matches the fundamental cycles."""
+    map_ = build()
+    original = gf2.Gf2Subspace.perp
+
+    def one_short(self):
+        space = original(self)
+        return gf2.Gf2Subspace(space.m, space.rows[1:])
+
+    monkeypatch.setattr(gf2.Gf2Subspace, "perp", one_short)
+    assert all(r.holds for r in check_absorption(map_))
+    with pytest.raises(AssertionError, match="cycle space"):
+        verify_all(map_)

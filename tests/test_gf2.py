@@ -151,3 +151,13 @@ def test_image_and_kernel_take_one_elimination(m):
     op.kernel()
     assert gf2.elimination_count() - before == 1
 
+
+@pytest.mark.parametrize("m", [0, 3, 63, 64, 100])
+def test_perp_takes_one_elimination(m):
+    """The top-bit reduction of the rows is the only echelon form; the
+    complement's rows are written, not eliminated."""
+    rng = random.Random(m)
+    for s in (Gf2Subspace.zero(m), Gf2Subspace.full(m), random_subspace(rng, m)):
+        before = gf2.elimination_count()
+        s.perp()
+        assert gf2.elimination_count() - before == 1

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import random
 
-from mapcalc import Gf2Subspace, Gf2Vec, LinearOp
+from conftest import random_signed_word
+from mapcalc import Gf2Subspace, Gf2Vec, LinearOp, space_bundle, zigzag_map_from_word
 from mapcalc.gf2 import _rref, _rref_tables
+from mapcalc.spaces import _fundamental_cycles
 
 SIZES = range(65)
 
@@ -181,6 +183,56 @@ def test_contains_and_perp_match_reference():
             assert_canonical(m, p.rows)
             for x in [combo(rng, list(s.rows)) for _ in range(3)] + [rng.getrandbits(m) for _ in range(3)]:
                 assert s.contains(x) == ref_contains(s.rows, x)
+
+
+def perp_edge_cases(rng: random.Random, m: int):
+    """The zero and full spaces, and random spaces of dimension 1 and m - 1."""
+    yield Gf2Subspace.zero(m)
+    yield Gf2Subspace.full(m)
+    if m:
+        rows = independent(rng, m)
+        yield Gf2Subspace.span(m, rows[:1])
+        yield Gf2Subspace.span(m, rows[1:])
+        yield Gf2Subspace.span(m, [1 << rng.randrange(m)])
+        yield Gf2Subspace.span(m, [(1 << m) - 1])
+
+
+def test_perp_edge_cases_match_reference():
+    for m in SIZES:
+        rng = random.Random(2500 + m)
+        for s in perp_edge_cases(rng, m):
+            p = s.perp()
+            assert p.rows == ref_perp(m, s.rows)
+            assert_canonical(m, p.rows)
+            assert s.dim + p.dim == m
+    assert Gf2Subspace.zero(0).perp() == Gf2Subspace.full(0) == Gf2Subspace(0, ())
+    for m in (1, 5, 64):
+        assert Gf2Subspace.zero(m).perp() == Gf2Subspace.full(m)
+        assert Gf2Subspace.full(m).perp() == Gf2Subspace.zero(m)
+
+
+def test_perp_round_trips():
+    for m in SIZES:
+        rng = random.Random(2700 + m)
+        spaces = list(perp_edge_cases(rng, m))
+        spaces += [Gf2Subspace.span(m, random_rows(rng, m)) for _ in range(4)]
+        for s in spaces:
+            assert s.perp().perp() == s
+
+
+def test_theorem3b_target_is_the_meet_of_the_cycle_spaces():
+    """(Bv + Bf)^perp, the target of 3b, against Zassenhaus' meet of the
+    vertex and face cycle spaces, each spanned from its fundamental cycles
+    so that no perp is on the oracle side."""
+    rng = random.Random(2900)
+    for i in range(240):
+        map_ = zigzag_map_from_word(random_signed_word(rng, 1 + i % 12))
+        bundle = space_bundle(map_)
+        cv, cf = (Gf2Subspace.span(map_.m, _fundamental_cycles(g))
+                  for g in (bundle.vertex_graph, bundle.face_graph))
+        target = bundle.vertex_bonds.sum(bundle.face_bonds).perp()
+        assert target == cv.intersect(cf)
+        assert target.rows == ref_intersect(map_.m, cv.rows, cf.rows)
 
 
 def test_intersect_matches_reference():

@@ -55,9 +55,10 @@ def test_disconnected_graph_rejected():
         bond_space(MultiGraph(3, ((0, 1), (1, 0), (2, 2))))
 
 
-def test_cycle_space_walks_the_spanning_forest_twice(monkeypatch):
-    """One walk for bond_space's connectivity check, one for the
-    fundamental cycles; a disconnected graph still raises ValueError."""
+def test_cycle_space_walks_the_spanning_forest_once(monkeypatch):
+    """bond_space tells connectivity from its own dimension, so the only
+    walk is the one for the fundamental cycles; a disconnected graph still
+    raises ValueError, before any walk."""
     walks = []
     forest = MultiGraph.spanning_forest
 
@@ -67,9 +68,28 @@ def test_cycle_space_walks_the_spanning_forest_twice(monkeypatch):
 
     monkeypatch.setattr(MultiGraph, "spanning_forest", counted)
     assert cycle_space(TRIANGLE).dim == 1
-    assert walks == [TRIANGLE, TRIANGLE]
+    assert walks == [TRIANGLE]
     with pytest.raises(ValueError, match="bond and cycle spaces need a connected graph"):
         cycle_space(MultiGraph(3, ((0, 1), (1, 0), (2, 2))))
+    assert walks == [TRIANGLE]
+
+
+def test_bond_spaces_of_a_bundle_walk_no_forest(monkeypatch):
+    """The absorption checks read only bond spaces, so a bundle walks a
+    graph's forest only when that graph's cycle space is read."""
+    walks = []
+    forest = MultiGraph.spanning_forest
+
+    def counted(self):
+        walks.append(self)
+        return forest(self)
+
+    monkeypatch.setattr(MultiGraph, "spanning_forest", counted)
+    bundle = space_bundle(k33_map())
+    assert (bundle.vertex_bonds.dim, bundle.face_bonds.dim, bundle.zigzag_bonds.dim) == (5, 3, 0)
+    assert walks == []
+    assert bundle.vertex_cycles.dim == 4
+    assert walks == [bundle.vertex_graph]
 
 
 def star_oracle(g: MultiGraph) -> Gf2Subspace:
