@@ -191,16 +191,13 @@ def _cmd_from_word(args: argparse.Namespace) -> int:
 
 
 def _search_stats(outcome: search.SearchOutcome) -> dict:
-    """The outcome's counters as JSON-ready data; subdivision counts are
-    listed per original edge, in edge order."""
+    """The outcome's counters as JSON-ready data."""
     return {
         "status": outcome.status,
         "candidates": outcome.candidates,
         "seed": outcome.seed,
-        "levels": [
-            {"subdivisions": list(counts), "mode": mode, "candidates": used, "space": space}
-            for counts, mode, used, space in outcome.levels
-        ],
+        "mode": outcome.mode,
+        "space": outcome.space,
         "restarts": outcome.restarts,
         "best_score": outcome.best_score,
     }
@@ -338,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="randomization seed (default: MAPCALC_SEED or 0)")
     p.add_argument("--time-limit", default=None, help="seconds (positive)")
     p.add_argument("--stats", action="store_true",
-                   help="print per-level candidates, restarts and best f + z as JSON to stderr")
+                   help="print candidates, mode, space, restarts and best f + z as JSON to stderr")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_search)
 

@@ -1,36 +1,33 @@
 """Map enumeration and embedding search.
 
 enumerate_maps walks every fixed-point-free pairing of 4m flags and keeps
-the connected ones, which gives the full census of m-edge maps.
-search_embedding hunts for an embedding of a given multigraph (after
-optional edge subdivision) whose map has one face and one zigzag: small
-candidate spaces are swept exhaustively in a fixed order, larger ones by
-seeded random restarts with local moves, so a fixed seed and budget
+the connected ones: the full census of m-edge maps.  search_embedding
+hunts for an embedding with one face and one zigzag of a multigraph g
+after at most max_subdivisions edge subdivisions; a fixed seed and budget
 always reproduce the same outcome.
 
-A candidate is a rotation per vertex plus a twist bit mask.  It is scored
-on the flat flag involution that embedding_to_map would build (the list
-from codec._rotation_alpha), walking gons with the long (face) and
-diagonal (zigzag) partners of gem.PARTNER; no FlagMap is built until a
-candidate wins.  The exhaustive sweep builds that list once per rotation
-tuple, with no twists, and visits the twist masks in increasing order,
-toggling in place (codec._toggle_twist) the twists that differ from the
-previous mask; it walks only the face, then the zigzag, through flag 0
-and rejects the candidate as soon as one of them misses a flag.  The
-randomized phase rebuilds the list per candidate and counts f + z
-exactly with gem.gon_count.  SearchBudget rejects negative limits and a
-time limit that is not positive and finite.
+A candidate is a rotation per vertex of g and a twist mask a, scored on
+codec._rotation_alpha's flat flag involution by walking gons with the
+face and zigzag partners of gem.PARTNER.  It decides every subdivision
+level: a new vertex on each edge of a set p, with twist a on each first
+segment, gives f(g, a) faces and z(g, a ^ p) zigzags, and a second one
+undoes the first.  So the sweep skips a candidate unless the face through
+flag 0 covers every flag, and a zigzag that does too ends the sweep.
+Else, as one toggled twist moves z by at most 1, it tries the p with
+z(a) - 1 <= |p| < the fewest subdivisions so far, fewest first.  The
+first candidate met with the fewest wins, also if the budget cuts the
+sweep after it; only then is a FlagMap built.
 
-The exhaustive sweep is quotiented by vertex switching.  Switching at a
-vertex reverses its rotation (the first dart stays first) and toggles
-the twists of its non-loop edges; the map does not change (Mohar and
-Thomassen, Graphs on Surfaces, 2001).  Switching a set of vertices
-toggles exactly the edges of its cut, so every candidate switches into
-one with the tree twists fixed at 0 on MultiGraph.spanning_forest's tree.
-The sweep therefore visits only the masks of the other edges: each level
-sweeps candidate_count(sub) >> (sub.n - 1) candidates, its `space` in
-SearchOutcome.levels, and loses no embedding.  Whether a level is swept
-exhaustively is still decided on the full candidate_count.
+The sweep runs when candidate_count(g) <= EXHAUSTIVE_LIMIT; per rotation
+tuple it builds the list once and toggles twists in place
+(codec._toggle_twist) from mask to mask.  Switching at a vertex reverses
+its rotation (the first dart stays first) and toggles the twists of its
+non-loop edges without changing the map (Mohar and Thomassen, Graphs on
+Surfaces, 2001); switches toggle exactly a cut.  So the sweep fixes the
+twists of MultiGraph.spanning_forest's tree at 0, loses no embedding and
+visits candidate_count(g) >> (g.n - 1) candidates.  Larger graphs get
+seeded random restarts with local moves on g itself, which count f + z
+with gem.gon_count and never subdivide.
 """
 
 from __future__ import annotations
@@ -38,9 +35,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, permutations, product
 from math import factorial, inf
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .codec import RotationSystem, _rotation_alpha, _toggle_twist, embedding_to_map
 from .gem import PARTNER, FlagMap, MultiGraph, gon_count, validate
@@ -119,17 +116,13 @@ class SearchBudget:
 @dataclass(frozen=True)
 class SearchOutcome:
     """status is found, exhausted or budget_exceeded; subdivisions gives the
-    per-original-edge counts used by the found map.
-
-    levels has one (subdivision counts, "exhaustive" or "randomized",
-    candidates used, space) entry per subdivision pattern tried, in order;
-    their candidates sum to `candidates`.  space is the number of
-    candidates the level sweeps: candidate_count(sub) >> (sub.n - 1) for
-    an exhaustive level, which fixes the tree twists, and
-    candidate_count(sub) for a randomized one.  restarts counts the
-    random starting points the randomized phase drew.  best_score is the lowest f + z
-    seen: 2 when found, else the randomized phase's lowest, and None when
-    only exhaustive sweeps ran (they reject candidates without counting).
+    per-original-edge counts (0 or 1) of the found map, the fewest possible
+    unless the budget cut the sweep, then the fewest among those seen.
+    mode is "exhaustive" or "randomized" and space its candidate count:
+    candidate_count(g) >> (g.n - 1) for the sweep, candidate_count(g) for
+    the randomized phase, which drew `restarts` starting points.
+    best_score is the lowest f + z seen: 2 when found, else the randomized
+    phase's lowest, and None after the sweep (it does not count gons).
     """
 
     status: str
@@ -137,7 +130,8 @@ class SearchOutcome:
     subdivisions: tuple[int, ...] | None
     candidates: int
     seed: int
-    levels: tuple[tuple[tuple[int, ...], str, int, int], ...] = ()
+    mode: str
+    space: int
     restarts: int = 0
     best_score: int | None = None
 
@@ -169,9 +163,22 @@ def _gon_length(alpha: list[int], partner: int) -> int:
             return length
 
 
-def _winner(g: MultiGraph, rots, mask: int) -> FlagMap:
+_Winner = tuple[Sequence, int, tuple[int, ...]]  # g's rotations, twist mask, edges to subdivide
+
+
+def _winner_map(g: MultiGraph, winner: _Winner) -> tuple[FlagMap, tuple[int, ...]]:
+    """The winner's map on subdivide_graph(g, counts), and counts: dart
+    (e, 1) moves to e's far segment, a new vertex joins e's two segments,
+    and the twist of e stays on its first segment, which keeps the id e."""
+    rots, mask, subdivided = winner
+    counts = tuple(int(e in subdivided) for e in range(g.edge_count))
     twists = frozenset(e for e in range(g.edge_count) if (mask >> e) & 1)
-    return embedding_to_map(RotationSystem(g, tuple(rots), twists))
+    if subdivided:
+        far = {e: fresh for fresh, e in enumerate(subdivided, g.edge_count)}
+        rots = [tuple((far.get(e, e) if end else e, end) for e, end in rot) for rot in rots]
+        rots += [((e, 1), (far[e], 0)) for e in subdivided]
+    rs = RotationSystem(subdivide_graph(g, counts), tuple(rots), twists)
+    return embedding_to_map(rs), counts
 
 
 class _Stop(Exception):
@@ -179,8 +186,8 @@ class _Stop(Exception):
 
 
 class _Counter:
-    """Shared candidate budget across subdivision levels, plus the
-    randomized phase's restart count and lowest f + z."""
+    """The candidate budget, plus the randomized phase's restart count and
+    lowest f + z."""
 
     def __init__(self, limit: int, deadline: float | None):
         self.limit = limit
@@ -201,11 +208,26 @@ class _Counter:
         self.used += 1
 
 
-def _exhaustive(g: MultiGraph, counter: _Counter) -> FlagMap | None:
-    per_vertex = []
-    for darts in _dart_lists(g):
-        head, rest = darts[0], darts[1:]
-        per_vertex.append([(head, *p) for p in permutations(rest)])
+def _toggles_to_one_zigzag(alpha: list[int], fewest: int) -> tuple[int, ...] | None:
+    """The first edge set p, fewest edges first, with |p| < fewest whose
+    twist toggles leave one zigzag; one toggle moves z by at most 1."""
+    n_flags, zigzag = len(alpha), PARTNER["z"]
+    for k in range(gon_count(alpha, zigzag) - 1, fewest):
+        for p in combinations(range(n_flags // 4), k):
+            for e in p:
+                _toggle_twist(alpha, e)
+            hit = _gon_length(alpha, zigzag) == n_flags
+            for e in p:
+                _toggle_twist(alpha, e)
+            if hit:
+                return p
+    return None
+
+
+def _exhaustive(g: MultiGraph, counter: _Counter, max_subdivisions: int) -> Iterator[_Winner]:
+    """Sweep g's switching-reduced candidates; yield each winner that needs
+    fewer subdivisions than the last, and stop after one that needs none."""
+    per_vertex = [[(d[0], *p) for p in permutations(d[1:])] for d in _dart_lists(g)]
     n_edges = g.edge_count
     n_flags = 4 * n_edges
     face, zigzag = PARTNER["f"], PARTNER["z"]
@@ -214,16 +236,23 @@ def _exhaustive(g: MultiGraph, counter: _Counter) -> FlagMap | None:
     # Sweep index i sets the twist of free[j] to bit j of i; i - 1 and i
     # differ in free[0 .. lowest set bit of i], which is toggles[bit_length].
     toggles = [free[:k] for k in range(len(free) + 1)]
+    fewest = max_subdivisions + 1
     for rots in product(*per_vertex):
         alpha = _rotation_alpha(rots, 0, n_edges)
         for i in range(1 << len(free)):
             counter.tick()
             for e in toggles[(i & -i).bit_length()]:
                 _toggle_twist(alpha, e)
-            if _gon_length(alpha, face) == n_flags and _gon_length(alpha, zigzag) == n_flags:
-                mask = sum(1 << e for j, e in enumerate(free) if (i >> j) & 1)
-                return _winner(g, rots, mask)
-    return None
+            if _gon_length(alpha, face) != n_flags:
+                continue
+            if _gon_length(alpha, zigzag) == n_flags:
+                p = ()
+            elif fewest < 2 or (p := _toggles_to_one_zigzag(alpha, fewest)) is None:
+                continue  # z(a) >= 2 here, which needs |p| >= 1
+            yield rots, sum(1 << e for j, e in enumerate(free) if (i >> j) & 1), p
+            if not p:
+                return
+            fewest = len(p)
 
 
 def _random_rotations(g: MultiGraph, rng: random.Random) -> list[tuple[tuple[int, int], ...]]:
@@ -235,34 +264,21 @@ def _random_rotations(g: MultiGraph, rng: random.Random) -> list[tuple[tuple[int
     return rots
 
 
-def _randomized(g: MultiGraph, counter: _Counter, rng: random.Random) -> FlagMap:
+def _randomized(g: MultiGraph, counter: _Counter, rng: random.Random) -> _Winner:
     """Random restarts plus local moves (swap two rotation entries or
     toggle one twist), accepting moves that do not increase f + z.  Runs
     until a candidate wins or the budget raises _Stop."""
     n_edges = g.edge_count
     swappable = [v for v, darts in enumerate(_dart_lists(g)) if len(darts) >= 3]
-
-    def score(rots, mask) -> int:
-        counter.tick()
-        alpha = _rotation_alpha(rots, mask, n_edges)
-        return gon_count(alpha, PARTNER["f"]) + gon_count(alpha, PARTNER["z"])
-
-    rots: list[tuple[tuple[int, int], ...]] | None = None
-    mask = 0
+    rots, mask = [], 0
     best: int | None = None  # lowest f + z of the current restart
     stall = _RESTART_STALL + 1
-    try:
-        while True:
-            if stall > _RESTART_STALL:
-                counter.note_score(best)
-                counter.restarts += 1
-                rots = _random_rotations(g, rng)
-                mask = rng.getrandbits(n_edges)
-                best = score(rots, mask)
-                if best == 2:
-                    return _winner(g, rots, mask)
-                stall = 0
-                continue
+    while True:
+        restart = stall > _RESTART_STALL
+        if restart:
+            counter.restarts += 1
+            new_rots, new_mask = _random_rotations(g, rng), rng.getrandbits(n_edges)
+        else:
             new_rots, new_mask = list(rots), mask
             if swappable and (not n_edges or rng.random() < 0.5):
                 v = rng.choice(swappable)
@@ -272,16 +288,17 @@ def _randomized(g: MultiGraph, counter: _Counter, rng: random.Random) -> FlagMap
                 new_rots[v] = tuple(rot)
             else:
                 new_mask ^= 1 << rng.randrange(n_edges)
-            value = score(new_rots, new_mask)
-            if value == 2:
-                return _winner(g, new_rots, new_mask)
-            if value <= best:
-                stall = stall + 1 if value == best else 0
-                rots, mask, best = new_rots, new_mask, value
-            else:
-                stall += 1
-    finally:
-        counter.note_score(best)
+        counter.tick()
+        alpha = _rotation_alpha(new_rots, new_mask, n_edges)
+        value = gon_count(alpha, PARTNER["f"]) + gon_count(alpha, PARTNER["z"])
+        if value == 2:
+            return new_rots, new_mask, ()
+        if restart or value <= best:
+            stall = 0 if restart or value < best else stall + 1
+            rots, mask, best = new_rots, new_mask, value
+            counter.note_score(value)
+        else:
+            stall += 1
 
 
 def search_embedding(
@@ -291,10 +308,9 @@ def search_embedding(
 ) -> SearchOutcome:
     """Look for a single-face-single-zigzag embedding of g or a subdivision.
 
-    Subdivision patterns are explored in nondecreasing total count; each
-    level is swept exhaustively when its candidate space is at most
-    EXHAUSTIVE_LIMIT and sampled randomly otherwise (a randomized level
-    consumes the remaining candidate budget).
+    g is swept once, which decides every subdivision level, when
+    candidate_count(g) <= EXHAUSTIVE_LIMIT; otherwise the randomized phase
+    searches g itself.  A candidate is one (rotations, twist mask) of g.
     """
     if not g.is_connected():
         raise ValueError("search needs a connected graph")
@@ -302,37 +318,20 @@ def search_embedding(
         raise ValueError("search needs at least one edge")
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     counter = _Counter(budget.max_candidates, deadline)
-    rng = random.Random(seed)
-    levels: list[tuple[tuple[int, ...], str, int, int]] = []
-
-    def outcome(status: str, found: FlagMap | None = None, counts=None) -> SearchOutcome:
-        best = 2 if found is not None else counter.best_score
-        return SearchOutcome(status, found, counts, counter.used, seed,
-                             tuple(levels), counter.restarts, best)
-
+    count = candidate_count(g)
+    exhaustive = count <= EXHAUSTIVE_LIMIT
+    winner = None
     try:
-        for total in range(budget.max_subdivisions + 1):
-            for combo in combinations_with_replacement(range(g.edge_count), total):
-                per_edge = [0] * g.edge_count
-                for e in combo:
-                    per_edge[e] += 1
-                counts = tuple(per_edge)
-                sub = subdivide_graph(g, counts)
-                used = counter.used
-                count = candidate_count(sub)
-                exhaustive = count <= EXHAUSTIVE_LIMIT
-                space = count >> (sub.n - 1) if exhaustive else count
-                try:
-                    if exhaustive:
-                        found = _exhaustive(sub, counter)
-                    else:
-                        found = _randomized(sub, counter, rng)
-                finally:
-                    mode = "exhaustive" if exhaustive else "randomized"
-                    levels.append((counts, mode, counter.used - used, space))
-                if found is not None:
-                    return outcome("found", found, counts)
+        if exhaustive:
+            for winner in _exhaustive(g, counter, budget.max_subdivisions):
+                pass
+        else:
+            winner = _randomized(g, counter, random.Random(seed))
+        status = "exhausted"
     except _Stop:
-        return outcome("budget_exceeded")
-    # Only exhaustive levels end without a winner or _Stop.
-    return outcome("exhausted")
+        status = "budget_exceeded"
+    found, counts = (None, None) if winner is None else _winner_map(g, winner)
+    return SearchOutcome(
+        status if found is None else "found", found, counts, counter.used, seed,
+        "exhaustive" if exhaustive else "randomized", count >> (g.n - 1) if exhaustive else count,
+        counter.restarts, counter.best_score if found is None else 2)

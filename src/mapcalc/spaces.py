@@ -6,9 +6,10 @@ tree; the two are orthogonal complements of each other under the parity
 form.  The cycle space is built as the complement of the bond space and
 checked against the fundamental cycles of the breadth-first forest.  A map
 yields three graphs (from its v-, f- and z-gons) and so six subspaces of
-the edge universe.  A SpaceBundle builds each of them on its first read:
-the absorption claims read only the three bond spaces, and no claim reads
-the zigzag graph's cycle space.
+the edge universe, plus the sum of the vertex and face bond spaces.  A
+SpaceBundle builds each of them on its first read: the absorption claims
+read only the three bond spaces, and no claim reads the zigzag graph's
+cycle space.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ def _checked_cycle_space(g: MultiGraph, bonds: Gf2Subspace) -> Gf2Subspace:
 
 @dataclass(frozen=True)
 class SpaceBundle:
-    """The three induced graphs of a map and their six edge subspaces.
+    """The three induced graphs of a map, their six edge subspaces and the
+    sum of the vertex and face bond spaces that claims 3b and 3c share.
 
     Each subspace is built on its first read and kept.  A cycle space is
     checked against its graph's fundamental cycles, so a failed check
@@ -113,6 +115,11 @@ class SpaceBundle:
     @cached_property
     def face_cycles(self) -> Gf2Subspace:
         return _checked_cycle_space(self.face_graph, self.face_bonds)
+
+    @cached_property
+    def vertex_face_bonds(self) -> Gf2Subspace:
+        """Bv + Bf: 3c's target, and 3b's as its perp."""
+        return self.vertex_bonds.sum(self.face_bonds)
 
     @cached_property
     def zigzag_bonds(self) -> Gf2Subspace:

@@ -144,10 +144,10 @@ _CLAIMS = (
            lambda a: euler_of_counts(a.map.m, *a.counts[:2])[1]),
     _Claim("3b", _Z, "equal", "im",
            lambda a: a.zigzag_product.image(),
-           lambda a: a.bundle.vertex_bonds.sum(a.bundle.face_bonds).perp()),
+           lambda a: a.bundle.vertex_face_bonds.perp()),
     _Claim("3c", _Z, "equal", "ker",
            lambda a: a.zigzag_product.kernel(),
-           lambda a: a.bundle.vertex_bonds.sum(a.bundle.face_bonds)),
+           lambda a: a.bundle.vertex_face_bonds),
     _Claim("4", _FZ, "identity", "m", lambda a: a.face_product),
 )
 

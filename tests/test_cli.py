@@ -242,9 +242,10 @@ def test_verify_stats_schema(files, capsys):
 def test_verify_stats_counts_eliminations(files, capsys):
     """K3,3 with --stats builds all six spaces: 3 bond spans, 3 cycle
     spaces at one perp each, 3 operator RREFs (c_P, c_P~ and the product),
-    3 meets of 2 for 1a..1c, and 3b and 3c at a sum each plus 3b's perp."""
+    3 meets of 2 for 1a..1c, and one sum Bv + Bf that 3b and 3c share,
+    plus 3b's perp of it."""
     _, _, err = run_cli(capsys, "verify", files["k33"], "--stats")
-    assert json.loads(err)["eliminations"] == 3 + 3 + 3 + 3 * 2 + 2 + 1 == 18
+    assert json.loads(err)["eliminations"] == 3 + 3 + 3 + 3 * 2 + 1 + 1 == 17
 
 
 def test_verify_not_applicable_exit(files, capsys):

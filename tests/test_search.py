@@ -190,44 +190,49 @@ def test_cli_limit_errors_name_the_flag(tmp_path, capsys, flags):
     assert "Traceback" not in captured.err + captured.out
 
 
-def check_levels(outcome):
-    assert isinstance(outcome.levels, tuple)
-    for counts, mode, used, space in outcome.levels:
-        assert isinstance(counts, tuple) and all(isinstance(k, int) for k in counts)
-        assert mode in ("exhaustive", "randomized")
-        assert isinstance(used, int) and used >= 0
-        assert isinstance(space, int) and space > 0
-    assert sum(used for _, _, used, _ in outcome.levels) == outcome.candidates
+def check_outcome(outcome):
+    assert outcome.mode in ("exhaustive", "randomized")
+    assert isinstance(outcome.space, int) and outcome.space > 0
+    assert isinstance(outcome.candidates, int) and outcome.candidates >= 0
+    if outcome.mode == "exhaustive":
+        assert outcome.candidates <= outcome.space
     assert isinstance(outcome.restarts, int) and outcome.restarts >= 0
     assert outcome.best_score is None or isinstance(outcome.best_score, int)
 
 
 def test_search_outcome_levels_exhaustive():
+    """One sweep of the loop's 2 candidates decides levels 0 and 1: the
+    twisted loop has one face, and one subdivision leaves one zigzag."""
     outcome = search_embedding(LOOP, SearchBudget(max_subdivisions=1))
-    check_levels(outcome)
-    assert outcome.levels == (((0,), "exhaustive", 2, 2), ((1,), "exhaustive", 2, 2))
+    check_outcome(outcome)
+    assert (outcome.status, outcome.subdivisions) == ("found", (1,))
+    assert (outcome.mode, outcome.space, outcome.candidates) == ("exhaustive", 2, 2)
     assert (outcome.restarts, outcome.best_score) == (0, 2)
     flat = search_embedding(LOOP)
-    check_levels(flat)
+    check_outcome(flat)
+    assert (flat.mode, flat.space, flat.candidates) == ("exhaustive", 2, 2)
     assert (flat.restarts, flat.best_score) == (0, None)
 
 
 def test_search_outcome_levels_randomized():
+    """Above EXHAUSTIVE_LIMIT every level is left to the randomized phase
+    on the graph itself, whatever max_subdivisions allows."""
     bouquets = MultiGraph(2, ((0, 0),) * 4 + ((0, 1), (1, 1)))
-    outcome = search_embedding(bouquets, SearchBudget(max_candidates=2000), seed=0)
-    check_levels(outcome)
-    assert outcome.status == "budget_exceeded"
-    assert [mode for _, mode, _, _ in outcome.levels] == ["randomized"]
-    assert outcome.levels[0][3] == candidate_count(bouquets)
-    assert outcome.restarts > 1
-    assert outcome.best_score > 2
+    for max_subdivisions in (0, 2):
+        budget = SearchBudget(max_candidates=2000, max_subdivisions=max_subdivisions)
+        outcome = search_embedding(bouquets, budget, seed=0)
+        check_outcome(outcome)
+        assert (outcome.status, outcome.candidates) == ("budget_exceeded", 2000)
+        assert (outcome.mode, outcome.space) == ("randomized", candidate_count(bouquets))
+        assert outcome.restarts > 1
+        assert outcome.best_score > 2
 
 
 def test_search_outcome_levels_cut_by_budget():
-    outcome = search_embedding(LOOP, SearchBudget(max_candidates=3, max_subdivisions=2))
-    check_levels(outcome)
-    assert outcome.status == "budget_exceeded"
-    assert [used for _, _, used, _ in outcome.levels] == [2, 1]
+    outcome = search_embedding(LOOP, SearchBudget(max_candidates=1, max_subdivisions=2))
+    check_outcome(outcome)
+    assert (outcome.status, outcome.map, outcome.subdivisions) == ("budget_exceeded", None, None)
+    assert (outcome.mode, outcome.space, outcome.candidates) == ("exhaustive", 2, 1)
 
 
 # Graph 43 of the search-subdiv benchmark pool: no embedding at level 0.
@@ -235,21 +240,25 @@ POOL_43 = MultiGraph(4, ((0, 1), (3, 3), (0, 2), (0, 2), (0, 3), (1, 1), (0, 2))
 
 
 def test_exhausted_levels_use_exactly_their_space():
-    """An exhaustive level that ends without a winner visits each of its
-    space = candidate_count >> (n - 1) switching-reduced candidates once."""
+    """A sweep that ends without a winner visits each of its space =
+    candidate_count >> (n - 1) switching-reduced candidates once, and so
+    decides every level up to max_subdivisions.  Graph 43 needs exactly 3
+    subdivisions: exhausted at 2, found at 3 by the same 3072 candidates."""
     flat = search_embedding(LOOP)
-    assert (flat.status, flat.levels) == ("exhausted", (((0,), "exhaustive", 2, 2),))
-    budget = SearchBudget(max_candidates=20_000, max_subdivisions=2)
-    outcome = search_embedding(POOL_43, budget, seed=43)
-    check_levels(outcome)
-    assert outcome.status == "budget_exceeded"
-    *swept, cut = outcome.levels
-    assert swept[0] == ((0,) * 7, "exhaustive", 3072, 3072)
-    for counts, mode, used, space in swept:
-        sub = subdivide_graph(POOL_43, counts)
-        assert (mode, used) == ("exhaustive", space)
-        assert space == candidate_count(sub) >> (sub.n - 1)
-    assert 0 < cut[2] < cut[3]
+    assert (flat.status, flat.mode, flat.candidates, flat.space) == (
+        "exhausted", "exhaustive", 2, 2)
+    assert POOL_43.n == 4 and candidate_count(POOL_43) >> 3 == 3072
+    outcome = search_embedding(POOL_43, SearchBudget(max_candidates=20_000, max_subdivisions=2),
+                               seed=43)
+    check_outcome(outcome)
+    assert (outcome.status, outcome.mode, outcome.candidates, outcome.space) == (
+        "exhausted", "exhaustive", 3072, 3072)
+    deeper = search_embedding(POOL_43, SearchBudget(max_candidates=20_000, max_subdivisions=3),
+                              seed=43)
+    assert (deeper.status, deeper.candidates) == ("found", 3072)
+    assert deeper.subdivisions == (0, 1, 1, 0, 0, 1, 0)
+    assert gon_counts(deeper.map)[1:] == (1, 1)
+    assert check_theorem4(deeper.map).holds
 
 
 def test_cli_search_stats(tmp_path, capsys):
@@ -258,18 +267,13 @@ def test_cli_search_stats(tmp_path, capsys):
     code = run(["search", str(rot), "--subdiv", "1", "--stats", "-o", str(tmp_path / "l.gem")])
     assert code == 0
     captured = capsys.readouterr()
-    assert captured.out.startswith("found after 4 candidates")
+    assert captured.out.startswith("found after 2 candidates")
     stats = json.loads(captured.err)
-    assert set(stats) == {"status", "candidates", "seed", "levels", "restarts", "best_score"}
-    assert stats["status"] == "found" and stats["candidates"] == 4 and stats["seed"] == 0
+    assert set(stats) == {"status", "candidates", "seed", "mode", "space", "restarts",
+                          "best_score"}
+    assert stats["status"] == "found" and stats["candidates"] == 2 and stats["seed"] == 0
+    assert (stats["mode"], stats["space"]) == ("exhaustive", 2)
     assert isinstance(stats["restarts"], int)
     assert stats["best_score"] is None or isinstance(stats["best_score"], int)
-    for level in stats["levels"]:
-        assert set(level) == {"subdivisions", "mode", "candidates", "space"}
-        assert all(isinstance(k, int) for k in level["subdivisions"])
-        assert level["mode"] in ("exhaustive", "randomized")
-        assert isinstance(level["candidates"], int)
-        assert isinstance(level["space"], int) and level["space"] > 0
-    assert sum(level["candidates"] for level in stats["levels"]) == stats["candidates"]
     assert run(["search", str(rot), "-o", str(tmp_path / "none.gem")]) == 3
     assert capsys.readouterr().err == ""

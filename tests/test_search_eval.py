@@ -1,4 +1,4 @@
-"""Oracles for the search's flat candidate evaluation.
+"""Oracles for the search's flat candidate evaluation and its one sweep.
 
 The search scores a candidate on the flag involution list that
 codec._rotation_alpha builds from (rotations, twist mask) and walks gons
@@ -9,14 +9,17 @@ the exhaustive sweep with a rebuild, compare the counts with gon_counts,
 pin whole search outcomes, check that switching at a vertex leaves the
 gon counts alone, check how subdividing an edge moves the face and
 zigzag counts, check that the zigzags are the faces of the Petrie dual,
-and compare the switching-reduced exhaustive sweep (tree twists fixed
-at 0) with a full sweep of every candidate.
+check that one twist toggle moves the face and zigzag counts by at most
+1 (the premise of the sweep's prune), compare the switching-reduced
+sweep (tree twists fixed at 0) with a full sweep of every candidate and
+every parity class, and compare the one sweep with a copy of the
+level-by-level search it replaced.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -25,6 +28,8 @@ from mapcalc import (
     MultiGraph,
     RotationSystem,
     SearchBudget,
+    candidate_count,
+    check_theorem4,
     embedding_to_map,
     gon_counts,
     gons,
@@ -36,7 +41,7 @@ from mapcalc import (
 from mapcalc import search
 from mapcalc.codec import _rotation_alpha, _toggle_twist
 from mapcalc.gem import PARTNER, gon_count
-from mapcalc.search import _Counter, _dart_lists, _exhaustive, _gon_length
+from mapcalc.search import _Counter, _dart_lists, _exhaustive, _gon_length, _winner_map
 
 FACE, ZIGZAG = PARTNER["f"], PARTNER["z"]
 
@@ -257,20 +262,22 @@ def test_subdivision_moves_faces_by_twist_sums_and_zigzags_by_parity():
 # (name, seed, max_candidates, max_subdivisions, status, candidates,
 #  subdivisions, alpha pairs of write_gem(map) joined on one line),
 # recorded with the object-based evaluator that built a FlagMap and ran
-# gons per candidate, except k4-seed0-sub0, loop-seed0-sub1,
-# theta-seed0-sub2 and pendant-seed0-sub2, recorded with the
-# switching-reduced exhaustive sweep (tree twists fixed at 0), which
-# visits fewer candidates and can meet a different winner first.  k4 to
+# gons per candidate, except k4-seed0-sub0, recorded with the
+# switching-reduced exhaustive sweep (tree twists fixed at 0), and
+# loop-seed0-sub1, theta-seed0-sub2 and pendant-seed0-sub2, recorded with
+# the one sweep of g that decides every subdivision level.  That sweep
+# counts a candidate of g once, not once per subdivision pattern, so it
+# uses fewer candidates, and its winners carry the twists of g.  k4 to
 # bouquet4 end in the exhaustive sweep, k5 and bouquets in the
 # randomized phase.
 PINNED = [
     ("k4", 0, 100000, 0, "found", 2, (0, 0, 0, 0, 0, 0),
      "a 0 9 a 1 4 a 2 17 a 3 12 a 5 8 a 6 21 a 7 15 a 10 23 a 11 18 a 13 16 a 14 20 a 19 22"),
     ("loop", 0, 100000, 0, "exhausted", 2, None, None),
-    ("loop", 0, 100000, 1, "found", 4, (1,), "a 0 6 a 1 7 a 2 5 a 3 4"),
-    ("theta", 0, 100000, 2, "found", 18, (1, 0, 0),
-     "a 0 9 a 1 4 a 2 13 a 3 12 a 5 8 a 6 15 a 7 11 a 10 14"),
-    ("pendant", 0, 100000, 2, "found", 6, (1, 0, 0, 0),
+    ("loop", 0, 100000, 1, "found", 2, (1,), "a 0 7 a 1 6 a 2 4 a 3 5"),
+    ("theta", 0, 100000, 2, "found", 16, (1, 0, 0),
+     "a 0 9 a 1 4 a 2 13 a 3 12 a 5 8 a 6 10 a 7 15 a 11 14"),
+    ("pendant", 0, 100000, 2, "found", 4, (1, 0, 0, 0),
      "a 0 11 a 1 10 a 2 17 a 3 16 a 4 19 a 5 18 a 6 8 a 7 13 a 9 12 a 14 15"),
     ("bouquet4", 0, 2000, 0, "budget_exceeded", 2000, None, None),
     ("k5", 0, 2000, 0, "found", 14, (0,) * 10,
@@ -304,7 +311,7 @@ def test_pinned_family_reaches_both_phases():
     for name, seed, max_candidates, max_subdivisions, *_ in PINNED:
         budget = SearchBudget(max_candidates=max_candidates, max_subdivisions=max_subdivisions)
         outcome = search_embedding(GRAPHS[name], budget, seed=seed)
-        modes.update(mode for _, mode, _, _ in outcome.levels)
+        modes.add(outcome.mode)
     assert modes == {"exhaustive", "randomized"}
 
 
@@ -352,7 +359,7 @@ def reduced_sweep(g: MultiGraph, monkeypatch) -> list[tuple[int, ...]]:
 
     with monkeypatch.context() as patch:
         patch.setattr(search, "_gon_length", face_walk)
-        assert _exhaustive(g, _Counter(10**9, None)) is None
+        assert list(_exhaustive(g, _Counter(10**9, None), 2)) == []
     return seen
 
 
@@ -365,8 +372,19 @@ def assert_spanning_tree(g: MultiGraph, tree: list[int]) -> None:
     assert reached == set(range(g.n))
 
 
+def edge_sets(m: int, most: int):
+    """Every set of at most `most` of m edges, as a bit mask."""
+    for k in range(most + 1):
+        for p in combinations(range(m), k):
+            yield sum(1 << e for e in p)
+
+
 @pytest.mark.parametrize("name", QUOTIENT_GRAPHS)
 def test_reduced_sweep_matches_a_full_sweep(name, monkeypatch):
+    """The switching-reduced sweep visits one candidate per switching
+    class and loses no parity class: with up to 2 subdivisions it needs as
+    few as the full sweep, where a candidate (rs, a) and a set p of edges
+    to subdivide once count when f(a) = 1 and z(a ^ p) = 1."""
     for g in levels_0_and_1(QUOTIENT_GRAPHS[name]):
         m = g.edge_count
         tree = g.spanning_forest()[0]
@@ -374,12 +392,19 @@ def test_reduced_sweep_matches_a_full_sweep(name, monkeypatch):
         visited = reduced_sweep(g, monkeypatch)
         normal_forms = set()
         full_found = False
+        full_fewest = None
         full = 0
         for rs, mask in all_rotation_systems(g):
             full += 1
             alpha = _rotation_alpha(rs.rotations, mask, m)
             fz = (gon_count(alpha, FACE), gon_count(alpha, ZIGZAG))
             full_found |= fz == (1, 1)
+            if fz[0] == 1:
+                for p in edge_sets(m, 2):
+                    if gon_count(_rotation_alpha(rs.rotations, mask ^ p, m), ZIGZAG) == 1:
+                        k = bin(p).count("1")
+                        full_fewest = k if full_fewest is None else min(full_fewest, k)
+                        break
             normal = tree_normal_form(rs, tree)
             assert not normal.twists & set(tree)
             normal_alpha = embedding_to_map(normal).alpha
@@ -387,8 +412,120 @@ def test_reduced_sweep_matches_a_full_sweep(name, monkeypatch):
             normal_forms.add(normal_alpha)
         assert len(visited) == full >> (g.n - 1) == len(set(visited))
         assert set(visited) == normal_forms
-        found = _exhaustive(g, _Counter(10**9, None))
-        assert (found is not None) == full_found
-        if found is not None:
+        winners = list(_exhaustive(g, _Counter(10**9, None), 0))
+        assert bool(winners) == full_found
+        winners = list(_exhaustive(g, _Counter(10**9, None), 2))
+        assert (len(winners[-1][2]) if winners else None) == full_fewest
+        if winners:
+            found, counts = _winner_map(g, winners[-1])
+            assert sum(counts) == full_fewest
             assert validate(found).ok
             assert gon_counts(found)[1:] == (1, 1)
+
+
+def assert_one_toggle_moves_gons_by_at_most_one(rotations, mask: int, m: int) -> int:
+    """Returns how many single toggles changed the zigzag count."""
+    alpha = _rotation_alpha(rotations, mask, m)
+    f, z = gon_count(alpha, FACE), gon_count(alpha, ZIGZAG)
+    moved = 0
+    for e in range(m):
+        toggled = _rotation_alpha(rotations, mask ^ 1 << e, m)
+        assert abs(gon_count(toggled, FACE) - f) <= 1
+        assert abs(gon_count(toggled, ZIGZAG) - z) <= 1
+        moved += gon_count(toggled, ZIGZAG) != z
+    return moved
+
+
+def test_one_twist_toggle_moves_faces_and_zigzags_by_at_most_one():
+    """The premise of the sweep's prune: z(a ^ p) >= z(a) - |p|."""
+    rng = random.Random(1978)
+    moved = 0
+    for _ in range(1000):
+        rs, mask = random_rotation_system(rng, random_multigraph(rng))
+        m = rs.graph.edge_count
+        moved += assert_one_toggle_moves_gons_by_at_most_one(rs.rotations, mask, m)
+    assert moved > 100
+
+
+@pytest.mark.parametrize("g", SMALL + (K4,), ids=lambda g: f"n{g.n}-e{g.edge_count}")
+def test_one_twist_toggle_moves_gons_by_at_most_one_on_every_candidate(g):
+    for rs, mask in all_rotation_systems(g):
+        assert_one_toggle_moves_gons_by_at_most_one(rs.rotations, mask, g.edge_count)
+
+
+def level_by_level_search(g: MultiGraph, max_subdivisions: int) -> int | None:
+    """The fewest total subdivisions with an f = z = 1 embedding, or None,
+    as the search found it before one sweep decided every level: patterns
+    of counts (2 on one edge included) in nondecreasing total, each
+    subdivided graph swept in full, with no switching quotient.  It stops
+    at the first level with a winner, so at a lower limit it finds the
+    same total, or None when that total is above the limit."""
+    for total in range(max_subdivisions + 1):
+        for combo in combinations_with_replacement(range(g.edge_count), total):
+            sub = subdivide_graph(g, tuple(combo.count(e) for e in range(g.edge_count)))
+            for rs, mask in all_rotation_systems(sub):
+                alpha = _rotation_alpha(rs.rotations, mask, sub.edge_count)
+                if gon_count(alpha, FACE) == 1 and gon_count(alpha, ZIGZAG) == 1:
+                    return total
+    return None
+
+
+def assert_found_map(g: MultiGraph, outcome) -> None:
+    assert len(outcome.subdivisions) == g.edge_count
+    assert set(outcome.subdivisions) <= {0, 1}
+    assert outcome.map.m == g.edge_count + sum(outcome.subdivisions)
+    assert validate(outcome.map).ok
+    assert gon_counts(outcome.map)[1:] == (1, 1)
+    claim4 = check_theorem4(outcome.map)
+    assert claim4.applicable and claim4.holds
+
+
+def small_random_graphs(count: int, seed: int) -> list[MultiGraph]:
+    """Distinct connected multigraphs whose level-2 subdivisions stay small
+    enough to sweep in full."""
+    rng = random.Random(seed)
+    graphs: list[MultiGraph] = []
+    while len(graphs) < count:
+        n = rng.randint(1, 4)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(n == 1, 4))]
+        g = MultiGraph(n, tuple(edges))
+        if candidate_count(g) <= 256 and g not in graphs:
+            graphs.append(g)
+    return graphs
+
+
+# Two loops joined by an edge need 2 subdivisions; three loops on a path
+# need 3, so every limit up to 2 ends exhausted.
+DUMBBELL = MultiGraph(2, ((0, 1), (1, 1), (0, 0)))
+LOOPED_PATH = MultiGraph(3, ((0, 1), (1, 2), (2, 2), (0, 0), (1, 1)))
+DIFFERENTIAL_GRAPHS = {**QUOTIENT_GRAPHS, "dumbbell": DUMBBELL, "looped-path": LOOPED_PATH,
+                       **{f"random{i}": g for i, g in enumerate(small_random_graphs(16, 2003))}}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_GRAPHS)
+def test_one_sweep_agrees_with_the_level_by_level_search(name):
+    g = DIFFERENTIAL_GRAPHS[name]
+    fewest = level_by_level_search(g, 2)
+    for max_subdivisions in (0, 1, 2):
+        want = None if fewest is None or fewest > max_subdivisions else fewest
+        budget = SearchBudget(max_candidates=10**9, max_subdivisions=max_subdivisions)
+        outcome = search_embedding(g, budget)
+        assert outcome.mode == "exhaustive"
+        if want is None:
+            assert (outcome.status, outcome.candidates) == ("exhausted", outcome.space)
+        else:
+            assert outcome.status == "found"
+            assert sum(outcome.subdivisions) == want
+            assert_found_map(g, outcome)
+
+
+def test_budget_cut_after_a_winner_is_found():
+    """Theta's first candidate wins with 2 subdivisions and its second with
+    1, the fewest; a budget of 1 candidate keeps the first."""
+    assert level_by_level_search(THETA, 2) == 1
+    cut = search_embedding(THETA, SearchBudget(max_candidates=1, max_subdivisions=2))
+    assert (cut.status, cut.candidates, cut.subdivisions) == ("found", 1, (1, 1, 0))
+    assert_found_map(THETA, cut)
+    full = search_embedding(THETA, SearchBudget(max_candidates=2, max_subdivisions=2))
+    assert (full.status, full.candidates, full.subdivisions) == ("found", 2, (1, 0, 0))
