@@ -2,13 +2,15 @@
 
 A MapAnalysis holds the map's SpaceBundle: its three induced graphs,
 whose vertex counts are its gon counts, and their six edge subspaces.
-It also holds the word operators and the two composed operators the
-theorems speak about.  The gon decompositions themselves are not kept:
-nothing reads them once the graphs are built.  Each artefact is computed
-on first use and kept on the analysis, so a check that needs it again
-reads it instead of rebuilding it; the image and kernel of an operator
-are kept on the operator itself (see gf2.LinearOp).  The bundle builds
-each subspace when a claim first reads it: the absorption checks build only
+It also holds the word operators, the image and kernel of c_P~ o c_P, and
+the composed operator c_P~ o c_D.  The gon decompositions themselves are
+not kept: nothing reads them once the graphs are built.  Each artefact is
+computed on first use and kept on the analysis, so a check that needs it
+again reads it instead of rebuilding it; an operator keeps its own forward
+elimination, kernel and image (see gf2.LinearOp).  c_P~ o c_P is never
+composed: gf2.product_spaces reads its image and kernel from the passes
+c_P and c_P~ already ran for theorem 2.  The bundle builds each subspace
+when a claim first reads it: the absorption checks build only
 the three bond spaces, verify_all adds the vertex and face cycle spaces
 on a single-zigzag map (no claim reads the zigzag graph's), and
 complete() builds all six.  Nothing is cached elsewhere: an analysis and
@@ -20,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .gem import FlagMap
-from .gf2 import LinearOp
+from .gf2 import Gf2Subspace, LinearOp, product_spaces
 from .spaces import SpaceBundle, space_bundle
 from .words import MapOperators, operators_of_counts
 
@@ -39,7 +41,7 @@ class MapAnalysis:
     def complete(self) -> MapAnalysis:
         """Compute every artefact now rather than on first use, all six
         subspaces included."""
-        for name in ("counts", "bundle", "zigzag_product", "face_product"):
+        for name in ("counts", "bundle", "zigzag_product_spaces", "face_product"):
             getattr(self, name)
         self.bundle.dims()
         return self
@@ -63,10 +65,10 @@ class MapAnalysis:
         return operators_of_counts(self.map, f, z)
 
     @cached_property
-    def zigzag_product(self) -> LinearOp | None:
-        """c_P~ o c_P, or None without a single zigzag."""
+    def zigzag_product_spaces(self) -> tuple[Gf2Subspace, Gf2Subspace] | None:
+        """(image, kernel) of c_P~ o c_P, or None without a single zigzag."""
         ops = self.operators
-        return None if ops.zigzag is None else ops.zigzag_complement.compose(ops.zigzag)
+        return None if ops.zigzag is None else product_spaces(ops.zigzag_complement, ops.zigzag)
 
     @cached_property
     def face_product(self) -> LinearOp | None:

@@ -11,37 +11,45 @@ Elimination indexes rows by pivot in a dict, so reducing a row costs one
 lookup and one big-int XOR per pivot it meets; membership tests use the
 same index.  Intersections come from one elimination on rows of 2m bits,
 keeping the members of the span whose low m bits are zero (Zassenhaus).
-An operator's image and kernel are both read off one canonical RREF of
-the 2m-bit rows col_j | 1 << (m + j), and kept on the operator.
 
-That RREF and `compose` use Four-Russians tables (M4RI: Albrecht, Bard
+An operator A is eliminated once, forward only, on the 2m-bit rows
+col_j | 1 << (m + j), and the pass is kept on the operator.  The rows
+whose low half ends at zero give the kernel, canonicalized by an RREF of
+those few rows; the image is (ker A^T)^perp, and a symmetric operator is
+its own transpose, so it needs no second pass.  The same pass gives the
+preimage of a subspace, and `product_spaces` reads the image and kernel
+of B o A from preimages under A and B^T without composing them.  The
+forward pass and `compose` use Four-Russians tables (M4RI: Albrecht, Bard
 and Hart, ACM TOMS 37(1), 2010).  The columns are taken in blocks of
 _K = 8; a table of the 2^8 combinations of a block's rows then replaces
-up to eight XORs by one lookup.  Subspace `span`, `sum` and `intersect`
-keep the pivot-dict elimination: their rows are sparse, and a lookup per
-row costs more than the few XORs it would replace.  `perp` runs the same
-elimination on its own dim rows, keyed by highest bits, and then writes
-the canonical basis of the complement directly, without eliminating the
-complement's m - dim rows.
+up to eight XORs by one lookup.  `transpose` works on the whole matrix
+packed into one int, in log2 n mask-and-shift rounds.  Subspace `span`,
+`sum` and `intersect` keep the pivot-dict elimination: their rows are
+sparse, and a lookup per row costs more than the few XORs it would
+replace.  `perp` runs the same elimination on its own dim rows, keyed by
+highest bits, and then writes the canonical basis of the complement
+directly, without eliminating the complement's m - dim rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 _eliminations = 0
 
-# Four-Russians block width: of k = 6..10, 8 was fastest on operators with
-# m = 250..350 (see CHANGES.md).
+# Four-Russians block width: of k = 6..10, 8 was fastest for the full RREF
+# on operators with m = 250..350; the forward pass alone is within 5 % of
+# its best (k = 7) there (see CHANGES.md).
 _K = 8
 
 
 def elimination_count() -> int:
     """Eliminations run in this process so far: the number of echelon
-    forms computed, whatever asked for them.  An operator's image and
-    kernel together take one."""
+    forms computed, whatever asked for them.  An operator's kernel takes
+    two (the forward pass and the RREF of its kernel rows); its image adds
+    a perp, and the transpose's kernel unless the operator is symmetric."""
     return _eliminations
 
 
@@ -141,21 +149,24 @@ def _combinations(rows: Iterable[int]) -> list[int]:
     return table
 
 
-def _rref_tables(rows: Iterable[int], width: int, k: int = _K) -> tuple[int, ...]:
-    """The canonical RREF of `_rref`, by Four-Russians elimination.
+def _forward_pass(rows: Iterable[int], width: int, k: int = _K) -> tuple[dict[int, int], list[int]]:
+    """Forward Four-Russians elimination on columns 0..width-1.
 
-    Columns 0..width-1 (every bit of every row must lie below width) are
-    taken in blocks of k, low to high.  In each block, up to k pivots are
-    found among the rows not yet used, as in `_echelon` but on the block's
-    bits only, and reduced against each other as in `_rref`.  A table of
-    their combinations, keyed by the block's bits (a column without a
-    pivot adds the zero row), then clears the block in every other row,
-    earlier pivot rows included, with one lookup and one XOR per row.
+    Returns ({pivot bit: row}, rest): the pivot rows and the nonzero rows
+    left with no bit below width; together they span the input.  The
+    columns are taken in blocks of k, low to high.  In each block, up to k
+    pivots are found among the rows left over from earlier blocks, as in
+    `_echelon` but on the block's bits only, and reduced against each other
+    as in `_rref`.  A table of their combinations, keyed by the block's bits
+    (a column without a pivot adds the zero row), then clears the block in
+    every leftover row, with one lookup and one XOR per row.  Earlier
+    blocks' pivot rows are never touched, so every pivot row is zero below
+    its pivot but is otherwise not reduced.
     """
     global _eliminations
     _eliminations += 1
-    done: list[int] = []  # pivot rows of earlier blocks, pivots increasing
-    rest = [r for r in rows if r]  # the other rows, zero below the block
+    echelon: dict[int, int] = {}
+    rest = [r for r in rows if r]  # zero below the current block
     for lo in range(0, width, k):
         if not rest:
             break
@@ -183,12 +194,11 @@ def _rref_tables(rows: Iterable[int], width: int, k: int = _K) -> tuple[int, ...
                 break
         if not pivots:
             continue
-        reduced = _back_substitute(pivots)
+        _back_substitute(pivots)
+        echelon.update(pivots)
         table = _combinations([pivots.get(1 << c, 0) for c in range(lo, lo + kb)])
-        done = [r ^ table[(r >> lo) & key] for r in done]
-        done += reduced
         rest = [y for r in others if (y := r ^ table[(r >> lo) & key])]
-    return tuple(done)
+    return echelon, rest
 
 
 def _low_zero_part(rows: Iterable[int], m: int) -> tuple[int, ...]:
@@ -199,6 +209,28 @@ def _low_zero_part(rows: Iterable[int], m: int) -> tuple[int, ...]:
     the echelon rows whose pivot is at least bit m.
     """
     return _rref(r >> m for p, r in _echelon(rows).items() if p >> m)
+
+
+@cache
+def _swap_masks(n: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) for each round of the n x n bit-matrix transpose.
+
+    Row r of the matrix is bits r*n .. r*n + n - 1 of one int, and n is a
+    power of two, at least 8 so that a row is whole bytes.  The round of
+    each s = n/2, ..., 1 swaps entry (r, c) with (r + s, c - s) wherever bit
+    s of r is clear and bit s of c is set; those entries are the mask, and
+    the shift is their distance s*(n - 1).  The rounds exchange r and c bit
+    by bit, so together they transpose.
+    """
+    out = []
+    s = n >> 1
+    while s:
+        row = sum(1 << c for c in range(n) if c & s).to_bytes(n // 8, "little")
+        blank = bytes(n // 8)
+        mask = b"".join(blank if r & s else row for r in range(n))
+        out.append((s * (n - 1), int.from_bytes(mask, "little")))
+        s >>= 1
+    return tuple(out)
 
 
 def _apply_bits(cols: tuple[int, ...], x: int) -> int:
@@ -322,7 +354,13 @@ class Gf2Subspace:
             p = sel & -sel
             y ^= index[p]
             sel ^= p
-        return x == y
+        if x == y:
+            return True
+        # Only a non-member can lie outside the universe, so members pay no
+        # check; a negative int shifts to -1, so one test covers both sides.
+        if x >> self.m:
+            raise ValueError("vector has bits outside the universe")
+        return False
 
     def is_subspace_of(self, other: Gf2Subspace) -> bool:
         return all(other.contains(Gf2Vec(self.m, r)) for r in self.rows)
@@ -421,6 +459,8 @@ class LinearOp:
         return cls(m, (0,) * m)
 
     def column(self, x: int) -> Gf2Vec:
+        if not 0 <= x < self.m:
+            raise ValueError(f"column {x} out of range for universe {self.m}")
         return Gf2Vec(self.m, self.cols[x])
 
     def apply(self, v: Gf2Vec) -> Gf2Vec:
@@ -455,46 +495,99 @@ class LinearOp:
         return LinearOp(self.m, tuple(a ^ b for a, b in zip(self.cols, other.cols)))
 
     def transpose(self) -> LinearOp:
-        """Row i of the result collects bit j for every column j holding i;
-        only set bits are visited."""
-        cols = [0] * self.m
-        for j, c in enumerate(self.cols):
-            bit = 1 << j
-            while c:
-                low = c & -c
-                cols[low.bit_length() - 1] |= bit
-                c ^= low
-        return LinearOp(self.m, tuple(cols))
-
-    def is_symmetric(self) -> bool:
-        return self.cols == self.transpose().cols
+        """The transposed matrix, or self when it is symmetric."""
+        t = self._transpose
+        return self if t is None else t
 
     @cached_property
-    def _image_kernel(self) -> tuple[Gf2Subspace, Gf2Subspace]:
-        """Image and kernel from one canonical RREF of the rows col_j | 1 << (m + j).
+    def _transpose(self) -> LinearOp | None:
+        """The columns are packed as the rows of one n x n bit matrix, n
+        the least power of two that is at least m (and at least 8), and the
+        matrix is transposed in log2(n) mask-and-shift rounds on that int
+        (`_swap_masks`).  The result is kept on the operator, as None when
+        it equals the operator: keeping self would make a reference cycle,
+        and the operator would outlive its last reference until the
+        garbage collector ran."""
+        m = self.m
+        n = max(8, 1 << (m - 1).bit_length())
+        width = n // 8
+        x = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in self.cols), "little")
+        for shift, mask in _swap_masks(n):
+            t = (x ^ (x >> shift)) & mask
+            x ^= t ^ (t << shift)
+        data = x.to_bytes(width * m, "little")
+        cols = tuple(int.from_bytes(data[i:i + width], "little")
+                     for i in range(0, width * m, width))
+        return None if cols == self.cols else LinearOp(m, cols)
 
-        A combination of those rows is (A x) | x << m.  The RREF rows with
-        a low pivot have a nonzero low half, and those low halves, with
-        increasing pivots that are clear in each other, are the canonical
-        basis of the column space.  The other rows have a zero low half;
-        their high halves are the canonical basis of the null space.  The
-        RREF is computed by `_rref_tables`.
+    def is_symmetric(self) -> bool:
+        return self.transpose() is self
+
+    @cached_property
+    def _forward(self) -> tuple[dict[int, int], list[int]]:
+        """The forward pass on the rows col_j | 1 << (m + j), kept on the
+        operator: (pivot rows, kernel rows).
+
+        A combination of those rows is (A x) | x << m.  The pivot rows'
+        low halves are an echelon basis of the column space.  The other
+        rows have a zero low half, and their high halves are a basis of
+        the null space: the rows stay independent, and there are m - rank
+        of them.
         """
         m = self.m
-        rows = [c | 1 << (m + j) for j, c in enumerate(self.cols)]
-        rref = _rref_tables(rows, 2 * m)
-        low = (1 << m) - 1
-        image = tuple(r & low for r in rref if r & low)
-        kernel = tuple(r >> m for r in rref if not r & low)
-        return Gf2Subspace(m, image), Gf2Subspace(m, kernel)
+        return _forward_pass([c | 1 << (m + j) for j, c in enumerate(self.cols)], m)
 
-    def image(self) -> Gf2Subspace:
-        """Column space."""
-        return self._image_kernel[0]
+    @cached_property
+    def _kernel(self) -> Gf2Subspace:
+        return Gf2Subspace(self.m, _rref(r >> self.m for r in self._forward[1]))
+
+    @cached_property
+    def _image(self) -> Gf2Subspace:
+        return self.transpose().kernel().perp()
 
     def kernel(self) -> Gf2Subspace:
-        """Null space."""
-        return self._image_kernel[1]
+        """Null space: the canonical RREF of the forward pass's few kernel rows."""
+        return self._kernel
+
+    def image(self) -> Gf2Subspace:
+        """Column space, as (ker A^T)^perp; a symmetric operator is its own
+        transpose, so its image reuses its own forward pass."""
+        return self._image
+
+    def preimage(self, space: Gf2Subspace) -> Gf2Subspace:
+        """{x : A x in space}, from the kept forward pass.
+
+        Each row s of the space is reduced by the pivot rows, lowest pivot
+        first, to s + A y | y << m, whose low half is clear in every pivot
+        column.  A combination of these rows and the kernel rows has a zero
+        low half exactly when A takes its high half x into the space, so
+        those high halves (`_low_zero_part`) are the preimage.
+        """
+        if space.m != self.m:
+            raise ValueError("universe mismatch")
+        pivots, rest = self._forward
+        mask = sum(pivots)
+        rows = list(rest)
+        for s in space.rows:
+            while sel := s & mask:
+                s ^= pivots[sel & -sel]
+            rows.append(s)
+        return Gf2Subspace(self.m, _low_zero_part(rows, self.m))
 
     def __repr__(self) -> str:
-        return f"LinearOp({self.m}, rank={self.image().dim})"
+        return f"LinearOp({self.m}, rank={self.m - self.kernel().dim})"
+
+
+def product_spaces(outer: LinearOp, inner: LinearOp) -> tuple[Gf2Subspace, Gf2Subspace]:
+    """(image, kernel) of outer o inner, without composing the two.
+
+    With B = outer and A = inner: ker(B A) = A^-1(ker B), and
+    Im(B A) = (ker A^T B^T)^perp
+    = (B^T^-1(ker A^T))^perp; each preimage reuses its operator's forward
+    pass.
+    """
+    if inner.m != outer.m:
+        raise ValueError("universe mismatch")
+    kernel = inner.preimage(outer.kernel())
+    image = outer.transpose().preimage(inner.transpose().kernel()).perp()
+    return image, kernel

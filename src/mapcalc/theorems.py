@@ -140,13 +140,13 @@ _CLAIMS = (
     _Claim("2d", _Z, "equal", "ker",
            lambda a: a.operators.zigzag_complement.kernel(), lambda a: a.bundle.face_bonds),
     _Claim("3a", _Z, "xi", "im",
-           lambda a: a.zigzag_product.image(),
+           lambda a: a.zigzag_product_spaces[0],
            lambda a: euler_of_counts(a.map.m, *a.counts[:2])[1]),
     _Claim("3b", _Z, "equal", "im",
-           lambda a: a.zigzag_product.image(),
+           lambda a: a.zigzag_product_spaces[0],
            lambda a: a.bundle.vertex_face_bonds.perp()),
     _Claim("3c", _Z, "equal", "ker",
-           lambda a: a.zigzag_product.kernel(),
+           lambda a: a.zigzag_product_spaces[1],
            lambda a: a.bundle.vertex_face_bonds),
     _Claim("4", _FZ, "identity", "m", lambda a: a.face_product),
 )

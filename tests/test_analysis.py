@@ -37,6 +37,19 @@ def count_calls(monkeypatch, module, name: str, key=lambda *args: None) -> Count
     return calls
 
 
+def count_method(monkeypatch, cls, name: str) -> Counter:
+    """Count the calls of cls.name, whoever makes them."""
+    original = getattr(cls, name)
+    calls: Counter = Counter()
+
+    def counted(*args):
+        calls[None] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("build, theorem4", [(k33_map, False), (single_face_dual, True)])
 def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     map_ = build()
@@ -56,6 +69,21 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     # c_P is built from its word and c_P~ = 1 + c_P; c_D too when f = 1.
     assert sum(operators.values()) == (2 if theorem4 else 1)
     assert own_gons["v"] == own_gons["f"] == 1
+
+
+@pytest.mark.parametrize("build, composed", [(k33_map, 0), (single_face_dual, 1)])
+def test_verify_all_composes_only_for_theorem4(monkeypatch, build, composed):
+    """c_P~ o c_P is read from the word operators' own forward passes, one
+    each; only theorem 4's c_P~ o c_D is composed, when f = 1."""
+    analysis = MapAnalysis(build())
+    composes = count_method(monkeypatch, gf2.LinearOp, "compose")
+    passes = count_calls(monkeypatch, gf2, "_forward_pass", key=lambda rows, width: tuple(rows))
+    assert all(r.holds for r in verify_all(analysis))
+    assert sum(composes.values()) == composed
+    ops = analysis.operators
+    words = {tuple(c | 1 << (op.m + j) for j, c in enumerate(op.cols))
+             for op in (ops.zigzag, ops.zigzag_complement)}
+    assert passes == {rows: 1 for rows in words}
 
 
 def test_checks_accept_a_map_or_its_analysis():
@@ -78,31 +106,20 @@ def test_artefacts_are_kept_and_complete_builds_them(monkeypatch):
     assert analysis.bundle is analysis.bundle
     assert analysis.operators.face is None and analysis.face_product is None
     ops = analysis.operators
-    assert analysis.zigzag_product == ops.zigzag_complement.compose(ops.zigzag)
+    product = ops.zigzag_complement.compose(ops.zigzag)
+    assert analysis.zigzag_product_spaces == (product.image(), product.kernel())
+    assert analysis.zigzag_product_spaces is analysis.zigzag_product_spaces
     assert sum(bundles.values()) == 1
     check_absorption(analysis)
     check_theorem3(analysis)
     assert sum(bundles.values()) == 1
 
 
-def count_perp(monkeypatch) -> Counter:
-    """Count the calls of Gf2Subspace.perp, whoever makes them."""
-    original = gf2.Gf2Subspace.perp
-    calls: Counter = Counter()
-
-    def counted(self):
-        calls[None] += 1
-        return original(self)
-
-    monkeypatch.setattr(gf2.Gf2Subspace, "perp", counted)
-    return calls
-
-
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])
 def test_absorption_builds_no_cycle_space(monkeypatch, build):
     map_ = build()
     cycles = count_calls(monkeypatch, spaces, "_checked_cycle_space")
-    perps = count_perp(monkeypatch)
+    perps = count_method(monkeypatch, gf2.Gf2Subspace, "perp")
     bonds = count_calls(monkeypatch, spaces, "bond_space")
     assert all(r.holds for r in check_absorption(map_))
     assert sum(cycles.values()) == 0

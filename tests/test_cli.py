@@ -241,11 +241,15 @@ def test_verify_stats_schema(files, capsys):
 
 def test_verify_stats_counts_eliminations(files, capsys):
     """K3,3 with --stats builds all six spaces: 3 bond spans, 3 cycle
-    spaces at one perp each, 3 operator RREFs (c_P, c_P~ and the product),
-    3 meets of 2 for 1a..1c, and one sum Bv + Bf that 3b and 3c share,
-    plus 3b's perp of it."""
+    spaces at one perp each, 3 meets of 2 for 1a..1c, and one sum Bv + Bf
+    that 3b and 3c share, plus 3b's perp of it.  c_P and c_P~ are
+    symmetric: each takes a forward pass, the RREF of its kernel rows and
+    the perp that gives its image, 2 * 3.  c_P~ o c_P is never composed:
+    its kernel is a preimage under c_P, and its image the perp of a
+    preimage under c_P~, each preimage 2 (an echelon and the RREF of its
+    low-zero part): 2 + 2 + 1."""
     _, _, err = run_cli(capsys, "verify", files["k33"], "--stats")
-    assert json.loads(err)["eliminations"] == 3 + 3 + 3 + 3 * 2 + 1 + 1 == 17
+    assert json.loads(err)["eliminations"] == 3 + 3 + 3 * 2 + 1 + 1 + 2 * 3 + 2 + 2 + 1 == 25
 
 
 def test_verify_not_applicable_exit(files, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import weakref
 
 import pytest
 
@@ -144,12 +145,59 @@ def test_operator_universe_mismatch():
 
 @pytest.mark.parametrize("m", [0, 3, 63, 64, 100])
 def test_image_and_kernel_take_one_elimination(m):
+    """One forward elimination per operator, kept on it.  The kernel adds
+    the RREF of its few rows: 1 + 1.  The image is the perp of the
+    transpose's kernel; a symmetric operator is its own transpose, so its
+    image adds only that perp: 2 + 1 = 3.  Any other operator runs the
+    transpose's forward pass and kernel RREF too: 2 + 2 + 1 = 5.  Asking
+    again runs nothing."""
     rng = random.Random(m)
-    op = LinearOp(m, tuple(rng.getrandbits(m) for _ in range(m)))
-    before = gf2.elimination_count()
-    op.image()
-    op.kernel()
-    assert gf2.elimination_count() - before == 1
+    cols = [rng.getrandbits(m) for _ in range(m)]
+    sym = [c ^ t for c, t in zip(cols, LinearOp(m, tuple(cols)).transpose().cols)]
+    cases = [(LinearOp(m, tuple(sym)), 3)]
+    if m > 1:
+        cols[0] |= 1 << (m - 1)  # column 0 holds row m - 1; column m - 1 need not hold row 0
+        cols[-1] &= ~1
+        cases.append((LinearOp(m, tuple(cols)), 5))
+    for op, count in cases:
+        before = gf2.elimination_count()
+        im, ker = op.image(), op.kernel()
+        assert gf2.elimination_count() - before == count
+        assert op.image() is im and op.kernel() is ker
+        assert gf2.elimination_count() - before == count
+
+
+def test_operators_are_freed_without_the_collector():
+    """Whatever an operator keeps (its transpose, forward pass, kernel and
+    image) holds no reference back to it, so it goes with its last
+    reference, as before those were kept."""
+    for cols in ((0b011, 0b011, 0b100), (0b011, 0b110, 0b101), (0b010, 0b001, 0b100)):
+        op = LinearOp(3, cols)
+        op.image(), op.kernel(), op.preimage(Gf2Subspace.zero(3))
+        ref = weakref.ref(op)
+        del op
+        assert ref() is None
+
+
+def test_column_rejects_indices_outside_the_universe():
+    op = LinearOp.from_columns(3, [0b011, 0b110, 0b101])
+    assert op.column(2).bits == 0b101
+    for bad in (-1, 3):
+        with pytest.raises(ValueError):
+            op.column(bad)
+    with pytest.raises(ValueError):
+        LinearOp.zero(0).column(0)
+
+
+def test_contains_rejects_ints_outside_the_universe():
+    s = Gf2Subspace.span(4, [0b0011, 0b1100])
+    assert s.contains(0b1111) and not s.contains(0b0001)
+    for bad in (-1, 0b11 | 1 << 10, 1 << 4, -0b100):
+        with pytest.raises(ValueError):
+            s.contains(bad)
+    with pytest.raises(ValueError):
+        s.contains(Gf2Vec(5, 0))
+    assert Gf2Subspace.zero(0).contains(0)
 
 
 @pytest.mark.parametrize("m", [0, 3, 63, 64, 100])

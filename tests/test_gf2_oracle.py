@@ -7,8 +7,10 @@ complements, and bit-by-bit transposition.  They are slow but plainly
 correct, and the pivot-indexed kernels in `mapcalc.gf2` must agree with
 them on every input.  Every output is also checked for the canonical RREF
 invariants that make subspace equality plain dataclass equality.  The
-Four-Russians elimination is checked directly at several block widths, and
-through the operators at sizes past one block of rows.
+forward Four-Russians pass is checked directly at several block widths,
+and through the operators' image, kernel, transpose, preimage and
+product spaces at sizes past one block of rows; preimages also against
+all 2^m vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import random
 
 from conftest import random_signed_word
 from mapcalc import Gf2Subspace, Gf2Vec, LinearOp, space_bundle, zigzag_map_from_word
-from mapcalc.gf2 import _rref, _rref_tables
+from mapcalc.gf2 import _forward_pass, _rref, product_spaces
 from mapcalc.spaces import _fundamental_cycles
 
 SIZES = range(65)
@@ -278,25 +280,45 @@ def test_operator_kernels_match_reference():
             assert op.apply(Gf2Vec(m, x)).bits == ref_apply(m, cols, x)
 
 
+def symmetric(m: int, cols) -> LinearOp:
+    """A + A^T plus a diagonal read off A's own diagonal bits shifted by
+    one, so the diagonal is neither all ones nor all zeros."""
+    cols = list(cols)
+    t = ref_transpose(m, tuple(cols))
+    diag = [(cols[(j + 1) % m] >> j) & 1 for j in range(m)]
+    return LinearOp(m, tuple(a ^ b ^ (d << j) for j, (a, b, d) in enumerate(zip(cols, t, diag))))
+
+
 def operator_cases(rng: random.Random, m: int):
     """Zero, identity, rank-deficient (columns from a few generators, with
-    repeats and zero columns) and uniformly random operators."""
+    repeats and zero columns) and uniformly random operators, then two
+    symmetric ones: a random one, shaped like a word operator
+    (interlacement plus a diagonal), and a low-rank sum of outer products."""
     yield LinearOp.zero(m)
     yield LinearOp.identity(m)
     yield LinearOp(m, tuple((random_rows(rng, m) + [0] * m)[:m]))
     gens = [rng.getrandbits(m) for _ in range(rng.randint(0, max(m // 3, 1)))]
     yield LinearOp(m, tuple(combo(rng, gens) for _ in range(m)))
     yield LinearOp(m, tuple(rng.getrandbits(m) for _ in range(m)))
+    yield symmetric(m, (rng.getrandbits(m) for _ in range(m)))
+    outer = [0] * m
+    for g in gens:
+        for j in range(m):
+            if (g >> j) & 1:
+                outer[j] ^= g
+    yield LinearOp(m, tuple(outer))
 
 
 def test_shared_image_kernel_elimination_matches_reference():
-    """image() and kernel() come from one elimination; each must equal the
-    separate reference computation, and rank + nullity must be m."""
-    for m in SIZES:
+    """image() is (ker A^T)^perp and kernel() comes from the forward pass;
+    a symmetric operator is its own transpose, so both read one pass.
+    Each must equal the separate reference computation, and rank +
+    nullity must be m, on every operator case up to m = 130."""
+    for m in range(131):
         rng = random.Random(6000 + m)
         for op in operator_cases(rng, m):
             im, ker = op.image(), op.kernel()
-            assert im.rows == _rref(op.cols) == ref_rref(op.cols)
+            assert im.rows == ref_rref(op.cols)
             assert ker.rows == ref_kernel(m, op.cols)
             assert_canonical(m, im.rows)
             assert_canonical(m, ker.rows)
@@ -304,23 +326,57 @@ def test_shared_image_kernel_elimination_matches_reference():
             assert op.image() is im and op.kernel() is ker
 
 
+def check_forward_pass(rows: list[int], width: int, k: int):
+    """Run the forward pass and check what it promises: every pivot row
+    has its key as its lowest bit, below width; pivot rows of one block
+    hold no other pivot of that block; the rest are nonzero and zero below
+    width; and pivot rows and rest together span the input."""
+    pivots, rest = _forward_pass(rows, width, k)
+    below = (1 << width) - 1
+    for p, r in pivots.items():
+        assert p == r & -r and p & below
+        lo = (p.bit_length() - 1) // k
+        same_block = sum(q for q in pivots if (q.bit_length() - 1) // k == lo)
+        assert r & same_block == p
+    assert all(r and not r & below for r in rest)
+    assert _rref(list(pivots.values()) + rest) == ref_rref(rows)
+    return pivots, rest
+
+
+def forward_kernel(m: int, cols: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The kernel from the forward pass on col_j | 1 << (m + j): the pivot
+    rows' low halves span the columns, and the rest, as many as the
+    nullity, are the kernel shifted up by m."""
+    rows = [c | 1 << (m + j) for j, c in enumerate(cols)]
+    pivots, rest = check_forward_pass(rows, m, k)
+    low = (1 << m) - 1
+    assert _rref(r & low for r in pivots.values()) == ref_rref(cols)
+    assert len(pivots) + len(rest) == m
+    return _rref(r >> m for r in rest)
+
+
 def test_table_rref_matches_reference():
-    """Every width up to 130, so blocks end short of k as well as on it;
-    random_rows mixes in zero, duplicate and rank-deficient rows."""
+    """The forward Four-Russians pass at every width up to 130, so blocks
+    end short of k as well as on it; random_rows mixes in zero, duplicate
+    and rank-deficient columns.  The kernel read from it must be the
+    reference kernel."""
     for width in range(131):
         rng = random.Random(7000 + width)
-        rows = random_rows(rng, width)
-        want = ref_rref(rows)
-        for k in (1, 2, 6):
-            got = _rref_tables(rows, width, k)
+        cols = tuple((random_rows(rng, width) + [0] * width)[:width])
+        want = ref_kernel(width, cols)
+        for k in (1, 2, 6, 8):
+            got = forward_kernel(width, cols, k)
             assert got == want, (width, k)
             assert_canonical(width, got)
-        assert _rref_tables(rows, width) == want
-        assert _rref_tables([], width, 6) == ()
-        assert _rref_tables([0, 0], width, 6) == ()
+        assert LinearOp(width, cols).kernel().rows == want
+        assert _forward_pass([], width, 6) == ({}, [])
+        assert _forward_pass([0, 0], width, 6) == ({}, [])
 
 
 def test_table_rref_special_inputs():
+    """Full, dense, duplicated, low-rank and nearly zero row sets, as the
+    columns of an operator and as plain rows eliminated on their low half
+    only (so some rows end in the rest) or on every bit (so none do)."""
     for width in (5, 6, 7, 64, 130):
         rng = random.Random(8000 + width)
         full = [1 << i for i in range(width)]
@@ -328,10 +384,60 @@ def test_table_rref_special_inputs():
         dense = independent(rng, width)
         low_rank = [combo(rng, dense[:3]) for _ in range(2 * width)]
         for rows in (full, dense, dense + dense, low_rank, [0] * width + dense[:1]):
-            for k in (1, 2, 6):
-                got = _rref_tables(rows, width, k)
-                assert got == ref_rref(rows)
-                assert_canonical(width, got)
+            cols = tuple((rows + [0] * width)[:width])
+            for k in (1, 2, 6, 8):
+                assert forward_kernel(width, cols, k) == ref_kernel(width, cols)
+                check_forward_pass(rows, width // 2, k)
+                pivots, rest = check_forward_pass(rows, width, k)
+                assert rest == [] and len(pivots) == len(ref_rref(rows))
+
+
+def test_block_transpose_matches_reference():
+    """Every m up to 130, so each power of two and its neighbours, and
+    255..257, past a 256-bit block; transpose() is the operator itself
+    exactly when it is symmetric."""
+    for m in [*range(131), 255, 256, 257]:
+        rng = random.Random(8500 + m)
+        for op in operator_cases(rng, m):
+            want = ref_transpose(m, op.cols)
+            t = op.transpose()
+            assert t.cols == want
+            assert (t is op) == (want == op.cols) == op.is_symmetric()
+            assert t.transpose().cols == op.cols
+            assert op.transpose() is t
+
+
+def test_preimage_matches_brute_force():
+    """{x : A x in S} against all 2^m vectors, for m up to 10."""
+    for m in range(11):
+        rng = random.Random(8700 + m)
+        for op in operator_cases(rng, m):
+            images = [ref_apply(m, op.cols, x) for x in range(1 << m)]
+            for space in (Gf2Subspace.zero(m), Gf2Subspace.full(m), op.image(),
+                          Gf2Subspace.span(m, random_rows(rng, m)),
+                          Gf2Subspace.span(m, random_rows(rng, m))):
+                got = op.preimage(space)
+                assert_canonical(m, got.rows)
+                want = {x for x in range(1 << m) if space.contains(images[x])}
+                assert {v.bits for v in got.vectors()} == want
+
+
+def test_product_spaces_match_compose():
+    """(image, kernel) of b o a without composing, against the image and
+    kernel of b.compose(a) and the loop references, on random pairs, most
+    of them not symmetric, up to m = 130."""
+    for m in [*SIZES, 97, 127, 128, 129, 130]:
+        rng = random.Random(8900 + m)
+        cases = list(operator_cases(rng, m))
+        pairs = [(rng.choice(cases), rng.choice(cases)) for _ in range(3)]
+        pairs.append((LinearOp(m, tuple(rng.getrandbits(m) for _ in range(m))), cases[3]))
+        pairs.append((cases[3], LinearOp(m, tuple(rng.getrandbits(m) for _ in range(m)))))
+        for b, a in pairs:
+            ba = b.compose(a)
+            image, kernel = product_spaces(b, a)
+            assert (image, kernel) == (ba.image(), ba.kernel())
+            assert image.rows == ref_rref(ba.cols)
+            assert kernel.rows == ref_kernel(m, ba.cols)
 
 
 def test_large_operators_match_reference():
