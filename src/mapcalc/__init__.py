@@ -12,6 +12,7 @@ from .gem import (
     dual,
     euler_connectivity,
     gon_counts,
+    gon_labels,
     gons,
     induced_graph,
     loop_balance,
@@ -31,6 +32,7 @@ from .words import (
     SignedWord,
     c_operator,
     cozigzag_word,
+    gon_word,
     interlacement,
     kappa,
     map_operators,

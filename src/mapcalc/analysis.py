@@ -2,15 +2,17 @@
 
 A MapAnalysis holds the map's SpaceBundle: its three induced graphs,
 whose vertex counts are its gon counts, and their six edge subspaces.
-It also holds the word operators, the image and kernel of c_P~ o c_P, and
-the composed operator c_P~ o c_D.  The gon decompositions themselves are
-not kept: nothing reads them once the graphs are built.  Each artefact is
+It also holds the word operators, the image and kernel of c_P~ o c_P,
+and the composed operator c_P~ o c_D.  Each gon kind is traced once, by
+the flat gem.gon_labels walk its graph is read from; the words of c_P
+and c_D are read straight off the single z-gon and f-gon
+(words.gon_word), so no phial or dual is built.  Each artefact is
 computed on first use and kept on the analysis, so a check that needs it
-again reads it instead of rebuilding it; an operator keeps its own forward
-elimination, kernel and image (see gf2.LinearOp).  c_P~ o c_P is never
-composed: gf2.product_spaces reads its image and kernel from the passes
-c_P and c_P~ already ran for theorem 2.  The bundle builds each subspace
-when a claim first reads it: the absorption checks build only
+again reads it instead of rebuilding it; an operator keeps its own
+forward elimination, kernel and image (see gf2.LinearOp).  c_P~ o c_P is
+never composed: gf2.product_spaces reads its image and kernel from the
+passes c_P and c_P~ already ran for theorem 2.  The bundle builds each
+subspace when a claim first reads it: the absorption checks build only
 the three bond spaces, verify_all adds the vertex and face cycle spaces
 on a single-zigzag map (no claim reads the zigzag graph's), and
 complete() builds all six.  Nothing is cached elsewhere: an analysis and

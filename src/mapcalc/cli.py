@@ -16,7 +16,7 @@ import re
 import sys
 import time
 
-from . import codec, gem, gf2, search, theorems, words
+from . import codec, gem, search, theorems, words
 from .analysis import MapAnalysis
 
 OK, VIOLATED, USAGE, NOT_APPLICABLE = 0, 1, 2, 3
@@ -111,7 +111,7 @@ def _cmd_omega(args: argparse.Namespace) -> int:
 
 def _cmd_word(args: argparse.Namespace) -> int:
     map_ = _load_map(args.file)
-    w = words.zigzag_word(map_) if args.kind == "z" else words.vertex_word(map_)
+    w = words.gon_word(map_, args.kind)
     sys.stdout.write(codec.format_word(w))
     return OK
 
@@ -148,7 +148,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     analysis = MapAnalysis(_load_map(args.file))
     t1 = time.perf_counter()
-    eliminations = gf2.elimination_count()
     if args.stats:
         # Build the whole analysis first, so its time shows apart from the checks'.
         analysis.complete()
@@ -159,7 +158,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         stats = {
             "m": analysis.map.m, "v": v, "f": f, "z": z,
             "seconds": {"parse": t1 - t0, "analysis": t2 - t1, "checks": time.perf_counter() - t2},
-            "eliminations": gf2.elimination_count() - eliminations,
         }
         print(json.dumps(stats), file=sys.stderr)
     if args.json:
@@ -248,7 +246,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     failures = 0
     total = 0
     checks_s = 0.0
-    eliminations = gf2.elimination_count()
     t0 = time.perf_counter()
     for map_ in search.enumerate_maps(args.size):
         total += 1
@@ -268,7 +265,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                          for (v, f, z), count in sorted(profiles.items())],
             "absorption_failures": failures if args.verify_absorption else None,
             "seconds": {"enumerate": time.perf_counter() - t0 - checks_s, "checks": checks_s},
-            "eliminations": gf2.elimination_count() - eliminations,
         }
         print(json.dumps(stats), file=sys.stderr)
     print(f"m={args.size}: {total} connected maps")
@@ -319,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", choices=(*theorems.GROUPS, "all"), default="all")
     p.add_argument("--json", action="store_true")
     p.add_argument("--stats", action="store_true",
-                   help="print m, gon counts, per-phase seconds and eliminations as JSON to stderr")
+                   help="print m, gon counts and per-phase seconds as JSON to stderr")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("from-word", help="rebuild the single-zigzag map of a .szw word")
@@ -343,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=_integer, required=True, metavar="M")
     p.add_argument("--verify-absorption", action="store_true")
     p.add_argument("--stats", action="store_true",
-                   help="print map and profile counts, absorption failures, per-phase "
-                        "seconds and eliminations as JSON to stderr")
+                   help="print map and profile counts, absorption failures and per-phase "
+                        "seconds as JSON to stderr")
     p.set_defaults(func=_cmd_enumerate)
 
     return parser

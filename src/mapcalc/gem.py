@@ -6,7 +6,10 @@ x ^ 1, a long partner x ^ 3 and a diagonal partner x ^ 2 (PARTNER).  A
 fixed-point-free involution alpha glues rectangle corners together.  The
 cycles that alternate alpha with short, long or diagonal partners are the
 v-, f- and z-gons; they are the vertices, faces and zigzag walks of the
-embedded graph, whose edges are the rectangles.
+embedded graph, whose edges are the rectangles.  gon_labels traces one
+kind in a single walk into a flat list of gon ids, which is all the gon
+counts and the induced graphs read; gons() also keeps each gon's flag
+sequence, for the loop balances.
 
 Role permutations (dual, phial, antimap and partial ones) relabel the
 flags inside each chosen rectangle so that the fixed partners take on the
@@ -199,28 +202,39 @@ def gons(map_: FlagMap, kind: str) -> GonDecomposition:
     return GonDecomposition(kind, tuple(out), tuple(gon_of))
 
 
-def gon_count(alpha: Sequence[int], partner: int) -> int:
-    """Number of gons that alternate alpha with x ^ partner."""
-    seen = bytearray(len(alpha))
+def gon_labels(alpha: Sequence[int], partner: int) -> tuple[int, list[int]]:
+    """(count, gon_of) of the gons that alternate alpha with x ^ partner.
+
+    One walk numbers the gons in the order of their smallest flags, as
+    gons() does, and writes each flag's gon into the flat list gon_of;
+    no gon's flag sequence is kept.
+    """
+    gon_of = [-1] * len(alpha)
     count = 0
     for start in range(len(alpha)):
-        if seen[start]:
+        if gon_of[start] != -1:
             continue
-        count += 1
         x = start
         while True:
-            seen[x] = 1
+            gon_of[x] = count
             y = x ^ partner
-            seen[y] = 1
+            gon_of[y] = count
             x = alpha[y]
             if x == start:
                 break
-    return count
+        count += 1
+    return count, gon_of
+
+
+def gon_count(alpha: Sequence[int], partner: int) -> int:
+    """Number of gons that alternate alpha with x ^ partner."""
+    return gon_labels(alpha, partner)[0]
 
 
 def gon_counts(map_: FlagMap) -> tuple[int, int, int]:
     """(v, f, z) gon counts."""
-    return tuple(gon_count(map_.alpha, PARTNER[k]) for k in ("v", "f", "z"))
+    a = map_.alpha
+    return gon_count(a, PARTNER["v"]), gon_count(a, PARTNER["f"]), gon_count(a, PARTNER["z"])
 
 
 def apply_permutation(
@@ -342,14 +356,15 @@ def induced_graph(map_: FlagMap, kind: str) -> MultiGraph:
     embedded graph itself, kind f the one induced by faces, kind z the one
     induced by zigzags.
     """
-    dec = gons(map_, kind)
+    p = PARTNER[kind]
+    count, gon_of = gon_labels(map_.alpha, p)
     # Offsets 0 and b lie on the rectangle's two different kind-pairs.
-    b = 2 if PARTNER[kind] == 1 else 1
+    b = 2 if p == 1 else 1
     edges = []
-    for e in range(map_.m):
-        u, v = dec.gon_of[4 * e], dec.gon_of[4 * e + b]
-        edges.append((min(u, v), max(u, v)))
-    return MultiGraph(dec.count, tuple(edges))
+    for x in range(0, map_.flag_count, 4):
+        u, v = gon_of[x], gon_of[x + b]
+        edges.append((u, v) if u <= v else (v, u))
+    return MultiGraph(count, tuple(edges))
 
 
 def euler_connectivity(map_: FlagMap) -> tuple[int, int]:

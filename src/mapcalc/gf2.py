@@ -37,20 +37,10 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Iterator
 
-_eliminations = 0
-
 # Four-Russians block width: of k = 6..10, 8 was fastest for the full RREF
 # on operators with m = 250..350; the forward pass alone is within 5 % of
 # its best (k = 7) there (see CHANGES.md).
 _K = 8
-
-
-def elimination_count() -> int:
-    """Eliminations run in this process so far: the number of echelon
-    forms computed, whatever asked for them.  An operator's kernel takes
-    two (the forward pass and the RREF of its kernel rows); its image adds
-    a perp, and the transpose's kernel unless the operator is symmetric."""
-    return _eliminations
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
@@ -61,8 +51,6 @@ def _echelon(rows: Iterable[int]) -> dict[int, int]:
     input and have distinct pivots, but may have set bits in other rows'
     pivot columns.
     """
-    global _eliminations
-    _eliminations += 1
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
@@ -116,8 +104,6 @@ def _top_rref(rows: Iterable[int]) -> dict[int, int]:
     other rows, visiting the pivots in increasing order.  Afterwards every
     row's other bits lie below its pivot and outside all pivot columns.
     """
-    global _eliminations
-    _eliminations += 1
     tops: dict[int, int] = {}
     for row in rows:
         while row:
@@ -163,8 +149,6 @@ def _forward_pass(rows: Iterable[int], width: int, k: int = _K) -> tuple[dict[in
     blocks' pivot rows are never touched, so every pivot row is zero below
     its pivot but is otherwise not reduced.
     """
-    global _eliminations
-    _eliminations += 1
     echelon: dict[int, int] = {}
     rest = [r for r in rows if r]  # zero below the current block
     for lo in range(0, width, k):

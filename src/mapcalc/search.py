@@ -1,7 +1,9 @@
 """Map enumeration and embedding search.
 
 enumerate_maps walks every fixed-point-free pairing of 4m flags and keeps
-the connected ones: the full census of m-edge maps.  search_embedding
+the connected ones: the full census of m-edge maps.  It fills one alpha
+list in place, pairing the lowest unpaired flag with each unpaired flag
+above it in turn, and validates each complete pairing.  search_embedding
 hunts for an embedding with one face and one zigzag of a multigraph g
 after at most max_subdivisions edge subdivisions; a fixed seed and budget
 always reproduce the same outcome.
@@ -47,24 +49,37 @@ _RESTART_STALL = 200
 
 
 def enumerate_maps(m: int) -> Iterator[FlagMap]:
-    """Yield every connected map with m rectangles."""
+    """Yield every connected map with m rectangles.
+
+    One alpha list is filled in place: the lowest unpaired flag takes each
+    unpaired partner in increasing order, and a complete pairing becomes
+    FlagMap(m, alpha) and is kept when it validates.
+    """
     if m < 1:
         raise ValueError("need at least one rectangle")
-
-    def matchings(avail: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if not avail:
-            yield ()
+    n = 4 * m
+    alpha = [-1] * n
+    lows: list[int] = []  # the lowest unpaired flag of each open pair
+    x = y = 0  # x's partner is the next unpaired flag above y
+    while True:
+        y += 1
+        while y < n and alpha[y] != -1:
+            y += 1
+        if y < n:
+            alpha[x], alpha[y] = y, x
+            if 2 * len(lows) + 2 < n:
+                lows.append(x)
+                x = y = alpha.index(-1, x + 1)
+                continue
+            map_ = FlagMap(m, alpha)
+            if validate(map_).ok:
+                yield map_
+        elif not lows:
             return
-        x = avail[0]
-        for i in range(1, len(avail)):
-            rest = avail[1:i] + avail[i + 1 :]
-            for tail in matchings(rest):
-                yield ((x, avail[i]),) + tail
-
-    for pairs in matchings(tuple(range(4 * m))):
-        map_ = FlagMap.from_pairs(m, pairs)
-        if validate(map_).ok:
-            yield map_
+        else:
+            x = lows.pop()
+            y = alpha[x]
+        alpha[x] = alpha[y] = -1
 
 
 def subdivide_graph(g: MultiGraph, counts: tuple[int, ...]) -> MultiGraph:

@@ -3,17 +3,19 @@
 A single-vertex map is written down by walking its one v-gon and recording
 each rectangle as it is crossed: every edge id shows up twice, the first
 occurrence is positive by convention and the second is positive exactly
-when the edge is a balanced loop.  Single-zigzag maps get their word from
-the phial, whose lone v-gon is the original zigzag.  The interlacement and
-same-direction indicators of such a word combine into a symmetric GF(2)
-operator on the edge universe.
+when the edge is a balanced loop.  gon_word reads the word of a map's
+single gon of any kind straight off one walk of it: the v-gon gives the
+vertex word, the z-gon the zigzag word (the phial's vertex word) and the
+f-gon the face word (the dual's), so neither the phial nor the dual is
+built.  The interlacement and same-direction indicators of such a word
+combine into a symmetric GF(2) operator on the edge universe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gem import FlagMap, antimap, dual, gon_counts, gons, phial
+from .gem import PARTNER, FlagMap, antimap, gon_count, gon_counts, phial
 from .gf2 import Gf2Vec, LinearOp
 
 
@@ -89,38 +91,61 @@ class SignedWord:
         return SignedWord(self.m, tuple(best))
 
 
-def vertex_word(map_: FlagMap) -> SignedWord:
-    """Signed word of the map's single v-gon, which passes every edge twice.
+# What the word of each gon kind needs, as a NotApplicableError names it.
+_SINGLE_GON = {
+    "v": "v-gon word needs a single v-gon covering every edge twice; map has {} v-gons",
+    "f": "face word needs a single face; map has {}",
+    "z": "zigzag word needs a single zigzag; map has {}",
+}
 
-    A gon that meets every edge twice holds all 4m flags, so the word
-    exists exactly when the map has one v-gon.
+
+def gon_word(map_: FlagMap, kind: str) -> SignedWord:
+    """Signed word of the map's single gon of `kind`, read off one walk.
+
+    The walk starts at flag 0 and takes the kind-pair first, so each pair
+    of steps crosses one rectangle and names its edge.  A gon that meets
+    every edge twice holds all 4m flags, so the word exists exactly when
+    the map has one gon of that kind.  An edge's second crossing is
+    positive when its two kind-pairs are entered the same way along the
+    walk: flags 4e and 4e + 2 both entered or both left for kinds v and f,
+    4e and 4e + 1 for kind z.  That is the vertex word of the dual (kind
+    f) or the phial (kind z), without building either.
     """
-    dec = gons(map_, "v")
-    if dec.count != 1:
-        raise NotApplicableError(
-            f"v-gon word needs a single v-gon covering every edge twice; map has {dec.count} v-gons"
-        )
-    seq = dec.gons[0]
-    edges_seq = [seq[i] // 4 for i in range(0, len(seq), 2)]
-    pos = {flag: i for i, flag in enumerate(seq)}
+    p = PARTNER[kind]
+    b = 1 if p == 2 else 2
+    alpha = map_.alpha
+    n = map_.flag_count
+    left = bytearray(n)  # 1 on the flag each step leaves its kind-pair by
+    edges = []
+    x = 0
+    while True:
+        y = x ^ p
+        left[y] = 1
+        edges.append(x >> 2)
+        x = alpha[y]
+        if x == 0:
+            break
+    if 2 * len(edges) != n:
+        raise NotApplicableError(_SINGLE_GON[kind].format(gon_count(alpha, p)))
+    seen = bytearray(map_.m)
     entries = []
-    first_seen: set[int] = set()
-    for e in edges_seq:
-        if e not in first_seen:
-            first_seen.add(e)
-            entries.append((e, 1))
+    for e in edges:
+        if seen[e]:
+            entries.append((e, 1 if left[4 * e] == left[4 * e + b] else -1))
         else:
-            balanced = pos[4 * e] % 2 == pos[4 * e + 2] % 2
-            entries.append((e, 1 if balanced else -1))
+            seen[e] = 1
+            entries.append((e, 1))
     return SignedWord(map_.m, tuple(entries))
 
 
+def vertex_word(map_: FlagMap) -> SignedWord:
+    """Signed word of the map's single v-gon, which passes every edge twice."""
+    return gon_word(map_, "v")
+
+
 def zigzag_word(map_: FlagMap) -> SignedWord:
-    """Signed word of the unique zigzag, read off the phial's single v-gon."""
-    z = gons(map_, "z").count
-    if z != 1:
-        raise NotApplicableError(f"zigzag word needs a single zigzag; map has {z}")
-    return vertex_word(phial(map_))
+    """Signed word of the map's single zigzag."""
+    return gon_word(map_, "z")
 
 
 def interlacement(w: SignedWord, x: int) -> Gf2Vec:
@@ -166,7 +191,7 @@ class MapOperators:
 
     zigzag needs a single z-gon and comes from the zigzag word; its
     complement is identity + zigzag; face needs a single f-gon and comes
-    from the vertex word of the dual.
+    from the face word.
     """
 
     m: int
@@ -185,10 +210,10 @@ def operators_of_counts(map_: FlagMap, f: int, z: int) -> MapOperators:
     """map_operators for a map whose f- and z-gon counts are known."""
     zig = comp = face = None
     if z == 1:
-        zig = c_operator(zigzag_word(map_))
+        zig = c_operator(gon_word(map_, "z"))
         comp = LinearOp.identity(map_.m) + zig
     if f == 1:
-        face = c_operator(vertex_word(dual(map_)))
+        face = c_operator(gon_word(map_, "f"))
     return MapOperators(map_.m, zig, comp, face)
 
 
@@ -196,7 +221,7 @@ def cozigzag_word(map_: FlagMap) -> SignedWord:
     """Vertex word of the phial's antimap; same edge cycle as the zigzag
     word with every balance flipped, so its operator is identity + zigzag
     (checked in the tests rather than assumed)."""
-    z = gons(map_, "z").count
+    z = gon_count(map_.alpha, PARTNER["z"])
     if z != 1:
         raise NotApplicableError(f"cozigzag word needs a single zigzag; map has {z}")
     return vertex_word(antimap(phial(map_)))

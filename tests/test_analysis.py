@@ -58,8 +58,8 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     bonds = count_calls(monkeypatch, spaces, "bond_space")
     bundles = count_calls(monkeypatch, spaces, "space_bundle")
     operators = count_calls(monkeypatch, words, "c_operator")
-    own_gons = count_calls(monkeypatch, gem, "gons",
-                           key=lambda m, kind: kind if m is map_ else None)
+    labels = count_calls(monkeypatch, gem, "gon_labels", key=lambda alpha, partner: partner)
+    permutations = count_calls(monkeypatch, gem, "apply_permutation")
     reports = verify_all(map_)
     assert reports == expected
     assert reports[-1].applicable is theorem4 and reports[-1].holds
@@ -68,7 +68,10 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     assert sum(bundles.values()) == 1
     # c_P is built from its word and c_P~ = 1 + c_P; c_D too when f = 1.
     assert sum(operators.values()) == (2 if theorem4 else 1)
-    assert own_gons["v"] == own_gons["f"] == 1
+    # One trace per gon kind serves the counts and graphs; the words are
+    # read off their gons, so no phial or dual is built.
+    assert labels == {gem.PARTNER[kind]: 1 for kind in "vfz"}
+    assert sum(permutations.values()) == 0
 
 
 @pytest.mark.parametrize("build, composed", [(k33_map, 0), (single_face_dual, 1)])

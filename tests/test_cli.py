@@ -228,28 +228,14 @@ def test_verify_stats_schema(files, capsys):
     code, out, err = run_cli(capsys, "verify", files["k33"], "--stats")
     assert (code, out) == plain[:2]
     stats = json.loads(err)
-    assert set(stats) == {"m", "v", "f", "z", "seconds", "eliminations"}
+    assert set(stats) == {"m", "v", "f", "z", "seconds"}
     assert (stats["m"], stats["v"], stats["f"], stats["z"]) == (9, 6, 4, 1)
     assert set(stats["seconds"]) == {"parse", "analysis", "checks"}
     assert all(isinstance(s, float) and s >= 0 for s in stats["seconds"].values())
-    assert isinstance(stats["eliminations"], int) and stats["eliminations"] > 0
     code, out, err = run_cli(capsys, "verify", files["s1"], "--theorem", "4", "--stats")
     assert code == 3 and "not applicable" in out
     assert set(json.loads(err)) == set(stats)
     assert run_cli(capsys, "verify", files["k33"])[2] == ""
-
-
-def test_verify_stats_counts_eliminations(files, capsys):
-    """K3,3 with --stats builds all six spaces: 3 bond spans, 3 cycle
-    spaces at one perp each, 3 meets of 2 for 1a..1c, and one sum Bv + Bf
-    that 3b and 3c share, plus 3b's perp of it.  c_P and c_P~ are
-    symmetric: each takes a forward pass, the RREF of its kernel rows and
-    the perp that gives its image, 2 * 3.  c_P~ o c_P is never composed:
-    its kernel is a preimage under c_P, and its image the perp of a
-    preimage under c_P~, each preimage 2 (an echelon and the RREF of its
-    low-zero part): 2 + 2 + 1."""
-    _, _, err = run_cli(capsys, "verify", files["k33"], "--stats")
-    assert json.loads(err)["eliminations"] == 3 + 3 + 3 * 2 + 1 + 1 + 2 * 3 + 2 + 2 + 1 == 25
 
 
 def test_verify_not_applicable_exit(files, capsys):
@@ -377,24 +363,13 @@ def test_enumerate_stats_schema(capsys):
         code, out, err = run_cli(capsys, "enumerate", *argv, "--stats")
         assert (code, out) == plain[:2] and plain[2] == ""
         stats = json.loads(err)
-        assert set(stats) == {"m", "maps", "profiles", "absorption_failures", "seconds",
-                              "eliminations"}
+        assert set(stats) == {"m", "maps", "profiles", "absorption_failures", "seconds"}
         assert (stats["m"], stats["maps"], stats["absorption_failures"]) == (2, 96, failures)
         assert all(set(p) == {"v", "f", "z", "maps"} and all(isinstance(x, int) for x in p.values())
                    for p in stats["profiles"])
         assert sum(p["maps"] for p in stats["profiles"]) == 96
         assert set(stats["seconds"]) == {"enumerate", "checks"}
         assert all(isinstance(s, float) and s >= 0 for s in stats["seconds"].values())
-        assert isinstance(stats["eliminations"], int)
-
-
-def test_enumerate_stats_counts_eliminations(capsys):
-    """Absorption reads only bond spaces: per map, 3 spans and 3
-    intersections of 2 eliminations each; no checks, no eliminations."""
-    _, _, err = run_cli(capsys, "enumerate", "--size", "2", "--verify-absorption", "--stats")
-    assert json.loads(err)["eliminations"] == 96 * (3 + 3 * 2) == 864
-    _, _, err = run_cli(capsys, "enumerate", "--size", "2", "--stats")
-    assert json.loads(err)["eliminations"] == 0
 
 
 def test_parse_error_exit(files, capsys):

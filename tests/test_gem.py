@@ -16,6 +16,7 @@ from mapcalc import (
     euler_connectivity,
     from_signed_word,
     gon_counts,
+    gon_labels,
     gons,
     induced_graph,
     loop_balance,
@@ -166,6 +167,22 @@ def test_gons_partition_all_flags():
             assert sorted(flat) == list(range(map_.flag_count))
             assert all(len(g) % 2 == 0 for g in dec.gons)
             assert all(dec.gon_of[x] == i for i, g in enumerate(dec.gons) for x in g)
+
+
+def test_gon_labels_match_the_gon_decomposition():
+    """The flat trace numbers the gons as gons() does, on maps with
+    partial role permutations too; gon_counts reads the same counts."""
+    rng = random.Random(16)
+    for i in range(600):
+        m = rng.randint(1, 12)
+        map_ = random_connected_map(rng, m)
+        if i % 2:
+            rects = [r for r in range(m) if rng.random() < 0.5]
+            map_ = apply_permutation(map_, rects, rng.choice(ALL_PERMS))
+        for kind in "vfz":
+            dec = gons(map_, kind)
+            assert gon_labels(map_.alpha, PARTNER[kind]) == (dec.count, list(dec.gon_of))
+        assert gon_counts(map_) == tuple(gons(map_, kind).count for kind in "vfz")
 
 
 def test_parse_role_permutation():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -143,28 +144,42 @@ def test_operator_universe_mismatch():
         Gf2Subspace.span(3, [0]).sum(Gf2Subspace.span(4, [0]))
 
 
+def count_eliminations(monkeypatch) -> Counter:
+    """Count the calls of gf2's three elimination routines by name: the
+    forward pass, the low-bit RREF and the top-bit RREF."""
+    calls: Counter = Counter()
+    for name in ("_forward_pass", "_rref", "_top_rref"):
+        def counted(*args, _name=name, _fn=getattr(gf2, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(gf2, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("m", [0, 3, 63, 64, 100])
-def test_image_and_kernel_take_one_elimination(m):
-    """One forward elimination per operator, kept on it.  The kernel adds
-    the RREF of its few rows: 1 + 1.  The image is the perp of the
-    transpose's kernel; a symmetric operator is its own transpose, so its
-    image adds only that perp: 2 + 1 = 3.  Any other operator runs the
-    transpose's forward pass and kernel RREF too: 2 + 2 + 1 = 5.  Asking
-    again runs nothing."""
+def test_image_and_kernel_take_one_elimination(monkeypatch, m):
+    """One forward pass per operator, kept on it.  The kernel adds the
+    RREF of its few rows.  The image is the perp (one top-bit RREF) of the
+    transpose's kernel; a symmetric operator is its own transpose, so it
+    runs one forward pass and one RREF, and any other operator runs the
+    transpose's forward pass and kernel RREF too.  Asking again runs
+    nothing."""
     rng = random.Random(m)
     cols = [rng.getrandbits(m) for _ in range(m)]
     sym = [c ^ t for c, t in zip(cols, LinearOp(m, tuple(cols)).transpose().cols)]
-    cases = [(LinearOp(m, tuple(sym)), 3)]
+    cases = [(LinearOp(m, tuple(sym)), 1)]
     if m > 1:
         cols[0] |= 1 << (m - 1)  # column 0 holds row m - 1; column m - 1 need not hold row 0
         cols[-1] &= ~1
-        cases.append((LinearOp(m, tuple(cols)), 5))
-    for op, count in cases:
-        before = gf2.elimination_count()
+        cases.append((LinearOp(m, tuple(cols)), 2))
+    calls = count_eliminations(monkeypatch)
+    for op, passes in cases:
+        calls.clear()
         im, ker = op.image(), op.kernel()
-        assert gf2.elimination_count() - before == count
+        want = {"_forward_pass": passes, "_rref": passes, "_top_rref": 1}
+        assert calls == want
         assert op.image() is im and op.kernel() is ker
-        assert gf2.elimination_count() - before == count
+        assert calls == want
 
 
 def test_operators_are_freed_without_the_collector():
@@ -201,11 +216,12 @@ def test_contains_rejects_ints_outside_the_universe():
 
 
 @pytest.mark.parametrize("m", [0, 3, 63, 64, 100])
-def test_perp_takes_one_elimination(m):
+def test_perp_takes_one_elimination(monkeypatch, m):
     """The top-bit reduction of the rows is the only echelon form; the
     complement's rows are written, not eliminated."""
     rng = random.Random(m)
+    calls = count_eliminations(monkeypatch)
     for s in (Gf2Subspace.zero(m), Gf2Subspace.full(m), random_subspace(rng, m)):
-        before = gf2.elimination_count()
+        calls.clear()
         s.perp()
-        assert gf2.elimination_count() - before == 1
+        assert calls == {"_top_rref": 1}

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import K4_ROT, k4_graph
 from mapcalc import (
+    FlagMap,
     MultiGraph,
     SearchBudget,
     candidate_count,
@@ -37,6 +38,33 @@ def test_enumerate_size_two():
     assert len(census) == 96
     assert all(validate(m).ok for m in census)
     assert len({m.alpha for m in census}) == 96
+
+
+def reference_maps(m):
+    """Every connected map with m rectangles, from a recursive generator
+    of flag pairings: the lowest flag pairs with each other flag in turn."""
+    def matchings(avail):
+        if not avail:
+            yield ()
+            return
+        x = avail[0]
+        for i in range(1, len(avail)):
+            rest = avail[1:i] + avail[i + 1:]
+            for tail in matchings(rest):
+                yield ((x, avail[i]),) + tail
+
+    for pairs in matchings(tuple(range(4 * m))):
+        map_ = FlagMap.from_pairs(m, pairs)
+        if validate(map_).ok:
+            yield map_
+
+
+@pytest.mark.parametrize("m, count", [(1, 3), (2, 96), (3, 9504)])
+def test_enumerate_matches_the_recursive_pairings(m, count):
+    """Same maps, in the same order, as the recursive generator."""
+    census = list(enumerate_maps(m))
+    assert len(census) == count
+    assert census == list(reference_maps(m))
 
 
 def test_enumerate_rejects_bad_size():

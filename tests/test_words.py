@@ -11,14 +11,17 @@ from mapcalc import (
     LinearOp,
     NotApplicableError,
     SignedWord,
+    apply_permutation,
     c_operator,
     cozigzag_word,
     dual,
     from_signed_word,
+    gon_word,
     gons,
     interlacement,
     kappa,
     map_operators,
+    phial,
     projective_loop_map,
     single_edge_map,
     sphere_loop_map,
@@ -150,6 +153,44 @@ def test_vertex_word_matches_the_sorted_covering_check():
         assert vertex_word(map_) == want
         applicable += 1
     assert 1000 < applicable < 3000
+
+
+def test_gon_word_matches_the_permuted_vertex_word():
+    """Each kind's word equals the reference vertex word of the map whose
+    v-gons are that kind's gons: the map itself, its dual or its phial.
+    Partial role permutations give maps whose rectangles disagree on
+    which partner plays which role."""
+    rng = random.Random(16)
+    applicable = {kind: 0 for kind in "vfz"}
+    for i in range(1500):
+        m = rng.randint(1, 12)
+        if i % 3 == 0:
+            map_ = random_connected_map(rng, m)
+        else:
+            map_ = from_signed_word(random_signed_word(rng, m))
+        if i % 2:
+            rects = [r for r in range(m) if rng.random() < 0.5]
+            map_ = apply_permutation(map_, rects, rng.choice(("lsd", "dls", "sdl", "dsl", "lds")))
+        for kind, relabel in (("v", lambda x: x), ("f", dual), ("z", phial)):
+            try:
+                want = reference_vertex_word(relabel(map_))
+            except NotApplicableError:
+                with pytest.raises(NotApplicableError):
+                    gon_word(map_, kind)
+                continue
+            assert gon_word(map_, kind) == want
+            applicable[kind] += 1
+    assert all(200 < n < 1500 for n in applicable.values()), applicable
+
+
+def test_gon_word_names_the_gon_count():
+    with pytest.raises(NotApplicableError, match=r"^v-gon word needs a single v-gon covering "
+                       r"every edge twice; map has 6 v-gons$"):
+        vertex_word(k33_map())
+    with pytest.raises(NotApplicableError, match=r"^face word needs a single face; map has 4$"):
+        gon_word(k33_map(), "f")
+    with pytest.raises(NotApplicableError, match=r"^zigzag word needs a single zigzag; map has 2$"):
+        zigzag_word(projective_loop_map())
 
 
 def test_zigzag_word_hypothesis():
