@@ -25,9 +25,8 @@ from .gem import (
     validate,
 )
 from .gf2 import Gf2Subspace, Gf2Vec, LinearOp
-from .spaces import SpaceBundle, bond_of, bond_space, cycle_space, space_bundle
+from .spaces import bond_of, bond_space, cycle_space
 from .words import (
-    MapOperators,
     NotApplicableError,
     SignedWord,
     c_operator,
@@ -35,7 +34,6 @@ from .words import (
     gon_word,
     interlacement,
     kappa,
-    map_operators,
     vertex_word,
     zigzag_word,
 )
@@ -53,7 +51,7 @@ from .codec import (
     write_rotation,
     zigzag_map_from_word,
 )
-from .analysis import MapAnalysis
+from .analysis import MapAnalysis, map_operators, space_bundle
 from .theorems import (
     TheoremReport,
     check_absorption,

@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import time
+from functools import cache
 
 from . import codec, gem, search, theorems, words
 from .analysis import MapAnalysis
@@ -127,14 +128,13 @@ def _print_matrix(name: str, op) -> None:
 
 
 def _cmd_ops(args: argparse.Namespace) -> int:
-    map_ = _load_map(args.file)
-    _, f, z = gem.gon_counts(map_)
-    ops = words.operators_of_counts(map_, f, z)
+    analysis = MapAnalysis(_load_map(args.file))
+    _, f, z = analysis.counts
     shown = 0
     for name, op, reason in (
-        ("c_P", ops.zigzag, f"{z} zigzags"),
-        ("c_P~", ops.zigzag_complement, f"{z} zigzags"),
-        ("c_D", ops.face, f"{f} faces"),
+        ("c_P", analysis.zigzag, f"{z} zigzags"),
+        ("c_P~", analysis.zigzag_complement, f"{z} zigzags"),
+        ("c_D", analysis.face, f"{f} faces"),
     ):
         if op is None:
             print(f"{name}: not applicable ({reason})")
@@ -146,8 +146,9 @@ def _cmd_ops(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    analysis = MapAnalysis(_load_map(args.file))
+    map_ = _load_map(args.file)
     t1 = time.perf_counter()
+    analysis = MapAnalysis(map_)
     if args.stats:
         # Build the whole analysis first, so its time shows apart from the checks'.
         analysis.complete()
@@ -156,7 +157,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.stats:
         v, f, z = analysis.counts
         stats = {
-            "m": analysis.map.m, "v": v, "f": f, "z": z,
+            "m": analysis.m, "v": v, "f": f, "z": z,
             "seconds": {"parse": t1 - t0, "analysis": t2 - t1, "checks": time.perf_counter() - t2},
         }
         print(json.dumps(stats), file=sys.stderr)
@@ -346,10 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser run() uses, built once per process."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return OK if exc.code in (0, None) else USAGE
     try:

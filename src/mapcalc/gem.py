@@ -47,7 +47,8 @@ _PERMUTATION_OFFSETS = {
 class FlagMap:
     """A map: rectangle count and flag involution.
 
-    The constructor only enforces shape (lengths, ranges);
+    The constructor only enforces shape (lengths, ranges) and that alpha
+    is a permutation of the 4m flags, which every gon walk needs to end;
     use validate() to check the semantic invariants, so that broken
     candidates can still be inspected and reported on.
     """
@@ -65,6 +66,8 @@ class FlagMap:
         for x, y in enumerate(self.alpha):
             if not isinstance(y, int) or not 0 <= y < n:
                 raise ValueError(f"alpha[{x}] = {y!r} is not a flag id")
+        if len(set(self.alpha)) != n:
+            raise ValueError("alpha is not a permutation of the flags")
 
     @classmethod
     def from_pairs(cls, m: int, pairs: Iterable[tuple[int, int]]) -> FlagMap:
@@ -169,9 +172,6 @@ class GonDecomposition:
     @property
     def count(self) -> int:
         return len(self.gons)
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.gons)
 
     def partition(self) -> frozenset[frozenset[int]]:
         """Gons as a set of flag sets, traversal order forgotten."""

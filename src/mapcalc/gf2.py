@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 # Four-Russians block width: of k = 6..10, 8 was fastest for the full RREF
 # on operators with m = 250..350; the forward pass alone is within 5 % of
@@ -73,17 +73,19 @@ def _rref(rows: Iterable[int]) -> tuple[int, ...]:
     return _back_substitute(_echelon(rows))
 
 
-def _back_substitute(pivots: dict[int, int]) -> tuple[int, ...]:
+def _back_substitute(pivots: dict[int, int], descending: bool = True) -> tuple[int, ...]:
     """Clear every pivot bit from the other rows of {pivot bit: row}, in
     place, and return the rows in increasing pivot order.
 
-    The rows are visited in descending pivot order: the other pivot bits
-    of a row all lie above its own pivot, and the rows of those pivots are
-    already reduced, so XOR-ing them in clears exactly those bits.
+    Lowest-bit pivots are visited in descending order: the other pivot
+    bits of a row all lie above its own pivot, and the rows of those pivots
+    are already reduced, so XOR-ing them in clears exactly those bits.
+    Highest-bit pivots (`_top_rref`) are the mirror image, visited with
+    descending=False.
     """
     mask = sum(pivots)
     out = []
-    for p in sorted(pivots, reverse=True):
+    for p in sorted(pivots, reverse=descending):
         row = pivots[p]
         rest = (row ^ p) & mask
         while rest:
@@ -92,15 +94,16 @@ def _back_substitute(pivots: dict[int, int]) -> tuple[int, ...]:
             rest ^= q
         pivots[p] = row
         out.append(row)
-    out.reverse()
+    if descending:
+        out.reverse()
     return tuple(out)
 
 
 def _top_rref(rows: Iterable[int]) -> dict[int, int]:
     """Reduced echelon form on the highest bits: {top pivot bit: row}.
 
-    `_echelon` and `_back_substitute` mirrored: each row is reduced by the
-    stored row of its highest bit, then each pivot bit is cleared from the
+    `_echelon` mirrored: each row is reduced by the stored row of its
+    highest bit.  `_back_substitute` then clears each pivot bit from the
     other rows, visiting the pivots in increasing order.  Afterwards every
     row's other bits lie below its pivot and outside all pivot columns.
     """
@@ -113,15 +116,7 @@ def _top_rref(rows: Iterable[int]) -> dict[int, int]:
                 tops[top] = row
                 break
             row ^= b
-    mask = sum(tops)
-    for p in sorted(tops):
-        row = tops[p]
-        rest = (row ^ p) & mask
-        while rest:
-            q = rest & -rest
-            row ^= tops[q]
-            rest ^= q
-        tops[p] = row
+    _back_substitute(tops, descending=False)
     return tops
 
 
@@ -249,10 +244,6 @@ class Gf2Vec:
             bits |= 1 << e
         return cls(m, bits)
 
-    @classmethod
-    def singleton(cls, m: int, edge: int) -> Gf2Vec:
-        return cls.from_edges(m, (edge,))
-
     def edges(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.m) if (self.bits >> i) & 1)
 
@@ -264,15 +255,6 @@ class Gf2Vec:
         if self.m != other.m:
             raise ValueError("universe mismatch")
         return Gf2Vec(self.m, self.bits ^ other.bits)
-
-    def dot(self, other: Gf2Vec) -> int:
-        """Bilinear form: parity of the intersection size (0 or 1)."""
-        if self.m != other.m:
-            raise ValueError("universe mismatch")
-        return (self.bits & other.bits).bit_count() & 1
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
     def __repr__(self) -> str:
         return f"Gf2Vec({self.m}, {{{', '.join(map(str, self.edges()))}}})"
@@ -346,21 +328,8 @@ class Gf2Subspace:
             raise ValueError("vector has bits outside the universe")
         return False
 
-    def is_subspace_of(self, other: Gf2Subspace) -> bool:
-        return all(other.contains(Gf2Vec(self.m, r)) for r in self.rows)
-
     def basis(self) -> tuple[Gf2Vec, ...]:
         return tuple(Gf2Vec(self.m, r) for r in self.rows)
-
-    def vectors(self) -> Iterator[Gf2Vec]:
-        """All 2^dim member vectors (use only for small dimensions)."""
-        n = len(self.rows)
-        for mask in range(1 << n):
-            bits = 0
-            for i in range(n):
-                if (mask >> i) & 1:
-                    bits ^= self.rows[i]
-            yield Gf2Vec(self.m, bits)
 
     def sum(self, other: Gf2Subspace) -> Gf2Subspace:
         if self.m != other.m:
@@ -503,9 +472,6 @@ class LinearOp:
         cols = tuple(int.from_bytes(data[i:i + width], "little")
                      for i in range(0, width * m, width))
         return None if cols == self.cols else LinearOp(m, cols)
-
-    def is_symmetric(self) -> bool:
-        return self.transpose() is self
 
     @cached_property
     def _forward(self) -> tuple[dict[int, int], list[int]]:

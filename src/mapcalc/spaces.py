@@ -6,18 +6,12 @@ tree; the two are orthogonal complements of each other under the parity
 form.  The cycle space is built as the complement of the bond space and
 checked against the fundamental cycles of the breadth-first forest.  A map
 yields three graphs (from its v-, f- and z-gons) and so six subspaces of
-the edge universe, plus the sum of the vertex and face bond spaces.  A
-SpaceBundle builds each of them on its first read: the absorption claims
-read only the three bond spaces, and no claim reads the zigzag graph's
-cycle space.
+the edge universe; analysis.MapAnalysis builds each on its first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
-from .gem import FlagMap, MultiGraph, induced_graph
+from .gem import MultiGraph
 from .gf2 import Gf2Subspace, Gf2Vec
 
 
@@ -83,64 +77,3 @@ def _checked_cycle_space(g: MultiGraph, bonds: Gf2Subspace) -> Gf2Subspace:
     if not all(map(space.contains, cycles)):
         raise AssertionError("cycle space disagrees with the fundamental cycles")
     return space
-
-
-@dataclass(frozen=True)
-class SpaceBundle:
-    """The three induced graphs of a map, their six edge subspaces and the
-    sum of the vertex and face bond spaces that claims 3b and 3c share.
-
-    Each subspace is built on its first read and kept.  A cycle space is
-    checked against its graph's fundamental cycles, so a failed check
-    raises AssertionError on the first read of that cycle space.
-    """
-
-    m: int
-    vertex_graph: MultiGraph
-    face_graph: MultiGraph
-    zigzag_graph: MultiGraph
-
-    @cached_property
-    def vertex_bonds(self) -> Gf2Subspace:
-        return bond_space(self.vertex_graph)
-
-    @cached_property
-    def vertex_cycles(self) -> Gf2Subspace:
-        return _checked_cycle_space(self.vertex_graph, self.vertex_bonds)
-
-    @cached_property
-    def face_bonds(self) -> Gf2Subspace:
-        return bond_space(self.face_graph)
-
-    @cached_property
-    def face_cycles(self) -> Gf2Subspace:
-        return _checked_cycle_space(self.face_graph, self.face_bonds)
-
-    @cached_property
-    def vertex_face_bonds(self) -> Gf2Subspace:
-        """Bv + Bf: 3c's target, and 3b's as its perp."""
-        return self.vertex_bonds.sum(self.face_bonds)
-
-    @cached_property
-    def zigzag_bonds(self) -> Gf2Subspace:
-        return bond_space(self.zigzag_graph)
-
-    @cached_property
-    def zigzag_cycles(self) -> Gf2Subspace:
-        return _checked_cycle_space(self.zigzag_graph, self.zigzag_bonds)
-
-    def dims(self) -> tuple[int, int, int, int, int, int]:
-        """Dimensions in the order (vb, vc, fb, fc, zb, zc); builds all six."""
-        return (
-            self.vertex_bonds.dim,
-            self.vertex_cycles.dim,
-            self.face_bonds.dim,
-            self.face_cycles.dim,
-            self.zigzag_bonds.dim,
-            self.zigzag_cycles.dim,
-        )
-
-
-def space_bundle(map_: FlagMap) -> SpaceBundle:
-    """The three induced graphs of a map, with their spaces built on first read."""
-    return SpaceBundle(map_.m, *(induced_graph(map_, k) for k in ("v", "f", "z")))

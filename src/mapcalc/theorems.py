@@ -113,7 +113,7 @@ class _Claim:
         """Whether the edge set violates the claim on the analysed map."""
         if self.relation == "xi" or self.unmet(analysis):
             return False
-        vec = Gf2Vec.from_edges(analysis.map.m, edges)
+        vec = Gf2Vec.from_edges(analysis.m, edges)
         got, want = self.got(analysis), self.want(analysis)
         if self.relation == "identity":
             return got.apply(vec) != vec
@@ -126,28 +126,24 @@ _Z = ((2, "zigzags"),)
 _FZ = ((1, "faces"), (2, "zigzags"))
 _CLAIMS = (
     _Claim("1a", (), "meet", "intersection",
-           lambda a: (a.bundle.vertex_bonds, a.bundle.face_bonds), lambda a: a.bundle.zigzag_bonds),
+           lambda a: (a.vertex_bonds, a.face_bonds), lambda a: a.zigzag_bonds),
     _Claim("1b", (), "meet", "intersection",
-           lambda a: (a.bundle.face_bonds, a.bundle.zigzag_bonds), lambda a: a.bundle.vertex_bonds),
+           lambda a: (a.face_bonds, a.zigzag_bonds), lambda a: a.vertex_bonds),
     _Claim("1c", (), "meet", "intersection",
-           lambda a: (a.bundle.zigzag_bonds, a.bundle.vertex_bonds), lambda a: a.bundle.face_bonds),
-    _Claim("2a", _Z, "equal", "im",
-           lambda a: a.operators.zigzag.image(), lambda a: a.bundle.vertex_cycles),
-    _Claim("2b", _Z, "equal", "ker",
-           lambda a: a.operators.zigzag.kernel(), lambda a: a.bundle.vertex_bonds),
+           lambda a: (a.zigzag_bonds, a.vertex_bonds), lambda a: a.face_bonds),
+    _Claim("2a", _Z, "equal", "im", lambda a: a.zigzag.image(), lambda a: a.vertex_cycles),
+    _Claim("2b", _Z, "equal", "ker", lambda a: a.zigzag.kernel(), lambda a: a.vertex_bonds),
     _Claim("2c", _Z, "equal", "im",
-           lambda a: a.operators.zigzag_complement.image(), lambda a: a.bundle.face_cycles),
+           lambda a: a.zigzag_complement.image(), lambda a: a.face_cycles),
     _Claim("2d", _Z, "equal", "ker",
-           lambda a: a.operators.zigzag_complement.kernel(), lambda a: a.bundle.face_bonds),
+           lambda a: a.zigzag_complement.kernel(), lambda a: a.face_bonds),
     _Claim("3a", _Z, "xi", "im",
            lambda a: a.zigzag_product_spaces[0],
-           lambda a: euler_of_counts(a.map.m, *a.counts[:2])[1]),
+           lambda a: euler_of_counts(a.m, *a.counts[:2])[1]),
     _Claim("3b", _Z, "equal", "im",
-           lambda a: a.zigzag_product_spaces[0],
-           lambda a: a.bundle.vertex_face_bonds.perp()),
+           lambda a: a.zigzag_product_spaces[0], lambda a: a.vertex_face_bonds.perp()),
     _Claim("3c", _Z, "equal", "ker",
-           lambda a: a.zigzag_product_spaces[1],
-           lambda a: a.bundle.vertex_face_bonds),
+           lambda a: a.zigzag_product_spaces[1], lambda a: a.vertex_face_bonds),
     _Claim("4", _FZ, "identity", "m", lambda a: a.face_product),
 )
 

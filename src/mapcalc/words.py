@@ -8,14 +8,16 @@ single gon of any kind straight off one walk of it: the v-gon gives the
 vertex word, the z-gon the zigzag word (the phial's vertex word) and the
 f-gon the face word (the dual's), so neither the phial nor the dual is
 built.  The interlacement and same-direction indicators of such a word
-combine into a symmetric GF(2) operator on the edge universe.
+combine into a symmetric GF(2) operator on the edge universe; which of a
+map's operators exist, and the operators themselves, are kept by
+analysis.MapAnalysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gem import PARTNER, FlagMap, antimap, gon_count, gon_counts, phial
+from .gem import PARTNER, FlagMap, antimap, gon_count, phial
 from .gf2 import Gf2Vec, LinearOp
 
 
@@ -183,38 +185,6 @@ def c_operator(w: SignedWord) -> LinearOp:
         prefix.append(acc)
     return LinearOp(w.m, tuple(prefix[p2] ^ prefix[p1 if entries[p2][1] == 1 else p1 + 1]
                                for p1, p2 in w._positions))
-
-
-@dataclass(frozen=True)
-class MapOperators:
-    """The word operators a map admits; None marks a failed hypothesis.
-
-    zigzag needs a single z-gon and comes from the zigzag word; its
-    complement is identity + zigzag; face needs a single f-gon and comes
-    from the face word.
-    """
-
-    m: int
-    zigzag: LinearOp | None
-    zigzag_complement: LinearOp | None
-    face: LinearOp | None
-
-
-def map_operators(map_: FlagMap) -> MapOperators:
-    """Build whichever of the three word operators the map supports."""
-    _, f, z = gon_counts(map_)
-    return operators_of_counts(map_, f, z)
-
-
-def operators_of_counts(map_: FlagMap, f: int, z: int) -> MapOperators:
-    """map_operators for a map whose f- and z-gon counts are known."""
-    zig = comp = face = None
-    if z == 1:
-        zig = c_operator(gon_word(map_, "z"))
-        comp = LinearOp.identity(map_.m) + zig
-    if f == 1:
-        face = c_operator(gon_word(map_, "f"))
-    return MapOperators(map_.m, zig, comp, face)
 
 
 def cozigzag_word(map_: FlagMap) -> SignedWord:

@@ -56,7 +56,7 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     expected = verify_all(map_)
     graphs = count_calls(monkeypatch, gem, "induced_graph", key=lambda m, kind: kind)
     bonds = count_calls(monkeypatch, spaces, "bond_space")
-    bundles = count_calls(monkeypatch, spaces, "space_bundle")
+    analyses = count_method(monkeypatch, MapAnalysis, "__init__")
     operators = count_calls(monkeypatch, words, "c_operator")
     labels = count_calls(monkeypatch, gem, "gon_labels", key=lambda alpha, partner: partner)
     permutations = count_calls(monkeypatch, gem, "apply_permutation")
@@ -65,7 +65,7 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     assert reports[-1].applicable is theorem4 and reports[-1].holds
     assert graphs == {"v": 1, "f": 1, "z": 1}
     assert sum(bonds.values()) == 3
-    assert sum(bundles.values()) == 1
+    assert sum(analyses.values()) == 1
     # c_P is built from its word and c_P~ = 1 + c_P; c_D too when f = 1.
     assert sum(operators.values()) == (2 if theorem4 else 1)
     # One trace per gon kind serves the counts and graphs; the words are
@@ -83,9 +83,8 @@ def test_verify_all_composes_only_for_theorem4(monkeypatch, build, composed):
     passes = count_calls(monkeypatch, gf2, "_forward_pass", key=lambda rows, width: tuple(rows))
     assert all(r.holds for r in verify_all(analysis))
     assert sum(composes.values()) == composed
-    ops = analysis.operators
     words = {tuple(c | 1 << (op.m + j) for j, c in enumerate(op.cols))
-             for op in (ops.zigzag, ops.zigzag_complement)}
+             for op in (analysis.zigzag, analysis.zigzag_complement)}
     assert passes == {rows: 1 for rows in words}
 
 
@@ -102,20 +101,18 @@ def test_checks_accept_a_map_or_its_analysis():
 
 
 def test_artefacts_are_kept_and_complete_builds_them(monkeypatch):
+    graphs = count_calls(monkeypatch, gem, "induced_graph", key=lambda m, kind: kind)
     analysis = MapAnalysis(k33_map())
-    bundles = count_calls(monkeypatch, spaces, "space_bundle")
     assert analysis.complete() is analysis
     assert analysis.counts == (6, 4, 1)
-    assert analysis.bundle is analysis.bundle
-    assert analysis.operators.face is None and analysis.face_product is None
-    ops = analysis.operators
-    product = ops.zigzag_complement.compose(ops.zigzag)
+    assert analysis.face is None and analysis.face_product is None
+    product = analysis.zigzag_complement.compose(analysis.zigzag)
     assert analysis.zigzag_product_spaces == (product.image(), product.kernel())
     assert analysis.zigzag_product_spaces is analysis.zigzag_product_spaces
-    assert sum(bundles.values()) == 1
+    assert graphs == {"v": 1, "f": 1, "z": 1}
     check_absorption(analysis)
     check_theorem3(analysis)
-    assert sum(bundles.values()) == 1
+    assert graphs == {"v": 1, "f": 1, "z": 1}
 
 
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])
@@ -136,8 +133,7 @@ def test_verify_all_builds_no_zigzag_cycle_space(monkeypatch, build):
     cycles = count_calls(monkeypatch, spaces, "_checked_cycle_space",
                          key=lambda g, bonds: g)
     verify_all(analysis)
-    bundle = analysis.bundle
-    assert cycles == {bundle.vertex_graph: 1, bundle.face_graph: 1}
+    assert cycles == {analysis.vertex_graph: 1, analysis.face_graph: 1}
 
 
 def test_complete_builds_all_six_spaces(monkeypatch):
@@ -146,8 +142,7 @@ def test_complete_builds_all_six_spaces(monkeypatch):
                          key=lambda g, bonds: g)
     bonds = count_calls(monkeypatch, spaces, "bond_space", key=lambda g: g)
     analysis.complete()
-    bundle = analysis.bundle
-    graphs = (bundle.vertex_graph, bundle.face_graph, bundle.zigzag_graph)
+    graphs = (analysis.vertex_graph, analysis.face_graph, analysis.zigzag_graph)
     assert cycles == bonds == {g: 1 for g in graphs}
     verify_all(analysis)
     assert cycles == bonds == {g: 1 for g in graphs}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import K4_ROT, K33_TOKENS
+import mapcalc
 from mapcalc import (
     enumerate_maps,
     gon_counts,
@@ -20,10 +22,12 @@ from mapcalc import (
     write_gem,
     zigzag_map_from_word,
 )
+from mapcalc import cli
 from mapcalc.cli import build_parser, run
 from mapcalc.codec import parse_word
 from mapcalc.theorems import GROUPS, THEOREM_IDS
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 TWO_SPHERES = "gem 2\na 1 2\na 3 0\na 5 6\na 7 4\n"
 
 
@@ -400,7 +404,34 @@ def test_readme_names_the_parser_long_options():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     defined = {opt for p in (parser, *sub.choices.values()) for a in p._actions
                for opt in a.option_strings if opt.startswith("--")}
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
     assert named <= defined, sorted(named - defined)
     assert defined - {"--help", "--output"} <= named, sorted(defined - named)
+
+
+def test_readme_names_every_exported_name():
+    """README's "Key objects" names, in code spans, every public name the
+    package exports (its submodules aside)."""
+    readme = README.read_text(encoding="utf-8")
+    start = readme.index("Key objects:")
+    section = readme[start:readme.index("\n## ", start)]
+    spans = " ".join(re.findall(r"`([^`]*)`", section))
+    exported = {name for name, obj in vars(mapcalc).items()
+                if not name.startswith("_") and not inspect.ismodule(obj)}
+    missing = {name for name in exported if not re.search(rf"\b{name}\b", spans)}
+    assert not missing, sorted(missing)
+
+
+def test_run_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    assert run(["frobnicate"]) == 2
+    assert run(["enumerate", "--size", "1"]) == 0
+    assert len(built) == 1

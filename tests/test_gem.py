@@ -108,6 +108,13 @@ def test_constructor_shape_checks():
         FlagMap(1, (1, 0, 3, 4))
 
 
+def test_constructor_rejects_a_non_permutation():
+    """A gon walk on such an alpha would never return to its start."""
+    for alpha in ((1, 1, 1, 1), (1, 0, 3, 0)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            FlagMap(1, alpha)
+
+
 def test_from_pairs_checks():
     with pytest.raises(ValueError):
         FlagMap.from_pairs(1, ((0, 4), (1, 2)))
@@ -126,7 +133,7 @@ def test_validate_reports_fixed_points():
 
 
 def test_validate_reports_non_involution():
-    report = validate(FlagMap(1, (1, 0, 3, 0)))
+    report = validate(FlagMap(1, (1, 2, 0, 3)))
     assert not report.involution
 
 
@@ -275,7 +282,8 @@ def test_permutations_carry_gon_structure():
             image = role_image(word)
             for i, kind in enumerate("vfz"):
                 moved = "vfz"[image[i]]
-                assert sorted(gons(turned, moved).sizes()) == sorted(gons(map_, kind).sizes())
+                want = sorted(len(g) for g in gons(map_, kind).gons)
+                assert sorted(len(g) for g in gons(turned, moved).gons) == want
 
 
 # An oracle for permutations that uses neither gem's partners nor its

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from conftest import random_signed_word
+from conftest import members, random_signed_word
 from mapcalc import Gf2Subspace, Gf2Vec, LinearOp, space_bundle, zigzag_map_from_word
 from mapcalc.gf2 import _forward_pass, _rref, product_spaces
 from mapcalc.spaces import _fundamental_cycles
@@ -245,7 +245,7 @@ def test_intersect_matches_reference():
             assert got.rows == ref_intersect(m, a.rows, b.rows)
             assert_canonical(m, got.rows)
             assert got == b.intersect(a)
-            assert got.is_subspace_of(a) and got.is_subspace_of(b)
+            assert all(a.contains(r) and b.contains(r) for r in got.rows)
 
 
 def test_intersect_special_cases():
@@ -271,7 +271,7 @@ def test_operator_kernels_match_reference():
             ker = op.kernel()
             assert ker.rows == ref_kernel(m, cols)
             assert_canonical(m, ker.rows)
-            assert all(op.apply(v).is_zero() for v in ker.basis())
+            assert all(op.apply(v).bits == 0 for v in ker.basis())
             assert op.image().rows == ref_rref(cols)
             assert op.transpose().cols == ref_transpose(m, cols)
             other = LinearOp(m, tuple(rng.getrandbits(m) for _ in range(m)))
@@ -402,7 +402,7 @@ def test_block_transpose_matches_reference():
             want = ref_transpose(m, op.cols)
             t = op.transpose()
             assert t.cols == want
-            assert (t is op) == (want == op.cols) == op.is_symmetric()
+            assert (t is op) == (want == op.cols)
             assert t.transpose().cols == op.cols
             assert op.transpose() is t
 
@@ -419,7 +419,7 @@ def test_preimage_matches_brute_force():
                 got = op.preimage(space)
                 assert_canonical(m, got.rows)
                 want = {x for x in range(1 << m) if space.contains(images[x])}
-                assert {v.bits for v in got.vectors()} == want
+                assert members(got) == want
 
 
 def test_product_spaces_match_compose():

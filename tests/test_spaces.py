@@ -26,8 +26,8 @@ TRIANGLE = MultiGraph(3, ((0, 1), (1, 2), (2, 0)))
 def test_bond_of_triangle_corner():
     assert bond_of(TRIANGLE, {0}).edges() == (0, 2)
     assert bond_of(TRIANGLE, {0, 1}).edges() == (1, 2)
-    assert bond_of(TRIANGLE, set()).is_zero()
-    assert bond_of(TRIANGLE, {0, 1, 2}).is_zero()
+    assert bond_of(TRIANGLE, set()).bits == 0
+    assert bond_of(TRIANGLE, {0, 1, 2}).bits == 0
     with pytest.raises(ValueError):
         bond_of(TRIANGLE, {3})
 
@@ -35,7 +35,7 @@ def test_bond_of_triangle_corner():
 def test_loops_never_in_bonds():
     g = MultiGraph(2, ((0, 1), (0, 0)))
     assert bond_of(g, {0}).edges() == (0,)
-    assert all(1 not in v for v in bond_space(g).vectors())
+    assert all(not x & 0b10 for x in members(bond_space(g)))
 
 
 def test_triangle_spaces():
@@ -155,7 +155,7 @@ def test_spaces_are_orthogonal_complements():
         g = random_connected_graph(rng)
         b, c = bond_space(g), cycle_space(g)
         assert b.dim + c.dim == g.edge_count
-        assert all(x.dot(y) == 0 for x in b.basis() for y in c.basis())
+        assert all((x & y).bit_count() % 2 == 0 for x in b.rows for y in c.rows)
         assert b.perp() == c and c.perp() == b
 
 

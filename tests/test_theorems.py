@@ -138,10 +138,10 @@ def test_recheck_rejects_fake_counterexamples():
 
 
 @pytest.mark.parametrize("build, tid, field, wrong", [
-    (k33_map, "2a", "want", lambda a: a.bundle.vertex_bonds),
-    (k33_map, "3c", "want", lambda a: a.bundle.vertex_bonds),
-    (k33_map, "1a", "got", lambda a: (a.bundle.vertex_bonds, a.bundle.vertex_bonds)),
-    (single_face_dual, "4", "got", lambda a: a.operators.face),
+    (k33_map, "2a", "want", lambda a: a.vertex_bonds),
+    (k33_map, "3c", "want", lambda a: a.vertex_bonds),
+    (k33_map, "1a", "got", lambda a: (a.vertex_bonds, a.vertex_bonds)),
+    (single_face_dual, "4", "got", lambda a: a.face),
 ], ids=["2a", "3c", "1a", "4"])
 def test_recheck_confirms_a_wrong_claims_witness(monkeypatch, build, tid, field, wrong):
     """A table entry with a deliberately wrong operand is violated on a real
