@@ -289,12 +289,22 @@ class MultiGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("need at least one vertex")
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+        for edge in self.edges:
+            u, v = edge
+            if type(u) is not int or type(v) is not int or type(edge) is not tuple:
+                break
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint out of range: ({u}, {v})")
+        else:
+            if type(self.edges) is tuple:
+                return
+        # Any other spelling (a list, bools, int-like values) is made a tuple
+        # of int pairs once and checked again.
+        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        self.__post_init__()
 
     @property
     def edge_count(self) -> int:

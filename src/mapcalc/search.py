@@ -20,16 +20,22 @@ z(a) - 1 <= |p| < the fewest subdivisions so far, fewest first.  The
 first candidate met with the fewest wins, also if the budget cuts the
 sweep after it; only then is a FlagMap built.
 
-The sweep runs when candidate_count(g) <= EXHAUSTIVE_LIMIT; per rotation
-tuple it builds the list once and toggles twists in place
-(codec._toggle_twist) from mask to mask.  Switching at a vertex reverses
-its rotation (the first dart stays first) and toggles the twists of its
-non-loop edges without changing the map (Mohar and Thomassen, Graphs on
-Surfaces, 2001); switches toggle exactly a cut.  So the sweep fixes the
-twists of MultiGraph.spanning_forest's tree at 0, loses no embedding and
-visits candidate_count(g) >> (g.n - 1) candidates.  Larger graphs get
-seeded random restarts with local moves on g itself, which count f + z
-with gem.gon_count and never subdivide.
+The sweep runs when candidate_count(g) <= EXHAUSTIVE_LIMIT.  Switching at
+a vertex reverses its rotation (the first dart stays first) and toggles
+the twists of its non-loop edges without changing the map (Mohar and
+Thomassen, Graphs on Surfaces, 2001); switches toggle exactly a cut.  So
+the sweep fixes the twists of MultiGraph.spanning_forest's tree at 0.
+Switching at every vertex then still reverses every rotation and keeps
+every twist, so at the last vertex of degree >= 3 it keeps only the
+rotations whose second dart sorts below their last.  It loses no
+embedding and visits one candidate per switching class:
+candidate_count(g) >> g.n candidates, or >> (g.n - 1) when no vertex has
+degree 3 or more.  Per rotation tuple it builds the flag list once, draws
+the tuple's candidates from the budget at once (checking the time limit
+there) and sweeps the free twists in Gray-code order, flipping one twist
+in place per candidate.  Larger graphs get seeded random restarts with
+local moves on g itself, which count f + z with gem.gon_count and never
+subdivide.
 """
 
 from __future__ import annotations
@@ -134,8 +140,9 @@ class SearchOutcome:
     per-original-edge counts (0 or 1) of the found map, the fewest possible
     unless the budget cut the sweep, then the fewest among those seen.
     mode is "exhaustive" or "randomized" and space its candidate count:
-    candidate_count(g) >> (g.n - 1) for the sweep, candidate_count(g) for
-    the randomized phase, which drew `restarts` starting points.
+    for the sweep the number of switching classes, candidate_count(g) >>
+    g.n, or >> (g.n - 1) when every degree is at most 2; candidate_count(g)
+    for the randomized phase, which drew `restarts` starting points.
     best_score is the lowest f + z seen: 2 when found, else the randomized
     phase's lowest, and None after the sweep (it does not count gons).
     """
@@ -215,12 +222,16 @@ class _Counter:
         if value is not None and (self.best_score is None or value < self.best_score):
             self.best_score = value
 
-    def tick(self) -> None:
-        if self.used >= self.limit or (
-            self.deadline is not None and time.monotonic() > self.deadline
-        ):
+    def draw(self, want: int) -> int:
+        """Hand out min(want, what is left) candidates; raise _Stop when
+        none are left or the time limit has passed."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Stop
-        self.used += 1
+        granted = min(want, self.limit - self.used)
+        if granted <= 0:
+            raise _Stop
+        self.used += granted
+        return granted
 
 
 def _toggles_to_one_zigzag(alpha: list[int], fewest: int) -> tuple[int, ...] | None:
@@ -239,35 +250,60 @@ def _toggles_to_one_zigzag(alpha: list[int], fewest: int) -> tuple[int, ...] | N
     return None
 
 
+def _swept_rotations(g: MultiGraph) -> list[list[tuple[tuple[int, int], ...]]]:
+    """Per vertex, the rotations the sweep visits: first dart pinned, and at
+    the last vertex of degree >= 3 one of each mirror pair, r[1] < r[-1]."""
+    per_vertex = [[(d[0], *p) for p in permutations(d[1:])] for d in _dart_lists(g)]
+    for rots in reversed(per_vertex):
+        if len(rots[0]) >= 3:
+            rots[:] = [r for r in rots if r[1] < r[-1]]
+            break
+    return per_vertex
+
+
 def _exhaustive(g: MultiGraph, counter: _Counter, max_subdivisions: int) -> Iterator[_Winner]:
     """Sweep g's switching-reduced candidates; yield each winner that needs
     fewer subdivisions than the last, and stop after one that needs none."""
-    per_vertex = [[(d[0], *p) for p in permutations(d[1:])] for d in _dart_lists(g)]
     n_edges = g.edge_count
     n_flags = 4 * n_edges
     face, zigzag = PARTNER["f"], PARTNER["z"]
     tree = set(g.spanning_forest()[0])
     free = [e for e in range(n_edges) if e not in tree]
-    # Sweep index i sets the twist of free[j] to bit j of i; i - 1 and i
-    # differ in free[0 .. lowest set bit of i], which is toggles[bit_length].
-    toggles = [free[:k] for k in range(len(free) + 1)]
+    size = 1 << len(free)
+    # Candidate i twists free[j] when bit j of i ^ (i >> 1) is set, so it
+    # differs from candidate i - 1 in free[lowest set bit of i] alone, and
+    # flips[i] is flag 4e + 2 of that edge e.  Each tuple's list starts with
+    # edge 0 twisted, which flips[0] undoes.
+    flips = [2] + [4 * free[(i & -i).bit_length() - 1] + 2 for i in range(1, size)]
     fewest = max_subdivisions + 1
-    for rots in product(*per_vertex):
-        alpha = _rotation_alpha(rots, 0, n_edges)
-        for i in range(1 << len(free)):
-            counter.tick()
-            for e in toggles[(i & -i).bit_length()]:
-                _toggle_twist(alpha, e)
-            if _gon_length(alpha, face) != n_flags:
+    for rots in product(*_swept_rotations(g)):
+        granted = counter.draw(size)
+        alpha = _rotation_alpha(rots, 1, n_edges)
+        for i in range(granted):
+            a = flips[i]  # codec._toggle_twist, inline
+            b = a + 1
+            x, y = alpha[a], alpha[b]
+            if x != b:
+                alpha[b], alpha[x] = x, b
+                alpha[a], alpha[y] = y, a
+            x, length = alpha[face], 2  # the face through flag 0
+            while x:
+                x = alpha[x ^ face]
+                length += 2
+            if length != n_flags:
                 continue
             if _gon_length(alpha, zigzag) == n_flags:
                 p = ()
             elif fewest < 2 or (p := _toggles_to_one_zigzag(alpha, fewest)) is None:
                 continue  # z(a) >= 2 here, which needs |p| >= 1
-            yield rots, sum(1 << e for j, e in enumerate(free) if (i >> j) & 1), p
+            mask = i ^ (i >> 1)
+            yield rots, sum(1 << e for j, e in enumerate(free) if (mask >> j) & 1), p
             if not p:
+                counter.used -= granted - i - 1  # hand back the unvisited rest
                 return
             fewest = len(p)
+        if granted < size:
+            raise _Stop
 
 
 def _random_rotations(g: MultiGraph, rng: random.Random) -> list[tuple[tuple[int, int], ...]]:
@@ -303,7 +339,7 @@ def _randomized(g: MultiGraph, counter: _Counter, rng: random.Random) -> _Winner
                 new_rots[v] = tuple(rot)
             else:
                 new_mask ^= 1 << rng.randrange(n_edges)
-        counter.tick()
+        counter.draw(1)
         alpha = _rotation_alpha(new_rots, new_mask, n_edges)
         value = gon_count(alpha, PARTNER["f"]) + gon_count(alpha, PARTNER["z"])
         if value == 2:
@@ -335,6 +371,7 @@ def search_embedding(
     counter = _Counter(budget.max_candidates, deadline)
     count = candidate_count(g)
     exhaustive = count <= EXHAUSTIVE_LIMIT
+    space = count >> (g.n - 1 + any(d >= 3 for d in g.degrees())) if exhaustive else count
     winner = None
     try:
         if exhaustive:
@@ -348,5 +385,5 @@ def search_embedding(
     found, counts = (None, None) if winner is None else _winner_map(g, winner)
     return SearchOutcome(
         status if found is None else "found", found, counts, counter.used, seed,
-        "exhaustive" if exhaustive else "randomized", count >> (g.n - 1) if exhaustive else count,
+        "exhaustive" if exhaustive else "randomized", space,
         counter.restarts, counter.best_score if found is None else 2)

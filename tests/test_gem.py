@@ -376,6 +376,18 @@ def test_multigraph_basics():
         MultiGraph(0, ())
 
 
+def test_multigraph_edges_are_int_pairs_built_once():
+    edges = ((0, 1), (1, 1))
+    assert MultiGraph(2, edges).edges is edges
+    for spelling in ([[0, 1], (1, 1)], ((False, True), (1, True)), [(0, 1), [1, 1]]):
+        g = MultiGraph(2, spelling)
+        assert g.edges == edges and type(g.edges) is tuple
+        assert all(type(e) is tuple and {type(u) for u in e} == {int} for e in g.edges)
+    for bad in (((0, 1), (1, 2)), [(0, 1), [2, 0]], ((-1, 0),), ((True, 2),)):
+        with pytest.raises(ValueError, match="out of range"):
+            MultiGraph(2, bad)
+
+
 def test_multigraph_bipartite():
     assert MultiGraph(2, ((0, 1), (0, 1))).is_bipartite()
     assert not MultiGraph(3, ((0, 1), (1, 2), (2, 0))).is_bipartite()

@@ -269,21 +269,22 @@ POOL_43 = MultiGraph(4, ((0, 1), (3, 3), (0, 2), (0, 2), (0, 3), (1, 1), (0, 2))
 
 def test_exhausted_levels_use_exactly_their_space():
     """A sweep that ends without a winner visits each of its space =
-    candidate_count >> (n - 1) switching-reduced candidates once, and so
-    decides every level up to max_subdivisions.  Graph 43 needs exactly 3
-    subdivisions: exhausted at 2, found at 3 by the same 3072 candidates."""
+    candidate_count >> n switching classes once (>> (n - 1) when no degree
+    is 3 or more), and so decides every level up to max_subdivisions.
+    Graph 43 needs exactly 3 subdivisions: exhausted at 2, found at 3 by
+    the same 1536 candidates."""
     flat = search_embedding(LOOP)
     assert (flat.status, flat.mode, flat.candidates, flat.space) == (
         "exhausted", "exhaustive", 2, 2)
-    assert POOL_43.n == 4 and candidate_count(POOL_43) >> 3 == 3072
+    assert POOL_43.n == 4 and candidate_count(POOL_43) >> 4 == 1536
     outcome = search_embedding(POOL_43, SearchBudget(max_candidates=20_000, max_subdivisions=2),
                                seed=43)
     check_outcome(outcome)
     assert (outcome.status, outcome.mode, outcome.candidates, outcome.space) == (
-        "exhausted", "exhaustive", 3072, 3072)
+        "exhausted", "exhaustive", 1536, 1536)
     deeper = search_embedding(POOL_43, SearchBudget(max_candidates=20_000, max_subdivisions=3),
                               seed=43)
-    assert (deeper.status, deeper.candidates) == ("found", 3072)
+    assert (deeper.status, deeper.candidates) == ("found", 1536)
     assert deeper.subdivisions == (0, 1, 1, 0, 0, 1, 0)
     assert gon_counts(deeper.map)[1:] == (1, 1)
     assert check_theorem4(deeper.map).holds

@@ -7,18 +7,23 @@ tests compare that list with embedding_to_map and with the original
 pair-by-pair expansion kept below, compare the in-place twist toggles of
 the exhaustive sweep with a rebuild, compare the counts with gon_counts,
 pin whole search outcomes, check that switching at a vertex leaves the
-gon counts alone, check how subdividing an edge moves the face and
-zigzag counts, check that the zigzags are the faces of the Petrie dual,
-check that one twist toggle moves the face and zigzag counts by at most
-1 (the premise of the sweep's prune), compare the switching-reduced
-sweep (tree twists fixed at 0) with a full sweep of every candidate and
-every parity class, and compare the one sweep with a copy of the
+gon counts alone and that reversing every rotation does too, check how
+subdividing an edge moves the face and zigzag counts, check that the
+zigzags are the faces of the Petrie dual, check that one twist toggle
+moves the face and zigzag counts by at most 1 (the premise of the
+sweep's prune), compare the switching-reduced sweep (tree twists fixed
+at 0, one rotation of each mirror pair) with a full sweep of every
+candidate and every parity class, check that a time limit cuts a sweep
+in the middle, and compare the one sweep with a copy of the
 level-by-level search it replaced.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
+import time
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
@@ -154,7 +159,7 @@ TOGGLE_GRAPHS = SMALL + (K4, MultiGraph(3, ((1, 0), (1, 2), (2, 2))))
 
 @pytest.mark.parametrize("g", TOGGLE_GRAPHS, ids=lambda g: f"n{g.n}-e{g.edge_count}")
 def test_twist_toggles_match_a_rebuild_on_every_candidate(g):
-    """The exhaustive sweep's order: from mask - 1 to mask, toggle edges
+    """Binary counting order: from mask - 1 to mask, toggle edges
     0 .. (lowest set bit of mask), starting from the mask-0 list."""
     m = g.edge_count
     per_vertex = [[(d[0], *p) for p in permutations(d[1:])] for d in _dart_lists(g)]
@@ -164,6 +169,20 @@ def test_twist_toggles_match_a_rebuild_on_every_candidate(g):
             for e in range((mask & -mask).bit_length()):
                 _toggle_twist(alpha, e)
             assert alpha == _rotation_alpha(rots, mask, m)
+
+
+@pytest.mark.parametrize("g", TOGGLE_GRAPHS, ids=lambda g: f"n{g.n}-e{g.edge_count}")
+def test_gray_order_toggles_match_a_rebuild_on_every_candidate(g):
+    """The exhaustive sweep's order: candidate i has mask i ^ (i >> 1) and
+    differs from candidate i - 1 in the lowest set bit of i alone; the list
+    starts at mask 1, which toggling edge 0 turns into mask 0."""
+    m = g.edge_count
+    per_vertex = [[(d[0], *p) for p in permutations(d[1:])] for d in _dart_lists(g)]
+    for rots in product(*per_vertex):
+        alpha = _rotation_alpha(rots, 1, m)
+        for i in range(1 << m):
+            _toggle_twist(alpha, (i & -i).bit_length() - 1 if i else 0)
+            assert alpha == _rotation_alpha(rots, i ^ (i >> 1), m)
 
 
 def test_twist_toggles_in_any_order_match_a_rebuild():
@@ -202,6 +221,69 @@ def test_switching_preserves_gon_counts():
             assert gon_counts(embedding_to_map(new)) == want
             rs = new
     assert switched_non_loop > 100
+
+
+def mirror(rotations):
+    """Every rotation reversed, first dart first: switching at every vertex
+    reverses every rotation and toggles each non-loop edge twice."""
+    return tuple(rot[:1] + rot[:0:-1] for rot in rotations)
+
+
+def vfz(alpha: list[int]) -> tuple[int, int, int]:
+    return tuple(gon_count(alpha, PARTNER[kind]) for kind in "vfz")
+
+
+def assert_mirror_keeps_gon_counts(rotations, m: int) -> int:
+    """v, f and z of (rot, a) and (mirror(rot), a) agree for every twist
+    mask a, so for every a ^ p; returns the number of masks checked."""
+    alpha, mirrored = _rotation_alpha(rotations, 1, m), _rotation_alpha(mirror(rotations), 1, m)
+    for i in range(1 << m):  # mask i ^ (i >> 1), as in the sweep
+        e = (i & -i).bit_length() - 1 if i else 0
+        _toggle_twist(alpha, e)
+        _toggle_twist(mirrored, e)
+        assert vfz(alpha) == vfz(mirrored)
+    return 1 << m
+
+
+def test_switching_at_every_vertex_is_the_mirror():
+    rng = random.Random(2001)
+    for _ in range(200):
+        rs, _ = random_rotation_system(rng, random_multigraph(rng))
+        switched = rs
+        for v in range(rs.graph.n):
+            switched = switch(switched, v)
+        assert switched.rotations == mirror(rs.rotations)
+        assert switched.twists == rs.twists
+
+
+def test_mirror_keeps_gon_counts_on_every_candidate_and_random_systems():
+    """The premise of the sweep's mirror pin, on every candidate of the
+    QUOTIENT_GRAPHS at levels 0 and 1 and on 1000 random rotation systems
+    with every twist mask."""
+    cases = mirrored_apart = 0
+    for g in (sub for h in QUOTIENT_GRAPHS.values() for sub in levels_0_and_1(h)):
+        per_vertex = [[(d[0], *p) for p in permutations(d[1:])] for d in _dart_lists(g)]
+        for rots in product(*per_vertex):
+            cases += assert_mirror_keeps_gon_counts(rots, g.edge_count)
+            mirrored_apart += mirror(rots) != rots
+    rng = random.Random(1978)
+    for _ in range(1000):
+        rs, _ = random_rotation_system(rng, random_multigraph(rng))
+        cases += assert_mirror_keeps_gon_counts(rs.rotations, rs.graph.edge_count)
+        mirrored_apart += mirror(rs.rotations) != rs.rotations
+    assert cases > 100_000 and mirrored_apart > 1000
+
+
+def test_mirror_oracle_sees_one_reversed_rotation():
+    # Reversing one vertex's rotation alone, twists kept, is not a switch:
+    # on K4 it changes the gon counts for some rotation system.
+    changed = False
+    for rs, mask in all_rotation_systems(K4):
+        one = (mirror(rs.rotations[:1]) + rs.rotations[1:])
+        if vfz(_rotation_alpha(one, mask, 6)) != vfz(_rotation_alpha(rs.rotations, mask, 6)):
+            changed = True
+            break
+    assert changed
 
 
 def test_switching_oracle_sees_a_plain_twist_toggle():
@@ -267,17 +349,19 @@ def test_subdivision_moves_faces_by_twist_sums_and_zigzags_by_parity():
 # loop-seed0-sub1, theta-seed0-sub2 and pendant-seed0-sub2, recorded with
 # the one sweep of g that decides every subdivision level.  That sweep
 # counts a candidate of g once, not once per subdivision pattern, so it
-# uses fewer candidates, and its winners carry the twists of g.  k4 to
-# bouquet4 end in the exhaustive sweep, k5 and bouquets in the
-# randomized phase.
+# uses fewer candidates, and its winners carry the twists of g.  The
+# candidate counts of theta and pendant were re-recorded (16 -> 8, 4 -> 2,
+# same maps) when the sweep came to keep one rotation of each mirror pair
+# and sweep twists in Gray-code order.  k4 to bouquet4 end in the
+# exhaustive sweep, k5 and bouquets in the randomized phase.
 PINNED = [
     ("k4", 0, 100000, 0, "found", 2, (0, 0, 0, 0, 0, 0),
      "a 0 9 a 1 4 a 2 17 a 3 12 a 5 8 a 6 21 a 7 15 a 10 23 a 11 18 a 13 16 a 14 20 a 19 22"),
     ("loop", 0, 100000, 0, "exhausted", 2, None, None),
     ("loop", 0, 100000, 1, "found", 2, (1,), "a 0 7 a 1 6 a 2 4 a 3 5"),
-    ("theta", 0, 100000, 2, "found", 16, (1, 0, 0),
+    ("theta", 0, 100000, 2, "found", 8, (1, 0, 0),
      "a 0 9 a 1 4 a 2 13 a 3 12 a 5 8 a 6 10 a 7 15 a 11 14"),
-    ("pendant", 0, 100000, 2, "found", 4, (1, 0, 0, 0),
+    ("pendant", 0, 100000, 2, "found", 2, (1, 0, 0, 0),
      "a 0 11 a 1 10 a 2 17 a 3 16 a 4 19 a 5 18 a 6 8 a 7 13 a 9 12 a 14 15"),
     ("bouquet4", 0, 2000, 0, "budget_exceeded", 2000, None, None),
     ("k5", 0, 2000, 0, "found", 14, (0,) * 10,
@@ -348,18 +432,47 @@ def tree_normal_form(rs: RotationSystem, tree: list[int]) -> RotationSystem:
     return rs
 
 
+def mirror_pivot(g: MultiGraph) -> int | None:
+    """The last vertex of degree >= 3, where the sweep pins the mirror."""
+    return max((v for v, d in enumerate(g.degrees()) if d >= 3), default=None)
+
+
+def switching_normal_form(rs: RotationSystem, tree: list[int]) -> RotationSystem:
+    """The tree normal form, then the mirror (a switch at every vertex)
+    when the pivot's second dart sorts above its last."""
+    rs = tree_normal_form(rs, tree)
+    pivot = mirror_pivot(rs.graph)
+    if pivot is not None and rs.rotations[pivot][1] > rs.rotations[pivot][-1]:
+        rs = RotationSystem(rs.graph, mirror(rs.rotations), rs.twists)
+    return rs
+
+
 def reduced_sweep(g: MultiGraph, monkeypatch) -> list[tuple[int, ...]]:
     """The flag involution of every candidate _exhaustive visits, in order.
-    The face walk is recorded and reported short, so no candidate wins."""
+    The face walk is inline, so a line tracer copies the sweep's alpha each
+    time the walk's first line runs.  The zigzag walk is reported short and
+    no subdivision is allowed, so no candidate wins."""
+    lines, first = inspect.getsourcelines(_exhaustive)
+    walk = first + next(i for i, line in enumerate(lines) if "# the face through flag 0" in line)
     seen = []
 
-    def face_walk(alpha, partner):
-        seen.append(tuple(alpha))
-        return 0
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno == walk:
+            seen.append(tuple(frame.f_locals["alpha"]))
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code is _exhaustive.__code__ else None
 
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_gon_length", face_walk)
-        assert list(_exhaustive(g, _Counter(10**9, None), 2)) == []
+        patch.setattr(search, "_gon_length", lambda alpha, partner: 0)
+        previous = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            winners = list(_exhaustive(g, _Counter(10**9, None), 0))
+        finally:
+            sys.settrace(previous)
+    assert winners == []
     return seen
 
 
@@ -381,10 +494,11 @@ def edge_sets(m: int, most: int):
 
 @pytest.mark.parametrize("name", QUOTIENT_GRAPHS)
 def test_reduced_sweep_matches_a_full_sweep(name, monkeypatch):
-    """The switching-reduced sweep visits one candidate per switching
-    class and loses no parity class: with up to 2 subdivisions it needs as
-    few as the full sweep, where a candidate (rs, a) and a set p of edges
-    to subdivide once count when f(a) = 1 and z(a ^ p) = 1."""
+    """The switching-reduced sweep visits one candidate per orbit of the
+    whole switching group and loses no parity class: with up to 2
+    subdivisions it needs as few as the full sweep, where a candidate
+    (rs, a) and a set p of edges to subdivide once count when f(a) = 1 and
+    z(a ^ p) = 1."""
     for g in levels_0_and_1(QUOTIENT_GRAPHS[name]):
         m = g.edge_count
         tree = g.spanning_forest()[0]
@@ -405,12 +519,13 @@ def test_reduced_sweep_matches_a_full_sweep(name, monkeypatch):
                         k = bin(p).count("1")
                         full_fewest = k if full_fewest is None else min(full_fewest, k)
                         break
-            normal = tree_normal_form(rs, tree)
+            normal = switching_normal_form(rs, tree)
             assert not normal.twists & set(tree)
             normal_alpha = embedding_to_map(normal).alpha
             assert (gon_count(list(normal_alpha), FACE), gon_count(list(normal_alpha), ZIGZAG)) == fz
             normal_forms.add(normal_alpha)
-        assert len(visited) == full >> (g.n - 1) == len(set(visited))
+        shift = g.n - 1 + (mirror_pivot(g) is not None)
+        assert len(visited) == full >> shift == len(set(visited))
         assert set(visited) == normal_forms
         winners = list(_exhaustive(g, _Counter(10**9, None), 0))
         assert bool(winners) == full_found
@@ -518,6 +633,34 @@ def test_one_sweep_agrees_with_the_level_by_level_search(name):
             assert outcome.status == "found"
             assert sum(outcome.subdivisions) == want
             assert_found_map(g, outcome)
+
+
+# No embedding with one face and one zigzag; its sweep of 92,160 candidates
+# takes about 0.1 s on a 2-vCPU Xeon with Python 3.11.
+SLOW_SWEEP = MultiGraph(3, ((0, 0), (0, 0), (0, 1), (0, 2), (1, 1), (1, 1), (2, 2)))
+
+
+def test_time_limit_cuts_a_sweep_in_the_middle():
+    """The deadline is checked once per rotation tuple, when the tuple's
+    candidates are drawn, so a short limit ends the sweep part way."""
+    full = search_embedding(SLOW_SWEEP, SearchBudget(max_candidates=10**6))
+    assert (full.status, full.mode, full.candidates, full.space) == (
+        "exhausted", "exhaustive", 92_160, 92_160)
+    start = time.monotonic()
+    cut = search_embedding(SLOW_SWEEP, SearchBudget(max_candidates=10**6, time_limit=0.001))
+    assert time.monotonic() - start < 0.5
+    assert (cut.status, cut.map) == ("budget_exceeded", None)
+    assert 0 < cut.candidates < cut.space == full.space
+
+
+def test_budget_cut_mid_tuple_counts_what_was_visited():
+    """A budget that ends inside a rotation tuple (2^5 twist masks here)
+    visits exactly that many candidates, as a winner mid-tuple does."""
+    for limit in (1, 31, 33, 1000):
+        cut = search_embedding(SLOW_SWEEP, SearchBudget(max_candidates=limit))
+        assert (cut.status, cut.candidates) == ("budget_exceeded", limit)
+    k4 = search_embedding(K4, SearchBudget(max_candidates=1000))
+    assert (k4.status, k4.candidates) == ("found", 2)
 
 
 def test_budget_cut_after_a_winner_is_found():
