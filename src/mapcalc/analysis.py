@@ -12,14 +12,16 @@ rebuilding it.  Nothing is cached elsewhere, apart from what an operator
 keeps of its own forward elimination (see gf2.LinearOp): an analysis and
 all it holds go away with the last reference to it.
 
-Each gon kind is traced once, by the flat gem.gon_labels walk its graph
-is read from; the words of c_P and c_D are read straight off the single
-z-gon and f-gon (words.gon_word), so no phial or dual is built.  c_P~ o
-c_P is never composed: gf2.product_spaces reads its image and kernel from
-the passes c_P and c_P~ already ran for theorem 2.  The absorption checks
-build only the three bond spaces, verify_all adds the vertex and face
-cycle spaces on a single-zigzag map (no claim reads the zigzag graph's),
-and complete() builds everything.
+Each gon kind is traced once by the flat gem.gon_labels walk its graph
+is read from.  The words of c_P and c_D are read straight off the single
+z-gon and f-gon (words.gon_word), so no phial or dual is built, but that
+walks the z-gon a second time on a single-zigzag map, and the f-gon too
+when the map also has one face.  c_P~ o c_P is never composed:
+gf2.product_spaces reads its image and kernel from the passes c_P and
+c_P~ already ran for theorem 2.  The absorption checks build only the
+three bond spaces, verify_all adds the vertex and face cycle spaces on a
+single-zigzag map (no claim reads the zigzag graph's), and complete()
+builds everything.
 
 space_bundle and map_operators, the names the acceptance criteria use for
 a map's spaces and its operators, are MapAnalysis itself.

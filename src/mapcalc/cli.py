@@ -10,6 +10,7 @@ found.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -190,16 +191,10 @@ def _cmd_from_word(args: argparse.Namespace) -> int:
 
 
 def _search_stats(outcome: search.SearchOutcome) -> dict:
-    """The outcome's counters as JSON-ready data."""
-    return {
-        "status": outcome.status,
-        "candidates": outcome.candidates,
-        "seed": outcome.seed,
-        "mode": outcome.mode,
-        "space": outcome.space,
-        "restarts": outcome.restarts,
-        "best_score": outcome.best_score,
-    }
+    """The outcome's fields as JSON-ready data, less the map and its
+    subdivisions, in field order."""
+    return {f.name: getattr(outcome, f.name) for f in dataclasses.fields(outcome)
+            if f.name not in ("map", "subdivisions")}
 
 
 # SearchBudget's errors begin with the field at fault; the CLI names the flag.
@@ -250,15 +245,19 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     for map_ in search.enumerate_maps(args.size):
         total += 1
-        profile = gem.gon_counts(map_)
-        profiles[profile] = profiles.get(profile, 0) + 1
         if args.verify_absorption:
+            # One analysis per map: its graphs give the profile too.
             t_check = time.perf_counter()
-            holds = all(r.holds for r in theorems.check_absorption(map_))
+            analysis = MapAnalysis(map_)
+            holds = all(r.holds for r in theorems.check_absorption(analysis))
             checks_s += time.perf_counter() - t_check
+            profile = analysis.counts
             if not holds:
                 failures += 1
                 print(f"absorption VIOLATED: {codec.write_gem(map_)!r}")
+        else:
+            profile = gem.gon_counts(map_)
+        profiles[profile] = profiles.get(profile, 0) + 1
     if args.stats:
         stats = {
             "m": args.size, "maps": total,

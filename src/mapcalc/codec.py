@@ -213,33 +213,27 @@ def parse_rotation(text: str) -> RotationSystem:
     n = len(vertex_lines)
     if sorted(vertex_lines) != list(range(n)):
         raise MapFormatError(f"vertex ids must be 1..{n} without gaps")
-    counts: dict[int, int] = {}
-    for vid in range(n):
-        for e in vertex_lines[vid]:
-            counts[e] = counts.get(e, 0) + 1
-    edge_ids = sorted(counts)
-    if edge_ids != list(range(len(edge_ids))):
-        raise MapFormatError(f"edge ids must be 1..{len(edge_ids)} without gaps")
-    bad = [e + 1 for e, c in counts.items() if c != 2]
-    if bad:
-        raise MapFormatError(f"edge ids {bad} do not occur exactly twice")
-    for e in twist_tokens or ():
-        if e not in counts:
-            raise MapFormatError(f"twist names unknown edge {e + 1}")
-    ends: dict[int, list[int]] = {e: [] for e in edge_ids}
+    # One pass in vertex order: an edge's first use is its end 0.
+    ends: dict[int, list[int]] = {}
     rotations = []
-    seen_end: dict[int, int] = {e: 0 for e in edge_ids}
     for vid in range(n):
         rot = []
         for e in vertex_lines[vid]:
-            end = seen_end[e]
-            seen_end[e] += 1
-            ends[e].append(vid)
-            rot.append((e, end))
+            at = ends.setdefault(e, [])
+            rot.append((e, len(at)))
+            at.append(vid)
         rotations.append(tuple(rot))
-    edges = tuple((ends[e][0], ends[e][1]) for e in edge_ids)
-    graph = MultiGraph(n, edges)
-    return RotationSystem(graph, tuple(rotations), frozenset(twist_tokens or ()))
+    m = len(ends)
+    if sorted(ends) != list(range(m)):
+        raise MapFormatError(f"edge ids must be 1..{m} without gaps")
+    bad = [e + 1 for e, at in ends.items() if len(at) != 2]
+    if bad:
+        raise MapFormatError(f"edge ids {bad} do not occur exactly twice")
+    for e in twist_tokens or ():
+        if e not in ends:
+            raise MapFormatError(f"twist names unknown edge {e + 1}")
+    edges = tuple((ends[e][0], ends[e][1]) for e in range(m))
+    return RotationSystem(MultiGraph(n, edges), tuple(rotations), frozenset(twist_tokens or ()))
 
 
 def write_rotation(rs: RotationSystem) -> str:

@@ -28,14 +28,14 @@ the sweep fixes the twists of MultiGraph.spanning_forest's tree at 0.
 Switching at every vertex then still reverses every rotation and keeps
 every twist, so at the last vertex of degree >= 3 it keeps only the
 rotations whose second dart sorts below their last.  It loses no
-embedding and visits one candidate per switching class:
-candidate_count(g) >> g.n candidates, or >> (g.n - 1) when no vertex has
-degree 3 or more.  Per rotation tuple it builds the flag list once, draws
-the tuple's candidates from the budget at once (checking the time limit
-there) and sweeps the free twists in Gray-code order, flipping one twist
-in place per candidate.  Larger graphs get seeded random restarts with
-local moves on g itself, which count f + z with gem.gon_count and never
-subdivide.
+embedding, and an uncut sweep visits one candidate per switching class;
+their number is the outcome's space, candidate_count(g) >> g.n, or
+>> (g.n - 1) when no vertex has degree 3 or more.  Per rotation tuple it
+builds the flag list once, draws the tuple's candidates from the budget
+at once (checking the time limit there) and sweeps the free twists in
+Gray-code order, flipping one twist in place per candidate.  Larger
+graphs get seeded random restarts with local moves on g itself, which
+count f + z with gem.gon_count and never subdivide.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from math import factorial, inf
+from math import factorial, inf, prod
 from typing import Iterator, Sequence
 
 from .codec import RotationSystem, _rotation_alpha, _toggle_twist, embedding_to_map
@@ -140,9 +140,10 @@ class SearchOutcome:
     per-original-edge counts (0 or 1) of the found map, the fewest possible
     unless the budget cut the sweep, then the fewest among those seen.
     mode is "exhaustive" or "randomized" and space its candidate count:
-    for the sweep the number of switching classes, candidate_count(g) >>
-    g.n, or >> (g.n - 1) when every degree is at most 2; candidate_count(g)
-    for the randomized phase, which drew `restarts` starting points.
+    for the sweep the number of candidates an uncut sweep visits, one per
+    switching class, which is candidate_count(g) >> g.n, or >> (g.n - 1)
+    when every degree is at most 2; candidate_count(g) for the randomized
+    phase, which drew `restarts` starting points.
     best_score is the lowest f + z seen: 2 when found, else the randomized
     phase's lowest, and None after the sweep (it does not count gons).
     """
@@ -203,10 +204,6 @@ def _winner_map(g: MultiGraph, winner: _Winner) -> tuple[FlagMap, tuple[int, ...
     return embedding_to_map(rs), counts
 
 
-class _Stop(Exception):
-    pass
-
-
 class _Counter:
     """The candidate budget, plus the randomized phase's restart count and
     lowest f + z."""
@@ -218,26 +215,25 @@ class _Counter:
         self.restarts = 0
         self.best_score: int | None = None
 
-    def note_score(self, value: int | None) -> None:
-        if value is not None and (self.best_score is None or value < self.best_score):
-            self.best_score = value
-
     def draw(self, want: int) -> int:
-        """Hand out min(want, what is left) candidates; raise _Stop when
-        none are left or the time limit has passed."""
+        """Hand out min(want, what is left) candidates: 0 once none are
+        left or the time limit has passed."""
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _Stop
+            return 0
         granted = min(want, self.limit - self.used)
-        if granted <= 0:
-            raise _Stop
         self.used += granted
         return granted
 
 
 def _toggles_to_one_zigzag(alpha: list[int], fewest: int) -> tuple[int, ...] | None:
     """The first edge set p, fewest edges first, with |p| < fewest whose
-    twist toggles leave one zigzag; one toggle moves z by at most 1."""
+    twist toggles leave one zigzag; one toggle moves z by at most 1.
+    fewest is at least 1, so () when alpha has one zigzag already."""
     n_flags, zigzag = len(alpha), PARTNER["z"]
+    if _gon_length(alpha, zigzag) == n_flags:
+        return ()
+    if fewest < 2:
+        return None  # z >= 2 here, which needs |p| >= 1
     for k in range(gon_count(alpha, zigzag) - 1, fewest):
         for p in combinations(range(n_flags // 4), k):
             for e in p:
@@ -250,25 +246,32 @@ def _toggles_to_one_zigzag(alpha: list[int], fewest: int) -> tuple[int, ...] | N
     return None
 
 
-def _swept_rotations(g: MultiGraph) -> list[list[tuple[tuple[int, int], ...]]]:
+_Plan = tuple[list[list[tuple[tuple[int, int], ...]]], list[int]]  # rotations, free edges
+
+
+def _sweep_plan(g: MultiGraph) -> _Plan:
     """Per vertex, the rotations the sweep visits: first dart pinned, and at
-    the last vertex of degree >= 3 one of each mirror pair, r[1] < r[-1]."""
+    the last vertex of degree >= 3 one of each mirror pair, r[1] < r[-1];
+    and the free edges, off the spanning tree, whose twists it sweeps."""
     per_vertex = [[(d[0], *p) for p in permutations(d[1:])] for d in _dart_lists(g)]
     for rots in reversed(per_vertex):
         if len(rots[0]) >= 3:
             rots[:] = [r for r in rots if r[1] < r[-1]]
             break
-    return per_vertex
+    tree = set(g.spanning_forest()[0])
+    return per_vertex, [e for e in range(g.edge_count) if e not in tree]
 
 
-def _exhaustive(g: MultiGraph, counter: _Counter, max_subdivisions: int) -> Iterator[_Winner]:
-    """Sweep g's switching-reduced candidates; yield each winner that needs
-    fewer subdivisions than the last, and stop after one that needs none."""
+def _exhaustive(
+    g: MultiGraph, plan: _Plan, counter: _Counter, max_subdivisions: int
+) -> tuple[_Winner | None, bool]:
+    """Sweep the plan's candidates.  Returns the first winner met with the
+    fewest subdivisions (None without one), and False when the budget or
+    the time limit cut the sweep; a winner that needs none ends it."""
+    rotations, free = plan
     n_edges = g.edge_count
     n_flags = 4 * n_edges
-    face, zigzag = PARTNER["f"], PARTNER["z"]
-    tree = set(g.spanning_forest()[0])
-    free = [e for e in range(n_edges) if e not in tree]
+    face = PARTNER["f"]
     size = 1 << len(free)
     # Candidate i twists free[j] when bit j of i ^ (i >> 1) is set, so it
     # differs from candidate i - 1 in free[lowest set bit of i] alone, and
@@ -276,7 +279,8 @@ def _exhaustive(g: MultiGraph, counter: _Counter, max_subdivisions: int) -> Iter
     # edge 0 twisted, which flips[0] undoes.
     flips = [2] + [4 * free[(i & -i).bit_length() - 1] + 2 for i in range(1, size)]
     fewest = max_subdivisions + 1
-    for rots in product(*_swept_rotations(g)):
+    winner = None
+    for rots in product(*rotations):
         granted = counter.draw(size)
         alpha = _rotation_alpha(rots, 1, n_edges)
         for i in range(granted):
@@ -290,37 +294,26 @@ def _exhaustive(g: MultiGraph, counter: _Counter, max_subdivisions: int) -> Iter
             while x:
                 x = alpha[x ^ face]
                 length += 2
-            if length != n_flags:
+            if length != n_flags or (p := _toggles_to_one_zigzag(alpha, fewest)) is None:
                 continue
-            if _gon_length(alpha, zigzag) == n_flags:
-                p = ()
-            elif fewest < 2 or (p := _toggles_to_one_zigzag(alpha, fewest)) is None:
-                continue  # z(a) >= 2 here, which needs |p| >= 1
             mask = i ^ (i >> 1)
-            yield rots, sum(1 << e for j, e in enumerate(free) if (mask >> j) & 1), p
+            winner = rots, sum(1 << e for j, e in enumerate(free) if (mask >> j) & 1), p
             if not p:
                 counter.used -= granted - i - 1  # hand back the unvisited rest
-                return
+                return winner, True
             fewest = len(p)
         if granted < size:
-            raise _Stop
+            return winner, False
+    return winner, True
 
 
-def _random_rotations(g: MultiGraph, rng: random.Random) -> list[tuple[tuple[int, int], ...]]:
-    rots = []
-    for darts in _dart_lists(g):
-        rest = darts[1:]
-        rng.shuffle(rest)
-        rots.append((darts[0], *rest))
-    return rots
-
-
-def _randomized(g: MultiGraph, counter: _Counter, rng: random.Random) -> _Winner:
+def _randomized(g: MultiGraph, counter: _Counter, rng: random.Random) -> _Winner | None:
     """Random restarts plus local moves (swap two rotation entries or
-    toggle one twist), accepting moves that do not increase f + z.  Runs
-    until a candidate wins or the budget raises _Stop."""
+    toggle one twist), accepting moves that do not increase f + z.  Returns
+    the first winner, or None once the budget or the time limit is spent."""
     n_edges = g.edge_count
-    swappable = [v for v, darts in enumerate(_dart_lists(g)) if len(darts) >= 3]
+    dart_lists = _dart_lists(g)
+    swappable = [v for v, darts in enumerate(dart_lists) if len(darts) >= 3]
     rots, mask = [], 0
     best: int | None = None  # lowest f + z of the current restart
     stall = _RESTART_STALL + 1
@@ -328,10 +321,15 @@ def _randomized(g: MultiGraph, counter: _Counter, rng: random.Random) -> _Winner
         restart = stall > _RESTART_STALL
         if restart:
             counter.restarts += 1
-            new_rots, new_mask = _random_rotations(g, rng), rng.getrandbits(n_edges)
+            new_rots = []
+            for darts in dart_lists:  # a random rotation per vertex, first dart pinned
+                rest = darts[1:]
+                rng.shuffle(rest)
+                new_rots.append((darts[0], *rest))
+            new_mask = rng.getrandbits(n_edges)
         else:
             new_rots, new_mask = list(rots), mask
-            if swappable and (not n_edges or rng.random() < 0.5):
+            if swappable and rng.random() < 0.5:
                 v = rng.choice(swappable)
                 rot = list(new_rots[v])
                 i, j = rng.sample(range(1, len(rot)), 2)
@@ -339,7 +337,8 @@ def _randomized(g: MultiGraph, counter: _Counter, rng: random.Random) -> _Winner
                 new_rots[v] = tuple(rot)
             else:
                 new_mask ^= 1 << rng.randrange(n_edges)
-        counter.draw(1)
+        if not counter.draw(1):
+            return None
         alpha = _rotation_alpha(new_rots, new_mask, n_edges)
         value = gon_count(alpha, PARTNER["f"]) + gon_count(alpha, PARTNER["z"])
         if value == 2:
@@ -347,7 +346,8 @@ def _randomized(g: MultiGraph, counter: _Counter, rng: random.Random) -> _Winner
         if restart or value <= best:
             stall = 0 if restart or value < best else stall + 1
             rots, mask, best = new_rots, new_mask, value
-            counter.note_score(value)
+            if counter.best_score is None or value < counter.best_score:
+                counter.best_score = value
         else:
             stall += 1
 
@@ -370,20 +370,15 @@ def search_embedding(
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     counter = _Counter(budget.max_candidates, deadline)
     count = candidate_count(g)
-    exhaustive = count <= EXHAUSTIVE_LIMIT
-    space = count >> (g.n - 1 + any(d >= 3 for d in g.degrees())) if exhaustive else count
-    winner = None
-    try:
-        if exhaustive:
-            for winner in _exhaustive(g, counter, budget.max_subdivisions):
-                pass
-        else:
-            winner = _randomized(g, counter, random.Random(seed))
-        status = "exhausted"
-    except _Stop:
-        status = "budget_exceeded"
+    if count <= EXHAUSTIVE_LIMIT:
+        rotations, free = plan = _sweep_plan(g)
+        mode, space = "exhaustive", prod(map(len, rotations)) << len(free)
+        winner, swept = _exhaustive(g, plan, counter, budget.max_subdivisions)
+    else:
+        mode, space, swept = "randomized", count, False
+        winner = _randomized(g, counter, random.Random(seed))
+    status = "exhausted" if swept else "budget_exceeded"
     found, counts = (None, None) if winner is None else _winner_map(g, winner)
     return SearchOutcome(
-        status if found is None else "found", found, counts, counter.used, seed,
-        "exhaustive" if exhaustive else "randomized", space,
+        status if found is None else "found", found, counts, counter.used, seed, mode, space,
         counter.restarts, counter.best_score if found is None else 2)

@@ -22,7 +22,7 @@ from mapcalc import (
     write_gem,
     zigzag_map_from_word,
 )
-from mapcalc import cli
+from mapcalc import cli, gem
 from mapcalc.cli import build_parser, run
 from mapcalc.codec import parse_word
 from mapcalc.theorems import GROUPS, THEOREM_IDS
@@ -374,6 +374,20 @@ def test_enumerate_stats_schema(capsys):
         assert sum(p["maps"] for p in stats["profiles"]) == 96
         assert set(stats["seconds"]) == {"enumerate", "checks"}
         assert all(isinstance(s, float) and s >= 0 for s in stats["seconds"].values())
+
+
+def test_enumerate_walks_each_gon_kind_once_per_map(capsys, monkeypatch):
+    """With --verify-absorption the profile comes from the analysis the
+    check builds, so each map's three gon kinds are walked once."""
+    walks = []
+    walk = gem.gon_labels
+    monkeypatch.setattr(gem, "gon_labels", lambda *args: walks.append(1) or walk(*args))
+    plain = run_cli(capsys, "enumerate", "--size", "2")
+    assert (plain[0], len(walks)) == (0, 3 * 96)
+    walks.clear()
+    code, out, _ = run_cli(capsys, "enumerate", "--size", "2", "--verify-absorption")
+    assert (code, len(walks)) == (0, 3 * 96)
+    assert out == plain[1] + "absorption: holds on all 96 maps\n"
 
 
 def test_parse_error_exit(files, capsys):

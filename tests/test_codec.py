@@ -187,6 +187,35 @@ def test_parse_rotation_errors():
             parse_rotation(bad)
 
 
+# (text, message, line): every check parse_rotation makes, in its order.
+ROTATION_ERRORS = [
+    ("", "no vertex lines", None),
+    ("v 1: 1 1\nv 1: 2 2\n", "line 2: vertex 1 listed twice", 2),
+    ("v 1: 1 1\ntwist: 1\ntwist: 1\n", "line 3: malformed or repeated twist line", 3),
+    ("v 1: 1 1\ntwist 2: 1\n", "line 2: malformed or repeated twist line", 2),
+    ("v 1: 1 1\ntwist: 0\n", "line 2: bad twist token '0'", 2),
+    ("v 1: 1 x\n", "line 1: bad edge token 'x'", 1),
+    ("w 1: 1 1\n", "line 1: expected 'v k: ...' or 'twist: ...', got 'w 1: 1 1'", 1),
+    ("v 1: 1 1\nv 3: 2 2\n", "vertex ids must be 1..2 without gaps", None),
+    ("v 1: 1 1 3 3\n", "edge ids must be 1..2 without gaps", None),
+    # A gap is reported before a count.
+    ("v 1: 1 3\n", "edge ids must be 1..2 without gaps", None),
+    ("v 1: 1\n", "edge ids [1] do not occur exactly twice", None),
+    ("v 1: 1 1 2\n", "edge ids [2] do not occur exactly twice", None),
+    # Edges are listed in the order vertex 1, 2, ... first use them.
+    ("v 2: 4 1 1\nv 1: 3 3 3 2 2\n", "edge ids [3, 4] do not occur exactly twice", None),
+    ("v 1: 1 1\ntwist: 2\n", "twist names unknown edge 2", None),
+    ("v 1: 1 1 2 2\ntwist: 3 2\n", "twist names unknown edge 3", None),
+]
+
+
+@pytest.mark.parametrize("text, message, line", ROTATION_ERRORS)
+def test_parse_rotation_error_messages(text, message, line):
+    with pytest.raises(MapFormatError) as info:
+        parse_rotation(text)
+    assert (str(info.value), info.value.line) == (message, line)
+
+
 def test_rotation_system_validation():
     g = parse_rotation(K4_ROT).graph
     with pytest.raises(ValueError):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import random
 
 import pytest
 
@@ -12,6 +14,7 @@ from mapcalc import (
     FlagMap,
     MultiGraph,
     SearchBudget,
+    SearchOutcome,
     candidate_count,
     check_theorem4,
     enumerate_maps,
@@ -22,6 +25,7 @@ from mapcalc import (
     validate,
 )
 from mapcalc.cli import run
+from mapcalc.search import EXHAUSTIVE_LIMIT
 
 LOOP = MultiGraph(1, ((0, 0),))
 PATH = MultiGraph(2, ((0, 1),))
@@ -306,3 +310,37 @@ def test_cli_search_stats(tmp_path, capsys):
     assert stats["best_score"] is None or isinstance(stats["best_score"], int)
     assert run(["search", str(rot), "-o", str(tmp_path / "none.gem")]) == 3
     assert capsys.readouterr().err == ""
+
+
+def test_cli_search_stats_keys_are_the_outcome_fields(tmp_path, capsys):
+    """--stats prints every SearchOutcome field but the map and its
+    subdivisions, in field order."""
+    rot = tmp_path / "loop.rot"
+    rot.write_text("v 1: 1 1\n")
+    assert run(["search", str(rot), "--stats", "-o", str(tmp_path / "l.gem")]) == 3
+    stats = json.loads(capsys.readouterr().err)
+    fields = [f.name for f in dataclasses.fields(SearchOutcome)]
+    assert list(stats) == [name for name in fields if name not in ("map", "subdivisions")]
+
+
+def test_sweep_space_is_the_switching_quotient():
+    """space, read off the sweep's rotations and free edges, equals the
+    switching quotient of the full space: candidate_count >> n, or
+    >> (n - 1) when no vertex has degree 3 or more."""
+    rng = random.Random(1996)
+    shifts = set()
+    tested = 0
+    while tested < 200:
+        n = rng.randint(1, 6)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(n == 1, 4))]
+        g = MultiGraph(n, tuple(edges))
+        if candidate_count(g) > EXHAUSTIVE_LIMIT:
+            continue
+        tested += 1
+        shift = g.n - 1 + any(d >= 3 for d in g.degrees())
+        outcome = search_embedding(g, SearchBudget(max_candidates=1))
+        assert outcome.mode == "exhaustive"
+        assert outcome.space == candidate_count(g) >> shift
+        shifts.add(shift - g.n)
+    assert shifts == {-1, 0}

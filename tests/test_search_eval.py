@@ -46,7 +46,7 @@ from mapcalc import (
 from mapcalc import search
 from mapcalc.codec import _rotation_alpha, _toggle_twist
 from mapcalc.gem import PARTNER, gon_count
-from mapcalc.search import _Counter, _dart_lists, _exhaustive, _gon_length, _winner_map
+from mapcalc.search import _Counter, _dart_lists, _exhaustive, _gon_length, _sweep_plan, _winner_map
 
 FACE, ZIGZAG = PARTNER["f"], PARTNER["z"]
 
@@ -469,10 +469,10 @@ def reduced_sweep(g: MultiGraph, monkeypatch) -> list[tuple[int, ...]]:
         previous = sys.gettrace()
         sys.settrace(on_call)
         try:
-            winners = list(_exhaustive(g, _Counter(10**9, None), 0))
+            winner, swept = _exhaustive(g, _sweep_plan(g), _Counter(10**9, None), 0)
         finally:
             sys.settrace(previous)
-    assert winners == []
+    assert (winner, swept) == (None, True)
     return seen
 
 
@@ -527,12 +527,12 @@ def test_reduced_sweep_matches_a_full_sweep(name, monkeypatch):
         shift = g.n - 1 + (mirror_pivot(g) is not None)
         assert len(visited) == full >> shift == len(set(visited))
         assert set(visited) == normal_forms
-        winners = list(_exhaustive(g, _Counter(10**9, None), 0))
-        assert bool(winners) == full_found
-        winners = list(_exhaustive(g, _Counter(10**9, None), 2))
-        assert (len(winners[-1][2]) if winners else None) == full_fewest
-        if winners:
-            found, counts = _winner_map(g, winners[-1])
+        winner, _ = _exhaustive(g, _sweep_plan(g), _Counter(10**9, None), 0)
+        assert (winner is not None) == full_found
+        winner, _ = _exhaustive(g, _sweep_plan(g), _Counter(10**9, None), 2)
+        assert (len(winner[2]) if winner else None) == full_fewest
+        if winner:
+            found, counts = _winner_map(g, winner)
             assert sum(counts) == full_fewest
             assert validate(found).ok
             assert gon_counts(found)[1:] == (1, 1)
