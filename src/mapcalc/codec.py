@@ -257,6 +257,17 @@ def _rotation_alpha(
     to the next dart's entry around its vertex.
     """
     alpha = [0] * (4 * m)
+    _link(alpha, rotations, twist_mask)
+    return alpha
+
+
+def _link(
+    alpha: list[int], rotations: Sequence[Sequence[tuple[int, int]]], twist_mask: int
+) -> None:
+    """Pair, in place, the flags of the darts of the given rotations by the
+    rule in _rotation_alpha.  Each flag belongs to one dart and each pair
+    to one vertex, so this replaces those vertices' old pairs and leaves
+    every other vertex's alone."""
     for rot in rotations:
         if not rot:  # isolated vertex
             continue
@@ -267,7 +278,6 @@ def _rotation_alpha(
             alpha[exit_flag] = entry_flag
             alpha[entry_flag] = exit_flag
             exit_flag = entry_flag ^ 1
-    return alpha
 
 
 def _toggle_twist(alpha: list[int], e: int) -> None:

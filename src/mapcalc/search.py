@@ -25,17 +25,23 @@ a vertex reverses its rotation (the first dart stays first) and toggles
 the twists of its non-loop edges without changing the map (Mohar and
 Thomassen, Graphs on Surfaces, 2001); switches toggle exactly a cut.  So
 the sweep fixes the twists of MultiGraph.spanning_forest's tree at 0.
-Switching at every vertex then still reverses every rotation and keeps
-every twist, so at the last vertex of degree >= 3 it keeps only the
-rotations whose second dart sorts below their last.  It loses no
-embedding, and an uncut sweep visits one candidate per switching class;
-their number is the outcome's space, candidate_count(g) >> g.n, or
->> (g.n - 1) when no vertex has degree 3 or more.  Per rotation tuple it
-builds the flag list once, draws the tuple's candidates from the budget
-at once (checking the time limit there) and sweeps the free twists in
-Gray-code order, flipping one twist in place per candidate.  Larger
-graphs get seeded random restarts with local moves on g itself, which
-count f + z with gem.gon_count and never subdivide.
+Reversing a loop swaps the labels of its two darts, also without
+changing the map.  So each vertex pins its first dart on no loop (on a
+vertex with only loops, (e, 0) of the first loop e), and every loop whose
+darts are both unpinned keeps (e, 0) before (e, 1).  Switching at every
+vertex and then reversing those loops maps kept rotations to kept
+rotations and keeps every twist, so _sweep_plan also keeps one rotation
+tuple of each such pair.  It loses no embedding, and an uncut sweep
+visits one candidate per class of switching and loop reversal.  Their
+number is the outcome's space: for a loop-free g, candidate_count(g) >>
+g.n, or >> (g.n - 1) when no vertex has degree 3 or more; with r
+reversed loops, >> (g.n + r) when some vertex has three darts on no
+reversed loop.  Per rotation tuple it links again only the darts of the
+vertices whose rotation changed, draws the tuple's candidates from the
+budget at once (checking the time limit there) and sweeps the free
+twists in Gray-code order, flipping one twist in place per candidate.
+Larger graphs get seeded random restarts with local moves on g itself,
+which count f + z with gem.gon_count and never subdivide.
 """
 
 from __future__ import annotations
@@ -43,11 +49,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, permutations, product
 from math import factorial, inf, prod
 from typing import Iterator, Sequence
 
-from .codec import RotationSystem, _rotation_alpha, _toggle_twist, embedding_to_map
+from .codec import RotationSystem, _link, _rotation_alpha, _toggle_twist, embedding_to_map
 from .gem import PARTNER, FlagMap, MultiGraph, gon_count, validate
 
 EXHAUSTIVE_LIMIT = 10**6
@@ -141,8 +147,10 @@ class SearchOutcome:
     unless the budget cut the sweep, then the fewest among those seen.
     mode is "exhaustive" or "randomized" and space its candidate count:
     for the sweep the number of candidates an uncut sweep visits, one per
-    switching class, which is candidate_count(g) >> g.n, or >> (g.n - 1)
-    when every degree is at most 2; candidate_count(g) for the randomized
+    class of switching and loop reversal (for a loop-free g,
+    candidate_count(g) >> g.n, or >> (g.n - 1) when every degree is at
+    most 2; each reversed loop halves it again when some vertex has three
+    darts on no reversed loop); candidate_count(g) for the randomized
     phase, which drew `restarts` starting points.
     best_score is the lowest f + z seen: 2 when found, else the randomized
     phase's lowest, and None after the sweep (it does not count gons).
@@ -170,8 +178,8 @@ def _dart_lists(g: MultiGraph) -> list[list[tuple[int, int]]]:
 def candidate_count(g: MultiGraph) -> int:
     """Size of the rotation-times-twist space with first darts pinned."""
     total = 1 << g.edge_count
-    for darts in _dart_lists(g):
-        total *= factorial(max(len(darts) - 1, 0))
+    for degree in g.degrees():
+        total *= factorial(max(degree - 1, 0))
     return total
 
 
@@ -246,20 +254,62 @@ def _toggles_to_one_zigzag(alpha: list[int], fewest: int) -> tuple[int, ...] | N
     return None
 
 
-_Plan = tuple[list[list[tuple[tuple[int, int], ...]]], list[int]]  # rotations, free edges
+_Rotation = tuple[tuple[int, int], ...]
+_Plan = tuple[list[list[list[_Rotation]]], list[int]]  # blocks of per-vertex rotations, free edges
 
 
-def _sweep_plan(g: MultiGraph) -> _Plan:
-    """Per vertex, the rotations the sweep visits: first dart pinned, and at
-    the last vertex of degree >= 3 one of each mirror pair, r[1] < r[-1];
-    and the free edges, off the spanning tree, whose twists it sweeps."""
-    per_vertex = [[(d[0], *p) for p in permutations(d[1:])] for d in _dart_lists(g)]
-    for rots in reversed(per_vertex):
-        if len(rots[0]) >= 3:
-            rots[:] = [r for r in rots if r[1] < r[-1]]
-            break
-    tree = set(g.spanning_forest()[0])
-    return per_vertex, [e for e in range(g.edge_count) if e not in tree]
+def _sweep_plan(g: MultiGraph, tree: list[int]) -> _Plan:
+    """The rotation tuples the sweep visits, as blocks whose products it
+    takes in turn, and the free edges, those not in tree (the edges of
+    MultiGraph.spanning_forest), whose twists it sweeps.
+
+    Each vertex pins its first dart on no loop (when all of its darts are
+    on loops, (e, 0) of the first loop e) and keeps (e, 0) before (e, 1)
+    on every loop e whose darts are both unpinned: reversing e swaps those
+    labels and gives an isomorphic map.  phi, a switch at every vertex and
+    then the reversal of every such loop, maps kept tuples to kept tuples,
+    keeps every twist and reverses the order of the unrelabelled darts
+    after each pin.  So the pivot, the last vertex with two of those, keeps
+    the rotations in which the first of them sorts below the last.
+    Without a pivot, phi can fix a rotation at every vertex.  Read as a
+    word, the edges of a rotation's darts after its pin, phi reverses it;
+    so each vertex with more than one kept rotation, from the last, keeps
+    those whose word sorts below its reverse in a block of their own and
+    passes the palindromes on, and the tuples that phi fixes form the last
+    block."""
+    unrelabelled = _dart_lists(g)  # each vertex's pin, then the darts phi does not relabel
+    reversed_loops: list[list[int]] = [[] for _ in unrelabelled]
+    for e, (u, v) in enumerate(g.edges):
+        if u == v:
+            reversed_loops[u].append(e)
+    pivot = None
+    for v, (darts, mine) in enumerate(zip(unrelabelled, reversed_loops)):
+        if mine:
+            if 2 * len(mine) == len(darts):
+                del mine[0]
+            unrelabelled[v] = darts = [d for d in darts if d[0] not in mine]
+        if len(darts) >= 3:
+            pivot = v
+    kept = []
+    for v, (darts, mine) in enumerate(zip(unrelabelled, reversed_loops)):
+        pin = darts[0]
+        seqs = [(pin, *p) for p in permutations(darts[1:]) if v != pivot or p[0] < p[-1]]
+        for e in mine:  # insert (e, 0) before (e, 1) in every way
+            a, b = (e, 0), (e, 1)
+            gaps = list(combinations_with_replacement(range(1, len(seqs[0]) + 1), 2))
+            seqs = [(*s[:i], a, *s[i:j], b, *s[j:]) for s in seqs for i, j in gaps]
+        kept.append(seqs)
+    blocks = []
+    if pivot is None:
+        for v in reversed(range(g.n)):
+            if len(kept[v]) > 1:
+                words = [[e for e, _ in r[1:]] for r in kept[v]]  # phi reverses each word
+                blocks.append(kept[:v] + [[r for r, w in zip(kept[v], words) if w < w[::-1]]]
+                              + kept[v + 1:])
+                kept = kept[:v] + [[r for r, w in zip(kept[v], words) if w == w[::-1]]] + kept[v + 1:]
+    blocks.append(kept)
+    in_tree = set(tree)
+    return blocks, [e for e in range(g.edge_count) if e not in in_tree]
 
 
 def _exhaustive(
@@ -268,21 +318,30 @@ def _exhaustive(
     """Sweep the plan's candidates.  Returns the first winner met with the
     fewest subdivisions (None without one), and False when the budget or
     the time limit cut the sweep; a winner that needs none ends it."""
-    rotations, free = plan
+    blocks, free = plan
     n_edges = g.edge_count
     n_flags = 4 * n_edges
     face = PARTNER["f"]
     size = 1 << len(free)
     # Candidate i twists free[j] when bit j of i ^ (i >> 1) is set, so it
     # differs from candidate i - 1 in free[lowest set bit of i] alone, and
-    # flips[i] is flag 4e + 2 of that edge e.  Each tuple's list starts with
-    # edge 0 twisted, which flips[0] undoes.
-    flips = [2] + [4 * free[(i & -i).bit_length() - 1] + 2 for i in range(1, size)]
+    # flips[i] is flag 4e + 2 of that edge e.  The last candidate twists
+    # free[-1] alone, which flips[0] undoes.  So each tuple's list enters
+    # with free[-1] twisted, and only the darts of the vertices whose
+    # rotation changed are linked again (a tree's list enters with edge 0
+    # twisted and is built anew per tuple).
+    last = free[-1] if free else 0
+    entry = 1 << last
+    flips = [4 * last + 2] + [4 * free[(i & -i).bit_length() - 1] + 2 for i in range(1, size)]
     fewest = max_subdivisions + 1
-    winner = None
-    for rots in product(*rotations):
+    winner = previous = None
+    for rots in chain.from_iterable(product(*block) for block in blocks):
         granted = counter.draw(size)
-        alpha = _rotation_alpha(rots, 1, n_edges)
+        if free and previous is not None:
+            _link(alpha, [r for r, q in zip(rots, previous) if r is not q], entry)
+        else:
+            alpha = _rotation_alpha(rots, entry, n_edges)
+        previous = rots
         for i in range(granted):
             a = flips[i]  # codec._toggle_twist, inline
             b = a + 1
@@ -363,7 +422,8 @@ def search_embedding(
     candidate_count(g) <= EXHAUSTIVE_LIMIT; otherwise the randomized phase
     searches g itself.  A candidate is one (rotations, twist mask) of g.
     """
-    if not g.is_connected():
+    tree = g.spanning_forest()[0]
+    if len(tree) != g.n - 1:
         raise ValueError("search needs a connected graph")
     if g.edge_count == 0:
         raise ValueError("search needs at least one edge")
@@ -371,8 +431,8 @@ def search_embedding(
     counter = _Counter(budget.max_candidates, deadline)
     count = candidate_count(g)
     if count <= EXHAUSTIVE_LIMIT:
-        rotations, free = plan = _sweep_plan(g)
-        mode, space = "exhaustive", prod(map(len, rotations)) << len(free)
+        blocks, free = plan = _sweep_plan(g, tree)
+        mode, space = "exhaustive", sum(prod(map(len, b)) for b in blocks) << len(free)
         winner, swept = _exhaustive(g, plan, counter, budget.max_subdivisions)
     else:
         mode, space, swept = "randomized", count, False

@@ -272,26 +272,45 @@ POOL_43 = MultiGraph(4, ((0, 1), (3, 3), (0, 2), (0, 2), (0, 3), (1, 1), (0, 2))
 
 
 def test_exhausted_levels_use_exactly_their_space():
-    """A sweep that ends without a winner visits each of its space =
-    candidate_count >> n switching classes once (>> (n - 1) when no degree
-    is 3 or more), and so decides every level up to max_subdivisions.
-    Graph 43 needs exactly 3 subdivisions: exhausted at 2, found at 3 by
-    the same 1536 candidates."""
+    """A sweep that ends without a winner visits each of its space of
+    classes under switching and loop reversal once, and so decides every
+    level up to max_subdivisions.  Graph 43 has two loops and a vertex of
+    degree >= 3 without loops, so space = candidate_count >> (n + 2).
+    It needs exactly 3 subdivisions: exhausted at 2, found at 3 by the same
+    384 candidates."""
     flat = search_embedding(LOOP)
     assert (flat.status, flat.mode, flat.candidates, flat.space) == (
         "exhausted", "exhaustive", 2, 2)
-    assert POOL_43.n == 4 and candidate_count(POOL_43) >> 4 == 1536
+    assert POOL_43.n == 4 and candidate_count(POOL_43) >> (4 + 2) == 384
     outcome = search_embedding(POOL_43, SearchBudget(max_candidates=20_000, max_subdivisions=2),
                                seed=43)
     check_outcome(outcome)
     assert (outcome.status, outcome.mode, outcome.candidates, outcome.space) == (
-        "exhausted", "exhaustive", 1536, 1536)
+        "exhausted", "exhaustive", 384, 384)
     deeper = search_embedding(POOL_43, SearchBudget(max_candidates=20_000, max_subdivisions=3),
                               seed=43)
-    assert (deeper.status, deeper.candidates) == ("found", 1536)
+    assert (deeper.status, deeper.candidates) == ("found", 384)
     assert deeper.subdivisions == (0, 1, 1, 0, 0, 1, 0)
     assert gon_counts(deeper.map)[1:] == (1, 1)
     assert check_theorem4(deeper.map).holds
+
+
+# Graph 5 of the search-subdiv benchmark pool: three loops, one at each vertex.
+POOL_5 = MultiGraph(3, ((2, 2), (1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (0, 0)))
+
+
+def test_three_loops_fit_in_the_pool_budget():
+    """The pool's budget of 20,000 candidates once ran out on graph 5 with
+    one subdivision in hand.  Its loops are reversed now, so its space is
+    candidate_count >> (n + 3) and the sweep meets a winner that needs
+    none."""
+    budget = SearchBudget(max_candidates=20_000, max_subdivisions=2)
+    outcome = search_embedding(POOL_5, budget, seed=5)
+    check_outcome(outcome)
+    assert outcome.space == candidate_count(POOL_5) >> (3 + 3) == 8640
+    assert (outcome.status, outcome.candidates, outcome.subdivisions) == (
+        "found", 3013, (0,) * 7)
+    assert check_theorem4(outcome.map).holds
 
 
 def test_cli_search_stats(tmp_path, capsys):
@@ -323,24 +342,59 @@ def test_cli_search_stats_keys_are_the_outcome_fields(tmp_path, capsys):
     assert list(stats) == [name for name in fields if name not in ("map", "subdivisions")]
 
 
+def reversed_loops_per_vertex(g: MultiGraph) -> list[int]:
+    """How many loops the sweep reverses at each vertex: all of them, but
+    one at a vertex whose darts all belong to loops."""
+    loops = [sum(u == v == w for u, v in g.edges) for w in range(g.n)]
+    return [k - (2 * k == d) for k, d in zip(loops, g.degrees())]
+
+
+def orbit_count(g: MultiGraph) -> int:
+    """Classes of g's candidates under switching and loop reversal, by
+    Burnside's lemma.  Tree twists fixed at 0 and (e, 0) kept before
+    (e, 1) on each of the r reversed loops leave candidate_count >>
+    (n - 1 + r) candidates, which the mirror with every such loop reversed
+    pairs up, except those it fixes.  At a vertex with l reversed loops it
+    fixes only palindromes of those loops around at most two other darts,
+    l! rotations; with three or more other darts, none."""
+    reversed_loops = reversed_loops_per_vertex(g)
+    fixed = 1
+    for d, k in zip(g.degrees(), reversed_loops):
+        fixed *= math.factorial(k) if d - 2 * k <= 2 else 0
+    free = g.edge_count - g.n + 1
+    return ((candidate_count(g) >> (g.n - 1 + sum(reversed_loops))) + (fixed << free)) >> 1
+
+
 def test_sweep_space_is_the_switching_quotient():
-    """space, read off the sweep's rotations and free edges, equals the
-    switching quotient of the full space: candidate_count >> n, or
-    >> (n - 1) when no vertex has degree 3 or more."""
+    """space, read off the sweep's rotation blocks and free edges, is the
+    number of classes under switching and loop reversal.  Without loops it
+    is candidate_count >> n, or >> (n - 1) when no vertex has degree 3 or
+    more; with a vertex that has three darts off reversed loops it is
+    candidate_count >> (n + r) for r reversed loops."""
     rng = random.Random(1996)
     shifts = set()
-    tested = 0
-    while tested < 200:
+    cases = {"loop-free": 0, "pivot": 0, "fixed": 0}
+    while sum(cases.values()) < 300:
         n = rng.randint(1, 6)
         edges = [(rng.randrange(v), v) for v in range(1, n)]
         edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(n == 1, 4))]
         g = MultiGraph(n, tuple(edges))
         if candidate_count(g) > EXHAUSTIVE_LIMIT:
             continue
-        tested += 1
-        shift = g.n - 1 + any(d >= 3 for d in g.degrees())
         outcome = search_embedding(g, SearchBudget(max_candidates=1))
         assert outcome.mode == "exhaustive"
-        assert outcome.space == candidate_count(g) >> shift
-        shifts.add(shift - g.n)
+        assert outcome.space == orbit_count(g)
+        reversed_loops = reversed_loops_per_vertex(g)
+        if not any(u == v for u, v in g.edges):
+            shift = g.n - 1 + any(d >= 3 for d in g.degrees())
+            assert outcome.space == candidate_count(g) >> shift
+            shifts.add(shift - g.n)
+            cases["loop-free"] += 1
+        elif any(d - 2 * k >= 3 for d, k in zip(g.degrees(), reversed_loops)):
+            assert outcome.space == candidate_count(g) >> (g.n + sum(reversed_loops))
+            cases["pivot"] += 1
+        else:
+            assert outcome.space > candidate_count(g) >> (g.n + sum(reversed_loops))
+            cases["fixed"] += 1
     assert shifts == {-1, 0}
+    assert min(cases.values()) >= 50
