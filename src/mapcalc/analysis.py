@@ -4,24 +4,22 @@ MapAnalysis is the one per-map store.  It holds the three induced graphs,
 whose vertex counts are the gon counts, their six bond and cycle spaces,
 the sum of the vertex and face bond spaces, the word operators c_P, c_P~
 and c_D, the image and kernel of c_P~ o c_P, and the composed operator
-c_P~ o c_D.  The graphs and counts are built with the analysis, because
-every check reads all three graphs, through the counts or a bond space.
-Everything else is a cached_property: it is computed on first read and
-kept on the analysis, so a check that needs it again reads it instead of
-rebuilding it.  Nothing is cached elsewhere, apart from what an operator
-keeps of its own forward elimination (see gf2.LinearOp): an analysis and
-all it holds go away with the last reference to it.
+c_P~ o c_D.  The graphs and counts are built with the analysis, each
+read off one gem.gon_labels trace of its kind, because every check reads
+all three graphs, through the counts or a bond space.  The words of c_P
+and c_D are read off the kept traces of the single z-gon and f-gon, so
+no gon is walked twice and no phial or dual is built.  Everything else
+is a cached_property: it is computed on first read and kept on the
+analysis, so a check that needs it again reads it instead of rebuilding
+it.  Nothing is cached elsewhere, apart from what an operator keeps of
+its own forward elimination (see gf2.LinearOp): an analysis and all it
+holds go away with the last reference to it.
 
-Each gon kind is traced once by the flat gem.gon_labels walk its graph
-is read from.  The words of c_P and c_D are read straight off the single
-z-gon and f-gon (words.gon_word), so no phial or dual is built, but that
-walks the z-gon a second time on a single-zigzag map, and the f-gon too
-when the map also has one face.  c_P~ o c_P is never composed:
-gf2.product_spaces reads its image and kernel from the passes c_P and
-c_P~ already ran for theorem 2.  The absorption checks build only the
-three bond spaces, verify_all adds the vertex and face cycle spaces on a
-single-zigzag map (no claim reads the zigzag graph's), and complete()
-builds everything.
+c_P~ o c_P is never composed: gf2.product_spaces reads its image and
+kernel from the passes c_P and c_P~ already ran for theorem 2.  The
+absorption checks build only the three bond spaces, verify_all adds the
+vertex and face cycle spaces on a single-zigzag map (no claim reads the
+zigzag graph's), and complete() builds everything.
 
 space_bundle and map_operators, the names the acceptance criteria use for
 a map's spaces and its operators, are MapAnalysis itself.
@@ -31,10 +29,10 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .gem import FlagMap, MultiGraph, induced_graph
+from .gem import PARTNER, FlagMap, _gon_graph, gon_labels
 from .gf2 import Gf2Subspace, LinearOp, product_spaces
 from .spaces import _checked_cycle_space, bond_space
-from .words import c_operator, gon_word
+from .words import _single_gon_word, c_operator
 
 
 class MapAnalysis:
@@ -51,9 +49,14 @@ class MapAnalysis:
         # Plain attributes, not cached_propertys: on Python 3.11 a
         # cached_property's first read costs about 1.3 us (it takes a lock),
         # a few percent of a whole analysis of a small map.
-        self.vertex_graph: MultiGraph = induced_graph(map_, "v")
-        self.face_graph: MultiGraph = induced_graph(map_, "f")
-        self.zigzag_graph: MultiGraph = induced_graph(map_, "z")
+        graphs = []
+        self._orders: dict[str, list[int]] = {}  # of each kind with one gon, for its word
+        for kind, p in PARTNER.items():
+            count, gon_of, order = gon_labels(map_.alpha, p)
+            graphs.append(_gon_graph(count, gon_of, p))
+            if count == 1:
+                self._orders[kind] = order
+        self.vertex_graph, self.face_graph, self.zigzag_graph = graphs
         # (v, f, z) gon counts, the vertex counts of the three graphs.
         self.counts = (self.vertex_graph.n, self.face_graph.n, self.zigzag_graph.n)
 
@@ -110,10 +113,14 @@ class MapAnalysis:
             self.zigzag_cycles.dim,
         )
 
+    def _word_operator(self, kind: str) -> LinearOp | None:
+        order = self._orders.get(kind)
+        return None if order is None else c_operator(_single_gon_word(self.m, order, kind))
+
     @cached_property
     def zigzag(self) -> LinearOp | None:
         """c_P, from the zigzag word, or None without a single zigzag."""
-        return c_operator(gon_word(self.map, "z")) if self.counts[2] == 1 else None
+        return self._word_operator("z")
 
     @cached_property
     def zigzag_complement(self) -> LinearOp | None:
@@ -124,7 +131,7 @@ class MapAnalysis:
     @cached_property
     def face(self) -> LinearOp | None:
         """c_D, from the face word, or None without a single face."""
-        return c_operator(gon_word(self.map, "f")) if self.counts[1] == 1 else None
+        return self._word_operator("f")
 
     @cached_property
     def zigzag_product_spaces(self) -> tuple[Gf2Subspace, Gf2Subspace] | None:

@@ -6,10 +6,12 @@ x ^ 1, a long partner x ^ 3 and a diagonal partner x ^ 2 (PARTNER).  A
 fixed-point-free involution alpha glues rectangle corners together.  The
 cycles that alternate alpha with short, long or diagonal partners are the
 v-, f- and z-gons; they are the vertices, faces and zigzag walks of the
-embedded graph, whose edges are the rectangles.  gon_labels traces one
-kind in a single walk into a flat list of gon ids, which is all the gon
-counts and the induced graphs read; gons() also keeps each gon's flag
-sequence, for the loop balances.
+embedded graph, whose edges are the rectangles.  gon_labels is the one
+gon walk: it traces one kind into each flag's gon id and the flags in
+walk order.  The gon counts and the induced graphs read the ids, gons()
+slices the order into each gon's flag sequence, and the loop balances
+and the signed words (words.py) read which flags the walk leaves their
+kind-pairs by.
 
 Role permutations (dual, phial, antimap and partial ones) relabel the
 flags inside each chosen rectangle so that the fixed partners take on the
@@ -20,6 +22,8 @@ result are the permuted gons of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import index
 from typing import Iterable, Sequence
 
 # The short (v), long (f) and diagonal (z) partner of flag x is x ^ PARTNER[kind].
@@ -158,12 +162,8 @@ def validate(map_: FlagMap) -> ValidationReport:
 
 @dataclass(frozen=True)
 class GonDecomposition:
-    """Partition of all flags into gons of one kind, with traversal order.
-
-    Each gon is the flag sequence of one alternating cycle, starting at its
-    smallest flag with the kind-edge first, so even positions enter a
-    kind-pair and odd positions leave it through alpha.
-    """
+    """Partition of all flags into gons of one kind, each gon's flags in
+    the order gon_labels walks them."""
 
     kind: str
     gons: tuple[tuple[int, ...], ...]
@@ -180,50 +180,47 @@ class GonDecomposition:
 
 def gons(map_: FlagMap, kind: str) -> GonDecomposition:
     """Components of the flag graph restricted to kind-pairs and alpha."""
-    p = PARTNER[kind]
-    n = map_.flag_count
-    gon_of = [-1] * n
-    out: list[tuple[int, ...]] = []
-    for start in range(n):
-        if gon_of[start] != -1:
-            continue
-        seq: list[int] = []
-        x = start
-        while True:
-            seq.append(x)
-            gon_of[x] = len(out)
-            y = x ^ p
-            seq.append(y)
-            gon_of[y] = len(out)
-            x = map_.alpha[y]
-            if x == start:
-                break
-        out.append(tuple(seq))
-    return GonDecomposition(kind, tuple(out), tuple(gon_of))
+    _, gon_of, order = gon_labels(map_.alpha, PARTNER[kind])
+    seqs = tuple(tuple(seq) for _, seq in groupby(order, gon_of.__getitem__))
+    return GonDecomposition(kind, seqs, tuple(gon_of))
 
 
-def gon_labels(alpha: Sequence[int], partner: int) -> tuple[int, list[int]]:
-    """(count, gon_of) of the gons that alternate alpha with x ^ partner.
+def gon_labels(alpha: Sequence[int], partner: int) -> tuple[int, list[int], list[int]]:
+    """(count, gon_of, order) of the gons that alternate alpha with x ^ partner.
 
-    One walk numbers the gons in the order of their smallest flags, as
-    gons() does, and writes each flag's gon into the flat list gon_of;
-    no gon's flag sequence is kept.
+    The one gon walk.  Gons are numbered by their smallest flags, gon_of
+    holds each flag's gon, and order lists the flags gon by gon, each gon
+    from its smallest flag with the kind-pair first: even positions of
+    order enter a kind-pair and odd positions leave it through alpha.
     """
     gon_of = [-1] * len(alpha)
+    order: list[int] = []
+    append = order.append
     count = 0
     for start in range(len(alpha)):
         if gon_of[start] != -1:
             continue
         x = start
         while True:
-            gon_of[x] = count
             y = x ^ partner
-            gon_of[y] = count
+            gon_of[x] = gon_of[y] = count
+            append(x)
+            append(y)
             x = alpha[y]
             if x == start:
                 break
         count += 1
-    return count, gon_of
+    return count, gon_of, order
+
+
+def _left_flags(order: Sequence[int]) -> bytearray:
+    """1 on each flag at an odd position of a gon_labels order: the flags
+    the walk leaves their kind-pairs by.  Two kind-pairs are entered the
+    same way along the walk when their flags agree here."""
+    left = bytearray(len(order))
+    for y in order[1::2]:
+        left[y] = 1
+    return left
 
 
 def gon_count(alpha: Sequence[int], partner: int) -> int:
@@ -281,6 +278,14 @@ def antimap(map_: FlagMap) -> FlagMap:
     return apply_permutation(map_, None, ANTIMAP_WORD)
 
 
+def _as_int(value: object) -> int:
+    """operator.index(value): 1.7 or "1" is refused, not truncated or parsed."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class MultiGraph:
     """Multigraph with loops allowed, edges indexed 0..len-1."""
@@ -303,7 +308,7 @@ class MultiGraph:
                 return
         # Any other spelling (a list, bools, int-like values) is made a tuple
         # of int pairs once and checked again.
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        object.__setattr__(self, "edges", tuple((_as_int(u), _as_int(v)) for u, v in self.edges))
         self.__post_init__()
 
     @property
@@ -367,11 +372,16 @@ def induced_graph(map_: FlagMap, kind: str) -> MultiGraph:
     induced by zigzags.
     """
     p = PARTNER[kind]
-    count, gon_of = gon_labels(map_.alpha, p)
+    count, gon_of, _ = gon_labels(map_.alpha, p)
+    return _gon_graph(count, gon_of, p)
+
+
+def _gon_graph(count: int, gon_of: Sequence[int], partner: int) -> MultiGraph:
+    """induced_graph read off the count and gon_of of one gon_labels trace."""
     # Offsets 0 and b lie on the rectangle's two different kind-pairs.
-    b = 2 if p == 1 else 1
+    b = 2 if partner == 1 else 1
     edges = []
-    for x in range(0, map_.flag_count, 4):
+    for x in range(0, len(gon_of), 4):
         u, v = gon_of[x], gon_of[x + b]
         edges.append((u, v) if u <= v else (v, u))
     return MultiGraph(count, tuple(edges))
@@ -394,22 +404,14 @@ def loop_balances(map_: FlagMap) -> tuple[str, ...]:
 
     A loop (both short pairs on one v-gon) is balanced when its two short
     sides point in opposite geometric directions along the gon traversal,
-    which means flags 4e and 4e+2 sit at positions of equal parity; one
-    v-gon trace serves every edge.
+    which means flags 4e and 4e+2 are entered the same way along the walk
+    (_left_flags); one v-gon trace serves every edge.
     """
-    dec = gons(map_, "v")
-    parity = [0] * map_.flag_count
-    for seq in dec.gons:
-        for i in range(1, len(seq), 2):
-            parity[seq[i]] = 1
-    out = []
-    for e in range(map_.m):
-        a, b = 4 * e, 4 * e + 2
-        if dec.gon_of[a] != dec.gon_of[b]:
-            out.append("not_a_loop")
-        else:
-            out.append("balanced" if parity[a] == parity[b] else "unbalanced")
-    return tuple(out)
+    _, gon_of, order = gon_labels(map_.alpha, PARTNER["v"])
+    left = _left_flags(order)
+    return tuple("not_a_loop" if gon_of[x] != gon_of[x + 2]
+                 else "balanced" if left[x] == left[x + 2] else "unbalanced"
+                 for x in range(0, len(order), 4))
 
 
 def loop_balance(map_: FlagMap, edge: int) -> str:

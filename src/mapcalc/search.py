@@ -3,10 +3,10 @@
 enumerate_maps walks every fixed-point-free pairing of 4m flags and keeps
 the connected ones: the full census of m-edge maps.  It fills one alpha
 list in place, pairing the lowest unpaired flag with each unpaired flag
-above it in turn, and validates each complete pairing.  search_embedding
-hunts for an embedding with one face and one zigzag of a multigraph g
-after at most max_subdivisions edge subdivisions; a fixed seed and budget
-always reproduce the same outcome.
+above it in turn, and checks only that a complete pairing is connected.
+search_embedding hunts for an embedding with one face and one zigzag of
+a multigraph g after at most max_subdivisions edge subdivisions; a fixed
+seed and budget always reproduce the same outcome.
 
 A candidate is a rotation per vertex of g and a twist mask a, scored on
 codec._rotation_alpha's flat flag involution by walking gons with the
@@ -54,7 +54,7 @@ from math import factorial, inf, prod
 from typing import Iterator, Sequence
 
 from .codec import RotationSystem, _link, _rotation_alpha, _toggle_twist, embedding_to_map
-from .gem import PARTNER, FlagMap, MultiGraph, gon_count, validate
+from .gem import PARTNER, FlagMap, MultiGraph, _flag_walk, gon_count
 
 EXHAUSTIVE_LIMIT = 10**6
 _RESTART_STALL = 200
@@ -64,8 +64,9 @@ def enumerate_maps(m: int) -> Iterator[FlagMap]:
     """Yield every connected map with m rectangles.
 
     One alpha list is filled in place: the lowest unpaired flag takes each
-    unpaired partner in increasing order, and a complete pairing becomes
-    FlagMap(m, alpha) and is kept when it validates.
+    unpaired partner in increasing order, and a complete pairing, a
+    fixed-point-free involution by construction, becomes FlagMap(m, alpha)
+    and is kept when its flags are connected.
     """
     if m < 1:
         raise ValueError("need at least one rectangle")
@@ -84,7 +85,7 @@ def enumerate_maps(m: int) -> Iterator[FlagMap]:
                 x = y = alpha.index(-1, x + 1)
                 continue
             map_ = FlagMap(m, alpha)
-            if validate(map_).ok:
+            if _flag_walk(map_)[0] == n:
                 yield map_
         elif not lows:
             return

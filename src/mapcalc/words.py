@@ -3,21 +3,22 @@
 A single-vertex map is written down by walking its one v-gon and recording
 each rectangle as it is crossed: every edge id shows up twice, the first
 occurrence is positive by convention and the second is positive exactly
-when the edge is a balanced loop.  gon_word reads the word of a map's
-single gon of any kind straight off one walk of it: the v-gon gives the
-vertex word, the z-gon the zigzag word (the phial's vertex word) and the
-f-gon the face word (the dual's), so neither the phial nor the dual is
-built.  The interlacement and same-direction indicators of such a word
-combine into a symmetric GF(2) operator on the edge universe; which of a
-map's operators exist, and the operators themselves, are kept by
-analysis.MapAnalysis.
+when the edge is a balanced loop.  The word of a map's single gon of any
+kind is read off the gem.gon_labels trace of that kind: the v-gon gives
+the vertex word, the z-gon the zigzag word (the phial's vertex word) and
+the f-gon the face word (the dual's), so neither the phial nor the dual
+is built.  The interlacement and same-direction indicators of such a
+word combine into a symmetric GF(2) operator on the edge universe; which
+of a map's operators exist, and the operators themselves, are kept by
+analysis.MapAnalysis, which reads the words off its own traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .gem import PARTNER, FlagMap, antimap, gon_count, phial
+from .gem import PARTNER, FlagMap, _as_int, _left_flags, antimap, gon_count, gon_labels, phial
 from .gf2 import Gf2Vec, LinearOp
 
 
@@ -39,7 +40,7 @@ class SignedWord:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple((int(e), int(s)) for e, s in self.entries))
+        object.__setattr__(self, "entries", tuple((_as_int(e), _as_int(s)) for e, s in self.entries))
         if len(self.entries) != 2 * self.m:
             raise ValueError(f"word must have {2 * self.m} entries")
         positions: list[list[int]] = [[] for _ in range(self.m)]
@@ -102,42 +103,29 @@ _SINGLE_GON = {
 
 
 def gon_word(map_: FlagMap, kind: str) -> SignedWord:
-    """Signed word of the map's single gon of `kind`, read off one walk.
-
-    The walk starts at flag 0 and takes the kind-pair first, so each pair
-    of steps crosses one rectangle and names its edge.  A gon that meets
+    """Signed word of the map's single gon of `kind`.  A gon that meets
     every edge twice holds all 4m flags, so the word exists exactly when
-    the map has one gon of that kind.  An edge's second crossing is
-    positive when its two kind-pairs are entered the same way along the
-    walk: flags 4e and 4e + 2 both entered or both left for kinds v and f,
-    4e and 4e + 1 for kind z.  That is the vertex word of the dual (kind
-    f) or the phial (kind z), without building either.
-    """
-    p = PARTNER[kind]
-    b = 1 if p == 2 else 2
-    alpha = map_.alpha
-    n = map_.flag_count
-    left = bytearray(n)  # 1 on the flag each step leaves its kind-pair by
-    edges = []
-    x = 0
-    while True:
-        y = x ^ p
-        left[y] = 1
-        edges.append(x >> 2)
-        x = alpha[y]
-        if x == 0:
-            break
-    if 2 * len(edges) != n:
-        raise NotApplicableError(_SINGLE_GON[kind].format(gon_count(alpha, p)))
-    seen = bytearray(map_.m)
+    the map has one gon of that kind."""
+    count, _, order = gon_labels(map_.alpha, PARTNER[kind])
+    if count != 1:
+        raise NotApplicableError(_SINGLE_GON[kind].format(count))
+    return _single_gon_word(map_.m, order, kind)
+
+
+def _single_gon_word(m: int, order: Sequence[int], kind: str) -> SignedWord:
+    """Word of a single gon of `kind` from its gem.gon_labels order, where
+    each pair of steps crosses one rectangle and names its edge.  An edge's
+    second crossing is positive when its two kind-pairs, flags 4e and
+    4e + 2 (4e + 1 for kind z), are entered the same way along the walk."""
+    b = 1 if PARTNER[kind] == 2 else 2
+    left = _left_flags(order)
+    seen = bytearray(m)
     entries = []
-    for e in edges:
-        if seen[e]:
-            entries.append((e, 1 if left[4 * e] == left[4 * e + b] else -1))
-        else:
-            seen[e] = 1
-            entries.append((e, 1))
-    return SignedWord(map_.m, tuple(entries))
+    for x in order[::2]:
+        e = x >> 2
+        entries.append((e, 1 if not seen[e] or left[4 * e] == left[4 * e + b] else -1))
+        seen[e] = 1
+    return SignedWord(m, tuple(entries))
 
 
 def vertex_word(map_: FlagMap) -> SignedWord:

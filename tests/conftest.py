@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 
 from mapcalc import (
     FlagMap,
@@ -17,6 +19,7 @@ from mapcalc import (
     validate,
     zigzag_map_from_word,
 )
+from mapcalc.gem import PARTNER
 
 # Single-zigzag word of a projective-plane embedding of K_{3,3};
 # 1-based signed tokens as they appear in .szw files.
@@ -74,6 +77,45 @@ def random_connected_map(rng: random.Random, m: int) -> FlagMap:
         map_ = FlagMap.from_pairs(m, pairs)
         if validate(map_).ok:
             return map_
+
+
+def reference_gons(map_: FlagMap, kind: str) -> tuple[list[list[int]], list[int]]:
+    """(flag sequences, gon of each flag) of the gons of `kind`, by a plain
+    walk per gon that shares no code with gem.gon_labels: gons in the
+    order of their smallest flags, each from that flag, kind-pair first."""
+    p = PARTNER[kind]
+    gon_of = [-1] * map_.flag_count
+    seqs: list[list[int]] = []
+    for start in range(map_.flag_count):
+        if gon_of[start] != -1:
+            continue
+        seq = []
+        x = start
+        while True:
+            seq += (x, x ^ p)
+            x = map_.alpha[x ^ p]
+            if x == start:
+                break
+        for y in seq:
+            gon_of[y] = len(seqs)
+        seqs.append(seq)
+    return seqs, gon_of
+
+
+def count_calls(monkeypatch, module, name: str, key=lambda *args: None) -> Counter:
+    """Replace every mapcalc module binding of module.name by a wrapper
+    that counts its calls, keyed by key(*args)."""
+    original = getattr(module, name)
+    calls: Counter = Counter()
+
+    def counted(*args, **kwargs):
+        calls[key(*args)] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "mapcalc" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def random_connected_graph(rng: random.Random, max_extra: int = 3) -> MultiGraph:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 
 import pytest
 
-from conftest import k33_map, single_face_dual
+from conftest import count_calls, k33_map, single_face_dual
 from mapcalc import (
     MapAnalysis,
     TheoremReport,
@@ -20,21 +19,8 @@ from mapcalc import (
 )
 from mapcalc import gem, gf2, spaces, words
 
-
-def count_calls(monkeypatch, module, name: str, key=lambda *args: None) -> Counter:
-    """Replace every mapcalc module binding of module.name by a wrapper
-    that counts its calls, keyed by key(*args)."""
-    original = getattr(module, name)
-    calls: Counter = Counter()
-
-    def counted(*args, **kwargs):
-        calls[key(*args)] += 1
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "mapcalc" and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
+# The gon kind of each partner offset.
+KIND = {p: kind for kind, p in gem.PARTNER.items()}
 
 
 def count_method(monkeypatch, cls, name: str) -> Counter:
@@ -54,11 +40,12 @@ def count_method(monkeypatch, cls, name: str) -> Counter:
 def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     map_ = build()
     expected = verify_all(map_)
-    graphs = count_calls(monkeypatch, gem, "induced_graph", key=lambda m, kind: kind)
+    graphs = count_calls(monkeypatch, gem, "_gon_graph", key=lambda count, gon_of, p: KIND[p])
     bonds = count_calls(monkeypatch, spaces, "bond_space")
     analyses = count_method(monkeypatch, MapAnalysis, "__init__")
     operators = count_calls(monkeypatch, words, "c_operator")
-    labels = count_calls(monkeypatch, gem, "gon_labels", key=lambda alpha, partner: partner)
+    traces = count_calls(monkeypatch, gem, "gon_labels", key=lambda alpha, p: KIND[p])
+    gon_words = count_calls(monkeypatch, words, "gon_word")
     permutations = count_calls(monkeypatch, gem, "apply_permutation")
     reports = verify_all(map_)
     assert reports == expected
@@ -68,9 +55,11 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     assert sum(analyses.values()) == 1
     # c_P is built from its word and c_P~ = 1 + c_P; c_D too when f = 1.
     assert sum(operators.values()) == (2 if theorem4 else 1)
-    # One trace per gon kind serves the counts and graphs; the words are
-    # read off their gons, so no phial or dual is built.
-    assert labels == {gem.PARTNER[kind]: 1 for kind in "vfz"}
+    # One trace per gon kind serves the counts, the graphs and the words of
+    # the single gons, so no gon is walked again and no phial or dual is
+    # built.
+    assert traces == {"v": 1, "f": 1, "z": 1}
+    assert sum(gon_words.values()) == 0
     assert sum(permutations.values()) == 0
 
 
@@ -101,7 +90,7 @@ def test_checks_accept_a_map_or_its_analysis():
 
 
 def test_artefacts_are_kept_and_complete_builds_them(monkeypatch):
-    graphs = count_calls(monkeypatch, gem, "induced_graph", key=lambda m, kind: kind)
+    traces = count_calls(monkeypatch, gem, "gon_labels", key=lambda alpha, p: KIND[p])
     analysis = MapAnalysis(k33_map())
     assert analysis.complete() is analysis
     assert analysis.counts == (6, 4, 1)
@@ -109,10 +98,10 @@ def test_artefacts_are_kept_and_complete_builds_them(monkeypatch):
     product = analysis.zigzag_complement.compose(analysis.zigzag)
     assert analysis.zigzag_product_spaces == (product.image(), product.kernel())
     assert analysis.zigzag_product_spaces is analysis.zigzag_product_spaces
-    assert graphs == {"v": 1, "f": 1, "z": 1}
+    assert traces == {"v": 1, "f": 1, "z": 1}
     check_absorption(analysis)
     check_theorem3(analysis)
-    assert graphs == {"v": 1, "f": 1, "z": 1}
+    assert traces == {"v": 1, "f": 1, "z": 1}
 
 
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from conftest import k33_map, random_connected_map, random_signed_word
+from conftest import k33_map, random_connected_map, random_signed_word, reference_gons
 from mapcalc import (
     FlagMap,
     MultiGraph,
@@ -73,10 +74,10 @@ def test_loop_balance_values():
 def reference_loop_balance(map_: FlagMap, edge: int) -> str:
     """The per-edge rule: trace the v-gons, compare the positions of
     flags 4e and 4e+2 on their gon."""
-    dec = gons(map_, "v")
-    if dec.gon_of[4 * edge] != dec.gon_of[4 * edge + 2]:
+    seqs, gon_of = reference_gons(map_, "v")
+    if gon_of[4 * edge] != gon_of[4 * edge + 2]:
         return "not_a_loop"
-    seq = dec.gons[dec.gon_of[4 * edge]]
+    seq = seqs[gon_of[4 * edge]]
     same = seq.index(4 * edge) % 2 == seq.index(4 * edge + 2) % 2
     return "balanced" if same else "unbalanced"
 
@@ -177,8 +178,9 @@ def test_gons_partition_all_flags():
 
 
 def test_gon_labels_match_the_gon_decomposition():
-    """The flat trace numbers the gons as gons() does, on maps with
-    partial role permutations too; gon_counts reads the same counts."""
+    """The one trace and gons(), which slices it, agree with a plain walk
+    per gon, on maps with partial role permutations too; gon_counts reads
+    the same counts."""
     rng = random.Random(16)
     for i in range(600):
         m = rng.randint(1, 12)
@@ -186,10 +188,15 @@ def test_gon_labels_match_the_gon_decomposition():
         if i % 2:
             rects = [r for r in range(m) if rng.random() < 0.5]
             map_ = apply_permutation(map_, rects, rng.choice(ALL_PERMS))
+        counts = []
         for kind in "vfz":
+            seqs, gon_of = reference_gons(map_, kind)
+            order = [x for seq in seqs for x in seq]
+            assert gon_labels(map_.alpha, PARTNER[kind]) == (len(seqs), gon_of, order)
             dec = gons(map_, kind)
-            assert gon_labels(map_.alpha, PARTNER[kind]) == (dec.count, list(dec.gon_of))
-        assert gon_counts(map_) == tuple(gons(map_, kind).count for kind in "vfz")
+            assert (dec.gons, dec.gon_of) == (tuple(map(tuple, seqs)), tuple(gon_of))
+            counts.append(len(seqs))
+        assert gon_counts(map_) == tuple(counts)
 
 
 def test_parse_role_permutation():
@@ -386,6 +393,15 @@ def test_multigraph_edges_are_int_pairs_built_once():
     for bad in (((0, 1), (1, 2)), [(0, 1), [2, 0]], ((-1, 0),), ((True, 2),)):
         with pytest.raises(ValueError, match="out of range"):
             MultiGraph(2, bad)
+
+
+def test_multigraph_refuses_ids_that_are_not_integers():
+    """Endpoints go through operator.index: a float or a string is named
+    in a ValueError, not truncated or parsed; bools still pass."""
+    for value, edges in ((1.7, ((0, 1.7),)), ("1", [("1", 0)]), (None, [[0, None]])):
+        with pytest.raises(ValueError, match=f"^expected an integer, got {re.escape(repr(value))}$"):
+            MultiGraph(2, edges)
+    assert MultiGraph(2, [(False, True)]).edges == ((0, 1),)
 
 
 def test_multigraph_bipartite():

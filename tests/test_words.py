@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from conftest import k33_map, k33_word, random_connected_map, random_signed_word
+from conftest import k33_map, k33_word, random_connected_map, random_signed_word, reference_gons
 from mapcalc import (
     LinearOp,
     NotApplicableError,
@@ -17,7 +18,6 @@ from mapcalc import (
     dual,
     from_signed_word,
     gon_word,
-    gons,
     interlacement,
     kappa,
     map_operators,
@@ -65,6 +65,16 @@ def test_word_validation():
         SignedWord(2, ((0, 1), (0, 1), (0, 1), (1, 1)))
     with pytest.raises(ValueError):
         SignedWord(1, ((0, 1), (1, 1)))
+
+
+def test_word_refuses_ids_and_signs_that_are_not_integers():
+    """Edge ids and signs go through operator.index: a float or a string
+    is named in a ValueError, not truncated or parsed; bools still pass."""
+    for value, entries in ((0.5, ((0, 1), (0.5, 1.2))), ("1", ((0, "1"), (0, 1))),
+                           (1.0, [(0, 1), (0, 1.0)])):
+        with pytest.raises(ValueError, match=f"^expected an integer, got {re.escape(repr(value))}$"):
+            SignedWord(1, entries)
+    assert SignedWord(1, [(False, True), (0, 1)]) == word(1, 1)
 
 
 def test_occurrences_and_direction():
@@ -115,11 +125,11 @@ def test_vertex_word_needs_single_covering_gon():
 def reference_vertex_word(map_):
     """Signed word of v-gon 0, applicable when that gon covers every edge
     twice: a sort of its edge sequence checks the covering."""
-    dec = gons(map_, "v")
-    seq = dec.gons[0]
+    seqs, _ = reference_gons(map_, "v")
+    seq = seqs[0]
     edges_seq = [seq[i] // 4 for i in range(0, len(seq), 2)]
     if sorted(edges_seq) != sorted(list(range(map_.m)) * 2):
-        raise NotApplicableError(f"{dec.count} v-gons")
+        raise NotApplicableError(f"{len(seqs)} v-gons")
     pos = {flag: i for i, flag in enumerate(seq)}
     entries = []
     first_seen: set[int] = set()
