@@ -1,25 +1,29 @@
 """Everything the structural checks read from one map, computed once.
 
-MapAnalysis is the one per-map store.  It holds the three induced graphs,
-whose vertex counts are the gon counts, their six bond and cycle spaces,
-the sum of the vertex and face bond spaces, the word operators c_P, c_P~
-and c_D, the image and kernel of c_P~ o c_P, and the composed operator
-c_P~ o c_D.  The graphs and counts are built with the analysis, each
-read off one gem.gon_labels trace of its kind, because every check reads
-all three graphs, through the counts or a bond space.  The words of c_P
-and c_D are read off the kept traces of the single z-gon and f-gon, so
-no gon is walked twice and no phial or dual is built.  Everything else
-is a cached_property: it is computed on first read and kept on the
-analysis, so a check that needs it again reads it instead of rebuilding
-it.  Nothing is cached elsewhere, apart from what an operator keeps of
-its own forward elimination (see gf2.LinearOp): an analysis and all it
-holds go away with the last reference to it.
+MapAnalysis is the one per-map store.  It holds the three induced
+graphs, whose vertex counts are the gon counts, their six bond and cycle
+spaces, the sum of the vertex and face bond spaces, the word operators
+c_P, c_P~ and c_D, the kernels of c_P, c_P~ and c_P~ o c_P and their
+images, and the composed operator c_P~ o c_D.  The graphs and counts are
+built with the analysis, each read off one gem.gon_labels trace of its
+kind, because every check reads all three graphs, through the counts or
+a bond space.  The words of c_P and c_D are read off the kept traces of
+the single z-gon and f-gon, so no gon is walked twice and no phial or
+dual is built.  Everything else is a cached_property: it is computed on
+first read and kept on the analysis, so a check that needs it again
+reads it instead of rebuilding it.  Nothing is cached elsewhere, apart
+from what an operator keeps of its own forward elimination (see
+gf2.LinearOp): an analysis and all it holds go away with the last
+reference to it.
 
-c_P~ o c_P is never composed: gf2.product_spaces reads its image and
-kernel from the passes c_P and c_P~ already ran for theorem 2.  The
-absorption checks build only the three bond spaces, verify_all adds the
-vertex and face cycle spaces on a single-zigzag map (no claim reads the
-zigzag graph's), and complete() builds everything.
+The three kernels come from one elimination, gf2.split_kernels on c_P
+and c_P o c_P (the Bezout split), and every image is the perp of its
+kernel, since c_P, c_P~ and c_P~ o c_P are symmetric.  No operator is
+composed: c_P o c_P and c_P~ o c_D are read off the kept z-word and
+f-word by prefix images (words._word_columns).  The absorption checks
+build only the three bond spaces, verify_all adds the vertex and face
+cycle spaces on a single-zigzag map (no claim reads the zigzag graph's),
+and complete() builds everything.
 
 space_bundle and map_operators, the names the acceptance criteria use for
 a map's spaces and its operators, are MapAnalysis itself.
@@ -30,9 +34,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from .gem import PARTNER, FlagMap, _gon_graph, gon_labels
-from .gf2 import Gf2Subspace, LinearOp, product_spaces
+from .gf2 import Gf2Subspace, LinearOp, split_kernels
 from .spaces import _checked_cycle_space, bond_space
-from .words import _single_gon_word, c_operator
+from .words import SignedWord, _single_gon_word, _word_columns, c_operator
 
 
 class MapAnalysis:
@@ -51,6 +55,7 @@ class MapAnalysis:
         # a few percent of a whole analysis of a small map.
         graphs = []
         self._orders: dict[str, list[int]] = {}  # of each kind with one gon, for its word
+        self._words: dict[str, SignedWord] = {}
         for kind, p in PARTNER.items():
             count, gon_of, order = gon_labels(map_.alpha, p)
             graphs.append(_gon_graph(count, gon_of, p))
@@ -69,7 +74,7 @@ class MapAnalysis:
         """Compute every artefact now rather than on first use, all six
         subspaces included."""
         self.dims()
-        for name in ("vertex_face_bonds", "zigzag_product_spaces", "face_product"):
+        for name in ("vertex_face_bonds", "zigzag_images", "zigzag_product_spaces", "face_product"):
             getattr(self, name)
         return self
 
@@ -113,14 +118,17 @@ class MapAnalysis:
             self.zigzag_cycles.dim,
         )
 
-    def _word_operator(self, kind: str) -> LinearOp | None:
-        order = self._orders.get(kind)
-        return None if order is None else c_operator(_single_gon_word(self.m, order, kind))
+    def _word(self, kind: str) -> SignedWord | None:
+        """The word of the single gon of `kind`, or None; built once."""
+        if kind in self._orders and kind not in self._words:
+            self._words[kind] = _single_gon_word(self.m, self._orders[kind], kind)
+        return self._words.get(kind)
 
     @cached_property
     def zigzag(self) -> LinearOp | None:
         """c_P, from the zigzag word, or None without a single zigzag."""
-        return self._word_operator("z")
+        word = self._word("z")
+        return None if word is None else c_operator(word)
 
     @cached_property
     def zigzag_complement(self) -> LinearOp | None:
@@ -131,19 +139,40 @@ class MapAnalysis:
     @cached_property
     def face(self) -> LinearOp | None:
         """c_D, from the face word, or None without a single face."""
-        return self._word_operator("f")
+        word = self._word("f")
+        return None if word is None else c_operator(word)
+
+    @cached_property
+    def zigzag_kernels(self) -> tuple[Gf2Subspace, Gf2Subspace, Gf2Subspace] | None:
+        """(ker c_P, ker c_P~, ker c_P~ o c_P), or None without a single
+        zigzag.  Every image is read as the perp of one of these kernels,
+        which needs c_P symmetric: AssertionError if it is not."""
+        zig = self.zigzag
+        if zig is None:
+            return None
+        if zig.transpose() is not zig:
+            raise AssertionError("c_P is not symmetric")
+        return split_kernels(zig, LinearOp(self.m, _word_columns(self._word("z"), zig.cols)))
+
+    @cached_property
+    def zigzag_images(self) -> tuple[Gf2Subspace, Gf2Subspace] | None:
+        """(Im c_P, Im c_P~), or None without a single zigzag."""
+        kernels = self.zigzag_kernels
+        return None if kernels is None else (kernels[0].perp(), kernels[1].perp())
 
     @cached_property
     def zigzag_product_spaces(self) -> tuple[Gf2Subspace, Gf2Subspace] | None:
         """(image, kernel) of c_P~ o c_P, or None without a single zigzag."""
-        zig = self.zigzag
-        return None if zig is None else product_spaces(self.zigzag_complement, zig)
+        kernels = self.zigzag_kernels
+        return None if kernels is None else (kernels[2].perp(), kernels[2])
 
     @cached_property
     def face_product(self) -> LinearOp | None:
         """c_P~ o c_D, or None unless the map has one face and one zigzag."""
-        comp, face = self.zigzag_complement, self.face
-        return None if comp is None or face is None else comp.compose(face)
+        comp, word = self.zigzag_complement, self._word("f")
+        if comp is None or word is None:
+            return None
+        return LinearOp(self.m, _word_columns(word, comp.cols))
 
 
 # The acceptance criteria's names for a map's spaces and for its operators.

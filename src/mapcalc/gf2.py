@@ -17,8 +17,10 @@ col_j | 1 << (m + j), and the pass is kept on the operator.  The rows
 whose low half ends at zero give the kernel, canonicalized by an RREF of
 those few rows; the image is (ker A^T)^perp, and a symmetric operator is
 its own transpose, so it needs no second pass.  The same pass gives the
-preimage of a subspace, and `product_spaces` reads the image and kernel
-of B o A from preimages under A and B^T without composing them.  The
+preimage of a subspace.  `split_kernels` finds the kernels of A, I + A
+and C = A (I + A) from one pass on C by the Bezout split: as
+I = A + (I + A), each x in ker C is A x + (I + A) x, with A x in
+ker(I + A) and (I + A) x in ker A, so ker C = ker A + ker(I + A).  The
 forward pass and `compose` use Four-Russians tables (M4RI: Albrecht, Bard
 and Hart, ACM TOMS 37(1), 2010).  The columns are taken in blocks of
 _K = 8; a table of the 2^8 combinations of a block's rows then replaces
@@ -528,16 +530,15 @@ class LinearOp:
         return f"LinearOp({self.m}, rank={self.m - self.kernel().dim})"
 
 
-def product_spaces(outer: LinearOp, inner: LinearOp) -> tuple[Gf2Subspace, Gf2Subspace]:
-    """(image, kernel) of outer o inner, without composing the two.
+def split_kernels(a: LinearOp, square: LinearOp) -> tuple[Gf2Subspace, Gf2Subspace, Gf2Subspace]:
+    """(ker A, ker(I + A), ker C) for C = A + A o A = A (I + A), given A
+    and A o A, from one forward pass on C.
 
-    With B = outer and A = inner: ker(B A) = A^-1(ker B), and
-    Im(B A) = (ker A^T B^T)^perp
-    = (B^T^-1(ker A^T))^perp; each preimage reuses its operator's forward
-    pass.
+    With K = ker C, ker A = (I + A) K and ker(I + A) = A K (the Bezout
+    split in the module docstring), so each part costs one application
+    of A per row of K and an RREF of those few rows.
     """
-    if inner.m != outer.m:
-        raise ValueError("universe mismatch")
-    kernel = inner.preimage(outer.kernel())
-    image = outer.transpose().preimage(inner.transpose().kernel()).perp()
-    return image, kernel
+    k = (a + square).kernel()
+    images = [_apply_bits(a.cols, x) for x in k.rows]
+    return (Gf2Subspace(a.m, _rref(x ^ y for x, y in zip(k.rows, images))),
+            Gf2Subspace(a.m, _rref(images)), k)

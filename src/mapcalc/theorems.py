@@ -131,12 +131,10 @@ _CLAIMS = (
            lambda a: (a.face_bonds, a.zigzag_bonds), lambda a: a.vertex_bonds),
     _Claim("1c", (), "meet", "intersection",
            lambda a: (a.zigzag_bonds, a.vertex_bonds), lambda a: a.face_bonds),
-    _Claim("2a", _Z, "equal", "im", lambda a: a.zigzag.image(), lambda a: a.vertex_cycles),
-    _Claim("2b", _Z, "equal", "ker", lambda a: a.zigzag.kernel(), lambda a: a.vertex_bonds),
-    _Claim("2c", _Z, "equal", "im",
-           lambda a: a.zigzag_complement.image(), lambda a: a.face_cycles),
-    _Claim("2d", _Z, "equal", "ker",
-           lambda a: a.zigzag_complement.kernel(), lambda a: a.face_bonds),
+    _Claim("2a", _Z, "equal", "im", lambda a: a.zigzag_images[0], lambda a: a.vertex_cycles),
+    _Claim("2b", _Z, "equal", "ker", lambda a: a.zigzag_kernels[0], lambda a: a.vertex_bonds),
+    _Claim("2c", _Z, "equal", "im", lambda a: a.zigzag_images[1], lambda a: a.face_cycles),
+    _Claim("2d", _Z, "equal", "ker", lambda a: a.zigzag_kernels[1], lambda a: a.face_bonds),
     _Claim("3a", _Z, "xi", "im",
            lambda a: a.zigzag_product_spaces[0],
            lambda a: euler_of_counts(a.m, *a.counts[:2])[1]),

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
 
-from conftest import count_calls, k33_map, single_face_dual
+from conftest import count_calls, k33_map, random_signed_word, single_face_dual
 from mapcalc import (
     MapAnalysis,
     TheoremReport,
@@ -14,8 +15,12 @@ from mapcalc import (
     check_theorem2,
     check_theorem3,
     check_theorem4,
+    dual,
+    from_signed_word,
+    gon_counts,
     recheck_counterexample,
     verify_all,
+    zigzag_map_from_word,
 )
 from mapcalc import gem, gf2, spaces, words
 
@@ -44,6 +49,7 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     bonds = count_calls(monkeypatch, spaces, "bond_space")
     analyses = count_method(monkeypatch, MapAnalysis, "__init__")
     operators = count_calls(monkeypatch, words, "c_operator")
+    word_products = count_calls(monkeypatch, words, "_word_columns")
     traces = count_calls(monkeypatch, gem, "gon_labels", key=lambda alpha, p: KIND[p])
     gon_words = count_calls(monkeypatch, words, "gon_word")
     permutations = count_calls(monkeypatch, gem, "apply_permutation")
@@ -53,8 +59,11 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     assert graphs == {"v": 1, "f": 1, "z": 1}
     assert sum(bonds.values()) == 3
     assert sum(analyses.values()) == 1
-    # c_P is built from its word and c_P~ = 1 + c_P; c_D too when f = 1.
-    assert sum(operators.values()) == (2 if theorem4 else 1)
+    # c_P is built from its word and c_P~ = 1 + c_P.  c_P o c_P, and
+    # c_P~ o c_D when f = 1, are composed from the words by prefix images,
+    # so c_D itself is never built.
+    assert sum(operators.values()) == 1
+    assert sum(word_products.values()) == (3 if theorem4 else 2)
     # One trace per gon kind serves the counts, the graphs and the words of
     # the single gons, so no gon is walked again and no phial or dual is
     # built.
@@ -63,18 +72,53 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     assert sum(permutations.values()) == 0
 
 
-@pytest.mark.parametrize("build, composed", [(k33_map, 0), (single_face_dual, 1)])
-def test_verify_all_composes_only_for_theorem4(monkeypatch, build, composed):
-    """c_P~ o c_P is read from the word operators' own forward passes, one
-    each; only theorem 4's c_P~ o c_D is composed, when f = 1."""
+@pytest.mark.parametrize("build", [k33_map, single_face_dual])
+def test_verify_all_eliminates_once_and_composes_nothing(monkeypatch, build):
+    """c_P o c_P and c_P~ o c_D are composed from the words by prefix
+    images, and the kernels of theorems 2 and 3 come from one forward pass,
+    on the rows of c_P + c_P o c_P."""
     analysis = MapAnalysis(build())
+    zig = analysis.zigzag
+    square = zig.compose(zig)
+    rows = tuple((c ^ s) | 1 << (zig.m + j) for j, (c, s) in enumerate(zip(zig.cols, square.cols)))
     composes = count_method(monkeypatch, gf2.LinearOp, "compose")
     passes = count_calls(monkeypatch, gf2, "_forward_pass", key=lambda rows, width: tuple(rows))
     assert all(r.holds for r in verify_all(analysis))
-    assert sum(composes.values()) == composed
-    words = {tuple(c | 1 << (op.m + j) for j, c in enumerate(op.cols))
-             for op in (analysis.zigzag, analysis.zigzag_complement)}
-    assert passes == {rows: 1 for rows in words}
+    assert sum(composes.values()) == 0
+    assert passes == {rows: 1}
+
+
+def test_analysis_matches_the_operator_api():
+    """The split kernels, the images read as their perps, and the word
+    products against LinearOp's own kernel, image and compose, on seeded
+    single-zigzag maps: from random words, and duals of one-vertex maps
+    with one zigzag (f = z = 1)."""
+    rng = random.Random(61)
+    maps = [zigzag_map_from_word(random_signed_word(rng, m)) for m in range(1, 41)]
+    while len(maps) < 80:
+        map_ = from_signed_word(random_signed_word(rng, rng.randint(1, 40)))
+        if gon_counts(map_)[2] == 1:
+            maps.append(dual(map_))
+    for map_ in maps:
+        analysis = MapAnalysis(map_)
+        zig, comp = analysis.zigzag, analysis.zigzag_complement
+        product = comp.compose(zig)
+        assert analysis.zigzag_kernels == (zig.kernel(), comp.kernel(), product.kernel())
+        assert analysis.zigzag_images == (zig.image(), comp.image())
+        assert analysis.zigzag_product_spaces == (product.image(), product.kernel())
+        if analysis.face is not None:
+            assert analysis.face_product == comp.compose(analysis.face)
+
+
+@pytest.mark.parametrize("build", [k33_map, single_face_dual])
+def test_images_need_a_symmetric_c_p(monkeypatch, build):
+    """Every image is a perp of a kernel, which holds only because c_P is
+    symmetric; a transpose that is not the operator itself stops the check."""
+    map_ = build()
+    monkeypatch.setattr(gf2.LinearOp, "transpose", lambda self: gf2.LinearOp(self.m, self.cols))
+    assert all(r.holds for r in check_absorption(map_))
+    with pytest.raises(AssertionError, match="symmetric"):
+        verify_all(map_)
 
 
 def test_checks_accept_a_map_or_its_analysis():

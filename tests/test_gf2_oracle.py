@@ -9,7 +9,7 @@ them on every input.  Every output is also checked for the canonical RREF
 invariants that make subspace equality plain dataclass equality.  The
 forward Four-Russians pass is checked directly at several block widths,
 and through the operators' image, kernel, transpose, preimage and
-product spaces at sizes past one block of rows; preimages also against
+split kernels at sizes past one block of rows; preimages also against
 all 2^m vectors.
 """
 
@@ -19,7 +19,8 @@ import random
 
 from conftest import members, random_signed_word
 from mapcalc import Gf2Subspace, Gf2Vec, LinearOp, space_bundle, zigzag_map_from_word
-from mapcalc.gf2 import _forward_pass, _rref, product_spaces
+from mapcalc.gf2 import _forward_pass, _rref, split_kernels
+from mapcalc.words import c_operator
 from mapcalc.spaces import _fundamental_cycles
 
 SIZES = range(65)
@@ -423,21 +424,59 @@ def test_preimage_matches_brute_force():
 
 
 def test_product_spaces_match_compose():
-    """(image, kernel) of b o a without composing, against the image and
-    kernel of b.compose(a) and the loop references, on random pairs, most
-    of them not symmetric, up to m = 130."""
+    """The kernel of (I + a) o a from split_kernels, and its image as the
+    perp of the split kernel of the transpose, against the image and
+    kernel of the composed product and the loop references, on random
+    operators, most of them not symmetric, up to m = 130."""
     for m in [*SIZES, 97, 127, 128, 129, 130]:
         rng = random.Random(8900 + m)
         cases = list(operator_cases(rng, m))
-        pairs = [(rng.choice(cases), rng.choice(cases)) for _ in range(3)]
-        pairs.append((LinearOp(m, tuple(rng.getrandbits(m) for _ in range(m))), cases[3]))
-        pairs.append((cases[3], LinearOp(m, tuple(rng.getrandbits(m) for _ in range(m)))))
-        for b, a in pairs:
-            ba = b.compose(a)
-            image, kernel = product_spaces(b, a)
+        cases.append(LinearOp(m, tuple(rng.getrandbits(m) for _ in range(m))))
+        for a in cases:
+            ba = (LinearOp.identity(m) + a).compose(a)
+            kernel = split_kernels(a, a.compose(a))[2]
+            t = a.transpose()
+            image = split_kernels(t, t.compose(t))[2].perp()
             assert (image, kernel) == (ba.image(), ba.kernel())
             assert image.rows == ref_rref(ba.cols)
             assert kernel.rows == ref_kernel(m, ba.cols)
+
+
+def split_cases(rng: random.Random, m: int):
+    """Zero, identity, non-symmetric, symmetric, low-rank, I + low-rank (so
+    I + A is singular), triangular with a random 0/1 diagonal (so A and
+    I + A are often both singular), and a word operator."""
+    yield LinearOp.zero(m)
+    yield LinearOp.identity(m)
+    yield LinearOp(m, tuple(rng.getrandbits(m) for _ in range(m)))
+    yield symmetric(m, (rng.getrandbits(m) for _ in range(m)))
+    gens = [rng.getrandbits(m) for _ in range(rng.randint(0, max(m // 4, 1)))]
+    low = LinearOp(m, tuple(combo(rng, gens) for _ in range(m)))
+    yield low
+    yield LinearOp.identity(m) + low
+    yield LinearOp(m, tuple(rng.getrandbits(1) << j | rng.getrandbits(m) >> (j + 1) << (j + 1)
+                            for j in range(m)))
+    yield c_operator(random_signed_word(rng, m))
+
+
+def test_split_kernels_match_reference():
+    """ker A, ker(I + A) and ker A(I + A) from one pass, against kernel()
+    of each operator and the loop reference, and Im A(I + A) against
+    Im A meet Im(I + A), on square matrices of every kind in
+    split_cases, at sizes on both sides of 64-, 128- and 256-bit words."""
+    for m in [*range(1, 21), 63, 64, 65, 127, 128, 129, 130, 255, 256, 257]:
+        rng = random.Random(9100 + m)
+        for a in split_cases(rng, m):
+            comp = LinearOp.identity(m) + a
+            product = comp.compose(a)
+            got = split_kernels(a, a.compose(a))
+            for space, op in zip(got, (a, comp, product)):
+                assert space == op.kernel()
+                assert space.rows == ref_kernel(m, op.cols)
+                assert_canonical(m, space.rows)
+            assert got[0].dim + got[1].dim == got[2].dim
+            assert product.image() == a.image().intersect(comp.image())
+            assert product.image().rows == ref_rref(product.cols)
 
 
 def test_large_operators_match_reference():

@@ -29,6 +29,7 @@ from mapcalc import (
     zigzag_map_from_word,
     zigzag_word,
 )
+from mapcalc.words import _word_columns
 
 
 def word(*tokens: int) -> SignedWord:
@@ -267,6 +268,43 @@ def test_c_operator_matches_its_definition():
     for w in words:
         op = c_operator(w)
         assert op.cols == tuple((kappa(w, x) + interlacement(w, x)).bits for x in range(w.m))
+
+
+def signed(ids: list[int], signs) -> SignedWord:
+    """The word of the edge sequence ids, each second occurrence taking the
+    next sign from signs."""
+    seen: set[int] = set()
+    entries = []
+    for e in ids:
+        entries.append((e, next(signs) if e in seen else 1))
+        seen.add(e)
+    return SignedWord(len(ids) // 2, tuple(entries))
+
+
+def test_word_columns_compose_by_prefix_images():
+    """_word_columns(w, X.cols) is X o c_operator(w), and c_operator(w) is
+    still kappa + interlacement, for every sign pattern of the loops up to
+    m = 6 and random, all-balanced and all-unbalanced ones up to m = 40
+    and at m = 250..260; X is the identity, zero, a random operator and
+    another word's operator."""
+    rng = random.Random(59)
+    for m in [*range(1, 41), *range(250, 261)]:
+        ids = [e for e, _ in random_signed_word(rng, m).entries]
+        if m <= 6:
+            patterns = [[(p >> i) & 1 or -1 for i in range(m)] for p in range(1 << m)]
+        else:
+            patterns = [[1] * m, [-1] * m, [rng.choice((1, -1)) for _ in range(m)]]
+        outers = [LinearOp.identity(m), LinearOp.zero(m),
+                  LinearOp(m, tuple(rng.getrandbits(m) for _ in range(m))),
+                  c_operator(random_signed_word(rng, m))]
+        for pattern in patterns:
+            w = signed(ids, iter(pattern))
+            op = c_operator(w)
+            if m <= 40 or pattern is patterns[-1]:
+                assert op.cols == tuple((kappa(w, x) + interlacement(w, x)).bits
+                                        for x in range(m))
+            for outer in outers:
+                assert _word_columns(w, outer.cols) == outer.compose(op).cols
 
 
 def test_map_operators_on_sphere_loop():
