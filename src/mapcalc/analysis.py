@@ -2,28 +2,34 @@
 
 MapAnalysis is the one per-map store.  It holds the three induced
 graphs, whose vertex counts are the gon counts, their six bond and cycle
-spaces, the sum of the vertex and face bond spaces, the word operators
-c_P, c_P~ and c_D, the kernels of c_P, c_P~ and c_P~ o c_P and their
-images, and the composed operator c_P~ o c_D.  The graphs and counts are
-built with the analysis, each read off one gem.gon_labels trace of its
-kind, because every check reads all three graphs, through the counts or
-a bond space.  The words of c_P and c_D are read off the kept traces of
-the single z-gon and f-gon, so no gon is walked twice and no phial or
-dual is built.  Everything else is a cached_property: it is computed on
-first read and kept on the analysis, so a check that needs it again
-reads it instead of rebuilding it.  Nothing is cached elsewhere, apart
-from what an operator keeps of its own forward elimination (see
-gf2.LinearOp): an analysis and all it holds go away with the last
-reference to it.
+spaces, the sum of the vertex and face bond spaces and its perp, the
+word operators c_P, c_P~ and c_D, the kernels of c_P, c_P~ and
+c_P~ o c_P and their images, and the composed operator c_P~ o c_D.  The
+graphs and counts are built with the analysis, each read off one
+gem.gon_labels trace of its kind, because every check reads all three
+graphs, through the counts or a bond space.  The words of c_P and c_D
+are read off the kept traces of the single z-gon and f-gon, so no gon is
+walked twice and no phial or dual is built.  Everything else is a
+cached_property: it is computed on first read and kept on the analysis,
+so a check that needs it again reads it instead of rebuilding it.
+Nothing is cached elsewhere, apart from what an operator keeps of its
+own forward elimination (see gf2.LinearOp): an analysis and all it holds
+go away with the last reference to it.
 
 The three kernels come from one elimination, gf2.split_kernels on c_P
 and c_P o c_P (the Bezout split), and every image is the perp of its
-kernel, since c_P, c_P~ and c_P~ o c_P are symmetric.  No operator is
-composed: c_P o c_P and c_P~ o c_D are read off the kept z-word and
-f-word by prefix images (words._word_columns).  The absorption checks
-build only the three bond spaces, verify_all adds the vertex and face
-cycle spaces on a single-zigzag map (no claim reads the zigzag graph's),
-and complete() builds everything.
+kernel, since c_P, c_P~ and c_P~ o c_P are symmetric.  The analysis
+takes one perp per distinct subspace, kept by its canonical rows, and
+every perp goes through that store: the images, the cycle spaces and
+3b's target (Bv + Bf)^perp.  Where 2b, 2d and 3c hold, the kernels are
+Bv, Bf and Bv + Bf, so Im c_P, Im c_P~ and Im c_P~ o c_P are the very
+objects Cv, Cf and that target, and a map pays two or three perps, not
+six; a kernel that differs from its bond space pays its own.  No
+operator is composed: c_P o c_P and c_P~ o c_D are read off the kept
+z-word and f-word by prefix images (words._word_columns).  The
+absorption checks build only the three bond spaces, verify_all adds the
+vertex and face cycle spaces on a single-zigzag map (no claim reads the
+zigzag graph's), and complete() builds everything.
 
 space_bundle and map_operators, the names the acceptance criteria use for
 a map's spaces and its operators, are MapAnalysis itself.
@@ -43,7 +49,8 @@ class MapAnalysis:
     """The graphs and gon counts of one map, and its lazily memoized
     spaces and operators.
 
-    A cycle space is checked against its graph's fundamental cycles, so a
+    A cycle space is checked against the fundamental cycles of the
+    spanning tree its basis leaves (spaces._checked_cycle_space), so a
     failed check raises AssertionError on its first read.
     """
 
@@ -62,6 +69,7 @@ class MapAnalysis:
             if count == 1:
                 self._orders[kind] = order
         self.vertex_graph, self.face_graph, self.zigzag_graph = graphs
+        self._perps: dict[tuple[int, ...], Gf2Subspace] = {}
         # (v, f, z) gon counts, the vertex counts of the three graphs.
         self.counts = (self.vertex_graph.n, self.face_graph.n, self.zigzag_graph.n)
 
@@ -74,9 +82,16 @@ class MapAnalysis:
         """Compute every artefact now rather than on first use, all six
         subspaces included."""
         self.dims()
-        for name in ("vertex_face_bonds", "zigzag_images", "zigzag_product_spaces", "face_product"):
+        for name in ("vertex_face_cycles", "zigzag_images", "zigzag_product_spaces", "face_product"):
             getattr(self, name)
         return self
+
+    def _perp(self, space: Gf2Subspace) -> Gf2Subspace:
+        """space.perp(), taken once per distinct subspace and kept."""
+        perp = self._perps.get(space.rows)
+        if perp is None:
+            perp = self._perps[space.rows] = space.perp()
+        return perp
 
     @cached_property
     def vertex_bonds(self) -> Gf2Subspace:
@@ -84,7 +99,7 @@ class MapAnalysis:
 
     @cached_property
     def vertex_cycles(self) -> Gf2Subspace:
-        return _checked_cycle_space(self.vertex_graph, self.vertex_bonds)
+        return _checked_cycle_space(self.vertex_graph, self._perp(self.vertex_bonds))
 
     @cached_property
     def face_bonds(self) -> Gf2Subspace:
@@ -92,7 +107,7 @@ class MapAnalysis:
 
     @cached_property
     def face_cycles(self) -> Gf2Subspace:
-        return _checked_cycle_space(self.face_graph, self.face_bonds)
+        return _checked_cycle_space(self.face_graph, self._perp(self.face_bonds))
 
     @cached_property
     def zigzag_bonds(self) -> Gf2Subspace:
@@ -100,12 +115,18 @@ class MapAnalysis:
 
     @cached_property
     def zigzag_cycles(self) -> Gf2Subspace:
-        return _checked_cycle_space(self.zigzag_graph, self.zigzag_bonds)
+        return _checked_cycle_space(self.zigzag_graph, self._perp(self.zigzag_bonds))
 
     @cached_property
     def vertex_face_bonds(self) -> Gf2Subspace:
-        """Bv + Bf: 3c's target, and 3b's as its perp."""
+        """Bv + Bf: 3c's target."""
         return self.vertex_bonds.sum(self.face_bonds)
+
+    @cached_property
+    def vertex_face_cycles(self) -> Gf2Subspace:
+        """(Bv + Bf)^perp, the meet of the vertex and face cycle spaces:
+        3b's target."""
+        return self._perp(self.vertex_face_bonds)
 
     def dims(self) -> tuple[int, int, int, int, int, int]:
         """Dimensions in the order (vb, vc, fb, fc, zb, zc); builds all six."""
@@ -158,13 +179,13 @@ class MapAnalysis:
     def zigzag_images(self) -> tuple[Gf2Subspace, Gf2Subspace] | None:
         """(Im c_P, Im c_P~), or None without a single zigzag."""
         kernels = self.zigzag_kernels
-        return None if kernels is None else (kernels[0].perp(), kernels[1].perp())
+        return None if kernels is None else (self._perp(kernels[0]), self._perp(kernels[1]))
 
     @cached_property
     def zigzag_product_spaces(self) -> tuple[Gf2Subspace, Gf2Subspace] | None:
         """(image, kernel) of c_P~ o c_P, or None without a single zigzag."""
         kernels = self.zigzag_kernels
-        return None if kernels is None else (kernels[2].perp(), kernels[2])
+        return None if kernels is None else (self._perp(kernels[2]), kernels[2])
 
     @cached_property
     def face_product(self) -> LinearOp | None:

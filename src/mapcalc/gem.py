@@ -326,8 +326,9 @@ class MultiGraph:
             deg[v] += 1
         return tuple(deg)
 
-    def spanning_forest(self) -> tuple[list[int], list[int]]:
-        """(tree edge ids, paths) of a breadth-first spanning forest.
+    def spanning_forest(self, among: Iterable[int] | None = None) -> tuple[list[int], list[int]]:
+        """(tree edge ids, paths) of a breadth-first spanning forest of the
+        edges `among`, ascending ids (all edges by default).
 
         Each component is searched from its lowest vertex, each vertex's
         edges in id order; the first edge that reaches a new vertex joins
@@ -335,8 +336,10 @@ class MultiGraph:
         and paths[v] is the bitmask of the tree edges between v and its
         component's root.
         """
+        edges = self.edges
         inc: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for e, (u, v) in enumerate(self.edges):
+        for e in range(len(edges)) if among is None else among:
+            u, v = edges[e]
             inc[u].append((e, v))
             inc[v].append((e, u))
         paths = [-1] * self.n

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable
 
-# Four-Russians block width: of k = 6..10, 8 was fastest for the full RREF
-# on operators with m = 250..350; the forward pass alone is within 5 % of
-# its best (k = 7) there (see CHANGES.md).
+# Four-Russians block width of the forward pass and `compose`: on operators
+# with m = 250..350 the forward pass is within 5 % of its best (k = 7) at 8,
+# and k = 6 against 8 measured within noise end to end (see CHANGES.md).
 _K = 8
 
 

@@ -4,7 +4,13 @@ For a connected multigraph the bond space is spanned by the single-vertex
 edge cuts and the cycle space by the fundamental cycles of any spanning
 tree; the two are orthogonal complements of each other under the parity
 form.  The cycle space is built as the complement of the bond space and
-checked against the fundamental cycles of the breadth-first forest.  A map
+checked by one tuple equality: the edges that are not pivots of its basis
+must form a spanning tree, whose fundamental cycles, in edge order, must
+be the basis itself.  A correct complement passes, since its non-pivot
+edges are the bond space's top pivots, the greedy highest-id spanning
+tree, so each other edge is the lowest edge of its fundamental cycle
+(Kruskal's cycle property).  A space that passes is spanned by the
+fundamental cycles of a spanning tree, so it is the cycle space.  A map
 yields three graphs (from its v-, f- and z-gons) and so six subspaces of
 the edge universe; analysis.MapAnalysis builds each on its first read.
 """
@@ -46,34 +52,45 @@ def bond_space(g: MultiGraph) -> Gf2Subspace:
     return space
 
 
-def _fundamental_cycles(g: MultiGraph) -> list[int]:
-    """Cycle bitmasks of the non-tree edges of g's spanning forest."""
-    tree, paths = g.spanning_forest()
-    in_tree = set(tree)
-    return [paths[u] ^ paths[v] ^ 1 << e
-            for e, (u, v) in enumerate(g.edges) if e not in in_tree]
-
-
 def cycle_space(g: MultiGraph) -> Gf2Subspace:
     """Orthogonal complement of the bond space, cross-checked against the
-    fundamental cycles; loops are their own cycles.
+    fundamental cycles of a spanning tree; loops are their own cycles.
 
-    The two constructions are independent, so a mismatch is an internal
-    error.  bond_space raises ValueError first when g is not connected.
+    bond_space raises ValueError first when g is not connected.
     """
-    return _checked_cycle_space(g, bond_space(g))
+    return _checked_cycle_space(g, bond_space(g).perp())
 
 
-def _checked_cycle_space(g: MultiGraph, bonds: Gf2Subspace) -> Gf2Subspace:
-    """bonds.perp() for a connected g, cross-checked by its fundamental cycles.
+def _tree_cycles(g: MultiGraph, tree: int) -> tuple[int, ...] | None:
+    """Fundamental cycles of the spanning tree whose edges are the set bits
+    of `tree`, in the order of their non-tree edges; None unless those are
+    n - 1 edges that reach every vertex from vertex 0.
 
-    These are independent, so if there are dim = m - n + 1 of them and the
-    complement contains each, the complement is their span.
+    The walk reads only the tree's edges.
     """
-    space = bonds.perp()
-    cycles = _fundamental_cycles(g)
-    if not len(cycles) == space.dim == g.edge_count - g.n + 1:
-        raise AssertionError("cycle space dimension violates the connected-graph formula")
-    if not all(map(space.contains, cycles)):
+    n, edges = g.n, g.edges
+    bits = format(tree, f"0{len(edges)}b")[::-1]  # bits[e] == "1": e is a tree edge
+    ids = [e for e, b in enumerate(bits) if b == "1"]
+    if len(ids) != n - 1:
+        return None
+    reached, paths = g.spanning_forest(ids)
+    if len(reached) != n - 1:
+        return None
+    return tuple(paths[u] ^ paths[v] ^ 1 << e
+                 for e, (u, v), b in zip(range(len(edges)), edges, bits) if b == "0")
+
+
+def _checked_cycle_space(g: MultiGraph, space: Gf2Subspace) -> Gf2Subspace:
+    """space, the perp of a connected g's bond space, once it is checked to
+    be the canonical basis of g's cycle space (see the module docstring).
+
+    An AssertionError names an internal error: the edges that are not
+    pivots of space do not form a spanning tree, or the tree's fundamental
+    cycles are not space's basis.
+    """
+    cycles = _tree_cycles(g, ((1 << g.edge_count) - 1) & ~space._pivot_index[0])
+    if cycles is None:
+        raise AssertionError("cycle space pivots leave no spanning tree")
+    if cycles != space.rows:
         raise AssertionError("cycle space disagrees with the fundamental cycles")
     return space

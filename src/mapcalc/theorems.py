@@ -139,7 +139,7 @@ _CLAIMS = (
            lambda a: a.zigzag_product_spaces[0],
            lambda a: euler_of_counts(a.m, *a.counts[:2])[1]),
     _Claim("3b", _Z, "equal", "im",
-           lambda a: a.zigzag_product_spaces[0], lambda a: a.vertex_face_bonds.perp()),
+           lambda a: a.zigzag_product_spaces[0], lambda a: a.vertex_face_cycles),
     _Claim("3c", _Z, "equal", "ker",
            lambda a: a.zigzag_product_spaces[1], lambda a: a.vertex_face_bonds),
     _Claim("4", _FZ, "identity", "m", lambda a: a.face_product),

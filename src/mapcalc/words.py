@@ -39,36 +39,59 @@ class SignedWord:
     Entries are (edge, sign) with 0-based edges and sign +1 or -1; each
     edge occurs exactly twice and its first stored occurrence is positive.
     The positions of each edge's two occurrences are found once, when the
-    word is built.
+    word is built, and kept in two flat lists.  A tuple of exact-int pairs,
+    as every trace builds, is checked as it is; anything else is converted
+    first.
     """
 
     m: int
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple((_as_int(e), _as_int(s)) for e, s in self.entries))
-        if len(self.entries) != 2 * self.m:
-            raise ValueError(f"word must have {2 * self.m} entries")
-        positions: list[list[int]] = [[] for _ in range(self.m)]
-        for i, (e, s) in enumerate(self.entries):
-            if not 0 <= e < self.m:
+        try:
+            self._index()
+        except ValueError:
+            # Any other spelling (a list, bools, int-like values), and any
+            # fault, is made a tuple of int pairs once, which names the first
+            # entry that is not an integer, and checked again, which names
+            # the first fault.
+            object.__setattr__(self, "entries", tuple((_as_int(e), _as_int(s)) for e, s in self.entries))
+            self._index()
+
+    def _index(self) -> None:
+        """Check a tuple of exact-int pairs and keep the positions of each
+        edge's occurrences."""
+        m, entries = self.m, self.entries
+        if type(entries) is not tuple:
+            raise ValueError("entries are not a tuple")
+        if len(entries) != 2 * m:
+            raise ValueError(f"word must have {2 * m} entries")
+        first, second = [-1] * m, [-1] * m
+        for i, pair in enumerate(entries):
+            e, s = pair
+            if type(e) is not int or type(s) is not int or type(pair) is not tuple:
+                raise ValueError("entry is not a pair of ints")
+            if not 0 <= e < m:
                 raise ValueError(f"edge {e} out of range")
             if s not in (1, -1):
                 raise ValueError(f"bad sign {s} on edge {e}")
-            pos = positions[e]
-            if len(pos) == 2:
+            if second[e] != -1:
                 raise ValueError(f"edge {e} occurs more than twice")
-            if not pos and s != 1:
-                raise ValueError(f"first occurrence of edge {e} must be positive")
-            pos.append(i)
+            if first[e] == -1:
+                if s != 1:
+                    raise ValueError(f"first occurrence of edge {e} must be positive")
+                first[e] = i
+            else:
+                second[e] = i
         # 2m entries and no edge more than twice: every edge occurs twice.
-        object.__setattr__(self, "_positions", tuple((p1, p2) for p1, p2 in positions))
+        object.__setattr__(self, "_first", first)
+        object.__setattr__(self, "_second", second)
 
     def occurrences(self, x: int) -> tuple[int, int]:
         """Positions of the two occurrences of edge x, in stored order."""
         if not 0 <= x < self.m:
             raise ValueError(f"edge {x} out of range")
-        return self._positions[x]
+        return self._first[x], self._second[x]
 
     def same_direction(self, x: int) -> bool:
         """True when both occurrences of x carry the same sign."""
@@ -183,7 +206,7 @@ def _word_columns(w: SignedWord, images: Sequence[int]) -> tuple[int, ...]:
         acc ^= images[e]
         prefix.append(acc)
     return tuple(prefix[p2] ^ prefix[p1 if entries[p2][1] == 1 else p1 + 1]
-                 for p1, p2 in w._positions)
+                 for p1, p2 in zip(w._first, w._second))
 
 
 def cozigzag_word(map_: FlagMap) -> SignedWord:

@@ -128,6 +128,15 @@ def random_connected_graph(rng: random.Random, max_extra: int = 3) -> MultiGraph
     return MultiGraph(n, tuple(edges))
 
 
+def fundamental_cycles(g: MultiGraph) -> list[int]:
+    """Cycle bitmasks of the non-tree edges of g's breadth-first spanning
+    forest, in edge order: the perp-free reference for cycle spaces."""
+    tree, paths = g.spanning_forest()
+    in_tree = set(tree)
+    return [paths[u] ^ paths[v] ^ 1 << e
+            for e, (u, v) in enumerate(g.edges) if e not in in_tree]
+
+
 def random_subspace(rng: random.Random, m: int) -> Gf2Subspace:
     vecs = [rng.getrandbits(m) for _ in range(rng.randint(0, m))]
     return Gf2Subspace.span(m, vecs)

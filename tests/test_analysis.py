@@ -28,17 +28,22 @@ from mapcalc import gem, gf2, spaces, words
 KIND = {p: kind for kind, p in gem.PARTNER.items()}
 
 
-def count_method(monkeypatch, cls, name: str) -> Counter:
-    """Count the calls of cls.name, whoever makes them."""
+def count_method(monkeypatch, cls, name: str, key=lambda *args: None) -> Counter:
+    """Count the calls of cls.name, whoever makes them, keyed by key(*args)."""
     original = getattr(cls, name)
     calls: Counter = Counter()
 
     def counted(*args):
-        calls[None] += 1
+        calls[key(*args)] += 1
         return original(*args)
 
     monkeypatch.setattr(cls, name, counted)
     return calls
+
+
+# Perps per map in verify_all: one per distinct space among Bv, Bf and
+# Bv + Bf.  On the single-face dual Bf = 0, so Bv + Bf = Bv.
+PERPS = {k33_map: 3, single_face_dual: 2}
 
 
 @pytest.mark.parametrize("build, theorem4", [(k33_map, False), (single_face_dual, True)])
@@ -53,6 +58,7 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     traces = count_calls(monkeypatch, gem, "gon_labels", key=lambda alpha, p: KIND[p])
     gon_words = count_calls(monkeypatch, words, "gon_word")
     permutations = count_calls(monkeypatch, gem, "apply_permutation")
+    perps = count_method(monkeypatch, gf2.Gf2Subspace, "perp")
     reports = verify_all(map_)
     assert reports == expected
     assert reports[-1].applicable is theorem4 and reports[-1].holds
@@ -70,6 +76,9 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     assert traces == {"v": 1, "f": 1, "z": 1}
     assert sum(gon_words.values()) == 0
     assert sum(permutations.values()) == 0
+    # As 2b, 2d and 3c hold, Im c_P, Im c_P~ and Im c_P~ o c_P are the
+    # perps of Bv, Bf and Bv + Bf, the very objects Cv, Cf and 3b's target.
+    assert sum(perps.values()) == PERPS[build]
 
 
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])
@@ -182,17 +191,82 @@ def test_complete_builds_all_six_spaces(monkeypatch):
 
 
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])
+def test_a_kernel_off_its_bond_space_pays_both_perps(monkeypatch, build):
+    """When ker c_P is not Bv, Im c_P and Cv are perps of two different
+    spaces: both are taken, and 2a and 2b each report a witness that
+    recheck_counterexample confirms."""
+    analysis = MapAnalysis(build())
+    ker, comp_ker, product_ker = analysis.zigzag_kernels
+    bonds = analysis.vertex_bonds
+    assert ker == bonds and bonds.dim >= 1
+    off = gf2.Gf2Subspace(ker.m, ker.rows[1:])
+    analysis.__dict__["zigzag_kernels"] = (off, comp_ker, product_ker)
+    perps = count_method(monkeypatch, gf2.Gf2Subspace, "perp", key=lambda space: space.rows)
+    reports = {r.theorem: r for r in verify_all(analysis)}
+    assert perps[off.rows] == perps[bonds.rows] == 1
+    assert max(perps.values()) == 1
+    for theorem in ("2a", "2b"):
+        report = reports[theorem]
+        assert report.applicable and not report.holds
+        assert report.counterexample is not None
+        assert recheck_counterexample(analysis, report)
+    assert all(r.holds for tid, r in reports.items() if tid not in ("2a", "2b"))
+
+
+@pytest.mark.parametrize("build", [k33_map, single_face_dual])
 def test_cross_check_guards_every_cycle_space_read(monkeypatch, build):
+    """A tree walk that misses one fundamental cycle stops the first read
+    of a cycle space."""
     map_ = build()
-    original = spaces._fundamental_cycles
+    original = spaces._tree_cycles
 
-    def one_short(g):
-        return original(g)[1:]
+    def one_short(g, tree):
+        return original(g, tree)[1:]
 
-    monkeypatch.setattr(spaces, "_fundamental_cycles", one_short)
+    monkeypatch.setattr(spaces, "_tree_cycles", one_short)
     assert all(r.holds for r in check_absorption(map_))
     with pytest.raises(AssertionError, match="cycle space"):
         verify_all(map_)
+
+
+def row_xored_into_another(rows: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The same span in a basis that is not canonical."""
+    return (rows[0] ^ rows[1],) + rows[1:] if len(rows) >= 2 else None
+
+
+def pivot_moved_onto_a_tree_edge(rows: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The last row also takes the lowest non-pivot edge below its pivot,
+    which becomes its pivot."""
+    if not rows:
+        return None
+    last = rows[-1]
+    below = (last & -last) - 1 & ~sum(r & -r for r in rows)
+    return rows[:-1] + (last | below & -below,) if below else None
+
+
+@pytest.mark.parametrize("build", [k33_map, single_face_dual])
+@pytest.mark.parametrize("mutate", [row_xored_into_another, pivot_moved_onto_a_tree_edge])
+def test_cross_check_guards_a_perp_that_is_not_canonical(monkeypatch, build, mutate):
+    """A perp whose basis spans the right space but is not the canonical
+    one, or whose pivots no longer leave the spanning tree, fails the tree
+    equality."""
+    map_ = build()
+    original = gf2.Gf2Subspace.perp
+    mutated = []
+
+    def mutated_perp(self):
+        space = original(self)
+        rows = mutate(space.rows)
+        if rows is None:
+            return space
+        mutated.append(space)
+        return gf2.Gf2Subspace(space.m, rows)
+
+    monkeypatch.setattr(gf2.Gf2Subspace, "perp", mutated_perp)
+    assert all(r.holds for r in check_absorption(map_))
+    with pytest.raises(AssertionError, match="cycle space"):
+        verify_all(map_)
+    assert mutated
 
 
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])

@@ -116,6 +116,31 @@ def test_constructor_rejects_a_non_permutation():
             FlagMap(1, alpha)
 
 
+def test_constructor_messages():
+    """Each refusal names its fault, a bad flag by its position; bools pass
+    as the flag ids they equal, and the first bad flag is the one named."""
+    cases = (
+        (0, (), "need at least one rectangle"),
+        (1, (1, 0, 3), "alpha must assign all 4 flags"),
+        (2, (1, 0, 3, 2), "alpha must assign all 8 flags"),
+        (1, (1, 0, 3.0, 2), "alpha[2] = 3.0 is not a flag id"),
+        (1, (1, 0, "3", 2), "alpha[2] = '3' is not a flag id"),
+        (1, (1, 0, 3, None), "alpha[3] = None is not a flag id"),
+        (1, (1, 0, 3, 4), "alpha[3] = 4 is not a flag id"),
+        (1, (-1, 0, 3, 2), "alpha[0] = -1 is not a flag id"),
+        (1, (1, 4, 3.5, 2), "alpha[1] = 4 is not a flag id"),
+        (1, (1, 0, 3, 0), "alpha is not a permutation of the flags"),
+        (1, (True, True, 3, 2), "alpha is not a permutation of the flags"),
+    )
+    for m, alpha, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FlagMap(m, alpha)
+    for alpha in ((True, False, 3, 2), [1, 0, 3, 2]):
+        map_ = FlagMap(1, alpha)
+        assert map_.alpha == (1, 0, 3, 2) and type(map_.alpha) is tuple
+    assert FlagMap(1, (True, False, 3, 2)).alpha[0] is True
+
+
 def test_from_pairs_checks():
     with pytest.raises(ValueError):
         FlagMap.from_pairs(1, ((0, 4), (1, 2)))
@@ -530,6 +555,13 @@ def test_spanning_forest_matches_the_reference_walks():
             assert_tree_path(g, tree, paths[v], v, roots[v])
         assert g.is_connected() == reference_is_connected(g)
         assert g.is_bipartite() == reference_is_bipartite(g)
+        # A forest of some of the edges is the forest of the graph that has
+        # only those edges, with its edge ids mapped back.
+        among = sorted(rng.sample(range(len(edges)), rng.randint(0, len(edges))))
+        sub_tree, sub_paths = MultiGraph(n, tuple(edges[e] for e in among)).spanning_forest()
+        tree, paths = g.spanning_forest(among)
+        assert tree == [among[i] for i in sub_tree]
+        assert paths == [sum(1 << e for i, e in enumerate(among) if p >> i & 1) for p in sub_paths]
 
 
 def test_induced_graph_of_sphere_loop():

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import random
 
-from conftest import members, random_signed_word
+from conftest import fundamental_cycles, members, random_signed_word
 from mapcalc import Gf2Subspace, Gf2Vec, LinearOp, space_bundle, zigzag_map_from_word
 from mapcalc.gf2 import _forward_pass, _rref, split_kernels
 from mapcalc.words import c_operator
-from mapcalc.spaces import _fundamental_cycles
 
 SIZES = range(65)
 
@@ -231,9 +230,9 @@ def test_theorem3b_target_is_the_meet_of_the_cycle_spaces():
     for i in range(240):
         map_ = zigzag_map_from_word(random_signed_word(rng, 1 + i % 12))
         bundle = space_bundle(map_)
-        cv, cf = (Gf2Subspace.span(map_.m, _fundamental_cycles(g))
+        cv, cf = (Gf2Subspace.span(map_.m, fundamental_cycles(g))
                   for g in (bundle.vertex_graph, bundle.face_graph))
-        target = bundle.vertex_bonds.sum(bundle.face_bonds).perp()
+        target = bundle.vertex_face_cycles
         assert target == cv.intersect(cf)
         assert target.rows == ref_intersect(map_.m, cv.rows, cf.rows)
 

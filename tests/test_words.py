@@ -29,6 +29,7 @@ from mapcalc import (
     zigzag_map_from_word,
     zigzag_word,
 )
+from mapcalc.gem import _as_int
 from mapcalc.words import _word_columns
 
 
@@ -76,6 +77,110 @@ def test_word_refuses_ids_and_signs_that_are_not_integers():
         with pytest.raises(ValueError, match=f"^expected an integer, got {re.escape(repr(value))}$"):
             SignedWord(1, entries)
     assert SignedWord(1, [(False, True), (0, 1)]) == word(1, 1)
+
+
+def test_word_messages():
+    """Each refusal names its fault; a value that is not an integer is
+    named before any other fault, and bools pass as 0 and 1."""
+    cases = (
+        (1, ((0, 1), (0.0, 1)), "expected an integer, got 0.0"),
+        (1, ((0, 1), (0, -1.0)), "expected an integer, got -1.0"),
+        (1, ((0, 1), ("0", 1)), "expected an integer, got '0'"),
+        (1, ((0, "1"), (0, 1)), "expected an integer, got '1'"),
+        (1, ((5, 1), (0, 0.5)), "expected an integer, got 0.5"),
+        (2, ((0, 1), (0, 1.5)), "expected an integer, got 1.5"),
+        (1, ((0, 1), (1, 1)), "edge 1 out of range"),
+        (1, ((0, 1), (-1, 1)), "edge -1 out of range"),
+        (1, ((0, 1), (0, 2)), "bad sign 2 on edge 0"),
+        (1, ((0, 1), (0, False)), "bad sign 0 on edge 0"),
+        (1, ((0, 1), (0, 0)), "bad sign 0 on edge 0"),
+        (2, ((0, 1), (0, 1), (0, -1), (1, 1)), "edge 0 occurs more than twice"),
+        (1, ((0, -1), (0, 1)), "first occurrence of edge 0 must be positive"),
+        (2, ((0, 1), (1, -1), (0, 1), (1, 1)), "first occurrence of edge 1 must be positive"),
+        (1, ((0, 1),), "word must have 2 entries"),
+        (1, ((0, 1), (0, 1), (0, 1)), "word must have 2 entries"),
+        (0, ((0, 1),), "word must have 0 entries"),
+        (2, ((0, 1), (1, 1), (0, 1)), "word must have 4 entries"),
+    )
+    for m, entries, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SignedWord(m, entries)
+    for entries in (((False, True), (0, 1)), ((0, True), (False, -1)), [[0, 1], [0, 1]]):
+        w = SignedWord(1, entries)
+        assert w.entries in (((0, 1), (0, 1)), ((0, 1), (0, -1)))
+        assert all(type(e) is tuple and {type(x) for x in e} == {int} for e in w.entries)
+    assert SignedWord(0, ()).entries == ()
+
+
+def reference_word(m: int, entries) -> tuple:
+    """The word check written plainly: every entry through _as_int first,
+    then one pass that names the first fault.  Returns the entries and each
+    edge's occurrence positions, or the error's type and text."""
+    try:
+        entries = tuple((_as_int(e), _as_int(s)) for e, s in entries)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    if len(entries) != 2 * m:
+        return ValueError, f"word must have {2 * m} entries"
+    positions: list[list[int]] = [[] for _ in range(m)]
+    for i, (e, s) in enumerate(entries):
+        if not 0 <= e < m:
+            return ValueError, f"edge {e} out of range"
+        if s not in (1, -1):
+            return ValueError, f"bad sign {s} on edge {e}"
+        if len(positions[e]) == 2:
+            return ValueError, f"edge {e} occurs more than twice"
+        if not positions[e] and s != 1:
+            return ValueError, f"first occurrence of edge {e} must be positive"
+        positions[e].append(i)
+    return entries, [tuple(p) for p in positions]
+
+
+def mutated_entries(rng: random.Random, w: SignedWord):
+    """The word's entries with one random fault or respelling."""
+    entries = list(w.entries)
+    kind = rng.randrange(9)
+    i = rng.randrange(len(entries)) if entries else 0
+    if kind == 0 and entries:
+        entries[i] = (rng.randint(-1, w.m), entries[i][1])
+    elif kind == 1 and entries:
+        entries[i] = (entries[i][0], rng.choice((1, -1, 0, 2, True, False, -True)))
+    elif kind == 2 and entries:
+        j = rng.randrange(len(entries))
+        entries[i], entries[j] = entries[j], entries[i]
+    elif kind == 3 and entries:
+        del entries[i]
+    elif kind == 4 and entries:
+        entries.insert(i, entries[i])
+    elif kind == 5 and entries:
+        entries[i] = list(entries[i])
+    elif kind == 6 and entries:
+        entries[i] = (float(entries[i][0]), entries[i][1])
+    elif kind == 7:
+        return entries
+    return tuple(entries)
+
+
+def test_word_check_matches_the_plain_check_on_mutated_words():
+    """Valid and faulty words, as tuples of exact-int pairs and in other
+    spellings: the word is built, or refused with the message, exactly as
+    the plain check decides."""
+    rng = random.Random(2323)
+    built = refused = 0
+    for _ in range(3000):
+        w = random_signed_word(rng, rng.randint(0, 12))
+        entries = mutated_entries(rng, w)
+        want = reference_word(w.m, entries)
+        try:
+            got = SignedWord(w.m, entries)
+        except ValueError as exc:
+            assert (ValueError, str(exc)) == want
+            refused += 1
+        else:
+            assert (got.entries, [got.occurrences(x) for x in range(w.m)]) == want
+            assert all(type(e) is tuple and {type(x) for x in e} <= {int} for e in got.entries)
+            built += 1
+    assert built >= 600 and refused >= 1200
 
 
 def test_occurrences_and_direction():
