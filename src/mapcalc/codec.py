@@ -103,7 +103,7 @@ def write_gem(map_: FlagMap) -> str:
     """Serialize map_ with pairs sorted by smaller flag."""
     pairs = sorted({(min(x, y), max(x, y)) for x, y in enumerate(map_.alpha)})
     lines = [f"gem {map_.m}"]
-    lines.extend(f"a {x} {y}" for x, y in pairs)
+    lines.extend(f"a {x:d} {y:d}" for x, y in pairs)
     return "\n".join(lines) + "\n"
 
 

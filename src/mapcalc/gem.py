@@ -79,8 +79,8 @@ class FlagMap:
         alpha = [-1] * (4 * m)
         for x, y in pairs:
             for z in (x, y):
-                if not 0 <= z < 4 * m:
-                    raise ValueError(f"flag {z} out of range")
+                if not isinstance(z, int) or not 0 <= z < 4 * m:
+                    raise ValueError(f"flag {z!r} is not a flag id")
             if alpha[x] != -1 or alpha[y] != -1:
                 raise ValueError(f"flag pair ({x}, {y}) reuses a paired flag")
             alpha[x], alpha[y] = y, x

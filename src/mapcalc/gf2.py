@@ -9,28 +9,34 @@ stored column-wise (column x = image of the singleton {x}).
 A row's pivot is its lowest set bit, kept as the power of two `row & -row`.
 Elimination indexes rows by pivot in a dict, so reducing a row costs one
 lookup and one big-int XOR per pivot it meets; membership tests use the
-same index.  Intersections come from one elimination on rows of 2m bits,
-keeping the members of the span whose low m bits are zero (Zassenhaus).
-
-An operator A is eliminated once, forward only, on the 2m-bit rows
-col_j | 1 << (m + j), and the pass is kept on the operator.  The rows
-whose low half ends at zero give the kernel, canonicalized by an RREF of
-those few rows; the image is (ker A^T)^perp, and a symmetric operator is
-its own transpose, so it needs no second pass.  The same pass gives the
-preimage of a subspace.  `split_kernels` finds the kernels of A, I + A
-and C = A (I + A) from one pass on C by the Bezout split: as
-I = A + (I + A), each x in ker C is A x + (I + A) x, with A x in
-ker(I + A) and (I + A) x in ker A, so ker C = ker A + ker(I + A).  The
-forward pass and `compose` use Four-Russians tables (M4RI: Albrecht, Bard
-and Hart, ACM TOMS 37(1), 2010).  The columns are taken in blocks of
-_K = 8; a table of the 2^8 combinations of a block's rows then replaces
-up to eight XORs by one lookup.  `transpose` works on the whole matrix
-packed into one int, in log2 n mask-and-shift rounds.  Subspace `span`,
-`sum` and `intersect` keep the pivot-dict elimination: their rows are
-sparse, and a lookup per row costs more than the few XORs it would
-replace.  `perp` runs the same elimination on its own dim rows, keyed by
-highest bits, and then writes the canonical basis of the complement
+same index.  Subspace `span`, `sum` and `intersect` use this pivot-dict
+elimination: their rows are sparse, and a table lookup per row would cost
+more than the few XORs it replaced.  Intersections come from one elimination on rows of
+2m bits, keeping the members of the span whose low m bits are zero
+(Zassenhaus).  `perp` runs the same elimination on its own dim rows, keyed
+by highest bits, and then writes the canonical basis of the complement
 directly, without eliminating the complement's m - dim rows.
+
+The kernel of an operator A comes from one forward elimination of the
+2m-bit rows col_j | 1 << (m + j): the rows whose low half ends at zero
+give the kernel, canonicalized by an RREF of those few rows.  This forward
+pass is the one tuned elimination, since the kernels of the large word
+operators dominate `verify`.  It uses Four-Russians tables (M4RI: Albrecht,
+Bard and Hart, ACM TOMS 37(1), 2010): the columns are taken in blocks of
+_K = 8, and a table of the 2^8 combinations of a block's pivot rows then
+replaces up to eight XORs by one lookup.  `split_kernels` finds the
+kernels of A, I + A and C = A (I + A) from one pass on C by the Bezout
+split: as I = A + (I + A), each x in ker C is A x + (I + A) x, with A x in
+ker(I + A) and (I + A) x in ker A, so ker C = ker A + ker(I + A).
+
+`image` (the RREF of the columns) and `compose` (one column sum per inner
+column) are plain reference code.  The theorem checks read every image as
+the perp of a kernel and build their operator products from words, so
+neither runs there; and with image and kernel from independent
+eliminations, rank + nullity = m is a real cross-check.  `transpose`
+serves the symmetry guard that lets images be read as perps: it packs the
+whole matrix into one int and transposes it in log2 n mask-and-shift
+rounds.
 """
 
 from __future__ import annotations
@@ -39,9 +45,10 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable
 
-# Four-Russians block width of the forward pass and `compose`: on operators
-# with m = 250..350 the forward pass is within 5 % of its best (k = 7) at 8,
-# and k = 6 against 8 measured within noise end to end (see CHANGES.md).
+# Four-Russians block width of the forward pass, the only user of the
+# tables: on operators with m = 250..350 the pass is within 5 % of its best
+# (k = 7) at 8, and k = 6 against 8 measured within noise end to end (see
+# CHANGES.md).
 _K = 8
 
 
@@ -180,16 +187,6 @@ def _forward_pass(rows: Iterable[int], width: int, k: int = _K) -> tuple[dict[in
         table = _combinations([pivots.get(1 << c, 0) for c in range(lo, lo + kb)])
         rest = [y for r in others if (y := r ^ table[(r >> lo) & key])]
     return echelon, rest
-
-
-def _low_zero_part(rows: Iterable[int], m: int) -> tuple[int, ...]:
-    """RREF basis of {x >> m : x in span(rows), x & (2^m - 1) == 0}.
-
-    A combination of echelon rows has the lowest pivot among them as its
-    lowest bit, so the members with zero low half are exactly the span of
-    the echelon rows whose pivot is at least bit m.
-    """
-    return _rref(r >> m for p, r in _echelon(rows).items() if p >> m)
 
 
 @cache
@@ -372,7 +369,10 @@ class Gf2Subspace:
         m = self.m
         rows = [u | u << m for u in self.rows]
         rows += other.rows
-        return Gf2Subspace(m, _low_zero_part(rows, m))
+        # A combination of echelon rows has the lowest of their pivots as
+        # its lowest bit, so the members with a zero low half are exactly
+        # the span of the echelon rows whose pivot is at bit m or above.
+        return Gf2Subspace(m, _rref(r >> m for p, r in _echelon(rows).items() if p >> m))
 
     def __repr__(self) -> str:
         shown = [format(r, f"0{self.m}b")[::-1] for r in self.rows]
@@ -424,25 +424,10 @@ class LinearOp:
         return Gf2Vec(self.m, _apply_bits(self.cols, v.bits))
 
     def compose(self, inner: LinearOp) -> LinearOp:
-        """self o inner (apply `inner` first).
-
-        Each block of _K columns of self gets a table of its combinations,
-        and an inner column costs m / _K lookups, one per block, whatever
-        its weight.
-        """
+        """self o inner (apply `inner` first), one column sum per inner column."""
         if inner.m != self.m:
             raise ValueError("universe mismatch")
-        m = self.m
-        key = (1 << _K) - 1
-        tables = [_combinations(self.cols[i:i + _K]) for i in range(0, m, _K)]
-        out = []
-        for c in inner.cols:
-            x = 0
-            for table in tables:
-                x ^= table[c & key]
-                c >>= _K
-            out.append(x)
-        return LinearOp(m, tuple(out))
+        return LinearOp(self.m, tuple(_apply_bits(self.cols, c) for c in inner.cols))
 
     def __add__(self, other: LinearOp) -> LinearOp:
         if other.m != self.m:
@@ -450,7 +435,8 @@ class LinearOp:
         return LinearOp(self.m, tuple(a ^ b for a, b in zip(self.cols, other.cols)))
 
     def transpose(self) -> LinearOp:
-        """The transposed matrix, or self when it is symmetric."""
+        """The transposed matrix, or self when it is symmetric.  MapAnalysis
+        reads images as perps of kernels only when this is self."""
         t = self._transpose
         return self if t is None else t
 
@@ -476,55 +462,26 @@ class LinearOp:
         return None if cols == self.cols else LinearOp(m, cols)
 
     @cached_property
-    def _forward(self) -> tuple[dict[int, int], list[int]]:
-        """The forward pass on the rows col_j | 1 << (m + j), kept on the
-        operator: (pivot rows, kernel rows).
-
-        A combination of those rows is (A x) | x << m.  The pivot rows'
-        low halves are an echelon basis of the column space.  The other
-        rows have a zero low half, and their high halves are a basis of
-        the null space: the rows stay independent, and there are m - rank
-        of them.
-        """
-        m = self.m
-        return _forward_pass([c | 1 << (m + j) for j, c in enumerate(self.cols)], m)
-
-    @cached_property
     def _kernel(self) -> Gf2Subspace:
-        return Gf2Subspace(self.m, _rref(r >> self.m for r in self._forward[1]))
+        """The forward pass on the rows col_j | 1 << (m + j).  A combination
+        of those rows is (A x) | x << m, and the rows the pass leaves with a
+        zero low half stay independent and number m - rank, so their high halves
+        are a basis of the null space."""
+        m = self.m
+        _, rest = _forward_pass([c | 1 << (m + j) for j, c in enumerate(self.cols)], m)
+        return Gf2Subspace(m, _rref(r >> m for r in rest))
 
     @cached_property
     def _image(self) -> Gf2Subspace:
-        return self.transpose().kernel().perp()
+        return Gf2Subspace(self.m, _rref(self.cols))
 
     def kernel(self) -> Gf2Subspace:
         """Null space: the canonical RREF of the forward pass's few kernel rows."""
         return self._kernel
 
     def image(self) -> Gf2Subspace:
-        """Column space, as (ker A^T)^perp; a symmetric operator is its own
-        transpose, so its image reuses its own forward pass."""
+        """Column space: the RREF of the columns."""
         return self._image
-
-    def preimage(self, space: Gf2Subspace) -> Gf2Subspace:
-        """{x : A x in space}, from the kept forward pass.
-
-        Each row s of the space is reduced by the pivot rows, lowest pivot
-        first, to s + A y | y << m, whose low half is clear in every pivot
-        column.  A combination of these rows and the kernel rows has a zero
-        low half exactly when A takes its high half x into the space, so
-        those high halves (`_low_zero_part`) are the preimage.
-        """
-        if space.m != self.m:
-            raise ValueError("universe mismatch")
-        pivots, rest = self._forward
-        mask = sum(pivots)
-        rows = list(rest)
-        for s in space.rows:
-            while sel := s & mask:
-                s ^= pivots[sel & -sel]
-            rows.append(s)
-        return Gf2Subspace(self.m, _low_zero_part(rows, self.m))
 
     def __repr__(self) -> str:
         return f"LinearOp({self.m}, rank={self.m - self.kernel().dim})"

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import K4_ROT, k33_word, random_signed_word
 from mapcalc import (
+    FlagMap,
     MapFormatError,
     MultiGraph,
     RotationSystem,
@@ -36,7 +37,9 @@ def test_write_gem_text():
 
 
 def test_gem_round_trip():
-    for map_ in (sphere_loop_map(), projective_loop_map(), zigzag_map_from_word(k33_word())):
+    maps = (sphere_loop_map(), projective_loop_map(), zigzag_map_from_word(k33_word()),
+            FlagMap(1, (True, False, 3, 2)))  # bools pass as the flag ids they equal
+    for map_ in maps:
         again = parse_gem(write_gem(map_))
         assert again == map_
         assert gon_counts(again) == gon_counts(map_)

@@ -148,6 +148,11 @@ def test_from_pairs_checks():
         FlagMap.from_pairs(1, ((0, 1), (1, 2)))
     with pytest.raises(ValueError):
         FlagMap.from_pairs(1, ((0, 1),))
+    for pairs, message in ((((0, 1.0), (2, 3)), "flag 1.0 is not a flag id"),
+                           (((0, 1), (2, "3")), "flag '3' is not a flag id")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FlagMap.from_pairs(1, pairs)
+    assert FlagMap.from_pairs(1, ((0, True), (2, 3))) == FlagMap(1, (1, 0, 3, 2))
 
 
 def test_validate_reports_fixed_points():
