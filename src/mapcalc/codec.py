@@ -11,6 +11,15 @@ ids on disk (0-based internally):
          ends around each vertex, plus an optional "twist: e1 e2 ..."
          line marking orientation-reversing edges.
 
+A .gem text in write_gem's own layout is read in bulk: one pattern match,
+one split, int() mapped over the flag tokens, and set and max checks that
+the 2m pairs cover the 4m flags once, so alpha is a fixed-point-free
+involution by construction and strict mode only tests connectivity, by
+one walk over the m rectangles.  Every other text, and every text that
+fails a bulk check, goes through the line loop, which stays the reference
+reader: it is the one that names the first faulty line, so each error
+message and line number comes from it.
+
 Reconstruction goes both ways: a signed word rebuilds the one-vertex map
 it narrates (and from that the single-zigzag map it encodes), and a signed
 rotation system expands into flags one dart at a time.
@@ -18,10 +27,11 @@ rotation system expands into flags one dart at a time.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gem import FlagMap, MultiGraph, phial, validate
+from .gem import FlagMap, MultiGraph, _rectangles_reached, phial, validate
 from .words import SignedWord
 
 
@@ -59,7 +69,62 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def parse_gem(text: str, strict: bool = True) -> FlagMap:
-    """Read a .gem file; strict mode raises ValidationFailure on bad maps."""
+    """Read a .gem file; strict mode raises ValidationFailure on bad maps.
+
+    Text in write_gem's layout (_GEM_TEXT) is read in bulk by
+    _parse_gem_bulk.  Any other text, and any text that fails one of the
+    bulk checks, is read by the line loop _parse_gem_lines, which names
+    the first faulty line; both give the same map on every text the bulk
+    pass takes.
+    """
+    map_ = _parse_gem_bulk(text, strict)
+    if map_ is None:
+        map_ = _parse_gem_lines(text, strict)
+    return map_
+
+
+# write_gem's layout: the header and one pair per line, single spaces, a
+# newline after every line; ids may have leading zeros.
+_GEM_TEXT = re.compile(r"gem \d+\n(?:a \d+ \d+\n)*", re.ASCII)
+
+
+def _parse_gem_bulk(text: str, strict: bool) -> FlagMap | None:
+    """parse_gem on text in write_gem's layout, or None to defer to the line loop.
+
+    The pattern fixes where each token sits, so split() gives the header
+    and the pairs.  The line count is checked against 2m before anything
+    is sized by m.  When the 4m flags of the 2m lines are distinct and
+    below 4m, the pairs cover every flag once: alpha is a fixed-point-free
+    involution by construction, and strict mode only walks the rectangles
+    for connectivity.
+    """
+    if _GEM_TEXT.fullmatch(text) is None:
+        return None
+    tokens = text.split()
+    try:
+        m = int(tokens[1])
+        if m < 1 or len(tokens) != 6 * m + 2:
+            return None
+        xs = list(map(int, tokens[3::3]))
+        ys = list(map(int, tokens[4::3]))
+    except ValueError:  # a token longer than int()'s digit limit
+        return None
+    n = 4 * m
+    flags = xs + ys
+    if len(set(flags)) != n or max(flags) >= n:
+        return None
+    alpha = [0] * n
+    for x, y in zip(xs, ys):
+        alpha[x] = y
+        alpha[y] = x
+    if strict and _rectangles_reached(alpha) != m:
+        return None
+    return FlagMap(m, alpha)
+
+
+def _parse_gem_lines(text: str, strict: bool) -> FlagMap:
+    """parse_gem one content line at a time: the reference reader, and the
+    one that names a fault with its message and 1-based line."""
     lines = _content_lines(text)
     if not lines:
         raise MapFormatError("empty input")

@@ -129,34 +129,35 @@ class ValidationReport:
         return tuple(n for n, ok in self.checks() if not ok)
 
 
-def _flag_walk(map_: FlagMap) -> tuple[int, bool]:
-    """Two-colour the component of flag 0 in the graph on alpha, short and
-    long partners: (flags reached, whether the colouring is proper)."""
-    a = map_.alpha
-    color = [-1] * len(a)
-    color[0] = 0
-    stack = [0]
-    count = 1
-    proper = True
-    while stack:
-        x = stack.pop()
-        c = color[x] ^ 1
-        for y in (a[x], x ^ 1, x ^ 3):
-            if color[y] == -1:
-                color[y] = c
-                count += 1
-                stack.append(y)
-            elif color[y] != c:
-                proper = False
-    return count, proper
+def _rectangles_reached(alpha: Sequence[int]) -> int:
+    """How many rectangles one walk reaches from rectangle 0, stepping from
+    each rectangle r to the rectangles alpha[x] >> 2 of its flags x.
+
+    Inside a rectangle the short and long partners join all four flags,
+    so this is a quarter of the flags that a walk from flag 0 along alpha,
+    short and long partners reaches, whether or not alpha is an involution;
+    the map is connected when it reaches all m.
+    """
+    seen = [False] * (len(alpha) >> 2)
+    seen[0] = True
+    queue = [0]
+    for r in queue:
+        x = 4 * r
+        for y in alpha[x:x + 4]:
+            s = y >> 2
+            if not seen[s]:
+                seen[s] = True
+                queue.append(s)
+    return len(queue)
 
 
 def validate(map_: FlagMap) -> ValidationReport:
-    """Check the map invariants on raw candidate data."""
+    """Check the map invariants on raw candidate data; connectivity is one
+    walk over the m rectangles (_rectangles_reached)."""
     a = map_.alpha
     involution = all(a[a[x]] == x for x in range(len(a)))
     fixed_point_free = all(a[x] != x for x in range(len(a)))
-    connected = _flag_walk(map_)[0] == len(a)
+    connected = _rectangles_reached(a) == map_.m
     return ValidationReport(involution, fixed_point_free, connected)
 
 
@@ -426,5 +427,19 @@ def loop_balance(map_: FlagMap, edge: int) -> str:
 
 def orientable(map_: FlagMap) -> bool:
     """True when the flag graph on short, long and alpha edges is bipartite
-    (on the component of flag 0)."""
-    return _flag_walk(map_)[1]
+    (on the component of flag 0): one walk two-colours it and stops at the
+    first edge whose ends share a colour."""
+    a = map_.alpha
+    color = [-1] * len(a)
+    color[0] = 0
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        c = color[x] ^ 1
+        for y in (a[x], x ^ 1, x ^ 3):
+            if color[y] == -1:
+                color[y] = c
+                stack.append(y)
+            elif color[y] != c:
+                return False
+    return True

@@ -23,8 +23,8 @@ give the kernel, canonicalized by an RREF of those few rows.  This forward
 pass is the one tuned elimination, since the kernels of the large word
 operators dominate `verify`.  It uses Four-Russians tables (M4RI: Albrecht,
 Bard and Hart, ACM TOMS 37(1), 2010): the columns are taken in blocks of
-_K = 8, and a table of the 2^8 combinations of a block's pivot rows then
-replaces up to eight XORs by one lookup.  `split_kernels` finds the
+_K = 7, and a table of the 2^7 combinations of a block's pivot rows then
+replaces up to seven XORs by one lookup.  `split_kernels` finds the
 kernels of A, I + A and C = A (I + A) from one pass on C by the Bezout
 split: as I = A + (I + A), each x in ker C is A x + (I + A) x, with A x in
 ker(I + A) and (I + A) x in ker A, so ker C = ker A + ker(I + A).
@@ -46,10 +46,10 @@ from functools import cache, cached_property
 from typing import Iterable
 
 # Four-Russians block width of the forward pass, the only user of the
-# tables: on operators with m = 250..350 the pass is within 5 % of its best
-# (k = 7) at 8, and k = 6 against 8 measured within noise end to end (see
-# CHANGES.md).
-_K = 8
+# tables.  On the 24 operators of m = 250..350 that `verify` eliminates, the
+# pass is about 5 % faster at k = 7 than at 8 (median of 25 interleaved
+# rounds; k = 6 ties with 7), see CHANGES.md.
+_K = 7
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:

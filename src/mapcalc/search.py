@@ -54,7 +54,7 @@ from math import factorial, inf, prod
 from typing import Iterator, Sequence
 
 from .codec import RotationSystem, _link, _rotation_alpha, _toggle_twist, embedding_to_map
-from .gem import PARTNER, FlagMap, MultiGraph, _flag_walk, gon_count
+from .gem import PARTNER, FlagMap, MultiGraph, _rectangles_reached, gon_count
 
 EXHAUSTIVE_LIMIT = 10**6
 _RESTART_STALL = 200
@@ -64,9 +64,10 @@ def enumerate_maps(m: int) -> Iterator[FlagMap]:
     """Yield every connected map with m rectangles.
 
     One alpha list is filled in place: the lowest unpaired flag takes each
-    unpaired partner in increasing order, and a complete pairing, a
-    fixed-point-free involution by construction, becomes FlagMap(m, alpha)
-    and is kept when its flags are connected.
+    unpaired partner in increasing order.  A complete pairing, a
+    fixed-point-free involution by construction, is yielded as
+    FlagMap(m, alpha) when one walk over its rectangles reaches all m
+    (gem._rectangles_reached, the connectivity check of validate).
     """
     if m < 1:
         raise ValueError("need at least one rectangle")
@@ -84,9 +85,8 @@ def enumerate_maps(m: int) -> Iterator[FlagMap]:
                 lows.append(x)
                 x = y = alpha.index(-1, x + 1)
                 continue
-            map_ = FlagMap(m, alpha)
-            if _flag_walk(map_)[0] == n:
-                yield map_
+            if _rectangles_reached(alpha) == m:
+                yield FlagMap(m, alpha)
         elif not lows:
             return
         else:

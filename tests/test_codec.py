@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
-from conftest import K4_ROT, k33_word, random_signed_word
+from conftest import K4_ROT, k33_word, random_connected_map, random_signed_word
+from test_cli_fuzz import SEEDS, mutate
 from mapcalc import (
     FlagMap,
     MapFormatError,
@@ -28,6 +30,7 @@ from mapcalc import (
     write_rotation,
     zigzag_map_from_word,
 )
+from mapcalc.codec import _parse_gem_bulk, _parse_gem_lines
 
 S1_TEXT = "gem 1\na 0 3\na 1 2\n"
 
@@ -103,6 +106,98 @@ def test_parse_word_errors():
 # digits: a superscript, Arabic-Indic and fullwidth digits, a sign, an
 # underscore separator.
 NON_ASCII_DIGITS = ("\u00b2", "\u0661", "\uff13", "+1", "0_1", "1_0")
+
+
+@pytest.mark.parametrize("text, pairs", [("gem 99999999999\n", 0), ("gem 99999999999\na 0 1\n", 1)])
+def test_gem_large_header_fails_fast(text, pairs):
+    """The line count is compared with 2m before anything is sized by m."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(MapFormatError) as info:
+            parse_gem(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"expected 199999999998 pair lines, found {pairs}"
+    assert info.value.line is None
+    assert peak < 100_000
+
+
+def random_map(rng, m):
+    """A random pairing of the 4m flags, connected or not."""
+    flags = list(range(4 * m))
+    rng.shuffle(flags)
+    return FlagMap.from_pairs(m, zip(flags[::2], flags[1::2]))
+
+
+def gem_layouts(rng, text):
+    """text rewritten in the layouts the line loop also reads: comments,
+    blank lines, CRLF, no final newline, tabs, leading zeros, all at once."""
+    lines = text.splitlines()
+    yield "# a map\n\n" + "\n\n".join(lines) + "\n"
+    yield "\n".join(f"{line}  # {i}" for i, line in enumerate(lines)) + "\n"
+    yield "\r\n".join(lines) + "\r\n"
+    yield "\n".join(lines)
+    yield "\n".join("\t" + line.replace(" ", "\t") + "\t" for line in lines) + "\n"
+    yield "\n".join(" ".join(t if t.isalpha() else "0" * rng.randint(1, 3) + t
+                              for t in line.split()) for line in lines) + "\n"
+    yield "\r\n ".join(line.replace(" ", " \t ", 1) for line in lines) + "  # end"
+
+
+def misplaced_tokens(text):
+    """text with each NON_ASCII_DIGITS token in place of the header count,
+    of the first and of the last flag, and glued to a flag's digits."""
+    head, *pairs = text.splitlines(keepends=True)
+    for tok in NON_ASCII_DIGITS:
+        yield f"gem {tok}\n" + "".join(pairs)
+        yield head + pairs[0].replace(" ", f" {tok}", 1) + "".join(pairs[1:])
+        yield head + "".join(pairs[:-1]) + pairs[-1].rsplit(" ", 1)[0] + f" {tok}\n"
+        yield head + "".join(pairs[:-1]) + pairs[-1].rstrip("\n") + f"{tok}\n"
+        yield head + f"a {tok} {tok}\n" + "".join(pairs[1:])
+
+
+def outcome(parse, text, strict):
+    """The map read, or the class, message and line of the error raised."""
+    try:
+        return parse(text, strict)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def test_bulk_gem_reader_matches_the_line_loop():
+    """parse_gem equals the line loop on every text, in both modes: the
+    same map, or the same error class, message and line.  Where the bulk
+    pass takes a text, the line loop reads the same map from it."""
+    rng = random.Random(25)
+    texts = [write_gem(random_map(rng, m)) for m in range(1, 351)]
+    texts += [write_gem(random_connected_map(rng, m)) for m in range(1, 41)]
+    for m in range(1, 41):  # two copies side by side: disconnected
+        alpha = random_connected_map(rng, m).alpha
+        texts.append(write_gem(FlagMap(2 * m, alpha + tuple(y + 4 * m for y in alpha))))
+    texts += [mutate(rng, rng.choice(SEEDS["gem"])) for _ in range(1000)]
+    for _ in range(80):
+        text = write_gem(random_map(rng, rng.randint(1, 8)))
+        texts += gem_layouts(rng, text)
+        texts.append(mutate(rng, text))
+    for m in (1, 3, 12):
+        texts += misplaced_tokens(write_gem(random_connected_map(rng, m)))
+    texts += ["", "gem 0\n", "gem 1\n", "gem 1\na 0 3\na 1 2", "gem 1\na 0 3\na 1 2\n\n",
+              "gem 1\na 0 3\na 1 2\na 1 2\n", "gem 1\na 0 0\na 1 2\n", "gem 1\na 0 3\na 1 4\n",
+              "gem 1\na 0 " + "0" * 5000 + "3\na 1 2\n", "gem " + "0" * 5000 + "1\na 0 3\na 1 2\n",
+              "gem 1\na 0 4\na 1 " + "0" * 5000 + "2\n"]  # past int()'s digit limit on 3.11+
+    assert len(texts) >= 2000
+    taken = {True: 0, False: 0}
+    for text in texts:
+        for strict in (True, False):
+            want = outcome(_parse_gem_lines, text, strict)
+            assert outcome(parse_gem, text, strict) == want, (text, strict)
+            bulk = _parse_gem_bulk(text, strict)
+            if bulk is not None:
+                assert bulk == want, (text, strict)
+                taken[strict] += 1
+    # The bulk pass takes write_gem's layout of every map in lenient mode,
+    # and in strict mode when the map is connected.
+    assert taken[True] >= 600 and taken[False] >= taken[True] + 40
 
 
 @pytest.mark.parametrize("tok", NON_ASCII_DIGITS)

@@ -29,7 +29,7 @@ from mapcalc import (
     sphere_loop_map,
     validate,
 )
-from mapcalc.gem import _PERMUTATION_OFFSETS, PARTNER
+from mapcalc.gem import _PERMUTATION_OFFSETS, PARTNER, _rectangles_reached
 
 ALL_PERMS = ("sld", "lsd", "dls", "sdl", "dsl", "lds")
 
@@ -174,6 +174,80 @@ def test_validate_reports_disconnected():
     assert report.involution and report.fixed_point_free
     assert not report.connected
     assert "connected" in report.failures()
+
+
+def reference_flag_walk(alpha):
+    """(flags reached, colouring proper) of a walk from flag 0 that steps
+    along alpha and the short and long partners, two-colouring as it goes."""
+    color = {0: 0}
+    stack = [0]
+    proper = True
+    while stack:
+        x = stack.pop()
+        for y in (alpha[x], x ^ 1, x ^ 3):
+            if y not in color:
+                color[y] = color[x] ^ 1
+                stack.append(y)
+            elif color[y] == color[x]:
+                proper = False
+    return len(color), proper
+
+
+def perfect_matchings(flags):
+    """Every set of disjoint pairs covering the flags."""
+    if not flags:
+        yield []
+        return
+    x, rest = flags[0], flags[1:]
+    for i, y in enumerate(rest):
+        for pairs in perfect_matchings(rest[:i] + rest[i + 1:]):
+            yield [(x, y), *pairs]
+
+
+def relabel_rectangles(map_, perm):
+    """map_ with rectangle r renamed perm[r], each flag keeping its offset."""
+    phi = [4 * perm[x >> 2] + (x & 3) for x in range(map_.flag_count)]
+    alpha = [0] * map_.flag_count
+    for x, y in enumerate(map_.alpha):
+        alpha[phi[x]] = phi[y]
+    return FlagMap(map_.m, alpha)
+
+
+def test_rectangle_walk_matches_the_flag_walk():
+    """Connectivity walks the m rectangles: a quarter of the flags a walk
+    from flag 0 reaches, on all 10,395 pairings of the 12 flags at m = 3,
+    on disjoint unions of random maps with their rectangles shuffled, and
+    on permutations that are not involutions.  orientable is that walk's
+    two-colouring."""
+    seen = {True: 0, False: 0}
+    for pairs in perfect_matchings(list(range(12))):
+        map_ = FlagMap.from_pairs(3, pairs)
+        count, proper = reference_flag_walk(map_.alpha)
+        assert 4 * _rectangles_reached(map_.alpha) == count
+        assert validate(map_).connected == (count == 12)
+        assert orientable(map_) == proper
+        seen[count == 12] += 1
+    assert seen == {True: 9504, False: 891}
+    rng = random.Random(25)
+    for _ in range(60):
+        parts = [random_connected_map(rng, rng.randint(1, 9)) for _ in range(rng.randint(2, 3))]
+        alpha, base = [], 0
+        for part in parts:
+            alpha.extend(y + base for y in part.alpha)
+            base += part.flag_count
+        perm = list(range(base // 4))
+        rng.shuffle(perm)
+        union = relabel_rectangles(FlagMap(base // 4, alpha), perm)
+        count, proper = reference_flag_walk(union.alpha)
+        assert 4 * _rectangles_reached(union.alpha) == count < union.flag_count
+        assert not validate(union).connected
+        assert orientable(union) == proper
+    for _ in range(200):
+        m = rng.randint(1, 12)
+        alpha = list(range(4 * m))
+        rng.shuffle(alpha)
+        count, _ = reference_flag_walk(alpha)
+        assert 4 * _rectangles_reached(alpha) == count
 
 
 def test_role_partners_on_canonical_roles():
