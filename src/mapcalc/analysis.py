@@ -16,17 +16,26 @@ Nothing is cached elsewhere, apart from the kernel, image and transpose
 an operator keeps (see gf2.LinearOp): an analysis and all it holds go
 away with the last reference to it.
 
-The three kernels come from one elimination, gf2.split_kernels on c_P
-and c_P o c_P (the Bezout split), and every image is the perp of its
-kernel, since c_P, c_P~ and c_P~ o c_P are symmetric.  The analysis
-takes one perp per distinct subspace, kept by its canonical rows, and
-every perp goes through that store: the images, the cycle spaces and
-3b's target (Bv + Bf)^perp.  Where 2b, 2d and 3c hold, the kernels are
-Bv, Bf and Bv + Bf, so Im c_P, Im c_P~ and Im c_P~ o c_P are the very
-objects Cv, Cf and that target, and a map pays two or three perps, not
-six; a kernel that differs from its bond space pays its own.  No
-operator is composed: c_P o c_P and c_P~ o c_D are read off the kept
-z-word and f-word by prefix images (words._word_columns).  The
+No kernel is eliminated.  ker c_P^T and ker c_P~^T are walked off the
+kept zigzag word in O(m) (words._kernel_vectors), and each is checked
+against its operator: c_P must map every vector of the first to zero,
+and c_P~ every vector of the second.  That check proves them ker c_P
+and ker c_P~: a walked K = ker c^T that c maps to zero lies in ker c,
+and as rank c = rank c^T the two have the same dimension, so K = ker c.
+Every image is the perp of a kernel, which holds for any matrix, as
+Im c = (ker c^T)^perp.  ker c_P~ o c_P is the sum of the two kernels by
+the Bezout split: as I = c_P + c_P~, each x in it is c_P x + c_P~ x,
+with c_P x in ker c_P~ and c_P~ x in ker c_P; the same split of the
+transposes makes Im c_P~ o c_P the perp of that sum.
+
+The analysis takes one perp per distinct subspace, kept by its canonical
+rows, and every perp goes through that store: the images, the cycle
+spaces and 3b's target (Bv + Bf)^perp.  Where 2b, 2d and 3c hold, the
+kernels are Bv, Bf and Bv + Bf, so Im c_P, Im c_P~ and Im c_P~ o c_P
+are the very objects Cv, Cf and that target, and a map pays two or three
+perps, not six; a kernel that differs from its bond space pays its own.
+No operator is composed: c_P is read off the kept z-word, and c_P~ o c_D
+off the kept f-word by prefix images (words._word_columns).  The
 absorption checks build only the three bond spaces, verify_all adds the
 vertex and face cycle spaces on a single-zigzag map (no claim reads the
 zigzag graph's), and complete() builds everything.
@@ -40,9 +49,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from .gem import PARTNER, FlagMap, _gon_graph, gon_labels
-from .gf2 import Gf2Subspace, LinearOp, split_kernels
+from .gf2 import Gf2Subspace, LinearOp, _apply_bits, _rref
 from .spaces import _checked_cycle_space, bond_space
-from .words import SignedWord, _single_gon_word, _word_columns, c_operator
+from .words import SignedWord, _kernel_vectors, _single_gon_word, _word_columns, c_operator
 
 
 class MapAnalysis:
@@ -166,14 +175,22 @@ class MapAnalysis:
     @cached_property
     def zigzag_kernels(self) -> tuple[Gf2Subspace, Gf2Subspace, Gf2Subspace] | None:
         """(ker c_P, ker c_P~, ker c_P~ o c_P), or None without a single
-        zigzag.  Every image is read as the perp of one of these kernels,
-        which needs c_P symmetric: AssertionError if it is not."""
+        zigzag.  The first two are walked off the zigzag word as the null
+        spaces of the transposes and checked against their operators
+        (module docstring): AssertionError if an operator does not map
+        every walked vector to zero."""
         zig = self.zigzag
         if zig is None:
             return None
-        if zig.transpose() is not zig:
-            raise AssertionError("c_P is not symmetric")
-        return split_kernels(zig, LinearOp(self.m, _word_columns(self._word("z"), zig.cols)))
+        word = self._word("z")
+        kernels = []
+        for name, op, complement in (("c_P", zig, False), ("c_P~", self.zigzag_complement, True)):
+            vectors = _kernel_vectors(word, complement)
+            if any(_apply_bits(op.cols, x) for x in vectors):
+                raise AssertionError(f"{name} does not map its word kernel to zero")
+            kernels.append(Gf2Subspace(self.m, _rref(vectors)))
+        kernel, co_kernel = kernels
+        return kernel, co_kernel, kernel.sum(co_kernel)
 
     @cached_property
     def zigzag_images(self) -> tuple[Gf2Subspace, Gf2Subspace] | None:

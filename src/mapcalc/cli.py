@@ -39,14 +39,20 @@ def _load_map(path: str, strict: bool = True) -> gem.FlagMap:
 
 
 def _integer(text: str) -> int:
-    """Integer flag value: ASCII digits after at most one leading '-'.
+    """Integer flag value: ASCII digits after at most one leading '-', read
+    by codec.read_integer.
 
     int() alone also takes '+', '_', surrounding spaces and the digits of
     other scripts; the sign is kept so range errors still name the value.
     """
-    if not codec.ascii_digits(text[1:] if text.startswith("-") else text):
+    negative = text.startswith("-")
+    try:
+        value = codec.read_integer(text[1:] if negative else text)
+    except codec.MapFormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value is None:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}")
-    return int(text)
+    return -value if negative else value
 
 
 _DECIMAL = re.compile(r"-?(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)")
@@ -95,9 +101,13 @@ def _parse_id_list(text: str, limit: int, flag: str) -> list[int]:
     out = []
     for tok in text.split(","):
         tok = tok.strip()
-        if not codec.ascii_digits(tok) or not 1 <= int(tok) <= limit:
+        try:
+            k = codec.read_integer(tok)
+        except codec.MapFormatError as exc:
+            raise codec.MapFormatError(f"{flag}: {exc}") from None
+        if k is None or not 1 <= k <= limit:
             raise codec.MapFormatError(f"{flag}: bad id {tok!r} (want 1..{limit})")
-        out.append(int(tok) - 1)
+        out.append(k - 1)
     return out
 
 

@@ -47,15 +47,32 @@ class ValidationFailure(ValueError):
     """Text parsed fine but the resulting map breaks a structural invariant."""
 
 
-def ascii_digits(token: str) -> bool:
-    """Whether token is a nonempty run of the ASCII digits 0-9.
+# The most digits an integer token may have once its leading zeros are
+# stripped.  int() converts that many under every digit limit a Python
+# allows (sys.int_info.str_digits_check_threshold is 640), and no id or
+# count of a map that fits in memory comes near it.
+_MAX_DIGITS = 640
 
-    Ids and counts in every format are read with int() only after this
-    check: int() alone also takes signs, underscores, surrounding spaces
-    and digits of other scripts, and str.isdigit() also takes superscripts,
-    which int() then rejects with a bare ValueError.
+
+def read_integer(token: str, line: int | None = None) -> int | None:
+    """The value of a nonempty run of the ASCII digits 0-9, or None for any
+    other token: the one integer reader of every text format and of the
+    CLI's integer flags.
+
+    int() alone also takes signs, underscores, surrounding spaces and
+    digits of other scripts, and str.isdigit() also takes superscripts.
+    Leading zeros are allowed, as in write_gem's bulk layout, and stripped
+    before the digits are counted, so a token of more than _MAX_DIGITS
+    digits raises MapFormatError with the line instead of meeting int()'s
+    own digit limit, which only some Pythons have.
     """
-    return token.isascii() and token.isdigit()
+    if not (token.isascii() and token.isdigit()):
+        return None
+    digits = token.lstrip("0")
+    if len(digits) > _MAX_DIGITS:
+        raise MapFormatError(f"integer of {len(digits)} digits is too large "
+                             f"(at most {_MAX_DIGITS})", line)
+    return int(digits) if digits else 0
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -132,9 +149,9 @@ def _parse_gem_lines(text: str, strict: bool) -> FlagMap:
     parts = header.split()
     if len(parts) != 2 or parts[0] != "gem":
         raise MapFormatError(f"expected header 'gem m', got {header!r}", ln)
-    if not ascii_digits(parts[1]):
+    m = read_integer(parts[1], ln)
+    if m is None:
         raise MapFormatError(f"bad rectangle count {parts[1]!r}", ln)
-    m = int(parts[1])
     if m < 1:
         raise MapFormatError(f"bad rectangle count {m}", ln)
     if len(lines) - 1 != 2 * m:
@@ -144,10 +161,9 @@ def _parse_gem_lines(text: str, strict: bool) -> FlagMap:
         parts = line.split()
         if len(parts) != 3 or parts[0] != "a":
             raise MapFormatError(f"expected 'a f1 f2', got {line!r}", ln)
-        # ascii_digits inlined: this loop runs 2m times per map.
-        if not (line.isascii() and parts[1].isdigit() and parts[2].isdigit()):
+        if (not line.isascii() or (x := read_integer(parts[1], ln)) is None
+                or (y := read_integer(parts[2], ln)) is None):
             raise MapFormatError(f"bad flag ids in {line!r}", ln)
-        x, y = int(parts[1]), int(parts[2])
         for z in (x, y):
             if not 0 <= z < 4 * m:
                 raise MapFormatError(f"flag {z} out of range 0..{4 * m - 1}", ln)
@@ -180,9 +196,9 @@ def parse_word(text: str) -> SignedWord:
         for tok in line.split():
             sign = -1 if tok.startswith("-") else 1
             body = tok[1:] if sign < 0 else tok
-            if not ascii_digits(body) or int(body) < 1:
+            k = read_integer(body, ln)
+            if k is None or k < 1:
                 raise MapFormatError(f"bad edge token {tok!r}", ln)
-            k = int(body)
             if sign < 0 and k not in seen:
                 raise MapFormatError(f"first occurrence of edge {k} must be positive", ln)
             seen.add(k)
@@ -258,20 +274,23 @@ def parse_rotation(text: str) -> RotationSystem:
                 raise MapFormatError("malformed or repeated twist line", ln)
             twist_tokens = []
             for tok in rest.split():
-                if not ascii_digits(tok) or int(tok) < 1:
+                k = read_integer(tok, ln)
+                if k is None or k < 1:
                     raise MapFormatError(f"bad twist token {tok!r}", ln)
-                twist_tokens.append(int(tok) - 1)
+                twist_tokens.append(k - 1)
             continue
-        if len(head_parts) != 2 or head_parts[0] != "v" or not ascii_digits(head_parts[1]):
+        if (len(head_parts) != 2 or head_parts[0] != "v"
+                or (vid := read_integer(head_parts[1], ln)) is None):
             raise MapFormatError(f"expected 'v k: ...' or 'twist: ...', got {line!r}", ln)
-        vid = int(head_parts[1]) - 1
+        vid -= 1
         if vid in vertex_lines:
             raise MapFormatError(f"vertex {vid + 1} listed twice", ln)
         tokens = []
         for tok in rest.split():
-            if not ascii_digits(tok) or int(tok) < 1:
+            k = read_integer(tok, ln)
+            if k is None or k < 1:
                 raise MapFormatError(f"bad edge token {tok!r}", ln)
-            tokens.append(int(tok) - 1)
+            tokens.append(k - 1)
         vertex_lines[vid] = tokens
     if not vertex_lines:
         raise MapFormatError("no vertex lines")

@@ -20,23 +20,22 @@ directly, without eliminating the complement's m - dim rows.
 The kernel of an operator A comes from one forward elimination of the
 2m-bit rows col_j | 1 << (m + j): the rows whose low half ends at zero
 give the kernel, canonicalized by an RREF of those few rows.  This forward
-pass is the one tuned elimination, since the kernels of the large word
-operators dominate `verify`.  It uses Four-Russians tables (M4RI: Albrecht,
-Bard and Hart, ACM TOMS 37(1), 2010): the columns are taken in blocks of
-_K = 7, and a table of the 2^7 combinations of a block's pivot rows then
-replaces up to seven XORs by one lookup.  `split_kernels` finds the
-kernels of A, I + A and C = A (I + A) from one pass on C by the Bezout
-split: as I = A + (I + A), each x in ker C is A x + (I + A) x, with A x in
-ker(I + A) and (I + A) x in ker A, so ker C = ker A + ker(I + A).
+pass is the one tuned elimination.  It uses Four-Russians tables (M4RI:
+Albrecht, Bard and Hart, ACM TOMS 37(1), 2010): the columns are taken in
+blocks of _K = 7, and a table of the 2^7 combinations of a block's pivot
+rows then replaces up to seven XORs by one lookup.  The theorem checks run
+no forward pass: the kernels of the word operators are walked off the
+zigzag word (words._kernel_vectors), and `kernel()` stays the general
+method and their test oracle.
 
-`image` (the RREF of the columns) and `compose` (one column sum per inner
-column) are plain reference code.  The theorem checks read every image as
-the perp of a kernel and build their operator products from words, so
-neither runs there; and with image and kernel from independent
-eliminations, rank + nullity = m is a real cross-check.  `transpose`
-serves the symmetry guard that lets images be read as perps: it packs the
-whole matrix into one int and transposes it in log2 n mask-and-shift
-rounds.
+`image` (the RREF of the columns), `compose` (one column sum per inner
+column) and `transpose` are plain reference code that the theorem checks
+do not run: they read every image as the perp of a kernel and build
+their operator products from words.  With image and kernel from
+independent eliminations, rank + nullity = m is a real cross-check.
+`transpose` packs the whole matrix into one int and transposes it in
+log2 n mask-and-shift rounds; the tests use it to check that word
+operators are symmetric.
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ from functools import cache, cached_property
 from typing import Iterable
 
 # Four-Russians block width of the forward pass, the only user of the
-# tables.  On the 24 operators of m = 250..350 that `verify` eliminates, the
-# pass is about 5 % faster at k = 7 than at 8 (median of 25 interleaved
-# rounds; k = 6 ties with 7), see CHANGES.md.
+# tables.  On the 24 operators c_P + c_P o c_P of m = 250..350 that `verify`
+# once eliminated, the pass was about 5 % faster at k = 7 than at 8 (median
+# of 25 interleaved rounds; k = 6 ties with 7), see CHANGES.md.
 _K = 7
 
 
@@ -435,8 +434,7 @@ class LinearOp:
         return LinearOp(self.m, tuple(a ^ b for a, b in zip(self.cols, other.cols)))
 
     def transpose(self) -> LinearOp:
-        """The transposed matrix, or self when it is symmetric.  MapAnalysis
-        reads images as perps of kernels only when this is self."""
+        """The transposed matrix, or self when it is symmetric."""
         t = self._transpose
         return self if t is None else t
 
@@ -486,16 +484,3 @@ class LinearOp:
     def __repr__(self) -> str:
         return f"LinearOp({self.m}, rank={self.m - self.kernel().dim})"
 
-
-def split_kernels(a: LinearOp, square: LinearOp) -> tuple[Gf2Subspace, Gf2Subspace, Gf2Subspace]:
-    """(ker A, ker(I + A), ker C) for C = A + A o A = A (I + A), given A
-    and A o A, from one forward pass on C.
-
-    With K = ker C, ker A = (I + A) K and ker(I + A) = A K (the Bezout
-    split in the module docstring), so each part costs one application
-    of A per row of K and an RREF of those few rows.
-    """
-    k = (a + square).kernel()
-    images = [_apply_bits(a.cols, x) for x in k.rows]
-    return (Gf2Subspace(a.m, _rref(x ^ y for x, y in zip(k.rows, images))),
-            Gf2Subspace(a.m, _rref(images)), k)

@@ -17,6 +17,27 @@ A product X o c_W with a word operator is composed by prefix images
 the word, so column x of X o c_W sums their images X{e} over the same
 run.  That is 3m big-int XORs, against m^2/8 table lookups for a general
 compose.
+
+The null spaces of c_W^T and of (I + c_W)^T come from one walk each over
+the word, with no elimination (`_kernel_vectors`).  For an edge e with
+occurrences p1 < p2, column e of c_W sums the entries at positions
+[p1', p2), where p1' = p1 when the second occurrence is positive and
+p1 + 1 otherwise; I + c_W adds {e}, the entry at p1, which swaps p1' with
+the other one of p1 and p1 + 1, called p1''.  Let S_i be the parity of y
+over the first i entries, read mod 2m (S_0 = S_2m = 0, as every edge
+occurs twice).  Then (c_W^T y)_e = S_p2 + S_p1', and
+y_e = S_p1 + S_(p1+1) = S_p2 + S_(p2+1).  So y lies in ker c_W^T exactly
+when S takes equal values on the links {p2, p1'} and {p1'', p2 + 1}.
+Conversely, an S that is equal on every link and 0 at position 0 is the
+parity sequence of exactly one y, with y_e = S_p1 + S_(p1+1): the two
+links make that S_p2 + S_(p2+1) too.  Every position lies on exactly two
+links, one of the edge at it and one of the edge before it, so the links
+form cycles, and dim ker c_W^T = cycles - 1.  Each cycle K other than the
+one through position 0 gives the basis vector of the edges e with exactly
+one of p1(e) and p1(e) + 1 in K.  This is the word form of the binary
+nullity theorem for circuit partitions (Cohn and Lempel, J. Combin.
+Theory Ser. A 13, 1972; Traldi, European J. Combin. 32, 2011), but the
+derivation above is plain linear algebra and assumes no theorem.
 """
 
 from __future__ import annotations
@@ -207,6 +228,56 @@ def _word_columns(w: SignedWord, images: Sequence[int]) -> tuple[int, ...]:
         prefix.append(acc)
     return tuple(prefix[p2] ^ prefix[p1 if entries[p2][1] == 1 else p1 + 1]
                  for p1, p2 in zip(w._first, w._second))
+
+
+def _kernel_vectors(w: SignedWord, complement: bool) -> list[int]:
+    """A basis of the null space of c_W^T, or of (I + c_W)^T when
+    `complement`, from one walk over the word (module docstring).
+
+    Position i has two link ends: end 2i on the link of the edge at i, and
+    end 2i + 1 on the link of the edge at i - 1.  ends[x] is the end that x
+    is linked to, so following ends from a position's one end to its other
+    walks a cycle.  Walking cycle K sums the toggles {e : p1(e) = i} +
+    {e : p1(e) = i - 1} of its positions, which leaves the edges with
+    exactly one of p1(e) and p1(e) + 1 in K.  The cycle through position 0
+    is skipped.
+    """
+    m, entries = w.m, w.entries
+    n = 2 * m
+    toggles = [0] * n
+    ends = [0] * (2 * n)
+    for e, (p1, p2) in enumerate(zip(w._first, w._second)):
+        bit = 1 << e
+        toggles[p1] ^= bit
+        toggles[p1 + 1] ^= bit
+        # The links {p2, p1'} and {p1'', p2 + 1}.  The end of p1 is 2 p1 and
+        # that of p1 + 1 is 2 p1 + 3; p1' is p1 exactly when c_W takes in
+        # kappa, and the complement takes the other one.
+        if (entries[p2][1] == 1) != complement:
+            near, far = 2 * p1, 2 * p1 + 3
+        else:
+            near, far = 2 * p1 + 3, 2 * p1
+        a, b = 2 * p2, 2 * ((p2 + 1) % n) + 1
+        ends[a], ends[near] = near, a
+        ends[far], ends[b] = b, far
+    seen = bytearray(n)
+    vectors = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        vec = toggles[start]
+        x = ends[2 * start]
+        while x != 2 * start + 1:
+            i = x >> 1
+            if seen[i]:  # only a fault in the link table leaves a cycle open
+                raise AssertionError(f"the links of position {i} do not close a cycle")
+            seen[i] = 1
+            vec ^= toggles[i]
+            x = ends[x ^ 1]
+        if start:
+            vectors.append(vec)
+    return vectors
 
 
 def cozigzag_word(map_: FlagMap) -> SignedWord:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -23,6 +24,7 @@ from mapcalc import (
     zigzag_map_from_word,
 )
 from mapcalc import gem, gf2, spaces, words
+from mapcalc import analysis as analysis_module
 
 # The gon kind of each partner offset.
 KIND = {p: kind for kind, p in gem.PARTNER.items()}
@@ -65,11 +67,12 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
     assert graphs == {"v": 1, "f": 1, "z": 1}
     assert sum(bonds.values()) == 3
     assert sum(analyses.values()) == 1
-    # c_P is built from its word and c_P~ = 1 + c_P.  c_P o c_P, and
-    # c_P~ o c_D when f = 1, are composed from the words by prefix images,
-    # so c_D itself is never built.
+    # c_P is built from its word and c_P~ = 1 + c_P.  c_P~ o c_D, when
+    # f = 1, is composed from the f-word by prefix images, so c_D itself is
+    # never built.  The kernels are walked off the z-word, so c_P o c_P is
+    # not built either.
     assert sum(operators.values()) == 1
-    assert sum(word_products.values()) == (3 if theorem4 else 2)
+    assert sum(word_products.values()) == (2 if theorem4 else 1)
     # One trace per gon kind serves the counts, the graphs and the words of
     # the single gons, so no gon is walked again and no phial or dual is
     # built.
@@ -82,19 +85,18 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
 
 
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])
-def test_verify_all_eliminates_once_and_composes_nothing(monkeypatch, build):
-    """c_P o c_P and c_P~ o c_D are composed from the words by prefix
-    images, and the kernels of theorems 2 and 3 come from one forward pass,
-    on the rows of c_P + c_P o c_P."""
+def test_verify_all_eliminates_nothing_and_composes_nothing(monkeypatch, build):
+    """c_P~ o c_D is composed from the f-word by prefix images, and the
+    kernels of theorems 2 and 3 are walked off the z-word, once each, so
+    no forward pass runs."""
     analysis = MapAnalysis(build())
-    zig = analysis.zigzag
-    square = zig.compose(zig)
-    rows = tuple((c ^ s) | 1 << (zig.m + j) for j, (c, s) in enumerate(zip(zig.cols, square.cols)))
     composes = count_method(monkeypatch, gf2.LinearOp, "compose")
-    passes = count_calls(monkeypatch, gf2, "_forward_pass", key=lambda rows, width: tuple(rows))
+    passes = count_calls(monkeypatch, gf2, "_forward_pass")
+    walks = count_calls(monkeypatch, words, "_kernel_vectors", key=lambda w, complement: complement)
     assert all(r.holds for r in verify_all(analysis))
     assert sum(composes.values()) == 0
-    assert passes == {rows: 1}
+    assert sum(passes.values()) == 0
+    assert walks == {False: 1, True: 1}
 
 
 def test_analysis_matches_the_operator_api():
@@ -121,13 +123,23 @@ def test_analysis_matches_the_operator_api():
 
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])
 def test_images_need_a_symmetric_c_p(monkeypatch, build):
-    """Every image is a perp of a kernel, which holds only because c_P is
-    symmetric; a transpose that is not the operator itself stops the check."""
+    """The walk gives ker c^T for c = c_P and c_P~.  It is ker c, which
+    2b, 2d and 3c read, only because the two agree: the part of c's
+    symmetry the analysis needs.  The check that each operator maps its
+    walked kernel to zero proves that; a planted vector outside ker c_P,
+    or outside ker c_P~, stops the check."""
     map_ = build()
-    monkeypatch.setattr(gf2.LinearOp, "transpose", lambda self: gf2.LinearOp(self.m, self.cols))
-    assert all(r.holds for r in check_absorption(map_))
-    with pytest.raises(AssertionError, match="symmetric"):
-        verify_all(map_)
+    original = words._kernel_vectors
+    for planted in (False, True):
+        def with_a_stray_vector(w, complement):
+            vectors = original(w, complement)
+            return vectors + [1] if complement == planted else vectors
+
+        monkeypatch.setattr(analysis_module, "_kernel_vectors", with_a_stray_vector)
+        assert all(r.holds for r in check_absorption(map_))
+        name = "c_P~" if planted else "c_P"
+        with pytest.raises(AssertionError, match=f"^{re.escape(name)} does not map"):
+            verify_all(map_)
 
 
 def test_checks_accept_a_map_or_its_analysis():

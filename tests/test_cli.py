@@ -338,6 +338,24 @@ def test_integer_inputs_take_ascii_digits_only(files, capsys, monkeypatch, argv,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--size"), ("search", "k4", "--budget"), ("search", "k4", "--subdiv"),
+    ("search", "k4", "--seed"), ("omega", "k33", "--perm", "lsd", "--rects"),
+])
+def test_integer_flags_refuse_a_number_past_the_digit_limit(files, capsys, argv):
+    """A 5000-digit value, negative for --seed, gives the same message on
+    every Python, naming its flag."""
+    flag = argv[-1]
+    value = ("-" if flag == "--seed" else "") + "1" + "0" * 4999
+    out_path = files["tmp"] / "out.gem"
+    argv = [files[a] if a in ("k4", "k33") else a for a in argv] + [value]
+    if argv[0] in ("search", "omega"):
+        argv += ["-o", out_path]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.rstrip("\n").endswith(f"{flag}: integer of 5000 digits is too large (at most 640)")
+
+
 def test_search_with_subdivision(files, capsys):
     out_path = files["tmp"] / "sub.gem"
     code, out, _ = run_cli(capsys, "search", files["loop"], "--subdiv", "1", "-o", out_path)

@@ -184,7 +184,8 @@ def test_bulk_gem_reader_matches_the_line_loop():
     texts += ["", "gem 0\n", "gem 1\n", "gem 1\na 0 3\na 1 2", "gem 1\na 0 3\na 1 2\n\n",
               "gem 1\na 0 3\na 1 2\na 1 2\n", "gem 1\na 0 0\na 1 2\n", "gem 1\na 0 3\na 1 4\n",
               "gem 1\na 0 " + "0" * 5000 + "3\na 1 2\n", "gem " + "0" * 5000 + "1\na 0 3\na 1 2\n",
-              "gem 1\na 0 4\na 1 " + "0" * 5000 + "2\n"]  # past int()'s digit limit on 3.11+
+              "gem 1\na 0 4\na 1 " + "0" * 5000 + "2\n",  # past int()'s digit limit on 3.11+
+              "gem 1\na 0 " + LONG + "\na 1 2\n", "gem " + LONG + "\na 0 3\na 1 2\n"]
     assert len(texts) >= 2000
     taken = {True: 0, False: 0}
     for text in texts:
@@ -198,6 +199,43 @@ def test_bulk_gem_reader_matches_the_line_loop():
     # The bulk pass takes write_gem's layout of every map in lenient mode,
     # and in strict mode when the map is connected.
     assert taken[True] >= 600 and taken[False] >= taken[True] + 40
+
+
+# A 5000-digit number, past int()'s digit limit on Python 3.11+.
+LONG = "1" + "0" * 4999
+TOO_LARGE = "integer of 5000 digits is too large (at most 640)"
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_gem, "gem " + LONG + "\na 0 3\na 1 2\n", 1),
+    (parse_gem, "# a map\ngem 1\na 0 " + LONG + "\na 1 2\n", 3),
+    (parse_gem, "gem 1\na 0 3\n\na 1 " + LONG + "\n", 4),
+    (parse_word, "1 1\n2 " + LONG, 2),
+    (parse_word, "1\n\n-" + LONG, 3),
+    (parse_rotation, "v " + LONG + ": 1 1\n", 1),
+    (parse_rotation, "v 1: 1 1\nv 2: 2 " + LONG + "\n", 2),
+    (parse_rotation, "v 1: 1 1\n# twists\ntwist: " + LONG + "\n", 3),
+])
+def test_parsers_name_the_line_of_an_integer_past_the_digit_limit(parse, text, line):
+    """Every format reads its integers with codec.read_integer, which
+    counts the digits before int() runs, so a 5000-digit id gives the
+    same MapFormatError on every Python, with its line."""
+    with pytest.raises(MapFormatError) as info:
+        parse(text)
+    assert str(info.value) == f"line {line}: {TOO_LARGE}"
+    assert info.value.line == line
+
+
+def test_leading_zeros_are_stripped_before_the_digits_are_counted():
+    """A run of leading zeros of any length is a valid id, in every format
+    and on both .gem paths."""
+    zeros = "0" * 5000
+    assert parse_gem(f"gem {zeros}1\na 0 {zeros}3\na 1 2\n") == sphere_loop_map()
+    assert parse_gem(f"gem 1\n\na {zeros} 3\na 1 2\n") == sphere_loop_map()
+    assert parse_word(f"{zeros}1 -{zeros}1") == parse_word("1 -1")
+    assert parse_rotation(f"v {zeros}1: 1 {zeros}1\ntwist: {zeros}1\n") == \
+        parse_rotation("v 1: 1 1\ntwist: 1\n")
+    assert parse_gem("gem 1\na 0 " + "0" * 640 + "3\na 1 2\n") == sphere_loop_map()
 
 
 @pytest.mark.parametrize("tok", NON_ASCII_DIGITS)

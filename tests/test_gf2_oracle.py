@@ -8,11 +8,11 @@ correct, and the pivot-indexed kernels in `mapcalc.gf2` must agree with
 them on every input.  Every output is also checked for the canonical RREF
 invariants that make subspace equality plain dataclass equality.  The
 forward Four-Russians pass, the one elimination with tables, is checked
-directly at several block widths, and through the operators' kernels and
-the split kernels at sizes past one block of rows.  `LinearOp.image` and
-`compose` are plain references themselves (the RREF of the columns, one
-column sum per inner column), and serve here as the oracle for the
-split kernels and for the images read as perps of kernels.
+directly at several block widths, and through the operators' kernels at
+sizes past one block of rows.  `LinearOp.image` and `compose` are plain
+references themselves (the RREF of the columns, one column sum per inner
+column), and serve here as the oracle for the Bezout split of a product's
+kernel and for the images read as perps of kernels.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import random
 
 from conftest import fundamental_cycles, random_signed_word
 from mapcalc import Gf2Subspace, Gf2Vec, LinearOp, space_bundle, zigzag_map_from_word
-from mapcalc.gf2 import _forward_pass, _rref, split_kernels
+from mapcalc.gf2 import _forward_pass, _rref
 from mapcalc.words import c_operator
 
 SIZES = range(65)
@@ -409,22 +409,28 @@ def test_block_transpose_matches_reference():
 
 
 def test_product_spaces_match_compose():
-    """The kernel of (I + a) o a from split_kernels, and its image as the
-    perp of the split kernel of the transpose, against the image and
-    kernel of the composed product and the loop references, on random
-    operators, most of them not symmetric, up to m = 130."""
+    """The kernel of (I + a) o a as ker a + ker(I + a) (the Bezout split),
+    and its image as the perp of the same sum for the transpose, against
+    the image and kernel of the composed product and the loop references,
+    on random operators, most of them not symmetric, up to m = 130."""
     for m in [*SIZES, 97, 127, 128, 129, 130]:
         rng = random.Random(8900 + m)
         cases = list(operator_cases(rng, m))
         cases.append(LinearOp(m, tuple(rng.getrandbits(m) for _ in range(m))))
         for a in cases:
             ba = (LinearOp.identity(m) + a).compose(a)
-            kernel = split_kernels(a, a.compose(a))[2]
-            t = a.transpose()
-            image = split_kernels(t, t.compose(t))[2].perp()
+            kernel = bezout_kernel(a)
+            image = bezout_kernel(a.transpose()).perp()
             assert (image, kernel) == (ba.image(), ba.kernel())
             assert image.rows == ref_rref(ba.cols)
             assert kernel.rows == ref_kernel(m, ba.cols)
+
+
+def bezout_kernel(a: LinearOp) -> Gf2Subspace:
+    """ker a + ker(I + a), which is ker (I + a) o a: as I = a + (I + a),
+    each x in that kernel is a x + (I + a) x, the first in ker(I + a) and
+    the second in ker a."""
+    return a.kernel().sum((LinearOp.identity(a.m) + a).kernel())
 
 
 def split_cases(rng: random.Random, m: int):
@@ -444,17 +450,18 @@ def split_cases(rng: random.Random, m: int):
     yield c_operator(random_signed_word(rng, m))
 
 
-def test_split_kernels_match_reference():
-    """ker A, ker(I + A) and ker A(I + A) from one pass, against kernel()
-    of each operator and the loop reference, and Im A(I + A) against
-    Im A meet Im(I + A), on square matrices of every kind in
-    split_cases, at sizes on both sides of 64-, 128- and 256-bit words."""
+def test_kernel_split_matches_reference():
+    """ker A, ker(I + A) and their sum ker A(I + A) against kernel() of
+    each operator and the loop reference, with the dimensions adding up,
+    and Im A(I + A) against Im A meet Im(I + A), on square matrices of
+    every kind in split_cases, at sizes on both sides of 64-, 128- and
+    256-bit words."""
     for m in [*range(1, 21), 63, 64, 65, 127, 128, 129, 130, 255, 256, 257]:
         rng = random.Random(9100 + m)
         for a in split_cases(rng, m):
             comp = LinearOp.identity(m) + a
             product = comp.compose(a)
-            got = split_kernels(a, a.compose(a))
+            got = (a.kernel(), comp.kernel(), bezout_kernel(a))
             for space, op in zip(got, (a, comp, product)):
                 assert space == op.kernel()
                 assert space.rows == ref_kernel(m, op.cols)

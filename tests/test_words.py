@@ -30,7 +30,8 @@ from mapcalc import (
     zigzag_word,
 )
 from mapcalc.gem import _as_int
-from mapcalc.words import _word_columns
+from mapcalc.gf2 import Gf2Subspace
+from mapcalc.words import _kernel_vectors, _word_columns
 
 
 def word(*tokens: int) -> SignedWord:
@@ -410,6 +411,80 @@ def test_word_columns_compose_by_prefix_images():
                                         for x in range(m))
             for outer in outers:
                 assert _word_columns(w, outer.cols) == outer.compose(op).cols
+
+
+def normal_form_words(m: int):
+    """Every signed word with m edges in normal form: edges numbered in the
+    order of their first occurrences, each second occurrence signed either
+    way; (2m - 1)!! edge sequences times 2^m sign patterns."""
+    def sequences(prefix: list[int], open_edges: list[int], new: int):
+        if len(prefix) == 2 * m:
+            yield prefix
+            return
+        if new < m:
+            yield from sequences(prefix + [new], open_edges + [new], new + 1)
+        for e in open_edges:
+            yield from sequences(prefix + [e], [x for x in open_edges if x != e], new)
+
+    for ids in sequences([], [], 0):
+        for p in range(1 << m):
+            yield signed(ids, iter([(p >> i) & 1 or -1 for i in range(m)]))
+
+
+def link_cycles(w: SignedWord, complement: bool) -> int:
+    """Cycles of the links {p2, p1'} and {p1'', p2 + 1} over the 2m
+    positions, counted by union-find straight from their definition."""
+    n = 2 * w.m
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e in range(w.m):
+        p1, p2 = w.occurrences(e)
+        near, far = (p1, p1 + 1) if w.same_direction(e) != complement else (p1 + 1, p1)
+        for x, y in ((p2, near), (far, (p2 + 1) % n)):
+            parent[find(x)] = find(y)
+    return sum(parent[x] == x for x in range(n))
+
+
+def check_walked_kernels(w: SignedWord) -> None:
+    """Both walks against kernel() of c and of I + c: the same subspace,
+    a basis of it, and dim = cycles - 1."""
+    op = c_operator(w)
+    for complement, target in ((False, op), (True, LinearOp.identity(w.m) + op)):
+        vectors = _kernel_vectors(w, complement)
+        kernel = target.kernel()
+        assert Gf2Subspace.span(w.m, vectors) == kernel
+        assert len(vectors) == kernel.dim == link_cycles(w, complement) - 1
+
+
+def test_walked_kernels_on_every_small_word():
+    """Every normal-form word with m <= 4: 2 + 12 + 120 + 1680 words."""
+    counts = []
+    for m in range(1, 5):
+        words = list(normal_form_words(m))
+        counts.append(len(words))
+        for w in words:
+            check_walked_kernels(w)
+    assert counts == [2, 12, 120, 1680]
+
+
+def test_walked_kernels_on_random_and_large_words():
+    """Seeded random words up to m = 120, all-balanced and all-unbalanced
+    ones, and two words past m = 250."""
+    rng = random.Random(67)
+    cases = [random_signed_word(rng, m) for m in range(1, 121) for _ in range(2)]
+    for m in (5, 40):
+        ids = [e for e, _ in random_signed_word(rng, m).entries]
+        cases += [signed(ids, iter([sign] * m)) for sign in (1, -1)]
+    cases.append(word(*range(1, 21), *range(1, 21)))
+    cases.append(word(*range(1, 21), *range(-20, 0)))
+    cases += [random_signed_word(rng, 256), random_signed_word(rng, 301)]
+    for w in cases:
+        check_walked_kernels(w)
 
 
 def test_map_operators_on_sphere_loop():
