@@ -15,7 +15,9 @@ more than the few XORs it replaced.  Intersections come from one elimination on 
 2m bits, keeping the members of the span whose low m bits are zero
 (Zassenhaus).  `perp` runs the same elimination on its own dim rows, keyed
 by highest bits, and then writes the canonical basis of the complement
-directly, without eliminating the complement's m - dim rows.
+directly, without eliminating the complement's m - dim rows: one scan of
+each reduced row's binary digits (`_set_bits`) finds the complement rows
+that row's pivot goes into.
 
 The kernel of an operator A comes from one forward elimination of the
 2m-bit rows col_j | 1 << (m + j): the rows whose low half ends at zero
@@ -33,22 +35,25 @@ column) and `transpose` are plain reference code that the theorem checks
 do not run: they read every image as the perp of a kernel and build
 their operator products from words.  With image and kernel from
 independent eliminations, rank + nullity = m is a real cross-check.
-`transpose` packs the whole matrix into one int and transposes it in
-log2 n mask-and-shift rounds; the tests use it to check that word
-operators are symmetric.
+`transpose` is a plain loop over the columns' set bits; the tests use it
+to check that word operators are symmetric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import Iterable
+from functools import cached_property
+from itertools import compress
+from typing import Iterable, Iterator
 
 # Four-Russians block width of the forward pass, the only user of the
 # tables.  On the 24 operators c_P + c_P o c_P of m = 250..350 that `verify`
 # once eliminated, the pass was about 5 % faster at k = 7 than at 8 (median
 # of 25 interleaved rounds; k = 6 ties with 7), see CHANGES.md.
 _K = 7
+
+# The flag byte of each binary digit, for `_set_bits`.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
@@ -188,35 +193,29 @@ def _forward_pass(rows: Iterable[int], width: int, k: int = _K) -> tuple[dict[in
     return echelon, rest
 
 
-@cache
-def _swap_masks(n: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) for each round of the n x n bit-matrix transpose.
+def _set_bits(x: int) -> Iterator[int]:
+    """Indices of the set bits of x >= 0, in increasing order.
 
-    Row r of the matrix is bits r*n .. r*n + n - 1 of one int, and n is a
-    power of two, at least 8 so that a row is whole bytes.  The round of
-    each s = n/2, ..., 1 swaps entry (r, c) with (r + s, c - s) wherever bit
-    s of r is clear and bit s of c is set; those entries are the mask, and
-    the shift is their distance s*(n - 1).  The rounds exchange r and c bit
-    by bit, so together they transpose.
+    The binary digits of x, lowest first, become one flag byte per bit,
+    and itertools.compress picks the indices of the nonzero ones: the scan
+    runs in C and does no big-int arithmetic.
     """
-    out = []
-    s = n >> 1
-    while s:
-        row = sum(1 << c for c in range(n) if c & s).to_bytes(n // 8, "little")
-        blank = bytes(n // 8)
-        mask = b"".join(blank if r & s else row for r in range(n))
-        out.append((s * (n - 1), int.from_bytes(mask, "little")))
-        s >>= 1
-    return tuple(out)
+    flags = format(x, "b")[::-1].encode().translate(_DIGIT_FLAGS)
+    return compress(range(len(flags)), flags)
+
+
+def _not_an_integer(m: object, value: object) -> ValueError:
+    """The error for a universe size m or a value, one of which made an
+    int comparison or shift raise TypeError: it names m when m is not an
+    int, else the value."""
+    return ValueError(f"expected an integer, got {value if isinstance(m, int) else m!r}")
 
 
 def _apply_bits(cols: tuple[int, ...], x: int) -> int:
     """XOR of the columns selected by the set bits of x."""
     bits = 0
-    while x:
-        low = x & -x
-        bits ^= cols[low.bit_length() - 1]
-        x ^= low
+    for i in _set_bits(x):
+        bits ^= cols[i]
     return bits
 
 
@@ -228,18 +227,25 @@ class Gf2Vec:
     bits: int = 0
 
     def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError("universe size must be nonnegative")
-        if self.bits < 0 or self.bits >> self.m:
-            raise ValueError("vector has bits outside the universe")
+        try:
+            if self.m < 0:
+                raise ValueError("universe size must be nonnegative")
+            if self.bits < 0 or self.bits >> self.m:
+                raise ValueError("vector has bits outside the universe")
+        except TypeError:
+            raise _not_an_integer(self.m, self.bits) from None
 
     @classmethod
     def from_edges(cls, m: int, edges: Iterable[int]) -> Gf2Vec:
         bits = 0
-        for e in edges:
-            if not 0 <= e < m:
-                raise ValueError(f"edge {e} out of range for universe {m}")
-            bits |= 1 << e
+        edges = iter(edges)  # not an iterable: its own TypeError, from here
+        try:
+            for e in edges:
+                if not 0 <= e < m:
+                    raise ValueError(f"edge {e} out of range for universe {m}")
+                bits |= 1 << e
+        except TypeError:
+            raise _not_an_integer(m, e) from None
         return cls(m, bits)
 
     def edges(self) -> tuple[int, ...]:
@@ -273,15 +279,19 @@ class Gf2Subspace:
     @classmethod
     def span(cls, m: int, vectors: Iterable[Gf2Vec | int]) -> Gf2Subspace:
         bits = []
-        for v in vectors:
-            if isinstance(v, Gf2Vec):
-                if v.m != m:
-                    raise ValueError("universe mismatch")
-                bits.append(v.bits)
-            else:
-                if v < 0 or v >> m:
-                    raise ValueError("vector has bits outside the universe")
-                bits.append(v)
+        vectors = iter(vectors)  # not an iterable: its own TypeError, from here
+        try:
+            for v in vectors:
+                if isinstance(v, Gf2Vec):
+                    if v.m != m:
+                        raise ValueError("universe mismatch")
+                    bits.append(v.bits)
+                else:
+                    if v < 0 or v >> m:
+                        raise ValueError("vector has bits outside the universe")
+                    bits.append(v)
+        except TypeError:
+            raise _not_an_integer(m, v) from None
         return cls(m, _rref(bits))
 
     @classmethod
@@ -343,17 +353,17 @@ class Gf2Subspace:
         Those pivots all lie above c, so c is the row's lowest bit and its
         only bit outside Q: in increasing c, the rows are already the
         canonical basis, and the complement itself is never eliminated.
+        Each reduced row's set bits are read in one scan (`_set_bits`), and
+        its pivot is ORed into the generator of each of those columns; the
+        generators of the pivot columns are then dropped.
         """
         tops = _top_rref(self.rows)
-        top_mask = sum(tops)
-        gens = {1 << c: 1 << c for c in range(self.m) if not (top_mask >> c) & 1}
+        gens = [1 << c for c in range(self.m)]
         for p, r in tops.items():
-            rest = r ^ p
-            while rest:
-                q = rest & -rest
-                gens[q] |= p
-                rest ^= q
-        return Gf2Subspace(self.m, tuple(gens.values()))
+            for c in _set_bits(r ^ p):
+                gens[c] |= p
+            gens[p.bit_length() - 1] = 0
+        return Gf2Subspace(self.m, tuple(filter(None, gens)))
 
     def intersect(self, other: Gf2Subspace) -> Gf2Subspace:
         """Intersection by Zassenhaus' algorithm, in one elimination.
@@ -386,11 +396,16 @@ class LinearOp:
     cols: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.cols) is not tuple:
+            object.__setattr__(self, "cols", tuple(self.cols))
         if len(self.cols) != self.m:
             raise ValueError("operator must have one column per edge")
-        for c in self.cols:
-            if c < 0 or c >> self.m:
-                raise ValueError("column has bits outside the universe")
+        try:
+            for c in self.cols:
+                if c < 0 or c >> self.m:
+                    raise ValueError("column has bits outside the universe")
+        except TypeError:
+            raise _not_an_integer(self.m, c) from None
 
     @classmethod
     def from_columns(cls, m: int, cols: Iterable[Gf2Vec | int]) -> LinearOp:
@@ -440,24 +455,17 @@ class LinearOp:
 
     @cached_property
     def _transpose(self) -> LinearOp | None:
-        """The columns are packed as the rows of one n x n bit matrix, n
-        the least power of two that is at least m (and at least 8), and the
-        matrix is transposed in log2(n) mask-and-shift rounds on that int
-        (`_swap_masks`).  The result is kept on the operator, as None when
-        it equals the operator: keeping self would make a reference cycle,
-        and the operator would outlive its last reference until the
-        garbage collector ran."""
-        m = self.m
-        n = max(8, 1 << (m - 1).bit_length())
-        width = n // 8
-        x = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in self.cols), "little")
-        for shift, mask in _swap_masks(n):
-            t = (x ^ (x >> shift)) & mask
-            x ^= t ^ (t << shift)
-        data = x.to_bytes(width * m, "little")
-        cols = tuple(int.from_bytes(data[i:i + width], "little")
-                     for i in range(0, width * m, width))
-        return None if cols == self.cols else LinearOp(m, cols)
+        """Row i of the matrix, read column by column.  The result is kept
+        on the operator, as None when it equals the operator: keeping self
+        would make a reference cycle, and the operator would outlive its
+        last reference until the garbage collector ran."""
+        rows = [0] * self.m
+        for j, c in enumerate(self.cols):
+            bit = 1 << j
+            for i in _set_bits(c):
+                rows[i] |= bit
+        cols = tuple(rows)
+        return None if cols == self.cols else LinearOp(self.m, cols)
 
     @cached_property
     def _kernel(self) -> Gf2Subspace:

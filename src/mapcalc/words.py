@@ -34,7 +34,9 @@ links make that S_p2 + S_(p2+1) too.  Every position lies on exactly two
 links, one of the edge at it and one of the edge before it, so the links
 form cycles, and dim ker c_W^T = cycles - 1.  Each cycle K other than the
 one through position 0 gives the basis vector of the edges e with exactly
-one of p1(e) and p1(e) + 1 in K.  This is the word form of the binary
+one of p1(e) and p1(e) + 1 in K.  The walk labels each position with
+its cycle, and one pass over the edges then writes every vector, so the
+walk itself does no big-int arithmetic.  This is the word form of the binary
 nullity theorem for circuit partitions (Cohn and Lempel, J. Combin.
 Theory Ser. A 13, 1972; Traldi, European J. Combin. 32, 2011), but the
 derivation above is plain linear algebra and assumes no theorem.
@@ -237,19 +239,18 @@ def _kernel_vectors(w: SignedWord, complement: bool) -> list[int]:
     Position i has two link ends: end 2i on the link of the edge at i, and
     end 2i + 1 on the link of the edge at i - 1.  ends[x] is the end that x
     is linked to, so following ends from a position's one end to its other
-    walks a cycle.  Walking cycle K sums the toggles {e : p1(e) = i} +
-    {e : p1(e) = i - 1} of its positions, which leaves the edges with
-    exactly one of p1(e) and p1(e) + 1 in K.  The cycle through position 0
-    is skipped.
+    walks a cycle.  The walk writes each cycle's number into label[i] for
+    every position i on it, with small ints only.  One pass over the edges
+    then sets bit e in the vectors of both cycles when label[p1(e)] and
+    label[p1(e) + 1] differ, which gives cycle K the edges with exactly one
+    of p1(e) and p1(e) + 1 in K.  The cycle through position 0, number 0,
+    is dropped.
     """
     m, entries = w.m, w.entries
     n = 2 * m
-    toggles = [0] * n
+    first = w._first
     ends = [0] * (2 * n)
-    for e, (p1, p2) in enumerate(zip(w._first, w._second)):
-        bit = 1 << e
-        toggles[p1] ^= bit
-        toggles[p1 + 1] ^= bit
+    for p1, p2 in zip(first, w._second):
         # The links {p2, p1'} and {p1'', p2 + 1}.  The end of p1 is 2 p1 and
         # that of p1 + 1 is 2 p1 + 3; p1' is p1 exactly when c_W takes in
         # kappa, and the complement takes the other one.
@@ -260,24 +261,29 @@ def _kernel_vectors(w: SignedWord, complement: bool) -> list[int]:
         a, b = 2 * p2, 2 * ((p2 + 1) % n) + 1
         ends[a], ends[near] = near, a
         ends[far], ends[b] = b, far
-    seen = bytearray(n)
-    vectors = []
+    label = [None] * n
+    cycles = 0
     for start in range(n):
-        if seen[start]:
+        if label[start] is not None:
             continue
-        seen[start] = 1
-        vec = toggles[start]
-        x = ends[2 * start]
-        while x != 2 * start + 1:
+        label[start] = cycles
+        stop = 2 * start + 1
+        x = ends[stop - 1]
+        while x != stop:
             i = x >> 1
-            if seen[i]:  # only a fault in the link table leaves a cycle open
+            if label[i] is not None:  # only a fault in the link table leaves a cycle open
                 raise AssertionError(f"the links of position {i} do not close a cycle")
-            seen[i] = 1
-            vec ^= toggles[i]
+            label[i] = cycles
             x = ends[x ^ 1]
-        if start:
-            vectors.append(vec)
-    return vectors
+        cycles += 1
+    vectors = [0] * cycles
+    for e, p1 in enumerate(first):
+        k, j = label[p1], label[p1 + 1]
+        if k != j:
+            bit = 1 << e
+            vectors[k] |= bit
+            vectors[j] |= bit
+    return vectors[1:]
 
 
 def cozigzag_word(map_: FlagMap) -> SignedWord:

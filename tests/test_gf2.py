@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import weakref
 from collections import Counter
 
@@ -230,3 +231,31 @@ def test_perp_takes_one_elimination(monkeypatch, m):
         calls.clear()
         s.perp()
         assert calls == {"_top_rref": 1}
+
+
+@pytest.mark.parametrize("build, args, value", [
+    pytest.param(Gf2Vec, (3, 1.5), "1.5", id="vec-bits"),
+    pytest.param(Gf2Vec, (3.0, 1), "3.0", id="vec-m"),
+    pytest.param(Gf2Vec, (3, "1"), "'1'", id="vec-str"),
+    pytest.param(Gf2Vec.from_edges, (3, [0, 1.0]), "1.0", id="from_edges-edge"),
+    pytest.param(Gf2Vec.from_edges, (3.5, []), "3.5", id="from_edges-m"),
+    pytest.param(Gf2Subspace.span, (3, [1, 1.5]), "1.5", id="span-vector"),
+    pytest.param(Gf2Subspace.span, (3, [None]), "None", id="span-none"),
+    pytest.param(LinearOp, (3, (1.5, 0, 0)), "1.5", id="op-column"),
+    pytest.param(LinearOp, (3, [0, 0, "4"]), "'4'", id="op-list-str"),
+    pytest.param(LinearOp, (3.0, (0, 0, 0)), "3.0", id="op-m"),
+])
+def test_constructors_name_a_value_that_is_not_an_integer(build, args, value):
+    """A value that is not an int is refused with a ValueError that names
+    it, as MultiGraph, SignedWord and FlagMap do, not a bare TypeError from
+    a shift or a comparison."""
+    with pytest.raises(ValueError, match=f"^expected an integer, got {re.escape(value)}$"):
+        build(*args)
+
+
+def test_operator_keeps_its_columns_as_a_tuple():
+    """Columns given as a list are kept as a tuple, so the operator hashes
+    and equals the one built from the tuple."""
+    op = LinearOp(2, [1, 2])
+    assert op.cols == (1, 2) and type(op.cols) is tuple
+    assert op == LinearOp(2, (1, 2)) and hash(op) == hash(LinearOp(2, (1, 2)))

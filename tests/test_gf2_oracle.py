@@ -215,6 +215,32 @@ def test_perp_edge_cases_match_reference():
         assert Gf2Subspace.full(m).perp() == Gf2Subspace.zero(m)
 
 
+def wide_perp_cases(rng: random.Random, m: int):
+    """Spaces of m bits, past one 64-bit word: dense, sparse and
+    rank-deficient rows, and rows whose top pivots are bit 0 and bit m - 1."""
+    yield Gf2Subspace.span(m, [rng.getrandbits(m) for _ in range(rng.randint(1, 12))])
+    yield Gf2Subspace.span(m, [rng.getrandbits(m) for _ in range(m - rng.randint(1, 12))])
+    yield Gf2Subspace.span(m, [1 << rng.randrange(m) | 1 << rng.randrange(m) for _ in range(m // 3)])
+    yield Gf2Subspace.span(m, random_rows(rng, m))
+    gens = [rng.getrandbits(m) for _ in range(5)]
+    yield Gf2Subspace.span(m, [combo(rng, gens) for _ in range(40)])
+    yield Gf2Subspace.span(m, [1, 1 << (m - 1) | rng.getrandbits(m - 1), rng.getrandbits(m - 1)])
+    yield Gf2Subspace.span(m, [1 << (m - 1) | 1, 1 << (m - 1) | 1 << (m // 2)])
+    yield Gf2Subspace.span(m, [(1 << m) - 1])
+
+
+def test_perp_past_64_bits_matches_reference():
+    """perp at the sizes `verify` meets, m = 250..350, against the loop
+    reference, so that the set-bit scan is checked on rows many words long."""
+    for m in (250, 256, 301, 350):
+        rng = random.Random(2600 + m)
+        for s in wide_perp_cases(rng, m):
+            p = s.perp()
+            assert p.rows == ref_perp(m, s.rows)
+            assert_canonical(m, p.rows)
+            assert s.dim + p.dim == m
+
+
 def test_perp_round_trips():
     for m in SIZES:
         rng = random.Random(2700 + m)
