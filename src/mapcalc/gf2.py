@@ -238,14 +238,13 @@ class Gf2Vec:
     @classmethod
     def from_edges(cls, m: int, edges: Iterable[int]) -> Gf2Vec:
         bits = 0
-        edges = iter(edges)  # not an iterable: its own TypeError, from here
-        try:
-            for e in edges:
+        for e in edges:
+            try:
                 if not 0 <= e < m:
                     raise ValueError(f"edge {e} out of range for universe {m}")
                 bits |= 1 << e
-        except TypeError:
-            raise _not_an_integer(m, e) from None
+            except TypeError:
+                raise _not_an_integer(m, e) from None
         return cls(m, bits)
 
     def edges(self) -> tuple[int, ...]:
@@ -279,19 +278,18 @@ class Gf2Subspace:
     @classmethod
     def span(cls, m: int, vectors: Iterable[Gf2Vec | int]) -> Gf2Subspace:
         bits = []
-        vectors = iter(vectors)  # not an iterable: its own TypeError, from here
-        try:
-            for v in vectors:
-                if isinstance(v, Gf2Vec):
-                    if v.m != m:
-                        raise ValueError("universe mismatch")
-                    bits.append(v.bits)
-                else:
+        for v in vectors:
+            if isinstance(v, Gf2Vec):
+                if v.m != m:
+                    raise ValueError("universe mismatch")
+                bits.append(v.bits)
+            else:
+                try:
                     if v < 0 or v >> m:
                         raise ValueError("vector has bits outside the universe")
-                    bits.append(v)
-        except TypeError:
-            raise _not_an_integer(m, v) from None
+                except TypeError:
+                    raise _not_an_integer(m, v) from None
+                bits.append(v)
         return cls(m, _rref(bits))
 
     @classmethod

@@ -253,6 +253,24 @@ def test_constructors_name_a_value_that_is_not_an_integer(build, args, value):
         build(*args)
 
 
+@pytest.mark.parametrize("build, good", [
+    pytest.param(Gf2Vec.from_edges, 1, id="from_edges"),
+    pytest.param(Gf2Subspace.span, 2, id="span"),
+])
+@pytest.mark.parametrize("before", [0, 2])
+def test_constructors_pass_on_a_type_error_from_the_callers_iterable(build, good, before):
+    """A TypeError raised by the caller's own generator, at its first item
+    or after valid ones, reaches the caller unchanged, not as a ValueError
+    naming an earlier value."""
+    def items():
+        for _ in range(before):
+            yield good
+        raise TypeError("from the generator")
+
+    with pytest.raises(TypeError, match="^from the generator$"):
+        build(3, items())
+
+
 def test_operator_keeps_its_columns_as_a_tuple():
     """Columns given as a list are kept as a tuple, so the operator hashes
     and equals the one built from the tuple."""

@@ -1,7 +1,7 @@
 """Run a fixed corpus of mapcalc command lines and print one sha256 over
 their outcomes, so two trees or two interpreters can be compared by one line.
 
-    python3 tools/cli_digest.py [--cases]
+    python3 tools/cli_digest.py
 
 mapcalc is imported from the src/ next to this file's directory.  Every
 run goes through mapcalc.cli.run in this process, in a scratch directory,
@@ -23,14 +23,11 @@ The corpus, 2125 runs:
     graphs of the `search-subdiv` workload, written as .rot text, with
     two seeds each.
 
---cases prints one line per run (the run's own sha256 and its command
-line) before the total, so two listings can be diffed to find the first
-run that differs.  Only the standard library and mapcalc are used.
+Only the standard library and mapcalc are used.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -124,9 +121,6 @@ def outcome(name: str | None, text: str | None, command: list[str]) -> bytes:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
-    parser.add_argument("--cases", action="store_true", help="print each run's own sha256 first")
-    args = parser.parse_args()
     total = hashlib.sha256()
     runs = 0
     here = os.getcwd()
@@ -134,11 +128,8 @@ def main() -> int:
         os.chdir(scratch)
         try:
             for name, text, command in corpus():
-                data = outcome(name, text, command)
-                total.update(data)
+                total.update(outcome(name, text, command))
                 runs += 1
-                if args.cases:
-                    print(hashlib.sha256(data).hexdigest()[:16], " ".join(command))
         finally:
             os.chdir(here)
     print(f"{runs} runs sha256 {total.hexdigest()}")
