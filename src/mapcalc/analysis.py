@@ -12,9 +12,9 @@ are read off the kept traces of the single z-gon and f-gon, so no gon is
 walked twice and no phial or dual is built.  Everything else is a
 cached_property: it is computed on first read and kept on the analysis,
 so a check that needs it again reads it instead of rebuilding it.
-Nothing is cached elsewhere, apart from the kernel, image and transpose
-an operator keeps (see gf2.LinearOp): an analysis and all it holds go
-away with the last reference to it.
+Nothing is cached elsewhere, apart from the kernel and image an operator
+keeps (see gf2.LinearOp): an analysis and all it holds go away with the
+last reference to it.
 
 No kernel is eliminated.  ker c_P^T and ker c_P~^T are walked off the
 kept zigzag word in O(m) (words._kernel_vectors), and each is checked

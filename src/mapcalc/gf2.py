@@ -7,36 +7,28 @@ subspaces are structurally equal objects.  Operators are m x m matrices
 stored column-wise (column x = image of the singleton {x}).
 
 A row's pivot is its lowest set bit, kept as the power of two `row & -row`.
-Elimination indexes rows by pivot in a dict, so reducing a row costs one
-lookup and one big-int XOR per pivot it meets; membership tests use the
-same index.  Subspace `span`, `sum` and `intersect` use this pivot-dict
-elimination: their rows are sparse, and a table lookup per row would cost
-more than the few XORs it replaced.  Intersections come from one elimination on rows of
-2m bits, keeping the members of the span whose low m bits are zero
-(Zassenhaus).  `perp` runs the same elimination on its own dim rows, keyed
-by highest bits, and then writes the canonical basis of the complement
-directly, without eliminating the complement's m - dim rows: one scan of
-each reduced row's binary digits (`_set_bits`) finds the complement rows
-that row's pivot goes into.
+There is one kind of elimination.  `_echelon` indexes rows by pivot in a
+dict, so reducing a row costs one lookup and one big-int XOR per pivot it
+meets, and `_rref` back-substitutes its rows into the canonical basis;
+membership tests use the same index.  `span`, `sum` and `image` are the
+RREF of their rows.  `intersect` and `kernel` share one Zassenhaus read
+(`_low_zero_part`): one elimination of rows of 2m bits, keeping the
+members of their span whose low m bits are zero.  For an intersection the
+rows are u | u << m for u in one space and w in the other; for the kernel
+of A they are col_j | 1 << (m + j).  `perp` runs the mirror image of the
+elimination on its own dim rows, keyed by highest bits (`_top_rref`), and
+then writes the canonical basis of the complement directly, without
+eliminating the complement's m - dim rows: one scan of each reduced row's
+binary digits (`_set_bits`) finds the complement rows that row's pivot
+goes into.
 
-The kernel of an operator A comes from one forward elimination of the
-2m-bit rows col_j | 1 << (m + j): the rows whose low half ends at zero
-give the kernel, canonicalized by an RREF of those few rows.  This forward
-pass is the one tuned elimination.  It uses Four-Russians tables (M4RI:
-Albrecht, Bard and Hart, ACM TOMS 37(1), 2010): the columns are taken in
-blocks of _K = 7, and a table of the 2^7 combinations of a block's pivot
-rows then replaces up to seven XORs by one lookup.  The theorem checks run
-no forward pass: the kernels of the word operators are walked off the
-zigzag word (words._kernel_vectors), and `kernel()` stays the general
-method and their test oracle.
-
-`image` (the RREF of the columns), `compose` (one column sum per inner
-column) and `transpose` are plain reference code that the theorem checks
-do not run: they read every image as the perp of a kernel and build
-their operator products from words.  With image and kernel from
-independent eliminations, rank + nullity = m is a real cross-check.
-`transpose` is a plain loop over the columns' set bits; the tests use it
-to check that word operators are symmetric.
+The theorem checks run no `kernel`, `image`, `compose` (one column sum per
+inner column) or `transpose` (a loop over the columns' set bits): they walk
+the kernels of the word operators off the zigzag word
+(words._kernel_vectors), read every image as the perp of a kernel and build
+operator products from words.  Those four methods are their test oracles.
+Image and kernel come from separate eliminations, so rank + nullity = m is
+a real cross-check.
 """
 
 from __future__ import annotations
@@ -45,12 +37,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator
-
-# Four-Russians block width of the forward pass, the only user of the
-# tables.  On the 24 operators c_P + c_P o c_P of m = 250..350 that `verify`
-# once eliminated, the pass was about 5 % faster at k = 7 than at 8 (median
-# of 25 interleaved rounds; k = 6 ties with 7), see CHANGES.md.
-_K = 7
 
 # The flag byte of each binary digit, for `_set_bits`.
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -133,64 +119,15 @@ def _top_rref(rows: Iterable[int]) -> dict[int, int]:
     return tops
 
 
-def _combinations(rows: Iterable[int]) -> list[int]:
-    """Table of all 2^len(rows) sums of rows: entry v is the XOR of the
-    rows[i] with bit i of v set.  Built by doubling, one XOR per entry:
-    the upper half of each step is the lower half plus the next row."""
-    table = [0]
-    for row in rows:
-        table += [t ^ row for t in table]
-    return table
+def _low_zero_part(rows: Iterable[int], m: int) -> tuple[int, ...]:
+    """The members of span(rows) whose low m bits are zero, shifted down by
+    m, as a canonical basis (the read of Zassenhaus' algorithm).
 
-
-def _forward_pass(rows: Iterable[int], width: int, k: int = _K) -> tuple[dict[int, int], list[int]]:
-    """Forward Four-Russians elimination on columns 0..width-1.
-
-    Returns ({pivot bit: row}, rest): the pivot rows and the nonzero rows
-    left with no bit below width; together they span the input.  The
-    columns are taken in blocks of k, low to high.  In each block, up to k
-    pivots are found among the rows left over from earlier blocks, as in
-    `_echelon` but on the block's bits only, and reduced against each other
-    as in `_rref`.  A table of their combinations, keyed by the block's bits
-    (a column without a pivot adds the zero row), then clears the block in
-    every leftover row, with one lookup and one XOR per row.  Earlier
-    blocks' pivot rows are never touched, so every pivot row is zero below
-    its pivot but is otherwise not reduced.
+    A combination of echelon rows has the lowest of their pivots as its
+    lowest bit, so those members are exactly the span of the echelon rows
+    whose pivot is at bit m or above.
     """
-    echelon: dict[int, int] = {}
-    rest = [r for r in rows if r]  # zero below the current block
-    for lo in range(0, width, k):
-        if not rest:
-            break
-        kb = min(k, width - lo)
-        key = (1 << kb) - 1
-        block = key << lo
-        pivots: dict[int, int] = {}
-        others = []
-        for i, row in enumerate(rest):
-            bits = row & block
-            while bits:
-                low = bits & -bits
-                b = pivots.get(low)
-                if b is None:
-                    pivots[low] = row
-                    break
-                row ^= b
-                bits = row & block
-            else:
-                if row:
-                    others.append(row)
-                continue
-            if len(pivots) == kb:
-                others += rest[i + 1:]
-                break
-        if not pivots:
-            continue
-        _back_substitute(pivots)
-        echelon.update(pivots)
-        table = _combinations([pivots.get(1 << c, 0) for c in range(lo, lo + kb)])
-        rest = [y for r in others if (y := r ^ table[(r >> lo) & key])]
-    return echelon, rest
+    return _rref(r >> m for p, r in _echelon(rows).items() if p >> m)
 
 
 def _set_bits(x: int) -> Iterator[int]:
@@ -204,11 +141,18 @@ def _set_bits(x: int) -> Iterator[int]:
     return compress(range(len(flags)), flags)
 
 
-def _not_an_integer(m: object, value: object) -> ValueError:
-    """The error for a universe size m or a value, one of which made an
-    int comparison or shift raise TypeError: it names m when m is not an
-    int, else the value."""
-    return ValueError(f"expected an integer, got {value if isinstance(m, int) else m!r}")
+def _not_an_integer(value: object) -> ValueError:
+    """The error for a value that is not an int, such as one that made an
+    int comparison or shift raise TypeError."""
+    return ValueError(f"expected an integer, got {value!r}")
+
+
+def _check_universe(m: object) -> None:
+    """Refuse a universe size that is not a nonnegative int."""
+    if not isinstance(m, int):
+        raise _not_an_integer(m)
+    if m < 0:
+        raise ValueError("universe size must be nonnegative")
 
 
 def _apply_bits(cols: tuple[int, ...], x: int) -> int:
@@ -227,16 +171,16 @@ class Gf2Vec:
     bits: int = 0
 
     def __post_init__(self) -> None:
+        _check_universe(self.m)
         try:
-            if self.m < 0:
-                raise ValueError("universe size must be nonnegative")
             if self.bits < 0 or self.bits >> self.m:
                 raise ValueError("vector has bits outside the universe")
         except TypeError:
-            raise _not_an_integer(self.m, self.bits) from None
+            raise _not_an_integer(self.bits) from None
 
     @classmethod
     def from_edges(cls, m: int, edges: Iterable[int]) -> Gf2Vec:
+        _check_universe(m)
         bits = 0
         for e in edges:
             try:
@@ -244,11 +188,11 @@ class Gf2Vec:
                     raise ValueError(f"edge {e} out of range for universe {m}")
                 bits |= 1 << e
             except TypeError:
-                raise _not_an_integer(m, e) from None
+                raise _not_an_integer(e) from None
         return cls(m, bits)
 
     def edges(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.m) if (self.bits >> i) & 1)
+        return tuple(_set_bits(self.bits))
 
     def __contains__(self, edge: int) -> bool:
         return 0 <= edge < self.m and bool((self.bits >> edge) & 1)
@@ -269,7 +213,10 @@ class Gf2Subspace:
 
     The canonical basis makes equality of subspaces plain dataclass
     equality.  Rows are nonzero, ordered by strictly increasing pivot,
-    and every pivot column is zero in all other rows.
+    and every pivot column is zero in all other rows.  The constructor
+    Gf2Subspace(m, rows) takes rows already in that form and does not
+    check them: `contains` and `==` are wrong on any others.  `span` is
+    the constructor for arbitrary vectors.
     """
 
     m: int
@@ -277,6 +224,7 @@ class Gf2Subspace:
 
     @classmethod
     def span(cls, m: int, vectors: Iterable[Gf2Vec | int]) -> Gf2Subspace:
+        _check_universe(m)
         bits = []
         for v in vectors:
             if isinstance(v, Gf2Vec):
@@ -288,16 +236,18 @@ class Gf2Subspace:
                     if v < 0 or v >> m:
                         raise ValueError("vector has bits outside the universe")
                 except TypeError:
-                    raise _not_an_integer(m, v) from None
+                    raise _not_an_integer(v) from None
                 bits.append(v)
         return cls(m, _rref(bits))
 
     @classmethod
     def zero(cls, m: int) -> Gf2Subspace:
+        _check_universe(m)
         return cls(m, ())
 
     @classmethod
     def full(cls, m: int) -> Gf2Subspace:
+        _check_universe(m)
         return cls(m, tuple(1 << i for i in range(m)))
 
     @property
@@ -376,10 +326,7 @@ class Gf2Subspace:
         m = self.m
         rows = [u | u << m for u in self.rows]
         rows += other.rows
-        # A combination of echelon rows has the lowest of their pivots as
-        # its lowest bit, so the members with a zero low half are exactly
-        # the span of the echelon rows whose pivot is at bit m or above.
-        return Gf2Subspace(m, _rref(r >> m for p, r in _echelon(rows).items() if p >> m))
+        return Gf2Subspace(m, _low_zero_part(rows, m))
 
     def __repr__(self) -> str:
         shown = [format(r, f"0{self.m}b")[::-1] for r in self.rows]
@@ -394,6 +341,7 @@ class LinearOp:
     cols: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_universe(self.m)
         if type(self.cols) is not tuple:
             object.__setattr__(self, "cols", tuple(self.cols))
         if len(self.cols) != self.m:
@@ -403,7 +351,7 @@ class LinearOp:
                 if c < 0 or c >> self.m:
                     raise ValueError("column has bits outside the universe")
         except TypeError:
-            raise _not_an_integer(self.m, c) from None
+            raise _not_an_integer(c) from None
 
     @classmethod
     def from_columns(cls, m: int, cols: Iterable[Gf2Vec | int]) -> LinearOp:
@@ -419,10 +367,12 @@ class LinearOp:
 
     @classmethod
     def identity(cls, m: int) -> LinearOp:
+        _check_universe(m)
         return cls(m, tuple(1 << i for i in range(m)))
 
     @classmethod
     def zero(cls, m: int) -> LinearOp:
+        _check_universe(m)
         return cls(m, (0,) * m)
 
     def column(self, x: int) -> Gf2Vec:
@@ -447,40 +397,30 @@ class LinearOp:
         return LinearOp(self.m, tuple(a ^ b for a, b in zip(self.cols, other.cols)))
 
     def transpose(self) -> LinearOp:
-        """The transposed matrix, or self when it is symmetric."""
-        t = self._transpose
-        return self if t is None else t
-
-    @cached_property
-    def _transpose(self) -> LinearOp | None:
-        """Row i of the matrix, read column by column.  The result is kept
-        on the operator, as None when it equals the operator: keeping self
-        would make a reference cycle, and the operator would outlive its
-        last reference until the garbage collector ran."""
+        """The transposed matrix, row i read column by column, or self when
+        it is symmetric."""
         rows = [0] * self.m
         for j, c in enumerate(self.cols):
             bit = 1 << j
             for i in _set_bits(c):
                 rows[i] |= bit
         cols = tuple(rows)
-        return None if cols == self.cols else LinearOp(self.m, cols)
+        return self if cols == self.cols else LinearOp(self.m, cols)
 
     @cached_property
     def _kernel(self) -> Gf2Subspace:
-        """The forward pass on the rows col_j | 1 << (m + j).  A combination
-        of those rows is (A x) | x << m, and the rows the pass leaves with a
-        zero low half stay independent and number m - rank, so their high halves
-        are a basis of the null space."""
+        """The Zassenhaus read of the rows col_j | 1 << (m + j).  A
+        combination of them is (A x) | x << m, so its low half is zero
+        exactly when x is in the null space, and its high half is then x."""
         m = self.m
-        _, rest = _forward_pass([c | 1 << (m + j) for j, c in enumerate(self.cols)], m)
-        return Gf2Subspace(m, _rref(r >> m for r in rest))
+        return Gf2Subspace(m, _low_zero_part((c | 1 << (m + j) for j, c in enumerate(self.cols)), m))
 
     @cached_property
     def _image(self) -> Gf2Subspace:
         return Gf2Subspace(self.m, _rref(self.cols))
 
     def kernel(self) -> Gf2Subspace:
-        """Null space: the canonical RREF of the forward pass's few kernel rows."""
+        """Null space: the Zassenhaus read of the augmented columns."""
         return self._kernel
 
     def image(self) -> Gf2Subspace:

@@ -122,8 +122,8 @@ def test_image_and_kernel():
 def test_rank_nullity_random():
     """image() and kernel() come from independent eliminations, so rank +
     nullity = m checks one against the other.  Besides small random
-    operators, non-symmetric ones at the sizes around the ends of the
-    forward pass's 7-column blocks and of 64- and 128-bit words."""
+    operators, non-symmetric ones at small sizes and at the sizes around
+    the ends of 64- and 128-bit words."""
     rng = random.Random(13)
     ops = []
     for _ in range(100):
@@ -152,10 +152,10 @@ def test_operator_universe_mismatch():
 
 
 def count_eliminations(monkeypatch) -> Counter:
-    """Count the calls of gf2's three elimination routines by name: the
-    forward pass, the low-bit RREF and the top-bit RREF."""
+    """Count the calls of gf2's two elimination loops by name: the low-bit
+    echelon form (which `_rref` runs too) and the top-bit RREF."""
     calls: Counter = Counter()
-    for name in ("_forward_pass", "_rref", "_top_rref"):
+    for name in ("_echelon", "_top_rref"):
         def counted(*args, _name=name, _fn=getattr(gf2, name)):
             calls[_name] += 1
             return _fn(*args)
@@ -165,10 +165,11 @@ def count_eliminations(monkeypatch) -> Counter:
 
 @pytest.mark.parametrize("m", [0, 3, 63, 64, 100])
 def test_image_and_kernel_take_one_elimination(monkeypatch, m):
-    """The image is the RREF of the columns.  The kernel is one forward
-    pass and the RREF of its few kernel rows.  Neither reads the other or
-    the transpose, so a symmetric operator costs the same as any other.
-    Each is kept on the operator: asking again runs nothing."""
+    """The image is the RREF of the columns, one echelon form.  The kernel
+    is two: one of the augmented columns, and the RREF of the few rows
+    with a zero low half.  Neither reads the other or the transpose, so a
+    symmetric operator costs the same as any other.  Each is kept on the
+    operator: asking again runs nothing."""
     rng = random.Random(m)
     cols = [rng.getrandbits(m) for _ in range(m)]
     sym = [c ^ t for c, t in zip(cols, LinearOp(m, tuple(cols)).transpose().cols)]
@@ -179,7 +180,7 @@ def test_image_and_kernel_take_one_elimination(monkeypatch, m):
         ops.append(LinearOp(m, tuple(cols)))
     calls = count_eliminations(monkeypatch)
     for op in ops:
-        for ask, want in ((op.image, {"_rref": 1}), (op.kernel, {"_forward_pass": 1, "_rref": 1})):
+        for ask, want in ((op.image, {"_echelon": 1}), (op.kernel, {"_echelon": 2})):
             calls.clear()
             first = ask()
             assert calls == want
@@ -189,9 +190,9 @@ def test_image_and_kernel_take_one_elimination(monkeypatch, m):
 
 
 def test_operators_are_freed_without_the_collector():
-    """Whatever an operator keeps (its transpose, kernel and image) holds
-    no reference back to it, so it goes with its last reference, as before
-    those were kept."""
+    """Whatever an operator keeps (its kernel and image) holds no reference
+    back to it, so it goes with its last reference, as before those were
+    kept."""
     for cols in ((0b011, 0b011, 0b100), (0b011, 0b110, 0b101), (0b010, 0b001, 0b100)):
         op = LinearOp(3, cols)
         op.transpose(), op.image(), op.kernel()
@@ -241,16 +242,26 @@ def test_perp_takes_one_elimination(monkeypatch, m):
     pytest.param(Gf2Vec.from_edges, (3.5, []), "3.5", id="from_edges-m"),
     pytest.param(Gf2Subspace.span, (3, [1, 1.5]), "1.5", id="span-vector"),
     pytest.param(Gf2Subspace.span, (3, [None]), "None", id="span-none"),
+    pytest.param(Gf2Subspace.span, (3.5, []), "3.5", id="span-m"),
+    pytest.param(Gf2Subspace.zero, (2.5,), "2.5", id="subspace-zero-m"),
+    pytest.param(Gf2Subspace.full, (2.5,), "2.5", id="full-m"),
     pytest.param(LinearOp, (3, (1.5, 0, 0)), "1.5", id="op-column"),
     pytest.param(LinearOp, (3, [0, 0, "4"]), "'4'", id="op-list-str"),
     pytest.param(LinearOp, (3.0, (0, 0, 0)), "3.0", id="op-m"),
+    pytest.param(LinearOp.identity, (2.5,), "2.5", id="identity-m"),
+    pytest.param(LinearOp.zero, (2.5,), "2.5", id="op-zero-m"),
 ])
 def test_constructors_name_a_value_that_is_not_an_integer(build, args, value):
-    """A value that is not an int is refused with a ValueError that names
-    it, as MultiGraph, SignedWord and FlagMap do, not a bare TypeError from
-    a shift or a comparison."""
+    """A universe size or value that is not an int is refused with a
+    ValueError that names it, as MultiGraph, SignedWord and FlagMap do,
+    not a bare TypeError from a shift or a comparison, nor taken as the
+    size of a subspace.  Each case with a universe size that is not an int
+    is tried again with m = -2, which is refused as negative."""
     with pytest.raises(ValueError, match=f"^expected an integer, got {re.escape(value)}$"):
         build(*args)
+    if isinstance(args[0], float):
+        with pytest.raises(ValueError, match="^universe size must be nonnegative$"):
+            build(-2, *args[1:])
 
 
 @pytest.mark.parametrize("build, good", [
