@@ -34,11 +34,13 @@ spaces and 3b's target (Bv + Bf)^perp.  Where 2b, 2d and 3c hold, the
 kernels are Bv, Bf and Bv + Bf, so Im c_P, Im c_P~ and Im c_P~ o c_P
 are the very objects Cv, Cf and that target, and a map pays two or three
 perps, not six; a kernel that differs from its bond space pays its own.
-No operator is composed: c_P is read off the kept z-word, and c_P~ o c_D
-off the kept f-word by prefix images (words._word_columns).  The
-absorption checks build only the three bond spaces, verify_all adds the
-vertex and face cycle spaces on a single-zigzag map (no claim reads the
-zigzag graph's), and complete() builds everything.
+No operator is composed: c_P is read off the kept z-word, c_P~ is c_P
+with bit e of column e flipped, written in one pass with no identity
+operator and no sum, and c_P~ o c_D is read off the kept f-word by
+prefix images (words._word_columns).  The absorption checks build only
+the three bond spaces, verify_all adds the vertex and face cycle spaces
+on a single-zigzag map (no claim reads the zigzag graph's), and
+complete() builds everything.
 
 space_bundle and map_operators, the names the acceptance criteria use for
 a map's spaces and its operators, are MapAnalysis itself.
@@ -162,9 +164,12 @@ class MapAnalysis:
 
     @cached_property
     def zigzag_complement(self) -> LinearOp | None:
-        """c_P~ = identity + c_P, or None without a single zigzag."""
+        """c_P~ = identity + c_P, or None without a single zigzag: column e
+        of c_P with bit e flipped."""
         zig = self.zigzag
-        return None if zig is None else LinearOp.identity(self.m) + zig
+        if zig is None:
+            return None
+        return LinearOp(self.m, tuple(c ^ 1 << e for e, c in enumerate(zig.cols)))
 
     @cached_property
     def face(self) -> LinearOp | None:

@@ -15,10 +15,11 @@ A .gem text in write_gem's own layout is read in bulk: one pattern match,
 one split, int() mapped over the flag tokens, and set and max checks that
 the 2m pairs cover the 4m flags once, so alpha is a fixed-point-free
 involution by construction and strict mode only tests connectivity, by
-one walk over the m rectangles.  Every other text, and every text that
-fails a bulk check, goes through the line loop, which stays the reference
-reader: it is the one that names the first faulty line, so each error
-message and line number comes from it.
+one walk over the m rectangles; the FlagMap is built without re-running
+its constructor's checks, which those prove.  Every other text, and
+every text that fails a bulk check, goes through the line loop, which
+stays the reference reader: it is the one that names the first faulty
+line, so each error message and line number comes from it.
 
 Reconstruction goes both ways: a signed word rebuilds the one-vertex map
 it narrates (and from that the single-zigzag map it encodes), and a signed
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .gem import FlagMap, MultiGraph, _rectangles_reached, phial, validate
-from .words import SignedWord
+from .words import SignedWord, _prechecked
 
 
 class MapFormatError(ValueError):
@@ -113,7 +114,10 @@ def _parse_gem_bulk(text: str, strict: bool) -> FlagMap | None:
     is sized by m.  When the 4m flags of the 2m lines are distinct and
     below 4m, the pairs cover every flag once: alpha is a fixed-point-free
     involution by construction, and strict mode only walks the rectangles
-    for connectivity.
+    for connectivity.  Those checks and the pattern's digit-only tokens
+    prove all that FlagMap's constructor checks (m >= 1, 4m flags, each
+    an int in range, no flag twice), so the map is built without running
+    it again.
     """
     if _GEM_TEXT.fullmatch(text) is None:
         return None
@@ -136,7 +140,7 @@ def _parse_gem_bulk(text: str, strict: bool) -> FlagMap | None:
         alpha[y] = x
     if strict and _rectangles_reached(alpha) != m:
         return None
-    return FlagMap(m, alpha)
+    return _prechecked(FlagMap, m=m, alpha=tuple(alpha))
 
 
 def _parse_gem_lines(text: str, strict: bool) -> FlagMap:
@@ -227,7 +231,8 @@ def from_signed_word(w: SignedWord) -> FlagMap:
     with flags by the rule in _rotation_alpha.  The round trip back
     through vertex_word is a tested property, not an assumption.
     """
-    rotation = [(e, int(i == w.occurrences(e)[1])) for i, (e, _) in enumerate(w.entries)]
+    second = w._second
+    rotation = [(e, int(i == second[e])) for i, (e, _) in enumerate(w.entries)]
     twist_mask = sum(1 << e for e, s in w.entries if s < 0)
     return FlagMap(w.m, tuple(_rotation_alpha([rotation], twist_mask, w.m)))
 

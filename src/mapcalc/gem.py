@@ -420,6 +420,7 @@ def loop_balances(map_: FlagMap) -> tuple[str, ...]:
 
 def loop_balance(map_: FlagMap, edge: int) -> str:
     """loop_balances(map_)[edge]: the class of one edge."""
+    edge = _as_int(edge)
     if not 0 <= edge < map_.m:
         raise ValueError(f"edge {edge} out of range")
     return loop_balances(map_)[edge]

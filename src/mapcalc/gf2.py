@@ -376,9 +376,12 @@ class LinearOp:
         return cls(m, (0,) * m)
 
     def column(self, x: int) -> Gf2Vec:
-        if not 0 <= x < self.m:
-            raise ValueError(f"column {x} out of range for universe {self.m}")
-        return Gf2Vec(self.m, self.cols[x])
+        try:
+            if not 0 <= x < self.m:
+                raise ValueError(f"column {x} out of range for universe {self.m}")
+            return Gf2Vec(self.m, self.cols[x])
+        except TypeError:
+            raise _not_an_integer(x) from None
 
     def apply(self, v: Gf2Vec) -> Gf2Vec:
         if v.m != self.m:

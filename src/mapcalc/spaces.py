@@ -17,16 +17,16 @@ the edge universe; analysis.MapAnalysis builds each on its first read.
 
 from __future__ import annotations
 
-from .gem import MultiGraph
+from .gem import MultiGraph, _as_int
 from .gf2 import Gf2Subspace, Gf2Vec
 
 
 def bond_of(g: MultiGraph, vertices: set[int] | frozenset[int]) -> Gf2Vec:
     """Edges with exactly one end inside the vertex set; loops never qualify."""
-    for w in vertices:
+    inside = {_as_int(w) for w in vertices}
+    for w in inside:
         if not 0 <= w < g.n:
             raise ValueError(f"vertex {w} out of range")
-    inside = set(vertices)
     bits = 0
     for e, (u, v) in enumerate(g.edges):
         if (u in inside) != (v in inside):
@@ -83,12 +83,17 @@ def _tree_cycles(g: MultiGraph, tree: int) -> tuple[int, ...] | None:
 def _checked_cycle_space(g: MultiGraph, space: Gf2Subspace) -> Gf2Subspace:
     """space, the perp of a connected g's bond space, once it is checked to
     be the canonical basis of g's cycle space (see the module docstring).
+    The pivots are the lowest bits of the rows, ORed in one pass; the tree
+    is the edges outside them.
 
     An AssertionError names an internal error: the edges that are not
     pivots of space do not form a spanning tree, or the tree's fundamental
     cycles are not space's basis.
     """
-    cycles = _tree_cycles(g, ((1 << g.edge_count) - 1) & ~space._pivot_index[0])
+    pivots = 0
+    for r in space.rows:
+        pivots |= r & -r
+    cycles = _tree_cycles(g, ((1 << g.edge_count) - 1) & ~pivots)
     if cycles is None:
         raise AssertionError("cycle space pivots leave no spanning tree")
     if cycles != space.rows:

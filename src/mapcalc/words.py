@@ -7,9 +7,13 @@ when the edge is a balanced loop.  The word of a map's single gon of any
 kind is read off the gem.gon_labels trace of that kind: the v-gon gives
 the vertex word, the z-gon the zigzag word (the phial's vertex word) and
 the f-gon the face word (the dual's), so neither the phial nor the dual
-is built.  The interlacement and same-direction indicators of such a
-word combine into a symmetric GF(2) operator on the edge universe; which
-of a map's operators exist, and the operators themselves, are kept by
+is built.  Such a trace-built word is made in one pass over the trace
+(`_single_gon_word`), which writes its entries and the positions of each
+edge's two occurrences and checks that every edge is crossed exactly
+twice; the word is then built without the constructor's second walk.
+The interlacement and same-direction indicators of such a word combine
+into a symmetric GF(2) operator on the edge universe; which of a map's
+operators exist, and the operators themselves, are kept by
 analysis.MapAnalysis, which reads the words off its own traces.
 
 A product X o c_W with a word operator is composed by prefix images
@@ -45,10 +49,22 @@ derivation above is plain linear algebra and assumes no theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from .gem import PARTNER, FlagMap, _as_int, _left_flags, antimap, gon_count, gon_labels, phial
 from .gf2 import Gf2Vec, LinearOp
+
+T = TypeVar("T")
+
+
+def _prechecked(cls: type[T], **fields: object) -> T:
+    """An instance of the frozen dataclass cls holding `fields` as given,
+    without running its __post_init__: for fields the caller has already
+    checked to the same standard (the one-pass word of a gon trace, and
+    codec's bulk .gem reader).  Every public constructor still checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 class NotApplicableError(ValueError):
@@ -62,9 +78,10 @@ class SignedWord:
     Entries are (edge, sign) with 0-based edges and sign +1 or -1; each
     edge occurs exactly twice and its first stored occurrence is positive.
     The positions of each edge's two occurrences are found once, when the
-    word is built, and kept in two flat lists.  A tuple of exact-int pairs,
-    as every trace builds, is checked as it is; anything else is converted
-    first.
+    word is built, and kept in two flat lists.  The constructor checks a
+    tuple of exact-int pairs as it is and converts anything else first.
+    A word read off a gon trace is built by _single_gon_word, whose one
+    pass checks it and finds the positions, so it skips this check.
     """
 
     m: int
@@ -112,6 +129,7 @@ class SignedWord:
 
     def occurrences(self, x: int) -> tuple[int, int]:
         """Positions of the two occurrences of edge x, in stored order."""
+        x = _as_int(x)
         if not 0 <= x < self.m:
             raise ValueError(f"edge {x} out of range")
         return self._first[x], self._second[x]
@@ -168,16 +186,32 @@ def _single_gon_word(m: int, order: Sequence[int], kind: str) -> SignedWord:
     """Word of a single gon of `kind` from its gem.gon_labels order, where
     each pair of steps crosses one rectangle and names its edge.  An edge's
     second crossing is positive when its two kind-pairs, flags 4e and
-    4e + 2 (4e + 1 for kind z), are entered the same way along the walk."""
+    4e + 2 (4e + 1 for kind z), are entered the same way along the walk.
+
+    The one pass over the order writes the entries and the positions of
+    each edge's two occurrences, so the word is built by _prechecked with
+    no second pass.  An order of 2m crossings in which no edge is crossed
+    a third time crosses every edge exactly twice; AssertionError if the
+    order is not that, which no single gon of a valid trace is.
+    """
+    if len(order) != 4 * m:
+        raise AssertionError(f"the gon crosses {len(order) // 2} rectangles, not {2 * m}")
     b = 1 if PARTNER[kind] == 2 else 2
     left = _left_flags(order)
-    seen = bytearray(m)
+    first, second = [-1] * m, [-1] * m
     entries = []
-    for x in order[::2]:
+    append = entries.append
+    for i, x in enumerate(order[::2]):
         e = x >> 2
-        entries.append((e, 1 if not seen[e] or left[4 * e] == left[4 * e + b] else -1))
-        seen[e] = 1
-    return SignedWord(m, tuple(entries))
+        if first[e] < 0:
+            first[e] = i
+            append((e, 1))
+        elif second[e] < 0:
+            second[e] = i
+            append((e, 1 if left[4 * e] == left[4 * e + b] else -1))
+        else:
+            raise AssertionError(f"the gon crosses edge {e} more than twice")
+    return _prechecked(SignedWord, m=m, entries=tuple(entries), _first=first, _second=second)
 
 
 def vertex_word(map_: FlagMap) -> SignedWord:
@@ -202,8 +236,6 @@ def interlacement(w: SignedWord, x: int) -> Gf2Vec:
 
 def kappa(w: SignedWord, x: int) -> Gf2Vec:
     """The singleton {x} when x is traversed twice the same way, else zero."""
-    if not 0 <= x < w.m:
-        raise ValueError(f"edge {x} out of range")
     return Gf2Vec(w.m, (1 << x) if w.same_direction(x) else 0)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import count_calls, k33_map, random_signed_word, single_face_dual
 from mapcalc import (
+    LinearOp,
     MapAnalysis,
     TheoremReport,
     check_absorption,
@@ -119,6 +120,19 @@ def test_analysis_matches_the_operator_api():
         assert analysis.zigzag_product_spaces == (product.image(), product.kernel())
         if analysis.face is not None:
             assert analysis.face_product == comp.compose(analysis.face)
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 300])
+def test_zigzag_complement_is_identity_plus_c_p(m):
+    """c_P~, written column by column with bit e of column e flipped,
+    equals identity + c_P through LinearOp's own sum, on seeded words on
+    both sides of the 64-bit word size."""
+    rng = random.Random(m)
+    for _ in range(4):
+        analysis = MapAnalysis(zigzag_map_from_word(random_signed_word(rng, m)))
+        comp = analysis.zigzag_complement
+        assert type(comp.cols) is tuple
+        assert comp == LinearOp.identity(m) + analysis.zigzag
 
 
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -199,6 +200,32 @@ def test_bulk_gem_reader_matches_the_line_loop():
     # The bulk pass takes write_gem's layout of every map in lenient mode,
     # and in strict mode when the map is connected.
     assert taken[True] >= 600 and taken[False] >= taken[True] + 40
+
+
+def test_parsed_maps_equal_the_checking_constructors_maps(monkeypatch):
+    """Every map that parse_gem, the bulk pass or the line loop returns in
+    the differential test above holds alpha as a tuple, and equals and
+    hashes as FlagMap(m, alpha) built by the checking constructor.  The
+    test runs again with the three readers wrapped to keep their maps."""
+    maps = []
+
+    def keeping(parse):
+        def parse_and_keep(text, strict):
+            map_ = parse(text, strict)
+            if map_ is not None:
+                maps.append(map_)
+            return map_
+        return parse_and_keep
+
+    module = sys.modules[__name__]
+    for name in ("parse_gem", "_parse_gem_bulk", "_parse_gem_lines"):
+        monkeypatch.setattr(module, name, keeping(getattr(module, name)))
+    test_bulk_gem_reader_matches_the_line_loop()
+    assert len(maps) >= 2000
+    for map_ in maps:
+        built = FlagMap(map_.m, map_.alpha)
+        assert type(map_.alpha) is tuple
+        assert map_ == built and hash(map_) == hash(built)
 
 
 # A 5000-digit number, past int()'s digit limit on Python 3.11+.

@@ -71,6 +71,14 @@ def test_loop_balance_values():
         loop_balance(sphere_loop_map(), 1)
 
 
+def test_loop_balance_names_an_edge_that_is_not_an_integer():
+    """0.0 is refused with the ValueError of MultiGraph, not a TypeError
+    from indexing the balances; False is edge 0."""
+    with pytest.raises(ValueError, match=r"^expected an integer, got 0\.0$"):
+        loop_balance(sphere_loop_map(), 0.0)
+    assert loop_balance(sphere_loop_map(), False) == "balanced"
+
+
 def reference_loop_balance(map_: FlagMap, edge: int) -> str:
     """The per-edge rule: trace the v-gons, compare the positions of
     flags 4e and 4e+2 on their gon."""

@@ -211,6 +211,16 @@ def test_column_rejects_indices_outside_the_universe():
         LinearOp.zero(0).column(0)
 
 
+def test_column_names_an_index_that_is_not_an_integer():
+    """0.5 is refused with a ValueError that names it, not a TypeError
+    from indexing the columns; True is column 1."""
+    op = LinearOp.from_columns(3, [0b011, 0b110, 0b101])
+    for bad in (0.5, "1"):
+        with pytest.raises(ValueError, match=f"^expected an integer, got {re.escape(repr(bad))}$"):
+            op.column(bad)
+    assert op.column(True) == op.column(1)
+
+
 def test_contains_rejects_ints_outside_the_universe():
     s = Gf2Subspace.span(4, [0b0011, 0b1100])
     assert s.contains(0b1111) and not s.contains(0b0001)

@@ -41,6 +41,16 @@ def test_bond_of_triangle_corner():
         bond_of(TRIANGLE, {3})
 
 
+@pytest.mark.parametrize("vertex", [1.5, "a"])
+def test_bond_of_names_a_vertex_that_is_not_an_integer(vertex):
+    """A float is not taken as a vertex outside every edge, which gave the
+    empty cut, and a string does not raise a bare TypeError; bools are 0
+    and 1."""
+    with pytest.raises(ValueError, match=f"^expected an integer, got {vertex!r}$"):
+        bond_of(TRIANGLE, {vertex})
+    assert bond_of(TRIANGLE, {True}) == bond_of(TRIANGLE, {1})
+
+
 def test_loops_never_in_bonds():
     g = MultiGraph(2, ((0, 1), (0, 0)))
     assert bond_of(g, {0}).edges() == (0,)

@@ -16,6 +16,7 @@ from mapcalc import (
     c_operator,
     cozigzag_word,
     dual,
+    enumerate_maps,
     from_signed_word,
     gon_word,
     interlacement,
@@ -29,9 +30,9 @@ from mapcalc import (
     zigzag_map_from_word,
     zigzag_word,
 )
-from mapcalc.gem import _as_int
+from mapcalc.gem import PARTNER, _as_int, gon_labels
 from mapcalc.gf2 import Gf2Subspace
-from mapcalc.words import _kernel_vectors, _word_columns
+from mapcalc.words import _kernel_vectors, _single_gon_word, _word_columns
 
 
 def word(*tokens: int) -> SignedWord:
@@ -195,6 +196,17 @@ def test_occurrences_and_direction():
             w.occurrences(x)
 
 
+@pytest.mark.parametrize("read", [SignedWord.occurrences, kappa, interlacement])
+def test_edge_arguments_name_a_value_that_is_not_an_integer(read):
+    """An edge id of 0.5 is refused with the ValueError of the word's own
+    constructor, not a TypeError from indexing the occurrence lists; True
+    is edge 1."""
+    w = word(1, 2, -1, 2)
+    with pytest.raises(ValueError, match=r"^expected an integer, got 0\.5$"):
+        read(w, 0.5)
+    assert read(w, True) == read(w, 1)
+
+
 def test_occurrences_match_a_scan_of_the_word():
     rng = random.Random(43)
     for m in range(12):
@@ -298,6 +310,61 @@ def test_gon_word_matches_the_permuted_vertex_word():
             assert gon_word(map_, kind) == want
             applicable[kind] += 1
     assert all(200 < n < 1500 for n in applicable.values()), applicable
+
+
+RELABEL = {"v": lambda map_: map_, "f": dual, "z": phial}
+
+
+def trace_order(map_, kind):
+    """The gon_labels order of the map's single gon of `kind`, or None."""
+    count, _, order = gon_labels(map_.alpha, PARTNER[kind])
+    return order if count == 1 else None
+
+
+def check_trace_word(map_, kind) -> None:
+    """The one-pass word of the map's single gon of `kind` equals the word
+    the checking constructor builds from the reference entries, in its
+    entries and in both occurrence lists."""
+    got = _single_gon_word(map_.m, trace_order(map_, kind), kind)
+    want = reference_vertex_word(RELABEL[kind](map_))
+    assert type(got.entries) is tuple and all(type(pair) is tuple for pair in got.entries)
+    assert (got.entries, got._first, got._second) == (want.entries, want._first, want._second)
+    assert got == SignedWord(map_.m, got.entries) == want
+
+
+def test_trace_word_matches_the_checking_constructor():
+    """On every map with m <= 3 and on seeded maps up to m = 350 with one
+    gon of each kind: one-vertex maps, their duals and their phials."""
+    checked = {kind: 0 for kind in "vfz"}
+    for m in (1, 2, 3):
+        for map_ in enumerate_maps(m):
+            for kind in "vfz":
+                if trace_order(map_, kind) is not None:
+                    check_trace_word(map_, kind)
+                    checked[kind] += 1
+    assert checked == {"v": 2 + 48 + 3840, "f": 2 + 48 + 3840, "z": 2 + 48 + 3840}
+    rng = random.Random(29)
+    for m in (4, 7, 31, 63, 64, 65, 128, 250, 301, 350):
+        one_vertex = from_signed_word(random_signed_word(rng, m))
+        for kind, map_ in (("v", one_vertex), ("f", dual(one_vertex)), ("z", phial(one_vertex))):
+            check_trace_word(map_, kind)
+
+
+@pytest.mark.parametrize("kind", ["v", "f", "z"])
+def test_trace_word_refuses_an_order_that_crosses_an_edge_other_than_twice(kind):
+    """A corrupted order stops the one pass with AssertionError: a crossing
+    of edge 0 copied over one of edge 1, so 0 is crossed three times and 1
+    once, and an order with one crossing of edge 1 dropped."""
+    rng = random.Random(31)
+    map_ = RELABEL[kind](from_signed_word(random_signed_word(rng, 40)))
+    order = trace_order(map_, kind)
+    i, j = (next(k for k in range(0, len(order), 2) if order[k] >> 2 == e) for e in (0, 1))
+    thrice = order[:j] + order[i:i + 2] + order[j + 2:]
+    with pytest.raises(AssertionError, match="^the gon crosses edge 0 more than twice$"):
+        _single_gon_word(map_.m, thrice, kind)
+    once = order[:j] + order[j + 2:]
+    with pytest.raises(AssertionError, match="^the gon crosses 79 rectangles, not 80$"):
+        _single_gon_word(map_.m, once, kind)
 
 
 def test_gon_word_names_the_gon_count():
