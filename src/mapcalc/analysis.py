@@ -37,9 +37,11 @@ perps, not six; a kernel that differs from its bond space pays its own.
 No operator is composed: c_P is read off the kept z-word, c_P~ is c_P
 with bit e of column e flipped, written in one pass with no identity
 operator and no sum, and c_P~ o c_D is read off the kept f-word by
-prefix images (words._word_columns).  The absorption checks build only
-the three bond spaces, verify_all adds the vertex and face cycle spaces
-on a single-zigzag map (no claim reads the zigzag graph's), and
+prefix images (words._word_columns).  All three are built by
+gem._prechecked, as their columns are in range by construction, and so
+are the induced graphs (gem._gon_graph).  The absorption checks build
+only the three bond spaces, verify_all adds the vertex and face cycle
+spaces on a single-zigzag map (no claim reads the zigzag graph's), and
 complete() builds everything.
 
 space_bundle and map_operators, the names the acceptance criteria use for
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .gem import PARTNER, FlagMap, _gon_graph, gon_labels
+from .gem import PARTNER, FlagMap, _gon_graph, _prechecked, gon_labels
 from .gf2 import Gf2Subspace, LinearOp, _apply_bits, _rref
 from .spaces import _checked_cycle_space, bond_space
 from .words import SignedWord, _kernel_vectors, _single_gon_word, _word_columns, c_operator
@@ -165,11 +167,13 @@ class MapAnalysis:
     @cached_property
     def zigzag_complement(self) -> LinearOp | None:
         """c_P~ = identity + c_P, or None without a single zigzag: column e
-        of c_P with bit e flipped."""
+        of c_P with bit e flipped.  Prechecked: flipping bit e < m keeps
+        each of c_P's m columns below 2^m."""
         zig = self.zigzag
         if zig is None:
             return None
-        return LinearOp(self.m, tuple(c ^ 1 << e for e, c in enumerate(zig.cols)))
+        cols = tuple(c ^ 1 << e for e, c in enumerate(zig.cols))
+        return _prechecked(LinearOp, m=self.m, cols=cols)
 
     @cached_property
     def face(self) -> LinearOp | None:
@@ -211,11 +215,12 @@ class MapAnalysis:
 
     @cached_property
     def face_product(self) -> LinearOp | None:
-        """c_P~ o c_D, or None unless the map has one face and one zigzag."""
+        """c_P~ o c_D, or None unless the map has one face and one zigzag.
+        Prechecked: m columns, each a XOR of c_P~'s columns."""
         comp, word = self.zigzag_complement, self._word("f")
         if comp is None or word is None:
             return None
-        return LinearOp(self.m, _word_columns(word, comp.cols))
+        return _prechecked(LinearOp, m=self.m, cols=_word_columns(word, comp.cols))
 
 
 # The acceptance criteria's names for a map's spaces and for its operators.

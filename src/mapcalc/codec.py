@@ -15,11 +15,12 @@ A .gem text in write_gem's own layout is read in bulk: one pattern match,
 one split, int() mapped over the flag tokens, and set and max checks that
 the 2m pairs cover the 4m flags once, so alpha is a fixed-point-free
 involution by construction and strict mode only tests connectivity, by
-one walk over the m rectangles; the FlagMap is built without re-running
-its constructor's checks, which those prove.  Every other text, and
-every text that fails a bulk check, goes through the line loop, which
-stays the reference reader: it is the one that names the first faulty
-line, so each error message and line number comes from it.
+one walk over the m rectangles; the FlagMap is built by gem._prechecked,
+without re-running its constructor's checks, which those prove.  Every
+other text, and every text that fails a bulk check, goes through the
+line loop, which stays the reference reader: it is the one that names
+the first faulty line, so each error message and line number comes from
+it.
 
 Reconstruction goes both ways: a signed word rebuilds the one-vertex map
 it narrates (and from that the single-zigzag map it encodes), and a signed
@@ -32,8 +33,8 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gem import FlagMap, MultiGraph, _rectangles_reached, phial, validate
-from .words import SignedWord, _prechecked
+from .gem import FlagMap, MultiGraph, _as_int, _prechecked, _rectangles_reached, phial, validate
+from .words import SignedWord
 
 
 class MapFormatError(ValueError):
@@ -255,7 +256,7 @@ class RotationSystem:
     twists: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "twists", frozenset(self.twists))
+        object.__setattr__(self, "twists", frozenset(map(_as_int, self.twists)))
         need = {(e, end) for e in range(self.graph.edge_count) for end in (0, 1)}
         got = [d for rot in self.rotations for d in rot]
         if len(self.rotations) != self.graph.n:

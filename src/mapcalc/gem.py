@@ -17,6 +17,16 @@ Role permutations (dual, phial, antimap and partial ones) relabel the
 flags inside each chosen rectangle so that the fixed partners take on the
 permuted roles: alpha is conjugated, and the v-, f- and z-gons of the
 result are the permuted gons of the input.
+
+One construction rule holds across the package.  _as_int is the only
+place a value becomes an int or is refused: every public constructor and
+function that takes a count, id or size passes it through _as_int, so a
+float or a string is a ValueError naming it, and a bool is 0 or 1.  The
+flag ids of a FlagMap are only checked to be ints, so that a bad one is
+named by its position.  Every public constructor checks all of its
+fields.  A builder whose fields are valid by construction builds its
+frozen dataclass through _prechecked instead, and states the one-line
+proof in its docstring.
 """
 
 from __future__ import annotations
@@ -24,10 +34,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from operator import index
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
+
+T = TypeVar("T")
 
 # The short (v), long (f) and diagonal (z) partner of flag x is x ^ PARTNER[kind].
 PARTNER = {"v": 1, "f": 3, "z": 2}
+
+
+def _partner(kind: str) -> int:
+    """PARTNER[kind], or ValueError naming the gon kinds."""
+    p = PARTNER.get(kind)
+    if p is None:
+        raise ValueError(f"gon kind must be 'v', 'f' or 'z', got {kind!r}")
+    return p
+
 
 DUAL_WORD = "lsd"
 PHIAL_WORD = "dls"
@@ -47,6 +68,24 @@ _PERMUTATION_OFFSETS = {
 }
 
 
+def _as_int(value: object) -> int:
+    """operator.index(value), an exact int: 1.7 or "1" is refused, not
+    truncated or parsed, and True is 1."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {value!r}") from None
+
+
+def _prechecked(cls: type[T], **fields: object) -> T:
+    """An instance of the frozen dataclass cls holding `fields` as given,
+    without running its __post_init__: for fields the caller has proved to
+    the standard of the public constructor (module docstring)."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class FlagMap:
     """A map: rectangle count and flag involution.
@@ -61,10 +100,12 @@ class FlagMap:
     alpha: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.m < 1:
+        m = _as_int(self.m)
+        if m < 1:
             raise ValueError("need at least one rectangle")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "alpha", tuple(self.alpha))
-        n = 4 * self.m
+        n = 4 * m
         if len(self.alpha) != n:
             raise ValueError(f"alpha must assign all {n} flags")
         for x, y in enumerate(self.alpha):
@@ -76,6 +117,7 @@ class FlagMap:
     @classmethod
     def from_pairs(cls, m: int, pairs: Iterable[tuple[int, int]]) -> FlagMap:
         """Build alpha from explicit flag pairs covering every flag once."""
+        m = _as_int(m)
         alpha = [-1] * (4 * m)
         for x, y in pairs:
             for z in (x, y):
@@ -181,7 +223,7 @@ class GonDecomposition:
 
 def gons(map_: FlagMap, kind: str) -> GonDecomposition:
     """Components of the flag graph restricted to kind-pairs and alpha."""
-    _, gon_of, order = gon_labels(map_.alpha, PARTNER[kind])
+    _, gon_of, order = gon_labels(map_.alpha, _partner(kind))
     seqs = tuple(tuple(seq) for _, seq in groupby(order, gon_of.__getitem__))
     return GonDecomposition(kind, seqs, tuple(gon_of))
 
@@ -250,7 +292,7 @@ def apply_permutation(
     h = _PERMUTATION_OFFSETS.get(perm)
     if h is None:
         raise ValueError(f"permutation word must rearrange 'sld', got {perm!r}")
-    chosen = range(map_.m) if rects is None else sorted(set(rects))
+    chosen = range(map_.m) if rects is None else sorted({_as_int(r) for r in rects})
     n = map_.flag_count
     phi = list(range(n))
     phi_inv = list(range(n))
@@ -279,14 +321,6 @@ def antimap(map_: FlagMap) -> FlagMap:
     return apply_permutation(map_, None, ANTIMAP_WORD)
 
 
-def _as_int(value: object) -> int:
-    """operator.index(value): 1.7 or "1" is refused, not truncated or parsed."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValueError(f"expected an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class MultiGraph:
     """Multigraph with loops allowed, edges indexed 0..len-1."""
@@ -295,22 +329,15 @@ class MultiGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        n = self.n
+        n = _as_int(self.n)
         if n < 1:
             raise ValueError("need at least one vertex")
-        for edge in self.edges:
-            u, v = edge
-            if type(u) is not int or type(v) is not int or type(edge) is not tuple:
-                break
+        edges = tuple((_as_int(u), _as_int(v)) for u, v in self.edges)
+        for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint out of range: ({u}, {v})")
-        else:
-            if type(self.edges) is tuple:
-                return
-        # Any other spelling (a list, bools, int-like values) is made a tuple
-        # of int pairs once and checked again.
-        object.__setattr__(self, "edges", tuple((_as_int(u), _as_int(v)) for u, v in self.edges))
-        self.__post_init__()
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
@@ -375,20 +402,21 @@ def induced_graph(map_: FlagMap, kind: str) -> MultiGraph:
     embedded graph itself, kind f the one induced by faces, kind z the one
     induced by zigzags.
     """
-    p = PARTNER[kind]
+    p = _partner(kind)
     count, gon_of, _ = gon_labels(map_.alpha, p)
     return _gon_graph(count, gon_of, p)
 
 
 def _gon_graph(count: int, gon_of: Sequence[int], partner: int) -> MultiGraph:
-    """induced_graph read off the count and gon_of of one gon_labels trace."""
+    """induced_graph read off the count and gon_of of one gon_labels trace.
+    Prechecked: gon ids are ints below the count."""
     # Offsets 0 and b lie on the rectangle's two different kind-pairs.
     b = 2 if partner == 1 else 1
     edges = []
     for x in range(0, len(gon_of), 4):
         u, v = gon_of[x], gon_of[x + b]
         edges.append((u, v) if u <= v else (v, u))
-    return MultiGraph(count, tuple(edges))
+    return _prechecked(MultiGraph, n=count, edges=tuple(edges))
 
 
 def euler_connectivity(map_: FlagMap) -> tuple[int, int]:

@@ -38,6 +38,8 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator
 
+from .gem import _as_int
+
 # The flag byte of each binary digit, for `_set_bits`.
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
@@ -141,18 +143,12 @@ def _set_bits(x: int) -> Iterator[int]:
     return compress(range(len(flags)), flags)
 
 
-def _not_an_integer(value: object) -> ValueError:
-    """The error for a value that is not an int, such as one that made an
-    int comparison or shift raise TypeError."""
-    return ValueError(f"expected an integer, got {value!r}")
-
-
-def _check_universe(m: object) -> None:
-    """Refuse a universe size that is not a nonnegative int."""
-    if not isinstance(m, int):
-        raise _not_an_integer(m)
+def _universe(m: object) -> int:
+    """m as an int (gem._as_int), refused when negative."""
+    m = _as_int(m)
     if m < 0:
         raise ValueError("universe size must be nonnegative")
+    return m
 
 
 def _apply_bits(cols: tuple[int, ...], x: int) -> int:
@@ -171,24 +167,21 @@ class Gf2Vec:
     bits: int = 0
 
     def __post_init__(self) -> None:
-        _check_universe(self.m)
-        try:
-            if self.bits < 0 or self.bits >> self.m:
-                raise ValueError("vector has bits outside the universe")
-        except TypeError:
-            raise _not_an_integer(self.bits) from None
+        m, bits = _universe(self.m), _as_int(self.bits)
+        if bits < 0 or bits >> m:
+            raise ValueError("vector has bits outside the universe")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_edges(cls, m: int, edges: Iterable[int]) -> Gf2Vec:
-        _check_universe(m)
+        m = _universe(m)
         bits = 0
         for e in edges:
-            try:
-                if not 0 <= e < m:
-                    raise ValueError(f"edge {e} out of range for universe {m}")
-                bits |= 1 << e
-            except TypeError:
-                raise _not_an_integer(e) from None
+            e = _as_int(e)
+            if not 0 <= e < m:
+                raise ValueError(f"edge {e} out of range for universe {m}")
+            bits |= 1 << e
         return cls(m, bits)
 
     def edges(self) -> tuple[int, ...]:
@@ -224,7 +217,7 @@ class Gf2Subspace:
 
     @classmethod
     def span(cls, m: int, vectors: Iterable[Gf2Vec | int]) -> Gf2Subspace:
-        _check_universe(m)
+        m = _universe(m)
         bits = []
         for v in vectors:
             if isinstance(v, Gf2Vec):
@@ -232,22 +225,19 @@ class Gf2Subspace:
                     raise ValueError("universe mismatch")
                 bits.append(v.bits)
             else:
-                try:
-                    if v < 0 or v >> m:
-                        raise ValueError("vector has bits outside the universe")
-                except TypeError:
-                    raise _not_an_integer(v) from None
+                v = _as_int(v)
+                if v < 0 or v >> m:
+                    raise ValueError("vector has bits outside the universe")
                 bits.append(v)
         return cls(m, _rref(bits))
 
     @classmethod
     def zero(cls, m: int) -> Gf2Subspace:
-        _check_universe(m)
-        return cls(m, ())
+        return cls(_universe(m), ())
 
     @classmethod
     def full(cls, m: int) -> Gf2Subspace:
-        _check_universe(m)
+        m = _universe(m)
         return cls(m, tuple(1 << i for i in range(m)))
 
     @property
@@ -341,17 +331,14 @@ class LinearOp:
     cols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_universe(self.m)
-        if type(self.cols) is not tuple:
-            object.__setattr__(self, "cols", tuple(self.cols))
-        if len(self.cols) != self.m:
+        m, cols = _universe(self.m), tuple(map(_as_int, self.cols))
+        if len(cols) != m:
             raise ValueError("operator must have one column per edge")
-        try:
-            for c in self.cols:
-                if c < 0 or c >> self.m:
-                    raise ValueError("column has bits outside the universe")
-        except TypeError:
-            raise _not_an_integer(c) from None
+        for c in cols:
+            if c < 0 or c >> m:
+                raise ValueError("column has bits outside the universe")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "cols", cols)
 
     @classmethod
     def from_columns(cls, m: int, cols: Iterable[Gf2Vec | int]) -> LinearOp:
@@ -367,21 +354,19 @@ class LinearOp:
 
     @classmethod
     def identity(cls, m: int) -> LinearOp:
-        _check_universe(m)
+        m = _universe(m)
         return cls(m, tuple(1 << i for i in range(m)))
 
     @classmethod
     def zero(cls, m: int) -> LinearOp:
-        _check_universe(m)
+        m = _universe(m)
         return cls(m, (0,) * m)
 
     def column(self, x: int) -> Gf2Vec:
-        try:
-            if not 0 <= x < self.m:
-                raise ValueError(f"column {x} out of range for universe {self.m}")
-            return Gf2Vec(self.m, self.cols[x])
-        except TypeError:
-            raise _not_an_integer(x) from None
+        x = _as_int(x)
+        if not 0 <= x < self.m:
+            raise ValueError(f"column {x} out of range for universe {self.m}")
+        return Gf2Vec(self.m, self.cols[x])
 
     def apply(self, v: Gf2Vec) -> Gf2Vec:
         if v.m != self.m:

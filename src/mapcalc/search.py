@@ -54,7 +54,7 @@ from math import factorial, inf, prod
 from typing import Iterator, Sequence
 
 from .codec import RotationSystem, _link, _rotation_alpha, _toggle_twist, embedding_to_map
-from .gem import PARTNER, FlagMap, MultiGraph, _rectangles_reached, gon_count
+from .gem import PARTNER, FlagMap, MultiGraph, _as_int, _prechecked, _rectangles_reached, gon_count
 
 EXHAUSTIVE_LIMIT = 10**6
 _RESTART_STALL = 200
@@ -69,6 +69,7 @@ def enumerate_maps(m: int) -> Iterator[FlagMap]:
     FlagMap(m, alpha) when one walk over its rectangles reaches all m
     (gem._rectangles_reached, the connectivity check of validate).
     """
+    m = _as_int(m)
     if m < 1:
         raise ValueError("need at least one rectangle")
     n = 4 * m
@@ -100,13 +101,14 @@ def subdivide_graph(g: MultiGraph, counts: tuple[int, ...]) -> MultiGraph:
 
     Edge e keeps its id for the segment at its first endpoint; the other
     segments get fresh ids in order of processing, so the id mapping is
-    deterministic.
+    deterministic.  Prechecked: g's ends and each new vertex are ints
+    below the new vertex count.
     """
     if len(counts) != g.edge_count:
         raise ValueError("need one subdivision count per edge")
     n = g.n
     edges = list(g.edges)
-    for e, k in enumerate(counts):
+    for e, k in enumerate(map(_as_int, counts)):
         if k < 0:
             raise ValueError("subdivision counts must be nonnegative")
         if k == 0:
@@ -116,7 +118,7 @@ def subdivide_graph(g: MultiGraph, counts: tuple[int, ...]) -> MultiGraph:
         n += k
         edges[e] = (chain[0], chain[1])
         edges.extend((chain[i], chain[i + 1]) for i in range(1, k + 1))
-    return MultiGraph(n, tuple(edges))
+    return _prechecked(MultiGraph, n=n, edges=tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -133,11 +135,17 @@ class SearchBudget:
     time_limit: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_candidates < 0:
-            raise ValueError("max_candidates must be nonnegative")
-        if self.max_subdivisions < 0:
-            raise ValueError("max_subdivisions must be nonnegative")
-        if self.time_limit is not None and not 0 < self.time_limit < inf:
+        for name in ("max_candidates", "max_subdivisions"):
+            value = getattr(self, name)
+            try:
+                value = _as_int(value)
+            except ValueError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative")
+            object.__setattr__(self, name, value)
+        t = self.time_limit
+        if t is not None and not (isinstance(t, (int, float)) and 0 < t < inf):
             raise ValueError("time_limit must be positive and finite")
 
 

@@ -18,7 +18,7 @@ the edge universe; analysis.MapAnalysis builds each on its first read.
 from __future__ import annotations
 
 from .gem import MultiGraph, _as_int
-from .gf2 import Gf2Subspace, Gf2Vec
+from .gf2 import Gf2Subspace, Gf2Vec, _rref
 
 
 def bond_of(g: MultiGraph, vertices: set[int] | frozenset[int]) -> Gf2Vec:
@@ -40,13 +40,14 @@ def bond_space(g: MultiGraph) -> Gf2Subspace:
     The cuts come from one pass over the edges; a loop toggles its bit at
     the same vertex twice, so it is in no cut.  The cuts of a graph with k
     components span n - k dimensions, so the span itself tells whether g
-    is connected.
+    is connected.  The subspace is built unchecked from the RREF of the
+    stars, which are XORs of bits below the edge count.
     """
     stars = [0] * g.n
     for e, (u, v) in enumerate(g.edges):
         stars[u] ^= 1 << e
         stars[v] ^= 1 << e
-    space = Gf2Subspace.span(g.edge_count, stars)
+    space = Gf2Subspace(g.edge_count, _rref(stars))
     if space.dim != g.n - 1:
         raise ValueError("bond and cycle spaces need a connected graph")
     return space

@@ -10,7 +10,8 @@ the f-gon the face word (the dual's), so neither the phial nor the dual
 is built.  Such a trace-built word is made in one pass over the trace
 (`_single_gon_word`), which writes its entries and the positions of each
 edge's two occurrences and checks that every edge is crossed exactly
-twice; the word is then built without the constructor's second walk.
+twice; the word is then built by gem._prechecked, without the
+constructor's second walk.
 The interlacement and same-direction indicators of such a word combine
 into a symmetric GF(2) operator on the edge universe; which of a map's
 operators exist, and the operators themselves, are kept by
@@ -49,22 +50,11 @@ derivation above is plain linear algebra and assumes no theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from typing import Sequence
 
-from .gem import PARTNER, FlagMap, _as_int, _left_flags, antimap, gon_count, gon_labels, phial
+from .gem import (PARTNER, FlagMap, _as_int, _left_flags, _partner, _prechecked, antimap,
+                  gon_count, gon_labels, phial)
 from .gf2 import Gf2Vec, LinearOp
-
-T = TypeVar("T")
-
-
-def _prechecked(cls: type[T], **fields: object) -> T:
-    """An instance of the frozen dataclass cls holding `fields` as given,
-    without running its __post_init__: for fields the caller has already
-    checked to the same standard (the one-pass word of a gon trace, and
-    codec's bulk .gem reader).  Every public constructor still checks."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 class NotApplicableError(ValueError):
@@ -79,7 +69,9 @@ class SignedWord:
     edge occurs exactly twice and its first stored occurrence is positive.
     The positions of each edge's two occurrences are found once, when the
     word is built, and kept in two flat lists.  The constructor checks a
-    tuple of exact-int pairs as it is and converts anything else first.
+    tuple of exact-int pairs as it is and converts anything else first;
+    the fork stays because long words are built through this constructor,
+    and checking them in place costs less than converting them first.
     A word read off a gon trace is built by _single_gon_word, whose one
     pass checks it and finds the positions, so it skips this check.
     """
@@ -88,6 +80,7 @@ class SignedWord:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _as_int(self.m))
         try:
             self._index()
         except ValueError:
@@ -176,7 +169,7 @@ def gon_word(map_: FlagMap, kind: str) -> SignedWord:
     """Signed word of the map's single gon of `kind`.  A gon that meets
     every edge twice holds all 4m flags, so the word exists exactly when
     the map has one gon of that kind."""
-    count, _, order = gon_labels(map_.alpha, PARTNER[kind])
+    count, _, order = gon_labels(map_.alpha, _partner(kind))
     if count != 1:
         raise NotApplicableError(_SINGLE_GON[kind].format(count))
     return _single_gon_word(map_.m, order, kind)
@@ -240,8 +233,9 @@ def kappa(w: SignedWord, x: int) -> Gf2Vec:
 
 
 def c_operator(w: SignedWord) -> LinearOp:
-    """Column x is kappa(w, x) + interlacement(w, x), extended linearly."""
-    return LinearOp(w.m, _word_columns(w, [1 << e for e in range(w.m)]))
+    """Column x is kappa(w, x) + interlacement(w, x), extended linearly.
+    Prechecked: m columns, each a XOR of singletons of edges below m."""
+    return _prechecked(LinearOp, m=w.m, cols=_word_columns(w, [1 << e for e in range(w.m)]))
 
 
 def _word_columns(w: SignedWord, images: Sequence[int]) -> tuple[int, ...]:

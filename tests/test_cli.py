@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,9 +18,14 @@ import pytest
 from conftest import K4_ROT, K33_TOKENS, count_calls
 import mapcalc
 from mapcalc import (
+    Gf2Subspace,
+    MapAnalysis,
+    TheoremReport,
+    check_absorption,
     enumerate_maps,
     gon_counts,
     parse_gem,
+    recheck_counterexample,
     single_edge_map,
     sphere_loop_map,
     write_gem,
@@ -27,7 +36,8 @@ from mapcalc.cli import build_parser, run
 from mapcalc.codec import parse_word
 from mapcalc.theorems import GROUPS, THEOREM_IDS
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 TWO_SPHERES = "gem 2\na 1 2\na 3 0\na 5 6\na 7 4\n"
 
 
@@ -466,3 +476,102 @@ def test_run_builds_its_parser_once(monkeypatch, capsys):
     assert run(["frobnicate"]) == 2
     assert run(["enumerate", "--size", "1"]) == 0
     assert len(built) == 1
+
+
+def zero_space(analysis):
+    return Gf2Subspace.zero(analysis.m)
+
+
+def test_verify_reports_a_violated_claim(files, capsys, monkeypatch):
+    """With Cv read as the zero space, claim 2a fails on the K33 map: the
+    text names the 1-based witness, the JSON report holds it, the exit code
+    is 1, and recheck_counterexample confirms the printed witness."""
+    monkeypatch.setattr(MapAnalysis, "vertex_cycles", property(zero_space))
+    code, out, _ = run_cli(capsys, "verify", files["k33"], "--theorem", "2")
+    assert code == 1
+    assert out.splitlines() == [
+        "theorem 2a: VIOLATED (counterexample: {1,5,6,8})",
+        "theorem 2b: holds (ker=5, target=5)",
+        "theorem 2c: holds (im=6, target=6)",
+        "theorem 2d: holds (ker=3, target=3)",
+    ]
+    code, out, _ = run_cli(capsys, "verify", files["k33"], "--json")
+    assert code == 1
+    reports = json.loads(out)
+    assert [r["theorem"] for r in reports if not r["holds"]] == ["2a"]
+    assert reports[3] == {"theorem": "2a", "applicable": True, "holds": False,
+                          "dims": {"im": 4, "target": 0}, "counterexample": [1, 5, 6, 8]}
+    map_ = parse_gem(files["k33"].read_text())
+    for witness, confirmed in (((0, 4, 5, 7), True), ((), False)):
+        report = TheoremReport("2a", True, False, counterexample=witness)
+        assert recheck_counterexample(map_, report) is confirmed
+
+
+VIOLATED_M2 = [
+    "gem 2\na 0 4\na 1 5\na 2 6\na 3 7\n",
+    "gem 2\na 0 5\na 1 4\na 2 7\na 3 6\n",
+    "gem 2\na 0 6\na 1 7\na 2 4\na 3 5\n",
+    "gem 2\na 0 7\na 1 6\na 2 5\na 3 4\n",
+]
+
+
+def test_enumerate_reports_absorption_violations(capsys, monkeypatch):
+    """With Bz read as the zero space, claim 1a fails on the four m = 2 maps
+    whose vertex and face bond spaces meet: each is printed as its .gem
+    text, the summary counts them, --stats reports them and the exit code
+    is 1; each printed map's failed claims recheck."""
+    monkeypatch.setattr(MapAnalysis, "zigzag_bonds", property(zero_space))
+    code, out, err = run_cli(capsys, "enumerate", "--size", "2", "--verify-absorption", "--stats")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:4] == [f"absorption VIOLATED: {text!r}" for text in VIOLATED_M2]
+    assert lines[4] == "m=2: 96 connected maps"
+    assert lines[-1] == "absorption: VIOLATED on 4 of 96 maps"
+    assert json.loads(err)["absorption_failures"] == 4
+    for line in lines[:4]:
+        map_ = parse_gem(ast.literal_eval(line.partition(": ")[2]))
+        failed = [r for r in check_absorption(map_) if not r.holds]
+        assert [r.theorem for r in failed] == ["1a"]
+        assert recheck_counterexample(map_, failed[0])
+
+
+ENUMERATE_1 = """\
+m=1: 3 connected maps
+  profile v=1 f=1 z=2: 1
+  profile v=1 f=2 z=1: 1
+  profile v=2 f=1 z=1: 1
+"""
+
+
+def test_cli_entry_exits_with_the_code_of_run(monkeypatch, capsys):
+    for argv, code, out in ((["enumerate", "--size", "1"], 0, ENUMERATE_1),
+                            (["enumerate", "--size", "0"], 2, "")):
+        monkeypatch.setattr(sys, "argv", ["mapcalc", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.cli_entry()
+        assert exc.value.code == code
+        assert capsys.readouterr().out == out
+
+
+def test_python_m_mapcalc_runs_the_cli():
+    """`python -m mapcalc`, as demo 04 tells users to run it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-m", "mapcalc", "enumerate", "--size", "1"], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == (0, ENUMERATE_1, "")
+
+
+# tools/cli_digest.py's line for this tree.  A change to what any command
+# prints, writes or exits with changes it: edit it in the same diff, and
+# say why in CHANGES.md.
+CLI_DIGEST = "2125 runs sha256 85edc42f1b114ee0d08765c2e0e2f273c8ae88d92d3e934ea25253409c7acb33"
+
+
+def test_cli_digest_is_the_committed_one():
+    """The digest over about 2100 fixed command lines (tools/cli_digest.py)
+    is the committed one, on whichever Python runs the suite."""
+    result = subprocess.run([sys.executable, str(ROOT / "tools" / "cli_digest.py")],
+                            capture_output=True, text=True, timeout=600)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == CLI_DIGEST + "\n"

@@ -497,7 +497,6 @@ def test_multigraph_basics():
 
 def test_multigraph_edges_are_int_pairs_built_once():
     edges = ((0, 1), (1, 1))
-    assert MultiGraph(2, edges).edges is edges
     for spelling in ([[0, 1], (1, 1)], ((False, True), (1, True)), [(0, 1), [1, 1]]):
         g = MultiGraph(2, spelling)
         assert g.edges == edges and type(g.edges) is tuple
