@@ -16,24 +16,21 @@ Nothing is cached elsewhere, apart from the kernel and image an operator
 keeps (see gf2.LinearOp): an analysis and all it holds go away with the
 last reference to it.
 
-No kernel is eliminated.  ker c_P^T and ker c_P~^T are walked off the
-kept zigzag word in O(m) (words._kernel_vectors), and each is checked
-against its operator: c_P must map every vector of the first to zero,
-and c_P~ every vector of the second.  That check proves them ker c_P
-and ker c_P~: a walked K = ker c^T that c maps to zero lies in ker c,
-and as rank c = rank c^T the two have the same dimension, so K = ker c.
-Every image is the perp of a kernel, which holds for any matrix, as
-Im c = (ker c^T)^perp.  ker c_P~ o c_P is the sum of the two kernels by
-the Bezout split: as I = c_P + c_P~, each x in it is c_P x + c_P~ x,
-with c_P x in ker c_P~ and c_P~ x in ker c_P; the same split of the
-transposes makes Im c_P~ o c_P the perp of that sum.
+No kernel is built: zigzag_kernels certifies ker c_P = Bv in O(m) and
+returns vertex_bonds itself.  Stars: column e of c_P is XORed into both
+ends of edge e of the vertex graph, and each vertex's sum, the image of
+its star, must be zero, so Bv lies in ker c_P.  Count: the link walk of
+the zigzag word (words._link_cycles) must close v cycles, so
+dim ker c_P = v - 1 = dim Bv.  ker c_P~ = Bf is certified the same way
+on the face graph.  ker c_P~ o c_P is Bv + Bf by the Bezout split: as
+I = c_P + c_P~, each x in it is c_P x + c_P~ x, with c_P x in ker c_P~
+and c_P~ x in ker c_P.  c_P and c_P~ are symmetric and commute, so each
+image is the perp of its kernel (Im c = (ker c^T)^perp).  So 2b, 2d and
+3c compare certified objects, and the images are the very objects Cv,
+Cf and (Bv + Bf)^perp, 3b's target.  The analysis takes one perp per
+distinct subspace, kept by its canonical rows, and every perp goes
+through that store, so a map pays two or three perps, not six.
 
-The analysis takes one perp per distinct subspace, kept by its canonical
-rows, and every perp goes through that store: the images, the cycle
-spaces and 3b's target (Bv + Bf)^perp.  Where 2b, 2d and 3c hold, the
-kernels are Bv, Bf and Bv + Bf, so Im c_P, Im c_P~ and Im c_P~ o c_P
-are the very objects Cv, Cf and that target, and a map pays two or three
-perps, not six; a kernel that differs from its bond space pays its own.
 No operator is composed: c_P is read off the kept z-word, c_P~ is c_P
 with bit e of column e flipped, written in one pass with no identity
 operator and no sum, and c_P~ o c_D is read off the kept f-word by
@@ -53,9 +50,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from .gem import PARTNER, FlagMap, _gon_graph, _prechecked, gon_labels
-from .gf2 import Gf2Subspace, LinearOp, _apply_bits, _rref
+from .gf2 import Gf2Subspace, LinearOp
 from .spaces import _checked_cycle_space, bond_space
-from .words import SignedWord, _kernel_vectors, _single_gon_word, _word_columns, c_operator
+from .words import SignedWord, _link_cycles, _single_gon_word, _word_columns, c_operator
 
 
 class MapAnalysis:
@@ -184,22 +181,27 @@ class MapAnalysis:
     @cached_property
     def zigzag_kernels(self) -> tuple[Gf2Subspace, Gf2Subspace, Gf2Subspace] | None:
         """(ker c_P, ker c_P~, ker c_P~ o c_P), or None without a single
-        zigzag.  The first two are walked off the zigzag word as the null
-        spaces of the transposes and checked against their operators
-        (module docstring): AssertionError if an operator does not map
-        every walked vector to zero."""
+        zigzag: the objects vertex_bonds, face_bonds and vertex_face_bonds,
+        once the certificate of the module docstring holds.  AssertionError,
+        naming the operator, if its link walk does not close one cycle per
+        gon or it does not map the star of a gon to zero."""
         zig = self.zigzag
         if zig is None:
             return None
         word = self._word("z")
-        kernels = []
-        for name, op, complement in (("c_P", zig, False), ("c_P~", self.zigzag_complement, True)):
-            vectors = _kernel_vectors(word, complement)
-            if any(_apply_bits(op.cols, x) for x in vectors):
-                raise AssertionError(f"{name} does not map its word kernel to zero")
-            kernels.append(Gf2Subspace(self.m, _rref(vectors)))
-        kernel, co_kernel = kernels
-        return kernel, co_kernel, kernel.sum(co_kernel)
+        for name, op, complement, graph in (("c_P", zig, False, self.vertex_graph),
+                                            ("c_P~", self.zigzag_complement, True, self.face_graph)):
+            cycles = _link_cycles(word, complement)
+            if cycles != graph.n:
+                raise AssertionError(f"the {name} walk closes {cycles} link cycles, not {graph.n}")
+            stars = [0] * graph.n
+            for col, (u, v) in zip(op.cols, graph.edges):
+                stars[u] ^= col
+                stars[v] ^= col
+            for gon, image in enumerate(stars):
+                if image:
+                    raise AssertionError(f"{name} does not map the star of gon {gon} to zero")
+        return self.vertex_bonds, self.face_bonds, self.vertex_face_bonds
 
     @cached_property
     def zigzag_images(self) -> tuple[Gf2Subspace, Gf2Subspace] | None:

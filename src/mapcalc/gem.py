@@ -343,10 +343,6 @@ class MultiGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def is_loop(self, e: int) -> bool:
-        u, v = self.edges[e]
-        return u == v
-
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n
         for u, v in self.edges:
@@ -384,9 +380,6 @@ class MultiGraph:
                         tree.append(e)
                         queue.append(w)
         return tree, paths
-
-    def is_connected(self) -> bool:
-        return len(self.spanning_forest()[0]) == self.n - 1
 
     def is_bipartite(self) -> bool:
         """Every edge joins ends whose tree paths differ in an odd number of

@@ -23,9 +23,9 @@ binary digits (`_set_bits`) finds the complement rows that row's pivot
 goes into.
 
 The theorem checks run no `kernel`, `image`, `compose` (one column sum per
-inner column) or `transpose` (a loop over the columns' set bits): they walk
-the kernels of the word operators off the zigzag word
-(words._kernel_vectors), read every image as the perp of a kernel and build
+inner column) or `transpose` (a loop over the columns' set bits): they
+certify the kernels of the word operators as bond spaces
+(analysis.MapAnalysis), read every image as the perp of a kernel and build
 operator products from words.  Those four methods are their test oracles.
 Image and kernel come from separate eliminations, so rank + nullity = m is
 a real cross-check.
@@ -187,9 +187,6 @@ class Gf2Vec:
     def edges(self) -> tuple[int, ...]:
         return tuple(_set_bits(self.bits))
 
-    def __contains__(self, edge: int) -> bool:
-        return 0 <= edge < self.m and bool((self.bits >> edge) & 1)
-
     def __add__(self, other: Gf2Vec) -> Gf2Vec:
         """Symmetric difference."""
         if self.m != other.m:
@@ -256,7 +253,7 @@ class Gf2Subspace:
                 raise ValueError("universe mismatch")
             x = v.bits
         else:
-            x = v
+            x = _as_int(v)
         # Pivot columns are clear in all other rows, so x is a member iff
         # it equals the sum of the rows whose pivot bits it has.
         mask, index = self._pivot_index

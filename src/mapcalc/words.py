@@ -23,8 +23,8 @@ the word, so column x of X o c_W sums their images X{e} over the same
 run.  That is 3m big-int XORs, against m^2/8 table lookups for a general
 compose.
 
-The null spaces of c_W^T and of (I + c_W)^T come from one walk each over
-the word, with no elimination (`_kernel_vectors`).  For an edge e with
+The nullities of c_W and of I + c_W come from one walk each over the
+word, with no elimination (`_link_cycles`).  For an edge e with
 occurrences p1 < p2, column e of c_W sums the entries at positions
 [p1', p2), where p1' = p1 when the second occurrence is positive and
 p1 + 1 otherwise; I + c_W adds {e}, the entry at p1, which swaps p1' with
@@ -37,14 +37,15 @@ Conversely, an S that is equal on every link and 0 at position 0 is the
 parity sequence of exactly one y, with y_e = S_p1 + S_(p1+1): the two
 links make that S_p2 + S_(p2+1) too.  Every position lies on exactly two
 links, one of the edge at it and one of the edge before it, so the links
-form cycles, and dim ker c_W^T = cycles - 1.  Each cycle K other than the
-one through position 0 gives the basis vector of the edges e with exactly
-one of p1(e) and p1(e) + 1 in K.  The walk labels each position with
-its cycle, and one pass over the edges then writes every vector, so the
-walk itself does no big-int arithmetic.  This is the word form of the binary
-nullity theorem for circuit partitions (Cohn and Lempel, J. Combin.
-Theory Ser. A 13, 1972; Traldi, European J. Combin. 32, 2011), but the
-derivation above is plain linear algebra and assumes no theorem.
+form cycles, and dim ker c_W^T = cycles - 1, which is dim ker c_W, as
+rank c_W = rank c_W^T.  The walk counts the cycles and does no big-int
+arithmetic.  On a single-zigzag map's z-word the c_W walk closes one
+cycle per vertex and the I + c_W walk one per face, the certificate of
+analysis.MapAnalysis.zigzag_kernels, so the two counts are v and f with
+no gon walk.  This is the word form of the binary nullity theorem for
+circuit partitions (Cohn and Lempel, J. Combin. Theory Ser. A 13, 1972;
+Traldi, European J. Combin. 32, 2011), but the derivation above is plain
+linear algebra and assumes no theorem.
 """
 
 from __future__ import annotations
@@ -80,7 +81,10 @@ class SignedWord:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", _as_int(self.m))
+        m = _as_int(self.m)
+        if m < 0:
+            raise ValueError(f"edge count must be nonnegative, got {m}")
+        object.__setattr__(self, "m", m)
         try:
             self._index()
         except ValueError:
@@ -258,25 +262,19 @@ def _word_columns(w: SignedWord, images: Sequence[int]) -> tuple[int, ...]:
                  for p1, p2 in zip(w._first, w._second))
 
 
-def _kernel_vectors(w: SignedWord, complement: bool) -> list[int]:
-    """A basis of the null space of c_W^T, or of (I + c_W)^T when
-    `complement`, from one walk over the word (module docstring).
+def _link_cycles(w: SignedWord, complement: bool) -> int:
+    """The number of link cycles of c_W, or of I + c_W when `complement`:
+    dim ker c_W + 1 (module docstring), from one walk over the word.
 
     Position i has two link ends: end 2i on the link of the edge at i, and
     end 2i + 1 on the link of the edge at i - 1.  ends[x] is the end that x
     is linked to, so following ends from a position's one end to its other
-    walks a cycle.  The walk writes each cycle's number into label[i] for
-    every position i on it, with small ints only.  One pass over the edges
-    then sets bit e in the vectors of both cycles when label[p1(e)] and
-    label[p1(e) + 1] differ, which gives cycle K the edges with exactly one
-    of p1(e) and p1(e) + 1 in K.  The cycle through position 0, number 0,
-    is dropped.
+    walks a cycle.  The walk marks every position it passes.
     """
     m, entries = w.m, w.entries
     n = 2 * m
-    first = w._first
     ends = [0] * (2 * n)
-    for p1, p2 in zip(first, w._second):
+    for p1, p2 in zip(w._first, w._second):
         # The links {p2, p1'} and {p1'', p2 + 1}.  The end of p1 is 2 p1 and
         # that of p1 + 1 is 2 p1 + 3; p1' is p1 exactly when c_W takes in
         # kappa, and the complement takes the other one.
@@ -287,29 +285,22 @@ def _kernel_vectors(w: SignedWord, complement: bool) -> list[int]:
         a, b = 2 * p2, 2 * ((p2 + 1) % n) + 1
         ends[a], ends[near] = near, a
         ends[far], ends[b] = b, far
-    label = [None] * n
+    seen = [False] * n
     cycles = 0
     for start in range(n):
-        if label[start] is not None:
+        if seen[start]:
             continue
-        label[start] = cycles
+        seen[start] = True
         stop = 2 * start + 1
         x = ends[stop - 1]
         while x != stop:
             i = x >> 1
-            if label[i] is not None:  # only a fault in the link table leaves a cycle open
+            if seen[i]:  # only a fault in the link table leaves a cycle open
                 raise AssertionError(f"the links of position {i} do not close a cycle")
-            label[i] = cycles
+            seen[i] = True
             x = ends[x ^ 1]
         cycles += 1
-    vectors = [0] * cycles
-    for e, p1 in enumerate(first):
-        k, j = label[p1], label[p1 + 1]
-        if k != j:
-            bit = 1 << e
-            vectors[k] |= bit
-            vectors[j] |= bit
-    return vectors[1:]
+    return cycles
 
 
 def cozigzag_word(map_: FlagMap) -> SignedWord:

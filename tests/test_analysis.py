@@ -88,12 +88,12 @@ def test_verify_all_builds_each_artefact_once(monkeypatch, build, theorem4):
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])
 def test_verify_all_eliminates_nothing_and_composes_nothing(monkeypatch, build):
     """c_P~ o c_D is composed from the f-word by prefix images, and the
-    kernels of theorems 2 and 3 are walked off the z-word, once each, so
-    no operator's kernel is eliminated."""
+    kernels of theorems 2 and 3 are certified by one link walk of the
+    z-word each, so no operator's kernel is eliminated."""
     analysis = MapAnalysis(build())
     composes = count_method(monkeypatch, gf2.LinearOp, "compose")
     kernels = count_method(monkeypatch, gf2.LinearOp, "kernel")
-    walks = count_calls(monkeypatch, words, "_kernel_vectors", key=lambda w, complement: complement)
+    walks = count_calls(monkeypatch, words, "_link_cycles", key=lambda w, complement: complement)
     assert all(r.holds for r in verify_all(analysis))
     assert sum(composes.values()) == 0
     assert sum(kernels.values()) == 0
@@ -136,24 +136,54 @@ def test_zigzag_complement_is_identity_plus_c_p(m):
 
 
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])
-def test_images_need_a_symmetric_c_p(monkeypatch, build):
-    """The walk gives ker c^T for c = c_P and c_P~.  It is ker c, which
-    2b, 2d and 3c read, only because the two agree: the part of c's
-    symmetry the analysis needs.  The check that each operator maps its
-    walked kernel to zero proves that; a planted vector outside ker c_P,
-    or outside ker c_P~, stops the check."""
-    map_ = build()
-    original = words._kernel_vectors
-    for planted in (False, True):
-        def with_a_stray_vector(w, complement):
-            vectors = original(w, complement)
-            return vectors + [1] if complement == planted else vectors
+def test_zigzag_kernels_are_the_bond_spaces(monkeypatch, build):
+    """The certificate returns the bond-space objects themselves and
+    builds no subspace: no RREF, no sum and no operator kernel."""
+    analysis = MapAnalysis(build())
+    bonds = (analysis.vertex_bonds, analysis.face_bonds, analysis.vertex_face_bonds)
+    rrefs = count_calls(monkeypatch, gf2, "_rref")
+    sums = count_method(monkeypatch, gf2.Gf2Subspace, "sum")
+    kernels = count_method(monkeypatch, gf2.LinearOp, "kernel")
+    assert all(got is want for got, want in zip(analysis.zigzag_kernels, bonds, strict=True))
+    assert sum(rrefs.values()) == sum(sums.values()) == sum(kernels.values()) == 0
 
-        monkeypatch.setattr(analysis_module, "_kernel_vectors", with_a_stray_vector)
-        assert all(r.holds for r in check_absorption(map_))
-        name = "c_P~" if planted else "c_P"
-        with pytest.raises(AssertionError, match=f"^{re.escape(name)} does not map"):
-            verify_all(map_)
+
+@pytest.mark.parametrize("build", [k33_map, single_face_dual])
+@pytest.mark.parametrize("name", ["c_P", "c_P~"])
+def test_a_wrong_link_count_stops_the_certificate(monkeypatch, build, name):
+    """A link walk that closes one cycle too many for c_P, or for c_P~,
+    stops the certificate; the absorption checks, which read no kernel,
+    still hold."""
+    map_ = build()
+    original = words._link_cycles
+
+    def one_more(w, complement):
+        return original(w, complement) + (complement == (name == "c_P~"))
+
+    monkeypatch.setattr(analysis_module, "_link_cycles", one_more)
+    assert all(r.holds for r in check_absorption(map_))
+    with pytest.raises(AssertionError, match=f"^the {re.escape(name)} walk closes"):
+        verify_all(map_)
+
+
+@pytest.mark.parametrize("build, name", [(k33_map, "c_P"), (k33_map, "c_P~"),
+                                         (single_face_dual, "c_P")])
+def test_a_star_off_the_kernel_stops_the_certificate(build, name):
+    """One bit flipped in the column of an edge that is no loop of the
+    vertex graph (for c_P) or of the face graph (for c_P~) puts a star
+    outside the kernel, and the certificate names the operator.  On the
+    single-face dual every edge is a loop of the face graph, whose one
+    star is zero, so there the count alone certifies ker c_P~ = Bf = 0."""
+    analysis = MapAnalysis(build())
+    attr, graph = (("zigzag", analysis.vertex_graph) if name == "c_P"
+                   else ("zigzag_complement", analysis.face_graph))
+    op = getattr(analysis, attr)
+    e = next(e for e, (u, v) in enumerate(graph.edges) if u != v)
+    cols = list(op.cols)
+    cols[e] ^= 1
+    analysis.__dict__[attr] = LinearOp(op.m, tuple(cols))
+    with pytest.raises(AssertionError, match=f"^{re.escape(name)} does not map the star of gon"):
+        analysis.zigzag_kernels
 
 
 def test_checks_accept_a_map_or_its_analysis():

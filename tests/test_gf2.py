@@ -16,7 +16,7 @@ from mapcalc import Gf2Subspace, Gf2Vec, LinearOp, gf2
 def test_vec_basics():
     v = Gf2Vec.from_edges(5, [0, 3])
     assert v.edges() == (0, 3)
-    assert 0 in v and 3 in v and 1 not in v
+    assert [v.bits >> e & 1 for e in range(5)] == [1, 0, 0, 1, 0]
     assert v.bits == 0b1001
     assert Gf2Vec(5, 0).edges() == ()
 
@@ -230,6 +230,15 @@ def test_contains_rejects_ints_outside_the_universe():
     with pytest.raises(ValueError):
         s.contains(Gf2Vec(5, 0))
     assert Gf2Subspace.zero(0).contains(0)
+
+
+def test_contains_names_a_value_that_is_not_an_integer():
+    """1.5 is refused with a ValueError that names it, not a TypeError from
+    its bit arithmetic; True is the vector {0}."""
+    for bad in (1.5, "1"):
+        with pytest.raises(ValueError, match=f"^expected an integer, got {re.escape(repr(bad))}$"):
+            Gf2Subspace.zero(3).contains(bad)
+    assert Gf2Subspace.full(3).contains(True)
 
 
 @pytest.mark.parametrize("m", [0, 3, 63, 64, 100])

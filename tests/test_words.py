@@ -9,6 +9,7 @@ import pytest
 
 from conftest import k33_map, k33_word, random_connected_map, random_signed_word, reference_gons
 from mapcalc import (
+    FlagMap,
     LinearOp,
     NotApplicableError,
     SignedWord,
@@ -31,8 +32,7 @@ from mapcalc import (
     zigzag_word,
 )
 from mapcalc.gem import PARTNER, _as_int, gon_labels
-from mapcalc.gf2 import Gf2Subspace
-from mapcalc.words import _kernel_vectors, _single_gon_word, _word_columns
+from mapcalc.words import _link_cycles, _single_gon_word, _word_columns
 
 
 def word(*tokens: int) -> SignedWord:
@@ -103,6 +103,7 @@ def test_word_messages():
         (1, ((0, 1), (0, 1), (0, 1)), "word must have 2 entries"),
         (0, ((0, 1),), "word must have 0 entries"),
         (2, ((0, 1), (1, 1), (0, 1)), "word must have 4 entries"),
+        (-1, (), "edge count must be nonnegative, got -1"),
     )
     for m, entries, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -498,9 +499,18 @@ def normal_form_words(m: int):
             yield signed(ids, iter([(p >> i) & 1 or -1 for i in range(m)]))
 
 
-def link_cycles(w: SignedWord, complement: bool) -> int:
-    """Cycles of the links {p2, p1'} and {p1'', p2 + 1} over the 2m
-    positions, counted by union-find straight from their definition."""
+def partition(keys) -> set[frozenset[int]]:
+    """The indices of keys, grouped by equal key."""
+    groups: dict[object, set[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, set()).add(i)
+    return {frozenset(group) for group in groups.values()}
+
+
+def link_cycles(w: SignedWord, complement: bool) -> set[frozenset[int]]:
+    """The cycles of the links {p2, p1'} and {p1'', p2 + 1} as a partition
+    of the 2m positions, found by union-find straight from their
+    definition."""
     n = 2 * w.m
     parent = list(range(n))
 
@@ -514,32 +524,38 @@ def link_cycles(w: SignedWord, complement: bool) -> int:
         near, far = (p1, p1 + 1) if w.same_direction(e) != complement else (p1 + 1, p1)
         for x, y in ((p2, near), (far, (p2 + 1) % n)):
             parent[find(x)] = find(y)
-    return sum(parent[x] == x for x in range(n))
+    return partition(find(x) for x in range(n))
 
 
-def check_walked_kernels(w: SignedWord) -> None:
-    """Both walks against kernel() of c and of I + c: the same subspace,
-    a basis of it, and dim = cycles - 1."""
+def check_link_cycles(w: SignedWord) -> None:
+    """Both walks against the union-find count and against kernel() of c
+    and of I + c: cycles = dim + 1."""
     op = c_operator(w)
     for complement, target in ((False, op), (True, LinearOp.identity(w.m) + op)):
-        vectors = _kernel_vectors(w, complement)
-        kernel = target.kernel()
-        assert Gf2Subspace.span(w.m, vectors) == kernel
-        assert len(vectors) == kernel.dim == link_cycles(w, complement) - 1
+        cycles = _link_cycles(w, complement)
+        assert cycles == len(link_cycles(w, complement)) == target.kernel().dim + 1
 
 
-def test_walked_kernels_on_every_small_word():
-    """Every normal-form word with m <= 4: 2 + 12 + 120 + 1680 words."""
+def test_kernel_certificate_on_every_small_word():
+    """On the map of every normal-form word with m <= 4 (2 + 12 + 120 +
+    1680 words), zigzag_kernels equals kernel() of c_P, of c_P~ and of
+    their product, and c_P is symmetric, which the images read; both link
+    walks of the word count dim + 1."""
     counts = []
     for m in range(1, 5):
         words = list(normal_form_words(m))
         counts.append(len(words))
         for w in words:
-            check_walked_kernels(w)
+            check_link_cycles(w)
+            analysis = map_operators(zigzag_map_from_word(w))
+            zig, comp = analysis.zigzag, analysis.zigzag_complement
+            assert zig.transpose() is zig
+            assert analysis.zigzag_kernels == (zig.kernel(), comp.kernel(),
+                                               comp.compose(zig).kernel())
     assert counts == [2, 12, 120, 1680]
 
 
-def test_walked_kernels_on_random_and_large_words():
+def test_link_cycles_on_random_and_large_words():
     """Seeded random words up to m = 120, all-balanced and all-unbalanced
     ones, and two words past m = 250."""
     rng = random.Random(67)
@@ -551,7 +567,44 @@ def test_walked_kernels_on_random_and_large_words():
     cases.append(word(*range(1, 21), *range(-20, 0)))
     cases += [random_signed_word(rng, 256), random_signed_word(rng, 301)]
     for w in cases:
-        check_walked_kernels(w)
+        check_link_cycles(w)
+
+
+def relabeled_flags(map_, rng: random.Random):
+    """map_ with its rectangles shuffled and the flags of each rectangle
+    XORed by a random offset, which keeps every partner pair."""
+    perm = list(range(map_.m))
+    rng.shuffle(perm)
+    phi = [0] * map_.flag_count
+    for r in range(map_.m):
+        k = rng.randrange(4)
+        for o in range(4):
+            phi[4 * r + o] = 4 * perm[r] + (o ^ k)
+    alpha = [0] * map_.flag_count
+    for x, y in enumerate(map_.alpha):
+        alpha[phi[x]] = phi[y]
+    return FlagMap(map_.m, tuple(alpha))
+
+
+def test_link_cycles_are_the_gons():
+    """In the word of a single zigzag's trace, the link cycles of the c_P
+    walk group position i by the vertex of flag order[2i], and those of
+    the c_P~ walk by its face: on every single-zigzag map with m <= 3 and
+    on 800 seeded ones with m <= 60, half of them duals, each with its
+    flags relabeled."""
+    maps = [map_ for m in range(1, 4) for map_ in enumerate_maps(m)
+            if gon_labels(map_.alpha, PARTNER["z"])[0] == 1]
+    assert len(maps) == 3890
+    rng = random.Random(71)
+    for i in range(800):
+        map_ = zigzag_map_from_word(random_signed_word(rng, rng.randint(1, 60)))
+        maps.append(relabeled_flags(dual(map_) if i % 2 else map_, rng))
+    for map_ in maps:
+        _, _, order = gon_labels(map_.alpha, PARTNER["z"])
+        w = _single_gon_word(map_.m, order, "z")
+        for complement, kind in ((False, "v"), (True, "f")):
+            gon_of = gon_labels(map_.alpha, PARTNER[kind])[1]
+            assert link_cycles(w, complement) == partition(gon_of[x] for x in order[::2])
 
 
 def test_map_operators_on_sphere_loop():
