@@ -26,10 +26,12 @@ on the face graph.  ker c_P~ o c_P is Bv + Bf by the Bezout split: as
 I = c_P + c_P~, each x in it is c_P x + c_P~ x, with c_P x in ker c_P~
 and c_P~ x in ker c_P.  c_P and c_P~ are symmetric and commute, so each
 image is the perp of its kernel (Im c = (ker c^T)^perp).  So 2b, 2d and
-3c compare certified objects, and the images are the very objects Cv,
-Cf and (Bv + Bf)^perp, 3b's target.  The analysis takes one perp per
-distinct subspace, kept by its canonical rows, and every perp goes
-through that store, so a map pays two or three perps, not six.
+3c compare certified objects.  The cycle spaces Cv and Cf are built
+from spanning trees (spaces.cycle_space), not as perps, so 2a and 2c
+compare two constructions that share no code: a fault in either shows
+as a violated claim with a witness.  The images and (Bv + Bf)^perp,
+3b's target, go through one store of perps kept by canonical rows, so
+a map pays one perp per distinct space among Bv, Bf and Bv + Bf.
 
 No operator is composed: c_P is read off the kept z-word, c_P~ is c_P
 with bit e of column e flipped, written in one pass with no identity
@@ -51,18 +53,13 @@ from functools import cached_property
 
 from .gem import PARTNER, FlagMap, _gon_graph, _prechecked, gon_labels
 from .gf2 import Gf2Subspace, LinearOp
-from .spaces import _checked_cycle_space, bond_space
+from .spaces import bond_space, cycle_space
 from .words import SignedWord, _link_cycles, _single_gon_word, _word_columns, c_operator
 
 
 class MapAnalysis:
     """The graphs and gon counts of one map, and its lazily memoized
-    spaces and operators.
-
-    A cycle space is checked against the fundamental cycles of the
-    spanning tree its basis leaves (spaces._checked_cycle_space), so a
-    failed check raises AssertionError on its first read.
-    """
+    spaces and operators."""
 
     def __init__(self, map_: FlagMap) -> None:
         self.map = map_
@@ -109,7 +106,7 @@ class MapAnalysis:
 
     @cached_property
     def vertex_cycles(self) -> Gf2Subspace:
-        return _checked_cycle_space(self.vertex_graph, self._perp(self.vertex_bonds))
+        return cycle_space(self.vertex_graph)
 
     @cached_property
     def face_bonds(self) -> Gf2Subspace:
@@ -117,7 +114,7 @@ class MapAnalysis:
 
     @cached_property
     def face_cycles(self) -> Gf2Subspace:
-        return _checked_cycle_space(self.face_graph, self._perp(self.face_bonds))
+        return cycle_space(self.face_graph)
 
     @cached_property
     def zigzag_bonds(self) -> Gf2Subspace:
@@ -125,7 +122,7 @@ class MapAnalysis:
 
     @cached_property
     def zigzag_cycles(self) -> Gf2Subspace:
-        return _checked_cycle_space(self.zigzag_graph, self._perp(self.zigzag_bonds))
+        return cycle_space(self.zigzag_graph)
 
     @cached_property
     def vertex_face_bonds(self) -> Gf2Subspace:

@@ -263,6 +263,9 @@ class RotationSystem:
             raise ValueError("need one rotation per vertex")
         if len(got) != len(need) or set(got) != need:
             raise ValueError("rotations must cover every edge end exactly once")
+        # The set check takes the dart (0.0, 0) for (0, 0).
+        object.__setattr__(self, "rotations", tuple(
+            tuple((_as_int(e), _as_int(end)) for e, end in rot) for rot in self.rotations))
         for e in self.twists:
             if not 0 <= e < self.graph.edge_count:
                 raise ValueError(f"twisted edge {e} out of range")

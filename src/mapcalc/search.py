@@ -65,8 +65,8 @@ def enumerate_maps(m: int) -> Iterator[FlagMap]:
 
     One alpha list is filled in place: the lowest unpaired flag takes each
     unpaired partner in increasing order.  A complete pairing, a
-    fixed-point-free involution by construction, is yielded as
-    FlagMap(m, alpha) when one walk over its rectangles reaches all m
+    fixed-point-free involution by construction, is yielded as a
+    prechecked FlagMap when one walk over its rectangles reaches all m
     (gem._rectangles_reached, the connectivity check of validate).
     """
     m = _as_int(m)
@@ -87,7 +87,7 @@ def enumerate_maps(m: int) -> Iterator[FlagMap]:
                 x = y = alpha.index(-1, x + 1)
                 continue
             if _rectangles_reached(alpha) == m:
-                yield FlagMap(m, alpha)
+                yield _prechecked(FlagMap, m=m, alpha=tuple(alpha))
         elif not lows:
             return
         else:
@@ -209,7 +209,9 @@ _Winner = tuple[Sequence, int, tuple[int, ...]]  # g's rotations, twist mask, ed
 def _winner_map(g: MultiGraph, winner: _Winner) -> tuple[FlagMap, tuple[int, ...]]:
     """The winner's map on subdivide_graph(g, counts), and counts: dart
     (e, 1) moves to e's far segment, a new vertex joins e's two segments,
-    and the twist of e stays on its first segment, which keeps the id e."""
+    and the twist of e stays on its first segment, which keeps the id e.
+    Prechecked: the darts are those of _dart_lists, relabelled by far, and
+    the twists are edges of g."""
     rots, mask, subdivided = winner
     counts = tuple(int(e in subdivided) for e in range(g.edge_count))
     twists = frozenset(e for e in range(g.edge_count) if (mask >> e) & 1)
@@ -217,7 +219,8 @@ def _winner_map(g: MultiGraph, winner: _Winner) -> tuple[FlagMap, tuple[int, ...
         far = {e: fresh for fresh, e in enumerate(subdivided, g.edge_count)}
         rots = [tuple((far.get(e, e) if end else e, end) for e, end in rot) for rot in rots]
         rots += [((e, 1), (far[e], 0)) for e in subdivided]
-    rs = RotationSystem(subdivide_graph(g, counts), tuple(rots), twists)
+    rs = _prechecked(RotationSystem, graph=subdivide_graph(g, counts), rotations=tuple(rots),
+                     twists=twists)
     return embedding_to_map(rs), counts
 
 

@@ -3,16 +3,11 @@
 For a connected multigraph the bond space is spanned by the single-vertex
 edge cuts and the cycle space by the fundamental cycles of any spanning
 tree; the two are orthogonal complements of each other under the parity
-form.  The cycle space is built as the complement of the bond space and
-checked by one tuple equality: the edges that are not pivots of its basis
-must form a spanning tree, whose fundamental cycles, in edge order, must
-be the basis itself.  A correct complement passes, since its non-pivot
-edges are the bond space's top pivots, the greedy highest-id spanning
-tree, so each other edge is the lowest edge of its fundamental cycle
-(Kruskal's cycle property).  A space that passes is spanned by the
-fundamental cycles of a spanning tree, so it is the cycle space.  A map
-yields three graphs (from its v-, f- and z-gons) and so six subspaces of
-the edge universe; analysis.MapAnalysis builds each on its first read.
+form.  Each is built once, in canonical form, by its own route: the bond
+space as the RREF of the stars, the cycle space from the maximum-id
+spanning tree, with no elimination.  A map yields three graphs (from its
+v-, f- and z-gons) and so six subspaces of the edge universe;
+analysis.MapAnalysis builds each on its first read.
 """
 
 from __future__ import annotations
@@ -54,49 +49,37 @@ def bond_space(g: MultiGraph) -> Gf2Subspace:
 
 
 def cycle_space(g: MultiGraph) -> Gf2Subspace:
-    """Orthogonal complement of the bond space, cross-checked against the
-    fundamental cycles of a spanning tree; loops are their own cycles.
+    """Canonical basis of a connected g's cycle space: the fundamental
+    cycles of its maximum-id spanning tree, in increasing order of their
+    non-tree edges; a loop is its own cycle.
 
-    bond_space raises ValueError first when g is not connected.
-    """
-    return _checked_cycle_space(g, bond_space(g).perp())
-
-
-def _tree_cycles(g: MultiGraph, tree: int) -> tuple[int, ...] | None:
-    """Fundamental cycles of the spanning tree whose edges are the set bits
-    of `tree`, in the order of their non-tree edges; None unless those are
-    n - 1 edges that reach every vertex from vertex 0.
-
-    The walk reads only the tree's edges.
+    Kruskal keeps each edge, in descending id, that joins two union-find
+    components, until it has n - 1; fewer is a ValueError.  One walk of
+    the tree gives each vertex's path to the root.  Built unchecked: the
+    ends of a skipped edge e are already joined by kept edges of higher
+    id, so e is the lowest bit of its cycle and in no other cycle
+    (Kruskal's cycle property).  So the rows have strictly increasing
+    pivots, each clear in the other rows.
     """
     n, edges = g.n, g.edges
-    bits = format(tree, f"0{len(edges)}b")[::-1]  # bits[e] == "1": e is a tree edge
-    ids = [e for e, b in enumerate(bits) if b == "1"]
-    if len(ids) != n - 1:
-        return None
-    reached, paths = g.spanning_forest(ids)
-    if len(reached) != n - 1:
-        return None
-    return tuple(paths[u] ^ paths[v] ^ 1 << e
-                 for e, (u, v), b in zip(range(len(edges)), edges, bits) if b == "0")
+    parent = list(range(n))
 
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
 
-def _checked_cycle_space(g: MultiGraph, space: Gf2Subspace) -> Gf2Subspace:
-    """space, the perp of a connected g's bond space, once it is checked to
-    be the canonical basis of g's cycle space (see the module docstring).
-    The pivots are the lowest bits of the rows, ORed in one pass; the tree
-    is the edges outside them.
-
-    An AssertionError names an internal error: the edges that are not
-    pivots of space do not form a spanning tree, or the tree's fundamental
-    cycles are not space's basis.
-    """
-    pivots = 0
-    for r in space.rows:
-        pivots |= r & -r
-    cycles = _tree_cycles(g, ((1 << g.edge_count) - 1) & ~pivots)
-    if cycles is None:
-        raise AssertionError("cycle space pivots leave no spanning tree")
-    if cycles != space.rows:
-        raise AssertionError("cycle space disagrees with the fundamental cycles")
-    return space
+    tree = []
+    for e in range(len(edges) - 1, -1, -1):
+        if len(tree) == n - 1:  # every lower edge closes a cycle
+            break
+        u, v = map(root, edges[e])
+        if u != v:
+            parent[u] = v
+            tree.append(e)
+    if len(tree) != n - 1:
+        raise ValueError("bond and cycle spaces need a connected graph")
+    _, paths = g.spanning_forest(reversed(tree))
+    kept = set(tree)
+    return Gf2Subspace(len(edges), tuple(paths[u] ^ paths[v] ^ 1 << e
+                                         for e, (u, v) in enumerate(edges) if e not in kept))

@@ -216,7 +216,7 @@ def test_artefacts_are_kept_and_complete_builds_them(monkeypatch):
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])
 def test_absorption_builds_no_cycle_space(monkeypatch, build):
     map_ = build()
-    cycles = count_calls(monkeypatch, spaces, "_checked_cycle_space")
+    cycles = count_calls(monkeypatch, spaces, "cycle_space")
     perps = count_method(monkeypatch, gf2.Gf2Subspace, "perp")
     bonds = count_calls(monkeypatch, spaces, "bond_space")
     assert all(r.holds for r in check_absorption(map_))
@@ -228,16 +228,14 @@ def test_absorption_builds_no_cycle_space(monkeypatch, build):
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])
 def test_verify_all_builds_no_zigzag_cycle_space(monkeypatch, build):
     analysis = MapAnalysis(build())
-    cycles = count_calls(monkeypatch, spaces, "_checked_cycle_space",
-                         key=lambda g, bonds: g)
+    cycles = count_calls(monkeypatch, spaces, "cycle_space", key=lambda g: g)
     verify_all(analysis)
     assert cycles == {analysis.vertex_graph: 1, analysis.face_graph: 1}
 
 
 def test_complete_builds_all_six_spaces(monkeypatch):
     analysis = MapAnalysis(k33_map())
-    cycles = count_calls(monkeypatch, spaces, "_checked_cycle_space",
-                         key=lambda g, bonds: g)
+    cycles = count_calls(monkeypatch, spaces, "cycle_space", key=lambda g: g)
     bonds = count_calls(monkeypatch, spaces, "bond_space", key=lambda g: g)
     analysis.complete()
     graphs = (analysis.vertex_graph, analysis.face_graph, analysis.zigzag_graph)
@@ -248,9 +246,10 @@ def test_complete_builds_all_six_spaces(monkeypatch):
 
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])
 def test_a_kernel_off_its_bond_space_pays_both_perps(monkeypatch, build):
-    """When ker c_P is not Bv, Im c_P and Cv are perps of two different
-    spaces: both are taken, and 2a and 2b each report a witness that
-    recheck_counterexample confirms."""
+    """When ker c_P is not Bv, Im c_P is the perp of another space, and 2a
+    and 2b each report a witness that recheck_counterexample confirms.
+    Cv comes from its spanning tree, so Bv's perp is taken only as 3b's
+    target, when Bv + Bf = Bv."""
     analysis = MapAnalysis(build())
     ker, comp_ker, product_ker = analysis.zigzag_kernels
     bonds = analysis.vertex_bonds
@@ -259,7 +258,8 @@ def test_a_kernel_off_its_bond_space_pays_both_perps(monkeypatch, build):
     analysis.__dict__["zigzag_kernels"] = (off, comp_ker, product_ker)
     perps = count_method(monkeypatch, gf2.Gf2Subspace, "perp", key=lambda space: space.rows)
     reports = {r.theorem: r for r in verify_all(analysis)}
-    assert perps[off.rows] == perps[bonds.rows] == 1
+    assert perps[off.rows] == 1
+    assert perps[bonds.rows] == (analysis.vertex_face_bonds == bonds)
     assert max(perps.values()) == 1
     for theorem in ("2a", "2b"):
         report = reports[theorem]
@@ -269,20 +269,31 @@ def test_a_kernel_off_its_bond_space_pays_both_perps(monkeypatch, build):
     assert all(r.holds for tid, r in reports.items() if tid not in ("2a", "2b"))
 
 
+def assert_a_cross_check_fails(map_) -> None:
+    """The absorption checks hold, and 2a or 2c is violated, each with a
+    witness that recheck_counterexample confirms, so not all claims hold."""
+    assert all(r.holds for r in check_absorption(map_))
+    analysis = MapAnalysis(map_)
+    reports = {r.theorem: r for r in verify_all(analysis)}
+    caught = [reports[t] for t in ("2a", "2c") if not reports[t].holds]
+    assert caught
+    for report in caught:
+        assert report.applicable and report.counterexample is not None
+        assert recheck_counterexample(analysis, report)
+
+
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])
 def test_cross_check_guards_every_cycle_space_read(monkeypatch, build):
-    """A tree walk that misses one fundamental cycle stops the first read
-    of a cycle space."""
-    map_ = build()
-    original = spaces._tree_cycles
+    """A tree walk that misses one fundamental cycle leaves a cycle space
+    that the image, the perp of the certified kernel, does not equal."""
+    original = spaces.cycle_space
 
-    def one_short(g, tree):
-        return original(g, tree)[1:]
+    def one_short(g):
+        space = original(g)
+        return gf2.Gf2Subspace(space.m, space.rows[1:])
 
-    monkeypatch.setattr(spaces, "_tree_cycles", one_short)
-    assert all(r.holds for r in check_absorption(map_))
-    with pytest.raises(AssertionError, match="cycle space"):
-        verify_all(map_)
+    monkeypatch.setattr(analysis_module, "cycle_space", one_short)
+    assert_a_cross_check_fails(build())
 
 
 def row_xored_into_another(rows: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -304,9 +315,8 @@ def pivot_moved_onto_a_tree_edge(rows: tuple[int, ...]) -> tuple[int, ...] | Non
 @pytest.mark.parametrize("mutate", [row_xored_into_another, pivot_moved_onto_a_tree_edge])
 def test_cross_check_guards_a_perp_that_is_not_canonical(monkeypatch, build, mutate):
     """A perp whose basis spans the right space but is not the canonical
-    one, or whose pivots no longer leave the spanning tree, fails the tree
-    equality."""
-    map_ = build()
+    one, or whose pivots no longer leave the spanning tree, makes an image
+    differ from the tree-built cycle space."""
     original = gf2.Gf2Subspace.perp
     mutated = []
 
@@ -319,16 +329,13 @@ def test_cross_check_guards_a_perp_that_is_not_canonical(monkeypatch, build, mut
         return gf2.Gf2Subspace(space.m, rows)
 
     monkeypatch.setattr(gf2.Gf2Subspace, "perp", mutated_perp)
-    assert all(r.holds for r in check_absorption(map_))
-    with pytest.raises(AssertionError, match="cycle space"):
-        verify_all(map_)
+    assert_a_cross_check_fails(build())
     assert mutated
 
 
 @pytest.mark.parametrize("build", [k33_map, single_face_dual])
 def test_cross_check_guards_the_perp_side(monkeypatch, build):
     """A perp that drops a row no longer matches the fundamental cycles."""
-    map_ = build()
     original = gf2.Gf2Subspace.perp
 
     def one_short(self):
@@ -336,6 +343,4 @@ def test_cross_check_guards_the_perp_side(monkeypatch, build):
         return gf2.Gf2Subspace(space.m, space.rows[1:])
 
     monkeypatch.setattr(gf2.Gf2Subspace, "perp", one_short)
-    assert all(r.holds for r in check_absorption(map_))
-    with pytest.raises(AssertionError, match="cycle space"):
-        verify_all(map_)
+    assert_a_cross_check_fails(build())

@@ -39,6 +39,7 @@ from mapcalc import (
     subdivide_graph,
     zigzag_map_from_word,
 )
+from mapcalc import search
 from mapcalc.cli import _BUDGET_FLAGS
 from mapcalc.gem import PARTNER, _gon_graph, gon_labels
 
@@ -60,6 +61,10 @@ def not_an_integer(value) -> str:
     pytest.param(lambda v: SignedWord(v, ()), "a", id="word-m-str"),
     pytest.param(lambda v: SignedWord(v, ()), 1.5, id="word-m-float"),
     pytest.param(lambda v: RotationSystem(EDGE, EDGE_ROTATIONS, {v}), 0.5, id="rotation-twist"),
+    pytest.param(lambda v: RotationSystem(EDGE, (((v, 0),), ((0, 1),)), ()), 0.0,
+                 id="rotation-dart-edge"),
+    pytest.param(lambda v: RotationSystem(EDGE, (((0, 0),), ((0, v),)), ()), 1.0,
+                 id="rotation-dart-end"),
 ])
 def test_constructors_take_counts_and_ids_through_as_int(build, value):
     """A float or a string is refused with the ValueError that names it,
@@ -71,9 +76,12 @@ def test_constructors_take_counts_and_ids_through_as_int(build, value):
 
 
 def test_constructors_store_a_bool_count_as_0_or_1():
+    bool_darts = RotationSystem(EDGE, (((False, False),), ((0, True),)), ())
     built = (FlagMap(True, (1, 0, 3, 2)).m, MultiGraph(True, ()).n,
-             SignedWord(True, ((0, 1), (0, 1))).m, *RotationSystem(EDGE, EDGE_ROTATIONS, {False}).twists)
-    assert built == (1, 1, 1, 0) and {type(x) for x in built} == {int}
+             SignedWord(True, ((0, 1), (0, 1))).m, *RotationSystem(EDGE, EDGE_ROTATIONS, {False}).twists,
+             *(x for rot in bool_darts.rotations for dart in rot for x in dart))
+    assert built == (1, 1, 1, 0, 0, 0, 0, 1) and {type(x) for x in built} == {int}
+    assert bool_darts.rotations == EDGE_ROTATIONS
 
 
 @pytest.mark.parametrize("call, value", [
@@ -158,6 +166,35 @@ def test_subdivide_graph_builds_what_the_public_constructor_builds():
             assert h.n == g.n + sum(counts)
             built += 1
     assert built > 120 * 16
+
+
+def test_enumerate_maps_builds_what_the_public_constructor_builds():
+    """Every map with m <= 3; a list alpha would show in its repr."""
+    built = 0
+    for m in (1, 2, 3):
+        for map_ in enumerate_maps(m):
+            assert_built_as_public(map_)
+            built += 1
+    assert built == 3 + 96 + 9504
+
+
+def test_winner_rotation_systems_build_what_the_public_constructor_builds(monkeypatch):
+    """The rotation system of every map found on the search-subdiv pool
+    graphs at their benchmark budget, with and without subdivisions."""
+    systems = []
+    original = search.embedding_to_map
+
+    def kept(rs):
+        systems.append(rs)
+        return original(rs)
+
+    monkeypatch.setattr(search, "embedding_to_map", kept)
+    workload = SearchSubdiv()
+    subdivided = sum(sum(workload.item(mapcalc, g, seed).subdivisions or ())
+                     for g, seed in workload.build(mapcalc, 0))
+    assert len(systems) == 119 and subdivided > 0
+    for rs in systems:
+        assert_built_as_public(rs)
 
 
 def one_face_one_zigzag(rng, m):

@@ -14,6 +14,7 @@ from conftest import (
     k33_map,
     members,
     random_connected_graph,
+    random_signed_word,
 )
 from mapcalc import (
     Gf2Subspace,
@@ -26,8 +27,8 @@ from mapcalc import (
     projective_loop_map,
     space_bundle,
     sphere_loop_map,
+    zigzag_map_from_word,
 )
-from mapcalc import spaces
 
 TRIANGLE = MultiGraph(3, ((0, 1), (1, 2), (2, 0)))
 
@@ -75,14 +76,14 @@ def test_disconnected_graph_rejected():
 
 
 def count_tree_walks(monkeypatch) -> list[MultiGraph]:
-    """The graphs whose spanning tree the cycle-space check walks, in call
-    order; a walk of the all-edge forest fails the test."""
+    """The graphs whose spanning tree cycle_space walks, in call order; a
+    walk of the all-edge forest fails the test."""
     walks = []
     forest = MultiGraph.spanning_forest
 
     def counted(self, among=None):
         if among is None:
-            raise AssertionError("the cycle-space check walks no all-edge forest")
+            raise AssertionError("cycle_space walks no all-edge forest")
         walks.append(self)
         return forest(self, among)
 
@@ -91,9 +92,9 @@ def count_tree_walks(monkeypatch) -> list[MultiGraph]:
 
 
 def test_cycle_space_walks_the_spanning_forest_once(monkeypatch):
-    """bond_space tells connectivity from its own dimension, so the only
-    walk is the check's walk of the spanning tree that the perp leaves; a
-    disconnected graph still raises ValueError, before any walk."""
+    """Kruskal's union-find tells connectivity, so the only walk is the
+    one of the maximum-id spanning tree; a disconnected graph raises
+    ValueError before any walk."""
     walks = count_tree_walks(monkeypatch)
     assert cycle_space(TRIANGLE).dim == 1
     assert walks == [TRIANGLE]
@@ -114,32 +115,31 @@ def test_bond_spaces_of_a_bundle_walk_no_forest(monkeypatch):
     assert walks == [bundle.vertex_graph]
 
 
-def test_tree_cycles_needs_a_spanning_tree():
-    """n - 1 edges that close a cycle and miss a vertex, or a wrong number
-    of edges, are no spanning tree; a spanning tree gives one fundamental
-    cycle per other edge, in edge order, loops as themselves."""
-    g = MultiGraph(4, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 3)))
-    assert spaces._tree_cycles(g, 0b00111) is None
-    assert spaces._tree_cycles(g, 0b00011) is None
-    assert spaces._tree_cycles(g, 0b01111) is None
-    assert spaces._tree_cycles(g, 0b01011) == (0b00111, 0b10000)
-    assert spaces._tree_cycles(MultiGraph(1, ((0, 0),)), 0) == (0b1,)
+def test_kruskal_cycles_of_loops_bundles_and_disconnected_graphs():
+    """The highest id of each parallel bundle joins the tree and every
+    other edge closes its cycle through it; loops are their own cycles; a
+    graph with two components is refused before any walk."""
+    cases = [
+        (MultiGraph(1, ()), ()),
+        (MultiGraph(1, ((0, 0),) * 3), (0b001, 0b010, 0b100)),
+        (MultiGraph(2, ((0, 1), (1, 0), (0, 1))), (0b101, 0b110)),
+        (MultiGraph(3, ((0, 1), (1, 2), (0, 1), (2, 1), (1, 0))), (0b10001, 0b01010, 0b10100)),
+        (MultiGraph(4, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 3))), (0b00111, 0b10000)),
+    ]
+    for g, rows in cases:
+        assert cycle_space(g) == Gf2Subspace(g.edge_count, rows) == bond_space(g).perp()
+    for g in (MultiGraph(2, ()), MultiGraph(3, ((0, 1), (1, 0), (2, 2))),
+              MultiGraph(4, ((0, 1), (2, 3), (1, 0), (3, 2)))):
+        with pytest.raises(ValueError, match="^bond and cycle spaces need a connected graph$"):
+            cycle_space(g)
 
 
 def containment_oracle(g: MultiGraph, space: Gf2Subspace) -> bool:
-    """The cross-check the tree equality replaced: the space has the
-    connected-graph dimension and holds every fundamental cycle of the
-    breadth-first forest."""
+    """The space has the connected-graph dimension and holds every
+    fundamental cycle of the breadth-first forest."""
     cycles = fundamental_cycles(g)
     return (len(cycles) == space.dim == g.edge_count - g.n + 1
             and all(map(space.contains, cycles)))
-
-
-def tree_check_accepts(g: MultiGraph, space: Gf2Subspace) -> bool:
-    try:
-        return spaces._checked_cycle_space(g, space) is space
-    except AssertionError:
-        return False
 
 
 def oracle_graph(rng: random.Random, i: int) -> MultiGraph:
@@ -163,41 +163,38 @@ def oracle_graph(rng: random.Random, i: int) -> MultiGraph:
     return MultiGraph(n, tuple((v, u) if rng.random() < 0.5 else (u, v) for u, v in edges))
 
 
-def test_tree_check_accepts_exactly_what_containment_accepts():
-    """On 600 seeded multigraphs, the tree equality and the containment
-    oracle agree on the cycle space and on canonical spaces near it: one
-    row dropped, one vector added, a row replaced, a random subspace of the
-    cycle space's dimension, the bond space, and the perp of the bond
-    space with one extra cut."""
+def differential_graphs():
+    """Every graph of every map with m <= 3, the 600 seeded oracle graphs,
+    and the graphs of seeded single-zigzag maps up to m = 350."""
+    for m in (1, 2, 3):
+        for map_ in enumerate_maps(m):
+            for kind in "vfz":
+                yield induced_graph(map_, kind)
     rng = random.Random(2300)
-    accepted = rejected = 0
-    kinds = Counter()
     for i in range(600):
-        g = oracle_graph(rng, i)
-        m = g.edge_count
+        yield oracle_graph(rng, i)
+    for m in (4, 9, 31, 63, 64, 65, 128, 250, 301, 350):
+        map_ = zigzag_map_from_word(random_signed_word(rng, m))
+        for kind in "vfz":
+            yield induced_graph(map_, kind)
+
+
+def test_cycle_space_is_the_perp_of_the_bond_space():
+    """The tree-built basis equals the perp of the stars' RREF, row for
+    row, and holds every fundamental cycle of the breadth-first forest."""
+    kinds = Counter()
+    for g in differential_graphs():
+        cycles = cycle_space(g)
+        assert cycles == bond_space(g).perp()
+        assert containment_oracle(g, cycles)
+        kinds["graphs"] += 1
         kinds["loops"] += any(u == v for u, v in g.edges)
-        kinds["parallel"] += len(set(g.edges) | {(v, u) for u, v in g.edges}) < 2 * m
+        kinds["parallel"] += len(set(map(frozenset, g.edges))) < g.edge_count
         kinds["single vertex"] += g.n == 1
-        kinds["tree"] += m == g.n - 1
-        bonds = bond_space(g)
-        cycles = bonds.perp()
-        candidates = [cycles, bonds, Gf2Subspace.span(m, cycles.rows[1:])]
-        if m:
-            extra = rng.getrandbits(m)
-            candidates.append(Gf2Subspace.span(m, cycles.rows + (extra,)))
-            candidates.append(Gf2Subspace.span(m, (rng.getrandbits(m) for _ in range(cycles.dim))))
-            candidates.append(bonds.sum(Gf2Subspace.span(m, [extra])).perp())
-        if cycles.dim:
-            k = rng.randrange(cycles.dim)
-            rows = cycles.rows[:k] + (rng.getrandbits(m),) + cycles.rows[k + 1:]
-            candidates.append(Gf2Subspace.span(m, rows))
-        for space in candidates:
-            verdict = containment_oracle(g, space)
-            assert tree_check_accepts(g, space) is verdict
-            accepted += verdict
-            rejected += not verdict
-    assert accepted >= 600 and rejected >= 1500
-    assert min(kinds.values()) >= 80
+        kinds["tree"] += g.edge_count == g.n - 1
+        kinds["wide"] += g.edge_count > 64
+    assert kinds["graphs"] == 3 * 9603 + 600 + 3 * 10
+    assert min(kinds.values()) >= 15
 
 
 def star_oracle(g: MultiGraph) -> Gf2Subspace:

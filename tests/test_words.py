@@ -589,22 +589,30 @@ def relabeled_flags(map_, rng: random.Random):
 def test_link_cycles_are_the_gons():
     """In the word of a single zigzag's trace, the link cycles of the c_P
     walk group position i by the vertex of flag order[2i], and those of
-    the c_P~ walk by its face: on every single-zigzag map with m <= 3 and
-    on 800 seeded ones with m <= 60, half of them duals, each with its
-    flags relabeled."""
-    maps = [map_ for m in range(1, 4) for map_ in enumerate_maps(m)
-            if gon_labels(map_.alpha, PARTNER["z"])[0] == 1]
-    assert len(maps) == 3890
+    the c_P~ walk by its face.  In the word of a single face's trace, the
+    c_D walk groups it by the zigzag of that flag, and the I + c_D walk by
+    its vertex.  On every map with m <= 3 that has one gon of the word's
+    kind, on 800 seeded single-zigzag maps with m <= 60, half of them
+    duals, and on 400 seeded one-face maps with m <= 40, duals of
+    one-vertex maps; every seeded map has its flags relabeled."""
+    census = [map_ for m in range(1, 4) for map_ in enumerate_maps(m)]
+    single = {kind: [map_ for map_ in census if gon_labels(map_.alpha, PARTNER[kind])[0] == 1]
+              for kind in "zf"}
+    assert len(single["z"]) == len(single["f"]) == 3890
     rng = random.Random(71)
     for i in range(800):
         map_ = zigzag_map_from_word(random_signed_word(rng, rng.randint(1, 60)))
-        maps.append(relabeled_flags(dual(map_) if i % 2 else map_, rng))
-    for map_ in maps:
-        _, _, order = gon_labels(map_.alpha, PARTNER["z"])
-        w = _single_gon_word(map_.m, order, "z")
-        for complement, kind in ((False, "v"), (True, "f")):
-            gon_of = gon_labels(map_.alpha, PARTNER[kind])[1]
-            assert link_cycles(w, complement) == partition(gon_of[x] for x in order[::2])
+        single["z"].append(relabeled_flags(dual(map_) if i % 2 else map_, rng))
+    for _ in range(400):
+        one_vertex = from_signed_word(random_signed_word(rng, rng.randint(1, 40)))
+        single["f"].append(relabeled_flags(dual(one_vertex), rng))
+    for word_kind, walks in (("z", ((False, "v"), (True, "f"))), ("f", ((False, "z"), (True, "v")))):
+        for map_ in single[word_kind]:
+            _, _, order = gon_labels(map_.alpha, PARTNER[word_kind])
+            w = _single_gon_word(map_.m, order, word_kind)
+            for complement, kind in walks:
+                gon_of = gon_labels(map_.alpha, PARTNER[kind])[1]
+                assert link_cycles(w, complement) == partition(gon_of[x] for x in order[::2])
 
 
 def test_map_operators_on_sphere_loop():
