@@ -243,12 +243,24 @@ def zigzag_map_from_word(w: SignedWord) -> FlagMap:
     return phial(from_signed_word(w))
 
 
+def _dart(dart: object) -> tuple[int, int]:
+    """(edge, end) as exact ints through _as_int, or ValueError naming a
+    dart that is not a pair."""
+    try:
+        e, end = dart
+    except (TypeError, ValueError):
+        raise ValueError(f"dart {dart!r} is not a pair of integers") from None
+    return _as_int(e), _as_int(end)
+
+
 @dataclass(frozen=True)
 class RotationSystem:
     """A multigraph with a cyclic dart order per vertex and twisted edges.
 
     Darts are (edge, end) with end 0 at the first parsed endpoint; each
-    dart appears exactly once across all rotations.
+    dart appears exactly once across all rotations.  Each dart is read as
+    a pair of integers (_dart) before the cover check, so [0, 1] is the
+    dart (0, 1).
     """
 
     graph: MultiGraph
@@ -257,15 +269,14 @@ class RotationSystem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "twists", frozenset(map(_as_int, self.twists)))
+        rotations = tuple(tuple(map(_dart, rot)) for rot in self.rotations)
         need = {(e, end) for e in range(self.graph.edge_count) for end in (0, 1)}
-        got = [d for rot in self.rotations for d in rot]
-        if len(self.rotations) != self.graph.n:
+        got = [d for rot in rotations for d in rot]
+        if len(rotations) != self.graph.n:
             raise ValueError("need one rotation per vertex")
         if len(got) != len(need) or set(got) != need:
             raise ValueError("rotations must cover every edge end exactly once")
-        # The set check takes the dart (0.0, 0) for (0, 0).
-        object.__setattr__(self, "rotations", tuple(
-            tuple((_as_int(e), _as_int(end)) for e, end in rot) for rot in self.rotations))
+        object.__setattr__(self, "rotations", rotations)
         for e in self.twists:
             if not 0 <= e < self.graph.edge_count:
                 raise ValueError(f"twisted edge {e} out of range")

@@ -8,10 +8,13 @@ cycles that alternate alpha with short, long or diagonal partners are the
 v-, f- and z-gons; they are the vertices, faces and zigzag walks of the
 embedded graph, whose edges are the rectangles.  gon_labels is the one
 gon walk: it traces one kind into each flag's gon id and the flags in
-walk order.  The gon counts and the induced graphs read the ids, gons()
-slices the order into each gon's flag sequence, and the loop balances
-and the signed words (words.py) read which flags the walk leaves their
-kind-pairs by.
+walk order, jumping to the next unlabelled flag by a C scan and stopping
+once every flag is labelled.  A kind with one gon induces the bouquet of
+m loops, built with no pass over the ids.  The gon counts and the induced
+graphs read the ids, gons() slices the order into each gon's flag
+sequence, the loop balances read which flags the walk leaves their
+kind-pairs by, and the signed words (words.py) which flags it enters
+them by.
 
 Role permutations (dual, phial, antimap and partial ones) relabel the
 flags inside each chosen rectangle so that the fixed partners take on the
@@ -235,14 +238,22 @@ def gon_labels(alpha: Sequence[int], partner: int) -> tuple[int, list[int], list
     holds each flag's gon, and order lists the flags gon by gon, each gon
     from its smallest flag with the kind-pair first: even positions of
     order enter a kind-pair and odd positions leave it through alpha.
+
+    Each gon starts at the first unlabelled flag, which gon_of.index finds
+    by a C scan from the last start, and the walk stops once every flag
+    is labelled.  All n flags labelled means at least n appends, so the
+    cheap length test screens the scan for -1.  On an involution alpha
+    the length reaches n exactly with the last gon; on any other
+    permutation a walk may label a flag twice, and only the scan decides.
     """
-    gon_of = [-1] * len(alpha)
+    n = len(alpha)
+    gon_of = [-1] * n
     order: list[int] = []
     append = order.append
     count = 0
-    for start in range(len(alpha)):
-        if gon_of[start] != -1:
-            continue
+    start = 0
+    while len(order) < n or -1 in gon_of:
+        start = gon_of.index(-1, start)
         x = start
         while True:
             y = x ^ partner
@@ -402,7 +413,11 @@ def induced_graph(map_: FlagMap, kind: str) -> MultiGraph:
 
 def _gon_graph(count: int, gon_of: Sequence[int], partner: int) -> MultiGraph:
     """induced_graph read off the count and gon_of of one gon_labels trace.
-    Prechecked: gon ids are ints below the count."""
+    Prechecked: gon ids are ints below the count.  A single gon holds
+    every kind-pair, so its graph is the bouquet of m loops, built with no
+    pass over gon_of."""
+    if count == 1:
+        return _prechecked(MultiGraph, n=1, edges=((0, 0),) * (len(gon_of) >> 2))
     # Offsets 0 and b lie on the rectangle's two different kind-pairs.
     b = 2 if partner == 1 else 1
     edges = []

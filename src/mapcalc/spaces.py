@@ -36,8 +36,12 @@ def bond_space(g: MultiGraph) -> Gf2Subspace:
     the same vertex twice, so it is in no cut.  The cuts of a graph with k
     components span n - k dimensions, so the span itself tells whether g
     is connected.  The subspace is built unchecked from the RREF of the
-    stars, which are XORs of bits below the edge count.
+    stars, which are XORs of bits below the edge count.  On one vertex
+    every edge is a loop and the star is empty, so the space is zero and
+    no star is summed.
     """
+    if g.n == 1:
+        return Gf2Subspace(g.edge_count, ())
     stars = [0] * g.n
     for e, (u, v) in enumerate(g.edges):
         stars[u] ^= 1 << e

@@ -10,8 +10,9 @@ the f-gon the face word (the dual's), so neither the phial nor the dual
 is built.  Such a trace-built word is made in one pass over the trace
 (`_single_gon_word`), which writes its entries and the positions of each
 edge's two occurrences and checks that every edge is crossed exactly
-twice; the word is then built by gem._prechecked, without the
-constructor's second walk.
+twice; each second occurrence's sign is read from the two flags the walk
+enters the rectangle by.  The word is then built by gem._prechecked,
+without the constructor's second walk.
 The interlacement and same-direction indicators of such a word combine
 into a symmetric GF(2) operator on the edge universe; which of a map's
 operators exist, and the operators themselves, are kept by
@@ -39,10 +40,11 @@ links make that S_p2 + S_(p2+1) too.  Every position lies on exactly two
 links, one of the edge at it and one of the edge before it, so the links
 form cycles, and dim ker c_W^T = cycles - 1, which is dim ker c_W, as
 rank c_W = rank c_W^T.  The walk counts the cycles and does no big-int
-arithmetic.  On a single-zigzag map's z-word the c_W walk closes one
-cycle per vertex and the I + c_W walk one per face, the certificate of
-analysis.MapAnalysis.zigzag_kernels, so the two counts are v and f with
-no gon walk.  This is the word form of the binary nullity theorem for
+arithmetic; each cycle starts at the first unmarked position, which a C
+scan (list.index) finds.  On a single-zigzag map's z-word the c_W walk
+closes one cycle per vertex and the I + c_W walk one per face, the
+certificate of analysis.MapAnalysis.zigzag_kernels, so the two counts
+are v and f with no gon walk.  This is the word form of the binary nullity theorem for
 circuit partitions (Cohn and Lempel, J. Combin. Theory Ser. A 13, 1972;
 Traldi, European J. Combin. 32, 2011), but the derivation above is plain
 linear algebra and assumes no theorem.
@@ -53,8 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gem import (PARTNER, FlagMap, _as_int, _left_flags, _partner, _prechecked, antimap,
-                  gon_count, gon_labels, phial)
+from .gem import (PARTNER, FlagMap, _as_int, _partner, _prechecked, antimap, gon_count,
+                  gon_labels, phial)
 from .gf2 import Gf2Vec, LinearOp
 
 
@@ -183,7 +185,13 @@ def _single_gon_word(m: int, order: Sequence[int], kind: str) -> SignedWord:
     """Word of a single gon of `kind` from its gem.gon_labels order, where
     each pair of steps crosses one rectangle and names its edge.  An edge's
     second crossing is positive when its two kind-pairs, flags 4e and
-    4e + 2 (4e + 1 for kind z), are entered the same way along the walk.
+    4e + b with b = 2 (b = 1 for kind z), are entered the same way along
+    the walk (gem.loop_balances reads the same rule off gem._left_flags).
+    The two crossings enter one flag of each kind-pair: 4e and 4e + b, or
+    their partners 4e ^ p and (4e + b) ^ p, exactly when they are entered
+    the same way.  Those two flags differ by b, the other two choices by
+    b ^ p, which is not b.  So the sign is read from the two entered
+    flags, order[2 * first[e]] and x, with no pass over the left flags.
 
     The one pass over the order writes the entries and the positions of
     each edge's two occurrences, so the word is built by _prechecked with
@@ -194,7 +202,6 @@ def _single_gon_word(m: int, order: Sequence[int], kind: str) -> SignedWord:
     if len(order) != 4 * m:
         raise AssertionError(f"the gon crosses {len(order) // 2} rectangles, not {2 * m}")
     b = 1 if PARTNER[kind] == 2 else 2
-    left = _left_flags(order)
     first, second = [-1] * m, [-1] * m
     entries = []
     append = entries.append
@@ -205,7 +212,7 @@ def _single_gon_word(m: int, order: Sequence[int], kind: str) -> SignedWord:
             append((e, 1))
         elif second[e] < 0:
             second[e] = i
-            append((e, 1 if left[4 * e] == left[4 * e + b] else -1))
+            append((e, 1 if order[2 * first[e]] ^ x == b else -1))
         else:
             raise AssertionError(f"the gon crosses edge {e} more than twice")
     return _prechecked(SignedWord, m=m, entries=tuple(entries), _first=first, _second=second)
@@ -269,7 +276,9 @@ def _link_cycles(w: SignedWord, complement: bool) -> int:
     Position i has two link ends: end 2i on the link of the edge at i, and
     end 2i + 1 on the link of the edge at i - 1.  ends[x] is the end that x
     is linked to, so following ends from a position's one end to its other
-    walks a cycle.  The walk marks every position it passes.
+    walks a cycle.  The walk marks every position it passes, and the next
+    cycle starts at the first unmarked position, found by seen.index; the
+    sentinel slot seen[2m] is never marked, so the scan ends there.
     """
     m, entries = w.m, w.entries
     n = 2 * m
@@ -285,11 +294,10 @@ def _link_cycles(w: SignedWord, complement: bool) -> int:
         a, b = 2 * p2, 2 * ((p2 + 1) % n) + 1
         ends[a], ends[near] = near, a
         ends[far], ends[b] = b, far
-    seen = [False] * n
+    seen = [False] * (n + 1)
     cycles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
+    start = 0
+    while start < n:
         seen[start] = True
         stop = 2 * start + 1
         x = ends[stop - 1]
@@ -300,6 +308,7 @@ def _link_cycles(w: SignedWord, complement: bool) -> int:
             seen[i] = True
             x = ends[x ^ 1]
         cycles += 1
+        start = seen.index(False, start)
     return cycles
 
 

@@ -75,6 +75,17 @@ def test_constructors_take_counts_and_ids_through_as_int(build, value):
         build(value)
 
 
+def test_rotation_darts_are_read_as_pairs_of_integers():
+    """A dart given as a list is the same dart; a dart that is not a pair
+    is a ValueError naming it, not a TypeError from the set check."""
+    listed = RotationSystem(EDGE, ([[0, 0]], [[0, 1]]), ())
+    assert listed == RotationSystem(EDGE, EDGE_ROTATIONS, ())
+    assert_built_as_public(listed)
+    for dart in (0, (0, 0, 0), None):
+        with pytest.raises(ValueError, match=f"^dart {re.escape(repr(dart))} is not a pair of integers$"):
+            RotationSystem(EDGE, ((dart,), ((0, 1),)), ())
+
+
 def test_constructors_store_a_bool_count_as_0_or_1():
     bool_darts = RotationSystem(EDGE, (((False, False),), ((0, True),)), ())
     built = (FlagMap(True, (1, 0, 3, 2)).m, MultiGraph(True, ()).n,
@@ -143,6 +154,31 @@ def test_gon_graph_builds_what_the_public_constructor_builds():
             assert_built_as_public(_gon_graph(count, gon_of, p))
             built += 1
     assert built == 3 * (3 + 96 + 9504 + 10)
+
+
+def test_one_gon_kinds_take_the_bouquet_and_the_zero_bond_space():
+    """On every kind with one gon of every map with m <= 3, the bouquet
+    _gon_graph returns with no pass over gon_of is the graph read off the
+    gon ids, and bond_space returns the zero space, the RREF of that
+    graph's one star, with no star pass."""
+    checked = 0
+    for m in (1, 2, 3):
+        for map_ in enumerate_maps(m):
+            for p in PARTNER.values():
+                count, gon_of, _ = gon_labels(map_.alpha, p)
+                if count != 1:
+                    continue
+                b = 2 if p == 1 else 1
+                g = _gon_graph(count, gon_of, p)
+                assert g == MultiGraph(1, tuple((gon_of[x], gon_of[x + b]) for x in range(0, 4 * m, 4)))
+                assert_built_as_public(g)
+                stars = [0]
+                for e, (u, v) in enumerate(g.edges):
+                    stars[u] ^= 1 << e
+                    stars[v] ^= 1 << e
+                assert bond_space(g) == Gf2Subspace.span(m, stars) == Gf2Subspace.zero(m)
+                checked += 1
+    assert checked == 3 * (2 + 48 + 3840)
 
 
 def test_bond_space_builds_what_span_builds():

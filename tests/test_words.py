@@ -31,7 +31,7 @@ from mapcalc import (
     zigzag_map_from_word,
     zigzag_word,
 )
-from mapcalc.gem import PARTNER, _as_int, gon_labels
+from mapcalc.gem import PARTNER, _as_int, _left_flags, gon_labels
 from mapcalc.words import _link_cycles, _single_gon_word, _word_columns
 
 
@@ -351,6 +351,40 @@ def test_trace_word_matches_the_checking_constructor():
             check_trace_word(map_, kind)
 
 
+def test_sign_of_two_entered_flags_is_the_left_flag_rule():
+    """The sign of a second crossing, read from the two flags the walk
+    enters rectangle e by, is the _left_flags rule loop_balances reads:
+    positive when flags 4e and 4e + b are entered the same way.  On the
+    16 offset pairs of each kind, the 8 that enter both kind-pairs are
+    positive exactly when they differ by b.  On every single-gon word of
+    each kind of the maps with m <= 3, and of 300 seeded one-vertex maps
+    up to m = 60, their duals and phials, with flags relabelled."""
+    for kind, p in PARTNER.items():
+        b = 1 if kind == "z" else 2
+        for o0 in range(4):
+            for o1 in set(range(4)) - {o0, o0 ^ p}:
+                left = {o0 ^ p, o1 ^ p}
+                assert ((0 in left) == (b in left)) == (o0 ^ o1 == b)
+    maps = [map_ for m in (1, 2, 3) for map_ in enumerate_maps(m)]
+    rng = random.Random(33)
+    for _ in range(300):
+        one_vertex = from_signed_word(random_signed_word(rng, rng.randint(1, 60)))
+        maps += [relabeled_flags(f(one_vertex), rng) for f in (lambda x: x, dual, phial)]
+    checked = {kind: 0 for kind in "vfz"}
+    for map_ in maps:
+        for kind in "vfz":
+            order = trace_order(map_, kind)
+            if order is None:
+                continue
+            b = 1 if kind == "z" else 2
+            left = _left_flags(order)
+            w = _single_gon_word(map_.m, order, kind)
+            assert [w.entries[i][1] for i in w._second] == [
+                1 if left[4 * e] == left[4 * e + b] else -1 for e in range(map_.m)]
+            checked[kind] += 1
+    assert all(n >= 3890 + 300 for n in checked.values()), checked
+
+
 @pytest.mark.parametrize("kind", ["v", "f", "z"])
 def test_trace_word_refuses_an_order_that_crosses_an_edge_other_than_twice(kind):
     """A corrupted order stops the one pass with AssertionError: a crossing
@@ -527,12 +561,41 @@ def link_cycles(w: SignedWord, complement: bool) -> set[frozenset[int]]:
     return partition(find(x) for x in range(n))
 
 
+def full_scan_link_cycles(w: SignedWord, complement: bool) -> int:
+    """_link_cycles as it was before the walk jumped: the same link table,
+    walked from every position in a Python scan."""
+    n = 2 * w.m
+    ends = [0] * (2 * n)
+    for e in range(w.m):
+        p1, p2 = w.occurrences(e)
+        if w.same_direction(e) != complement:
+            near, far = 2 * p1, 2 * p1 + 3
+        else:
+            near, far = 2 * p1 + 3, 2 * p1
+        a, b = 2 * p2, 2 * ((p2 + 1) % n) + 1
+        ends[a], ends[near] = near, a
+        ends[far], ends[b] = b, far
+    seen = [False] * n
+    cycles = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        x = ends[2 * start]
+        while x != 2 * start + 1:
+            seen[x >> 1] = True
+            x = ends[x ^ 1]
+        cycles += 1
+    return cycles
+
+
 def check_link_cycles(w: SignedWord) -> None:
-    """Both walks against the union-find count and against kernel() of c
-    and of I + c: cycles = dim + 1."""
+    """Both walks against the full scan, the union-find count and kernel()
+    of c and of I + c: cycles = dim + 1."""
     op = c_operator(w)
     for complement, target in ((False, op), (True, LinearOp.identity(w.m) + op)):
         cycles = _link_cycles(w, complement)
+        assert cycles == full_scan_link_cycles(w, complement)
         assert cycles == len(link_cycles(w, complement)) == target.kernel().dim + 1
 
 
@@ -557,7 +620,8 @@ def test_kernel_certificate_on_every_small_word():
 
 def test_link_cycles_on_random_and_large_words():
     """Seeded random words up to m = 120, all-balanced and all-unbalanced
-    ones, and two words past m = 250."""
+    ones, and two words past m = 250; the empty word has no cycle."""
+    assert _link_cycles(SignedWord(0, ()), False) == _link_cycles(SignedWord(0, ()), True) == 0
     rng = random.Random(67)
     cases = [random_signed_word(rng, m) for m in range(1, 121) for _ in range(2)]
     for m in (5, 40):
