@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gem import FlagMap, MultiGraph, _as_int, _prechecked, _rectangles_reached, phial, validate
+from .gem import FlagMap, MultiGraph, _as_int, _pair, _prechecked, _rectangles_reached, phial, validate
 from .words import SignedWord
 
 
@@ -113,12 +113,11 @@ def _parse_gem_bulk(text: str, strict: bool) -> FlagMap | None:
     The pattern fixes where each token sits, so split() gives the header
     and the pairs.  The line count is checked against 2m before anything
     is sized by m.  When the 4m flags of the 2m lines are distinct and
-    below 4m, the pairs cover every flag once: alpha is a fixed-point-free
-    involution by construction, and strict mode only walks the rectangles
-    for connectivity.  Those checks and the pattern's digit-only tokens
-    prove all that FlagMap's constructor checks (m >= 1, 4m flags, each
-    an int in range, no flag twice), so the map is built without running
-    it again.
+    below 4m, the pairs cover every flag once.  With the pattern's
+    digit-only tokens this proves all that FlagMap's constructor checks:
+    m >= 1 and a fixed-point-free involution of 4m int flags.  So the map
+    is built without running it, and strict mode only walks the
+    rectangles for connectivity.
     """
     if _GEM_TEXT.fullmatch(text) is None:
         return None
@@ -178,10 +177,8 @@ def _parse_gem_lines(text: str, strict: bool) -> FlagMap:
     if -1 in alpha:
         raise MapFormatError(f"flag {alpha.index(-1)} left unpaired")
     map_ = FlagMap(m, tuple(alpha))
-    if strict:
-        report = validate(map_)
-        if not report.ok:
-            raise ValidationFailure("map invalid: " + ", ".join(report.failures()))
+    if strict and not (report := validate(map_)).ok:
+        raise ValidationFailure("map invalid: " + ", ".join(report.failures()))
     return map_
 
 
@@ -231,26 +228,17 @@ def from_signed_word(w: SignedWord) -> FlagMap:
     dart (e, 0) and occurrence two is dart (e, 1), twisted when negative,
     with flags by the rule in _rotation_alpha.  The round trip back
     through vertex_word is a tested property, not an assumption.
+    Prechecked (_rotation_map): the rotation lists each dart once.
     """
     second = w._second
     rotation = [(e, int(i == second[e])) for i, (e, _) in enumerate(w.entries)]
     twist_mask = sum(1 << e for e, s in w.entries if s < 0)
-    return FlagMap(w.m, tuple(_rotation_alpha([rotation], twist_mask, w.m)))
+    return _rotation_map([rotation], twist_mask, w.m)
 
 
 def zigzag_map_from_word(w: SignedWord) -> FlagMap:
     """The single-zigzag map whose zigzag word is w (phial of the above)."""
     return phial(from_signed_word(w))
-
-
-def _dart(dart: object) -> tuple[int, int]:
-    """(edge, end) as exact ints through _as_int, or ValueError naming a
-    dart that is not a pair."""
-    try:
-        e, end = dart
-    except (TypeError, ValueError):
-        raise ValueError(f"dart {dart!r} is not a pair of integers") from None
-    return _as_int(e), _as_int(end)
 
 
 @dataclass(frozen=True)
@@ -259,8 +247,8 @@ class RotationSystem:
 
     Darts are (edge, end) with end 0 at the first parsed endpoint; each
     dart appears exactly once across all rotations.  Each dart is read as
-    a pair of integers (_dart) before the cover check, so [0, 1] is the
-    dart (0, 1).
+    a pair (gem._pair) of integers before the cover check, so [0, 1] is
+    the dart (0, 1).
     """
 
     graph: MultiGraph
@@ -269,7 +257,8 @@ class RotationSystem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "twists", frozenset(map(_as_int, self.twists)))
-        rotations = tuple(tuple(map(_dart, rot)) for rot in self.rotations)
+        rotations = tuple(tuple(tuple(map(_as_int, _pair(dart, "dart"))) for dart in rot)
+                          for rot in self.rotations)
         need = {(e, end) for e in range(self.graph.edge_count) for end in (0, 1)}
         got = [d for rot in rotations for d in rot]
         if len(rotations) != self.graph.n:
@@ -403,8 +392,16 @@ def _toggle_twist(alpha: list[int], e: int) -> None:
     alpha[a], alpha[q] = q, a
 
 
+def _rotation_map(rotations: Sequence[Sequence[tuple[int, int]]], twist_mask: int, m: int) -> FlagMap:
+    """The map of rotations that list each dart of edges 0..m-1 once, m >= 1.
+    Prechecked: _link pairs each flag once, never with itself."""
+    if m < 1:
+        raise ValueError("need at least one rectangle")
+    return _prechecked(FlagMap, m=m, alpha=tuple(_rotation_alpha(rotations, twist_mask, m)))
+
+
 def embedding_to_map(rs: RotationSystem) -> FlagMap:
-    """Expand a signed rotation system into flags (rule in _rotation_alpha)."""
+    """Expand a signed rotation system into flags (rule in _rotation_alpha).
+    Prechecked (_rotation_map): the rotations cover every dart once."""
     twist_mask = sum(1 << e for e in rs.twists)
-    m = rs.graph.edge_count
-    return FlagMap(m, tuple(_rotation_alpha(rs.rotations, twist_mask, m)))
+    return _rotation_map(rs.rotations, twist_mask, rs.graph.edge_count)

@@ -3,18 +3,17 @@
 A map with m edges is stored as m rectangles of four flags each; rectangle
 e owns flags 4e..4e+3.  Inside its rectangle, flag x has a short partner
 x ^ 1, a long partner x ^ 3 and a diagonal partner x ^ 2 (PARTNER).  A
-fixed-point-free involution alpha glues rectangle corners together.  The
-cycles that alternate alpha with short, long or diagonal partners are the
-v-, f- and z-gons; they are the vertices, faces and zigzag walks of the
+fixed-point-free involution alpha glues rectangle corners together; only
+the FlagMap constructor checks it, and no code handles other permutations.
+The cycles that alternate alpha with short, long or diagonal partners are
+the v-, f- and z-gons: the vertices, faces and zigzag walks of the
 embedded graph, whose edges are the rectangles.  gon_labels is the one
 gon walk: it traces one kind into each flag's gon id and the flags in
-walk order, jumping to the next unlabelled flag by a C scan and stopping
-once every flag is labelled.  A kind with one gon induces the bouquet of
-m loops, built with no pass over the ids.  The gon counts and the induced
-graphs read the ids, gons() slices the order into each gon's flag
-sequence, the loop balances read which flags the walk leaves their
-kind-pairs by, and the signed words (words.py) which flags it enters
-them by.
+walk order, jumping to the next unlabelled flag by a C scan.  A kind with
+one gon induces the bouquet of m loops, built with no pass over the ids.
+The gon counts and the induced graphs read the ids, gons() slices the
+order into each gon's flag sequence, and the loop balances and the signed
+words (words.py) read the flags the walk leaves and enters kind-pairs by.
 
 Role permutations (dual, phial, antimap and partial ones) relabel the
 flags inside each chosen rectangle so that the fixed partners take on the
@@ -26,10 +25,11 @@ place a value becomes an int or is refused: every public constructor and
 function that takes a count, id or size passes it through _as_int, so a
 float or a string is a ValueError naming it, and a bool is 0 or 1.  The
 flag ids of a FlagMap are only checked to be ints, so that a bad one is
-named by its position.  Every public constructor checks all of its
-fields.  A builder whose fields are valid by construction builds its
-frozen dataclass through _prechecked instead, and states the one-line
-proof in its docstring.
+named by its position.  _pair is likewise the one reader of an edge, a
+dart, a word entry or a flag pair.  Every public constructor checks all
+of its fields.  A builder whose fields are valid by construction builds
+its frozen dataclass through _prechecked instead, with a one-line proof
+in its docstring.
 """
 
 from __future__ import annotations
@@ -80,6 +80,15 @@ def _as_int(value: object) -> int:
         raise ValueError(f"expected an integer, got {value!r}") from None
 
 
+def _pair(value: object, what: str) -> tuple[object, object]:
+    """The two items of value, or ValueError naming a value that is not a pair."""
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} {value!r} is not a pair of integers") from None
+    return a, b
+
+
 def _prechecked(cls: type[T], **fields: object) -> T:
     """An instance of the frozen dataclass cls holding `fields` as given,
     without running its __post_init__: for fields the caller has proved to
@@ -91,13 +100,10 @@ def _prechecked(cls: type[T], **fields: object) -> T:
 
 @dataclass(frozen=True)
 class FlagMap:
-    """A map: rectangle count and flag involution.
-
-    The constructor only enforces shape (lengths, ranges) and that alpha
-    is a permutation of the 4m flags, which every gon walk needs to end;
-    use validate() to check the semantic invariants, so that broken
-    candidates can still be inspected and reported on.
-    """
+    """A map: rectangle count and a fixed-point-free involution alpha of the
+    4m flags, m >= 1.  The constructor names the first entry that is not a
+    flag id, then the first flag x with alpha[x] == x or alpha[alpha[x]] != x.
+    validate() reports whether the map is connected."""
 
     m: int
     alpha: tuple[int, ...]
@@ -107,22 +113,27 @@ class FlagMap:
         if m < 1:
             raise ValueError("need at least one rectangle")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "alpha", tuple(self.alpha))
+        alpha = tuple(self.alpha)
+        object.__setattr__(self, "alpha", alpha)
         n = 4 * m
-        if len(self.alpha) != n:
+        if len(alpha) != n:
             raise ValueError(f"alpha must assign all {n} flags")
-        for x, y in enumerate(self.alpha):
+        for x, y in enumerate(alpha):
             if not isinstance(y, int) or not 0 <= y < n:
                 raise ValueError(f"alpha[{x}] = {y!r} is not a flag id")
-        if len(set(self.alpha)) != n:
-            raise ValueError("alpha is not a permutation of the flags")
+        for x, y in enumerate(alpha):
+            if y == x:
+                raise ValueError(f"alpha[{x}] = {x} is a fixed point")
+            if alpha[y] != x:
+                raise ValueError(f"alpha[{x}] = {y:d} but alpha[{y:d}] = {alpha[y]:d}")
 
     @classmethod
     def from_pairs(cls, m: int, pairs: Iterable[tuple[int, int]]) -> FlagMap:
         """Build alpha from explicit flag pairs covering every flag once."""
         m = _as_int(m)
         alpha = [-1] * (4 * m)
-        for x, y in pairs:
+        for pair in pairs:
+            x, y = _pair(pair, "flag pair")
             for z in (x, y):
                 if not isinstance(z, int) or not 0 <= z < 4 * m:
                     raise ValueError(f"flag {z!r} is not a flag id")
@@ -155,20 +166,16 @@ def single_edge_map() -> FlagMap:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Pass/fail per structural invariant; ok means all pass."""
+    """Pass/fail per invariant the FlagMap constructor leaves open; ok means all pass."""
 
-    involution: bool
-    fixed_point_free: bool
     connected: bool
-
-    _NAMES = ("involution", "fixed_point_free", "connected")
 
     @property
     def ok(self) -> bool:
-        return all(getattr(self, n) for n in self._NAMES)
+        return self.connected
 
     def checks(self) -> tuple[tuple[str, bool], ...]:
-        return tuple((n, getattr(self, n)) for n in self._NAMES)
+        return (("connected", self.connected),)
 
     def failures(self) -> tuple[str, ...]:
         return tuple(n for n, ok in self.checks() if not ok)
@@ -176,13 +183,9 @@ class ValidationReport:
 
 def _rectangles_reached(alpha: Sequence[int]) -> int:
     """How many rectangles one walk reaches from rectangle 0, stepping from
-    each rectangle r to the rectangles alpha[x] >> 2 of its flags x.
-
-    Inside a rectangle the short and long partners join all four flags,
-    so this is a quarter of the flags that a walk from flag 0 along alpha,
-    short and long partners reaches, whether or not alpha is an involution;
-    the map is connected when it reaches all m.
-    """
+    each rectangle r to the rectangles alpha[x] >> 2 of its flags x: a
+    quarter of the flags a walk from flag 0 along alpha, short and long
+    partners reaches, as those partners join a rectangle's four flags."""
     seen = [False] * (len(alpha) >> 2)
     seen[0] = True
     queue = [0]
@@ -197,13 +200,9 @@ def _rectangles_reached(alpha: Sequence[int]) -> int:
 
 
 def validate(map_: FlagMap) -> ValidationReport:
-    """Check the map invariants on raw candidate data; connectivity is one
+    """Check the invariant the constructor leaves open: connectivity, one
     walk over the m rectangles (_rectangles_reached)."""
-    a = map_.alpha
-    involution = all(a[a[x]] == x for x in range(len(a)))
-    fixed_point_free = all(a[x] != x for x in range(len(a)))
-    connected = _rectangles_reached(a) == map_.m
-    return ValidationReport(involution, fixed_point_free, connected)
+    return ValidationReport(_rectangles_reached(map_.alpha) == map_.m)
 
 
 @dataclass(frozen=True)
@@ -240,19 +239,16 @@ def gon_labels(alpha: Sequence[int], partner: int) -> tuple[int, list[int], list
     order enter a kind-pair and odd positions leave it through alpha.
 
     Each gon starts at the first unlabelled flag, which gon_of.index finds
-    by a C scan from the last start, and the walk stops once every flag
-    is labelled.  All n flags labelled means at least n appends, so the
-    cheap length test screens the scan for -1.  On an involution alpha
-    the length reaches n exactly with the last gon; on any other
-    permutation a walk may label a flag twice, and only the scan decides.
+    by a C scan from the last start.  alpha must be a fixed-point-free
+    involution, as a FlagMap's is: then each step labels two new flags,
+    and the walk stops once order holds all n.
     """
     n = len(alpha)
     gon_of = [-1] * n
     order: list[int] = []
     append = order.append
-    count = 0
-    start = 0
-    while len(order) < n or -1 in gon_of:
+    count = start = 0
+    while len(order) < n:
         start = gon_of.index(-1, start)
         x = start
         while True:
@@ -298,7 +294,8 @@ def apply_permutation(
     `perm` is a word over s, l, d giving the images of s, l, d in order
     ("lsd" swaps short and long, and so on); rects=None means all.  The
     flags of each chosen rectangle are relabeled by the offset permutation
-    of `perm`, and alpha is conjugated to match.
+    of `perm`, and alpha is conjugated to match.  Prechecked: a conjugate
+    of a fixed-point-free involution of the 4m flags is one.
     """
     h = _PERMUTATION_OFFSETS.get(perm)
     if h is None:
@@ -314,7 +311,7 @@ def apply_permutation(
             phi[4 * r + o] = 4 * r + h[o]
             phi_inv[4 * r + h[o]] = 4 * r + o
     a = map_.alpha
-    return FlagMap(map_.m, tuple(phi_inv[a[phi[x]]] for x in range(n)))
+    return _prechecked(FlagMap, m=map_.m, alpha=tuple(phi_inv[a[phi[x]]] for x in range(n)))
 
 
 def dual(map_: FlagMap) -> FlagMap:
@@ -343,7 +340,7 @@ class MultiGraph:
         n = _as_int(self.n)
         if n < 1:
             raise ValueError("need at least one vertex")
-        edges = tuple((_as_int(u), _as_int(v)) for u, v in self.edges)
+        edges = tuple(tuple(map(_as_int, _pair(edge, "edge"))) for edge in self.edges)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint out of range: ({u}, {v})")

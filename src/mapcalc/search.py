@@ -434,6 +434,7 @@ def search_embedding(
     candidate_count(g) <= EXHAUSTIVE_LIMIT; otherwise the randomized phase
     searches g itself.  A candidate is one (rotations, twist mask) of g.
     """
+    seed = _as_int(seed)
     tree = g.spanning_forest()[0]
     if len(tree) != g.n - 1:
         raise ValueError("search needs a connected graph")

@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gem import (PARTNER, FlagMap, _as_int, _partner, _prechecked, antimap, gon_count,
+from .gem import (PARTNER, FlagMap, _as_int, _pair, _partner, _prechecked, antimap, gon_count,
                   gon_labels, phial)
 from .gf2 import Gf2Vec, LinearOp
 
@@ -89,12 +89,12 @@ class SignedWord:
         object.__setattr__(self, "m", m)
         try:
             self._index()
-        except ValueError:
+        except (TypeError, ValueError):
             # Any other spelling (a list, bools, int-like values), and any
-            # fault, is made a tuple of int pairs once, which names the first
-            # entry that is not an integer, and checked again, which names
-            # the first fault.
-            object.__setattr__(self, "entries", tuple((_as_int(e), _as_int(s)) for e, s in self.entries))
+            # fault, is made a tuple of int pairs once, naming the first entry
+            # that is not one, and checked again, naming the first fault.
+            object.__setattr__(self, "entries", tuple(tuple(map(_as_int, _pair(entry, "entry")))
+                                                      for entry in self.entries))
             self._index()
 
     def _index(self) -> None:

@@ -29,12 +29,14 @@ from mapcalc import (
     bond_space,
     c_operator,
     dual,
+    embedding_to_map,
     enumerate_maps,
     from_signed_word,
     gon_counts,
     gon_word,
     gons,
     induced_graph,
+    search_embedding,
     single_edge_map,
     subdivide_graph,
     zigzag_map_from_word,
@@ -48,6 +50,7 @@ from workloads import SearchSubdiv  # noqa: E402
 
 EDGE = MultiGraph(2, ((0, 1),))
 EDGE_ROTATIONS = (((0, 0),), ((0, 1),))
+PERMUTATION_WORDS = ("sld", "lsd", "dls", "sdl", "dsl", "lds")
 
 
 def not_an_integer(value) -> str:
@@ -86,6 +89,22 @@ def test_rotation_darts_are_read_as_pairs_of_integers():
             RotationSystem(EDGE, ((dart,), ((0, 1),)), ())
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: MultiGraph(2, [5]), "edge 5", id="multigraph-int"),
+    pytest.param(lambda: MultiGraph(2, [(0, 1, 2)]), "edge (0, 1, 2)", id="multigraph-triple"),
+    pytest.param(lambda: SignedWord(1, [0, 0]), "entry 0", id="word-list-of-ints"),
+    pytest.param(lambda: SignedWord(1, (0, 0)), "entry 0", id="word-tuple-of-ints"),
+    pytest.param(lambda: SignedWord(1, ((0, 1, 1), (0, 1))), "entry (0, 1, 1)", id="word-triple"),
+    pytest.param(lambda: FlagMap.from_pairs(1, [(0, 1, 2)]), "flag pair (0, 1, 2)", id="from-pairs-triple"),
+    pytest.param(lambda: FlagMap.from_pairs(1, [None]), "flag pair None", id="from-pairs-none"),
+])
+def test_constructors_read_pairs_through_one_reader(build, message):
+    """gem._pair names a value that is not a pair in a ValueError, not a
+    bare TypeError or an unpacking error."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} is not a pair of integers$"):
+        build()
+
+
 def test_constructors_store_a_bool_count_as_0_or_1():
     bool_darts = RotationSystem(EDGE, (((False, False),), ((0, True),)), ())
     built = (FlagMap(True, (1, 0, 3, 2)).m, MultiGraph(True, ()).n,
@@ -100,6 +119,8 @@ def test_constructors_store_a_bool_count_as_0_or_1():
     pytest.param(lambda: FlagMap.from_pairs(1.5, ()), 1.5, id="from_pairs"),
     pytest.param(lambda: apply_permutation(single_edge_map(), [0.5], "lsd"), 0.5, id="apply_permutation"),
     pytest.param(lambda: subdivide_graph(EDGE, (0.5,)), 0.5, id="subdivide_graph"),
+    pytest.param(lambda: search_embedding(EDGE, seed=1.5), 1.5, id="search_embedding-seed-float"),
+    pytest.param(lambda: search_embedding(EDGE, seed="a"), "a", id="search_embedding-seed-str"),
 ])
 def test_functions_take_counts_and_ids_through_as_int(call, value):
     with pytest.raises(ValueError, match=not_an_integer(value)):
@@ -231,6 +252,47 @@ def test_winner_rotation_systems_build_what_the_public_constructor_builds(monkey
     assert len(systems) == 119 and subdivided > 0
     for rs in systems:
         assert_built_as_public(rs)
+        assert_built_as_public(embedding_to_map(rs))
+
+
+def test_apply_permutation_builds_what_the_public_constructor_builds():
+    """Every map with m <= 3 under each of the six permutation words, and
+    under one seeded partial permutation each."""
+    rng = random.Random(34)
+    built = 0
+    for m in (1, 2, 3):
+        for map_ in enumerate_maps(m):
+            for word in PERMUTATION_WORDS:
+                assert_built_as_public(apply_permutation(map_, None, word))
+            rects = [r for r in range(m) if rng.random() < 0.5]
+            assert_built_as_public(apply_permutation(map_, rects, rng.choice(PERMUTATION_WORDS)))
+            built += 7
+    assert built == 7 * (3 + 96 + 9504)
+
+
+def test_from_signed_word_builds_what_the_public_constructor_builds():
+    """Seeded words up to m = 300, and the single-zigzag maps built from
+    them through the phial."""
+    rng = random.Random(34)
+    for m in (*range(1, 13), 31, 63, 64, 65, 128, 300):
+        for _ in range(20 if m <= 12 else 2):
+            word = random_signed_word(rng, m)
+            assert_built_as_public(from_signed_word(word))
+            assert_built_as_public(zigzag_map_from_word(word))
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: FlagMap.from_pairs(0, ()), id="from_pairs"),
+    pytest.param(lambda: from_signed_word(SignedWord(0, ())), id="from_signed_word"),
+    pytest.param(lambda: zigzag_map_from_word(SignedWord(0, ())), id="zigzag_map_from_word"),
+    pytest.param(lambda: embedding_to_map(RotationSystem(MultiGraph(1, ()), ((),), ())),
+                 id="embedding_to_map"),
+])
+def test_builders_refuse_a_map_without_edges(build):
+    """The empty word and an edgeless rotation system have no map: their
+    builders refuse them as the public constructor refuses m = 0."""
+    with pytest.raises(ValueError, match="^need at least one rectangle$"):
+        build()
 
 
 def one_face_one_zigzag(rng, m):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import product
 
 import pytest
 
@@ -119,10 +120,55 @@ def test_constructor_shape_checks():
 
 
 def test_constructor_rejects_a_non_permutation():
-    """A gon walk on such an alpha would never return to its start."""
-    for alpha in ((1, 1, 1, 1), (1, 0, 3, 0)):
-        with pytest.raises(ValueError, match="not a permutation"):
+    """A permutation that is not an involution is refused at the first
+    flag its alpha does not send back."""
+    for alpha, message in (((1, 1, 1, 1), "alpha[0] = 1 but alpha[1] = 1"),
+                           ((1, 0, 3, 0), "alpha[2] = 3 but alpha[3] = 0")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FlagMap(1, alpha)
+
+
+def random_involution(rng: random.Random, n: int) -> list[int]:
+    """An involution of range(n) with a random number of fixed points."""
+    flags = list(range(n))
+    rng.shuffle(flags)
+    fixed = rng.randrange(n + 1)
+    alpha = list(range(n))
+    for i in range(fixed, n - 1, 2):
+        alpha[flags[i]], alpha[flags[i + 1]] = flags[i + 1], flags[i]
+    return alpha
+
+
+def test_constructor_accepts_exactly_the_fixed_point_free_involutions():
+    """On all 256 tuples in range(4)^4, and at m = 2 on seeded random
+    tuples, involutions with fixed points, fixed-point-free involutions
+    and those with one entry changed, FlagMap builds a map exactly when
+    alpha is a fixed-point-free involution, and refuses every other
+    tuple, naming the first flag where it fails."""
+    rng = random.Random(34)
+    alphas = list(product(range(4), repeat=4))
+    for _ in range(500):
+        alphas.append([rng.randrange(8) for _ in range(8)])
+        alphas.append(random_involution(rng, 8))
+        flags = rng.sample(range(8), 8)
+        matching = [0] * 8
+        for x, y in zip(flags[::2], flags[1::2]):
+            matching[x], matching[y] = y, x
+        alphas.append(matching)
+        changed = list(matching)
+        changed[rng.randrange(8)] = rng.randrange(8)
+        alphas.append(changed)
+    accepted = 0
+    for alpha in alphas:
+        m = len(alpha) // 4
+        first = next((x for x, y in enumerate(alpha) if not alpha[y] == x != y), None)
+        if first is None:
+            assert FlagMap(m, alpha).alpha == tuple(alpha)
+            accepted += 1
+        else:
+            with pytest.raises(ValueError, match=rf"^alpha\[{first}\] = {alpha[first]} (is a fixed point|but alpha)"):
+                FlagMap(m, alpha)
+    assert 3 + 500 < accepted < len(alphas) - 1000, accepted
 
 
 def test_constructor_messages():
@@ -138,8 +184,9 @@ def test_constructor_messages():
         (1, (1, 0, 3, 4), "alpha[3] = 4 is not a flag id"),
         (1, (-1, 0, 3, 2), "alpha[0] = -1 is not a flag id"),
         (1, (1, 4, 3.5, 2), "alpha[1] = 4 is not a flag id"),
-        (1, (1, 0, 3, 0), "alpha is not a permutation of the flags"),
-        (1, (True, True, 3, 2), "alpha is not a permutation of the flags"),
+        (1, (1, 0, 3, 0), "alpha[2] = 3 but alpha[3] = 0"),
+        (1, (True, True, 3, 2), "alpha[0] = 1 but alpha[1] = 1"),
+        (1, (1, 0, 2, 3), "alpha[2] = 2 is a fixed point"),
     )
     for m, alpha, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -164,25 +211,29 @@ def test_from_pairs_checks():
     assert FlagMap.from_pairs(1, ((0, True), (2, 3))) == FlagMap(1, (1, 0, 3, 2))
 
 
-def test_validate_reports_fixed_points():
-    report = validate(FlagMap(1, (0, 1, 3, 2)))
-    assert report.involution
-    assert not report.fixed_point_free
-    assert not report.ok
-    assert report.failures() == ("fixed_point_free",)
+def test_constructor_refuses_a_fixed_point():
+    """Also when the fixed point comes from from_pairs as a self-pair;
+    such a map once reached verify_all and gons."""
+    for build in (lambda: FlagMap(1, (0, 1, 3, 2)),
+                  lambda: FlagMap.from_pairs(1, ((0, 0), (1, 2), (3, 3)))):
+        with pytest.raises(ValueError, match=r"^alpha\[0\] = 0 is a fixed point$"):
+            build()
 
 
-def test_validate_reports_non_involution():
-    report = validate(FlagMap(1, (1, 2, 0, 3)))
-    assert not report.involution
+def test_constructor_refuses_a_non_involution():
+    for alpha, message in (((1, 2, 0, 3), "alpha[0] = 1 but alpha[1] = 2"),
+                           ((True, True, 3, 2), "alpha[0] = 1 but alpha[1] = 1"),
+                           ((1, 0, 3, 1), "alpha[2] = 3 but alpha[3] = 1")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FlagMap(1, alpha)
 
 
 def test_validate_reports_disconnected():
     two_spheres = FlagMap.from_pairs(2, ((1, 2), (3, 0), (5, 6), (7, 4)))
     report = validate(two_spheres)
-    assert report.involution and report.fixed_point_free
-    assert not report.connected
-    assert "connected" in report.failures()
+    assert not report.connected and not report.ok
+    assert report.failures() == ("connected",)
+    assert report.checks() == (("connected", False),)
 
 
 def reference_flag_walk(alpha):
@@ -225,9 +276,8 @@ def relabel_rectangles(map_, perm):
 def test_rectangle_walk_matches_the_flag_walk():
     """Connectivity walks the m rectangles: a quarter of the flags a walk
     from flag 0 reaches, on all 10,395 pairings of the 12 flags at m = 3,
-    on disjoint unions of random maps with their rectangles shuffled, and
-    on permutations that are not involutions.  orientable is that walk's
-    two-colouring."""
+    and on disjoint unions of random maps with their rectangles shuffled.
+    orientable is that walk's two-colouring."""
     seen = {True: 0, False: 0}
     for pairs in perfect_matchings(list(range(12))):
         map_ = FlagMap.from_pairs(3, pairs)
@@ -251,12 +301,6 @@ def test_rectangle_walk_matches_the_flag_walk():
         assert 4 * _rectangles_reached(union.alpha) == count < union.flag_count
         assert not validate(union).connected
         assert orientable(union) == proper
-    for _ in range(200):
-        m = rng.randint(1, 12)
-        alpha = list(range(4 * m))
-        rng.shuffle(alpha)
-        count, _ = reference_flag_walk(alpha)
-        assert 4 * _rectangles_reached(alpha) == count
 
 
 def test_role_partners_on_canonical_roles():
@@ -333,39 +377,16 @@ def full_scan_gon_labels(alpha, partner):
     return count, gon_of, order
 
 
-def random_involution(rng: random.Random, n: int) -> list[int]:
-    """An involution of range(n) with a random number of fixed points."""
-    flags = list(range(n))
-    rng.shuffle(flags)
-    fixed = rng.randrange(n + 1)
-    alpha = list(range(n))
-    for i in range(fixed, n - 1, 2):
-        alpha[flags[i]], alpha[flags[i + 1]] = flags[i + 1], flags[i]
-    return alpha
-
-
 def test_gon_labels_match_the_full_scan_walk():
     """The walk that jumps to the next unlabelled flag and returns once
-    every flag is labelled gives the full scan's tuples for each partner:
-    on 3,000 random permutations of 4m flags (m <= 6), where a walk may
-    label a flag twice, on 1,000 involutions with fixed points, on every
-    map with m <= 2, on seeded maps and on the empty permutation."""
+    order holds every flag gives the full scan's tuples for each partner,
+    on every map with m <= 2 and on seeded maps up to m = 250."""
     rng = random.Random(33)
-    alphas = [[]]
-    for _ in range(3000):
-        alpha = list(range(4 * rng.randint(1, 6)))
-        rng.shuffle(alpha)
-        alphas.append(alpha)
-    alphas += [random_involution(rng, 4 * rng.randint(1, 6)) for _ in range(1000)]
-    alphas += [map_.alpha for m in (1, 2) for map_ in enumerate_maps(m)]
+    alphas = [map_.alpha for m in (1, 2) for map_ in enumerate_maps(m)]
     alphas += [random_connected_map(rng, m).alpha for m in (3, 17, 64, 65, 250)]
-    relabelled = 0
     for alpha in alphas:
         for p in PARTNER.values():
-            want = full_scan_gon_labels(alpha, p)
-            assert gon_labels(alpha, p) == want
-            relabelled += len(want[2]) > len(alpha)
-    assert relabelled > 1000, relabelled
+            assert gon_labels(alpha, p) == full_scan_gon_labels(alpha, p)
 
 
 def test_parse_role_permutation():

@@ -60,6 +60,17 @@ def test_all_checks_hold_on_k33():
     assert reports[10].note == "not applicable: 4 faces"
 
 
+def test_check_group_names_the_valid_groups():
+    """An unknown group is a ValueError listing the groups, not a KeyError;
+    each valid group checks its own claims."""
+    for group in ("x", "5", "", 1):
+        with pytest.raises(ValueError, match=rf"^theorem group must be one of 1, 2, 3, 4, all, got {group!r}$"):
+            theorems.check_group(sphere_loop_map(), group)
+    for group in theorems.GROUPS:
+        reports = theorems.check_group(sphere_loop_map(), group)
+        assert [r.theorem[0] for r in reports] == [group] * len(reports) != []
+
+
 def test_k33_dimensions():
     by_id = {r.theorem: r for r in verify_all(k33_map())}
     assert by_id["2a"].dims == {"im": 4, "target": 4}

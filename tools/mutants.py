@@ -88,17 +88,27 @@ MUTANTS = (
            ("test_construction.py",), "enumerate_maps: a list alpha, filled on after the yield"),
     Mutant("search.py", "rotations=tuple(rots),", "rotations=rots,",
            ("test_construction.py",), "_winner_map: a list of rotations"),
-    Mutant("codec.py", "return _as_int(e), _as_int(end)", "return e, end",
+    Mutant("codec.py", "tuple(tuple(map(_as_int, _pair(dart, \"dart\"))) for dart in rot)",
+           "tuple(tuple(_pair(dart, \"dart\")) for dart in rot)",
            ("test_construction.py",), "RotationSystem: a float dart taken for an int"),
-    Mutant("codec.py", "tuple(tuple(map(_dart, rot)) for rot in self.rotations)",
-           "tuple(tuple(rot) for rot in self.rotations)",
+    Mutant("codec.py", "tuple(tuple(map(_as_int, _pair(dart, \"dart\"))) for dart in rot)",
+           "tuple(tuple(dart) for dart in rot)",
            ("test_construction.py",), "RotationSystem: darts not read as pairs"),
+    Mutant("gem.py", "        a, b = value\n    except (TypeError, ValueError):",
+           "        a, b = value[:2]\n    except (TypeError, ValueError):",
+           ("test_construction.py",), "_pair: the first two items of a longer value taken as a pair"),
+    # The constructor is the one check that alpha is a fixed-point-free
+    # involution, and the builders that skip it prove it.
+    Mutant("gem.py", "            if y == x:\n", "            if False:\n",
+           ("test_gem.py",), "FlagMap: a fixed point accepted"),
+    Mutant("gem.py", "            if alpha[y] != x:\n", "            if False:\n",
+           ("test_gem.py",), "FlagMap: a permutation that is not an involution accepted"),
+    Mutant("gem.py", "alpha=tuple(phi_inv[a[phi[x]]] for x in range(n))",
+           "alpha=tuple(phi[a[phi[x]]] for x in range(n))",
+           ("test_construction.py",), "apply_permutation: conjugated by phi in place of phi_inv"),
+    Mutant("codec.py", "    if m < 1:\n        raise ValueError(\"need at least one rectangle\")\n", "",
+           ("test_construction.py",), "_rotation_map: a map with no edges built"),
     # The walks jump to the next unlabelled flag or position.
-    Mutant("gem.py", "while len(order) < n or -1 in gon_of:", "while len(order) < n:",
-           ("test_gem.py",), "gon_labels: returns once n flags are appended, some maybe unlabelled"),
-    Mutant("gem.py", "while len(order) < n or -1 in gon_of:", "while -1 in gon_of:",
-           ("test_gem.py",), "gon_labels: no length screen before the scan for -1",
-           "all n flags labelled takes at least n appends, so the screen only saves the scan"),
     Mutant("gem.py", "start = gon_of.index(-1, start)", "start = gon_of.index(-1, start + 1)",
            ("test_gem.py",), "gon_labels: the first gon does not start at flag 0"),
     Mutant("words.py", "start = seen.index(False, start)", "start = seen.index(False, start + 2)",
