@@ -33,7 +33,8 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gem import FlagMap, MultiGraph, _as_int, _pair, _prechecked, _rectangles_reached, phial, validate
+from .gem import (FlagMap, MultiGraph, _as_int, _iterable, _pair, _prechecked, _rectangles_reached, phial,
+                  validate)
 from .words import SignedWord
 
 
@@ -256,9 +257,10 @@ class RotationSystem:
     twists: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "twists", frozenset(map(_as_int, self.twists)))
-        rotations = tuple(tuple(tuple(map(_as_int, _pair(dart, "dart"))) for dart in rot)
-                          for rot in self.rotations)
+        object.__setattr__(self, "twists", frozenset(map(_as_int, _iterable(self.twists, "twists"))))
+        rotations = tuple(tuple(tuple(map(_as_int, _pair(dart, "dart")))
+                                for dart in _iterable(rot, "rotation"))
+                          for rot in _iterable(self.rotations, "rotations"))
         need = {(e, end) for e in range(self.graph.edge_count) for end in (0, 1)}
         got = [d for rot in rotations for d in rot]
         if len(rotations) != self.graph.n:

@@ -18,7 +18,10 @@ flag 0 covers every flag, and a zigzag that does too ends the sweep.
 Else, as one toggled twist moves z by at most 1, it tries the p with
 z(a) - 1 <= |p| < the fewest subdivisions so far, fewest first.  The
 first candidate met with the fewest wins, also if the budget cuts the
-sweep after it; only then is a FlagMap built.
+sweep after it; only then is a FlagMap built.  A winner that subdivides
+no edge ends the search, so its map is the flag list the search holds;
+only a subdivided one is rebuilt from the rotation system of
+subdivide_graph's graph.
 
 The sweep runs when candidate_count(g) <= EXHAUSTIVE_LIMIT.  Switching at
 a vertex reverses its rotation (the first dart stays first) and toggles
@@ -41,7 +44,11 @@ vertices whose rotation changed, draws the tuple's candidates from the
 budget at once (checking the time limit there) and sweeps the free
 twists in Gray-code order, flipping one twist in place per candidate.
 Larger graphs get seeded random restarts with local moves on g itself,
-which count f + z with gem.gon_count and never subdivide.
+which count f + z with gem.gon_count and never subdivide.  Like the
+sweep, they keep one flag list and edit it in place: a swap links its
+vertex's darts again, a twist flips one edge, and a rejected move is
+undone the same way.  gem.gon_count only counts, as nothing else of the
+walk is read here.
 """
 
 from __future__ import annotations
@@ -203,22 +210,31 @@ def _gon_length(alpha: list[int], partner: int) -> int:
             return length
 
 
-_Winner = tuple[Sequence, int, tuple[int, ...]]  # g's rotations, twist mask, edges to subdivide
+# g's rotations, twist mask, edges to subdivide, and for a winner that
+# subdivides none the flag list the search holds for it (else None).
+_Winner = tuple[Sequence, int, tuple[int, ...], list[int] | None]
 
 
 def _winner_map(g: MultiGraph, winner: _Winner) -> tuple[FlagMap, tuple[int, ...]]:
-    """The winner's map on subdivide_graph(g, counts), and counts: dart
-    (e, 1) moves to e's far segment, a new vertex joins e's two segments,
-    and the twist of e stays on its first segment, which keeps the id e.
-    Prechecked: the darts are those of _dart_lists, relabelled by far, and
-    the twists are edges of g."""
-    rots, mask, subdivided = winner
+    """The winner's map on subdivide_graph(g, counts), and counts.
+
+    A winner that subdivides no edge ends the search at once, so the flag
+    list it carries is still its candidate's, and the map is that list.
+    Prechecked: _link and _toggle_twist keep the list _rotation_alpha of
+    the candidate's rotations and twists, which pairs each flag once,
+    never with itself (codec._rotation_map).  A subdivided winner is
+    rebuilt: dart (e, 1) moves to e's far segment, a new vertex joins e's
+    two segments, and the twist of e stays on its first segment, which
+    keeps the id e.  Prechecked: the darts are those of _dart_lists,
+    relabelled by far, and the twists are edges of g."""
+    rots, mask, subdivided, alpha = winner
     counts = tuple(int(e in subdivided) for e in range(g.edge_count))
+    if not subdivided:
+        return _prechecked(FlagMap, m=g.edge_count, alpha=tuple(alpha)), counts
     twists = frozenset(e for e in range(g.edge_count) if (mask >> e) & 1)
-    if subdivided:
-        far = {e: fresh for fresh, e in enumerate(subdivided, g.edge_count)}
-        rots = [tuple((far.get(e, e) if end else e, end) for e, end in rot) for rot in rots]
-        rots += [((e, 1), (far[e], 0)) for e in subdivided]
+    far = {e: fresh for fresh, e in enumerate(subdivided, g.edge_count)}
+    rots = [tuple((far.get(e, e) if end else e, end) for e, end in rot) for rot in rots]
+    rots += [((e, 1), (far[e], 0)) for e in subdivided]
     rs = _prechecked(RotationSystem, graph=subdivide_graph(g, counts), rotations=tuple(rots),
                      twists=twists)
     return embedding_to_map(rs), counts
@@ -368,10 +384,11 @@ def _exhaustive(
             if length != n_flags or (p := _toggles_to_one_zigzag(alpha, fewest)) is None:
                 continue
             mask = i ^ (i >> 1)
-            winner = rots, sum(1 << e for j, e in enumerate(free) if (mask >> j) & 1), p
+            twist_mask = sum(1 << e for j, e in enumerate(free) if (mask >> j) & 1)
             if not p:
                 counter.used -= granted - i - 1  # hand back the unvisited rest
-                return winner, True
+                return (rots, twist_mask, p, alpha), True
+            winner = rots, twist_mask, p, None
             fewest = len(p)
         if granted < size:
             return winner, False
@@ -381,46 +398,62 @@ def _exhaustive(
 def _randomized(g: MultiGraph, counter: _Counter, rng: random.Random) -> _Winner | None:
     """Random restarts plus local moves (swap two rotation entries or
     toggle one twist), accepting moves that do not increase f + z.  Returns
-    the first winner, or None once the budget or the time limit is spent."""
+    the first winner, or None once the budget or the time limit is spent.
+
+    Each restart builds one flag list, and each move edits it in place: a
+    swap links the darts of its vertex again (codec._link) and a twist
+    flips one edge (codec._toggle_twist).  A rejected move is undone the
+    same way, so the list is always _rotation_alpha of rots and mask."""
     n_edges = g.edge_count
+    face, zigzag = PARTNER["f"], PARTNER["z"]
     dart_lists = _dart_lists(g)
     swappable = [v for v, darts in enumerate(dart_lists) if len(darts) >= 3]
-    rots, mask = [], 0
+    rots: list[_Rotation] = []
+    mask = 0
+    alpha: list[int] = []
     best: int | None = None  # lowest f + z of the current restart
     stall = _RESTART_STALL + 1
     while True:
         restart = stall > _RESTART_STALL
         if restart:
             counter.restarts += 1
-            new_rots = []
+            rots = []
             for darts in dart_lists:  # a random rotation per vertex, first dart pinned
                 rest = darts[1:]
                 rng.shuffle(rest)
-                new_rots.append((darts[0], *rest))
-            new_mask = rng.getrandbits(n_edges)
+                rots.append((darts[0], *rest))
+            mask = rng.getrandbits(n_edges)
+            alpha = _rotation_alpha(rots, mask, n_edges)
+        elif swappable and rng.random() < 0.5:
+            v = rng.choice(swappable)
+            kept = rots[v]
+            rot = list(kept)
+            i, j = rng.sample(range(1, len(rot)), 2)
+            rot[i], rot[j] = rot[j], rot[i]
+            rots[v] = tuple(rot)
+            _link(alpha, (rots[v],), mask)
         else:
-            new_rots, new_mask = list(rots), mask
-            if swappable and rng.random() < 0.5:
-                v = rng.choice(swappable)
-                rot = list(new_rots[v])
-                i, j = rng.sample(range(1, len(rot)), 2)
-                rot[i], rot[j] = rot[j], rot[i]
-                new_rots[v] = tuple(rot)
-            else:
-                new_mask ^= 1 << rng.randrange(n_edges)
+            v, e = -1, rng.randrange(n_edges)
+            mask ^= 1 << e
+            _toggle_twist(alpha, e)
         if not counter.draw(1):
             return None
-        alpha = _rotation_alpha(new_rots, new_mask, n_edges)
-        value = gon_count(alpha, PARTNER["f"]) + gon_count(alpha, PARTNER["z"])
+        value = gon_count(alpha, face) + gon_count(alpha, zigzag)
         if value == 2:
-            return new_rots, new_mask, ()
+            return rots, mask, (), alpha
         if restart or value <= best:
             stall = 0 if restart or value < best else stall + 1
-            rots, mask, best = new_rots, new_mask, value
+            best = value
             if counter.best_score is None or value < counter.best_score:
                 counter.best_score = value
         else:
             stall += 1
+            if v < 0:  # undo the rejected move
+                mask ^= 1 << e
+                _toggle_twist(alpha, e)
+            else:
+                rots[v] = kept
+                _link(alpha, (kept,), mask)
 
 
 def search_embedding(

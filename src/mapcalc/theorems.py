@@ -154,7 +154,7 @@ _BY_GROUP["all"] = _CLAIMS
 
 def check_group(map_: FlagMap | MapAnalysis, group: str) -> list[TheoremReport]:
     """The claims of one group, "1" to "4", or "all" of them, in id order."""
-    if group not in _BY_GROUP:
+    if not isinstance(group, str) or group not in _BY_GROUP:
         raise ValueError(f"theorem group must be one of {', '.join(_BY_GROUP)}, got {group!r}")
     analysis = MapAnalysis.of(map_)
     return [claim.check(analysis) for claim in _BY_GROUP[group]]

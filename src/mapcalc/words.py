@@ -55,8 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gem import (PARTNER, FlagMap, _as_int, _pair, _partner, _prechecked, antimap, gon_count,
-                  gon_labels, phial)
+from .gem import (PARTNER, FlagMap, _as_int, _iterable, _pair, _partner, _prechecked, antimap,
+                  gon_count, gon_labels, phial)
 from .gf2 import Gf2Vec, LinearOp
 
 
@@ -93,8 +93,9 @@ class SignedWord:
             # Any other spelling (a list, bools, int-like values), and any
             # fault, is made a tuple of int pairs once, naming the first entry
             # that is not one, and checked again, naming the first fault.
+            entries = _iterable(self.entries, "entries")
             object.__setattr__(self, "entries", tuple(tuple(map(_as_int, _pair(entry, "entry")))
-                                                      for entry in self.entries))
+                                                      for entry in entries))
             self._index()
 
     def _index(self) -> None:

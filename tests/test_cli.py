@@ -404,15 +404,17 @@ def test_enumerate_stats_schema(capsys):
 
 
 def test_enumerate_walks_each_gon_kind_once_per_map(capsys, monkeypatch):
-    """With --verify-absorption the profile comes from the analysis the
-    check builds, so each map's three gon kinds are walked once, through
-    whichever module binding of gem.gon_labels."""
-    walks = count_calls(monkeypatch, gem, "gon_labels")
+    """Each map's three gon kinds are walked once: plain enumerate counts
+    them with the count-only gem.gon_count, and with --verify-absorption
+    the profile comes from the analysis the check builds, through
+    whichever module binding of the labelled gem.gon_labels."""
+    labelled = count_calls(monkeypatch, gem, "gon_labels")
+    counted = count_calls(monkeypatch, gem, "gon_count")
     plain = run_cli(capsys, "enumerate", "--size", "2")
-    assert (plain[0], walks[None]) == (0, 3 * 96)
-    walks.clear()
+    assert (plain[0], counted[None], labelled[None]) == (0, 3 * 96, 0)
+    counted.clear()
     code, out, _ = run_cli(capsys, "enumerate", "--size", "2", "--verify-absorption")
-    assert (code, walks[None]) == (0, 3 * 96)
+    assert (code, labelled[None], counted[None]) == (0, 3 * 96, 0)
     assert out == plain[1] + "absorption: holds on all 96 maps\n"
 
 
@@ -564,7 +566,7 @@ def test_python_m_mapcalc_runs_the_cli():
 # tools/cli_digest.py's line for this tree.  A change to what any command
 # prints, writes or exits with changes it: edit it in the same diff, and
 # say why in CHANGES.md.
-CLI_DIGEST = "2125 runs sha256 d0304ce7c453b3778111819b44c3195e75e839456c2067273b37a70ea6f125aa"
+CLI_DIGEST = "2147 runs sha256 305027b071874a46537025335a4c085d905587f76339c38cb5296bff17965571"
 
 
 def test_cli_digest_is_the_committed_one():

@@ -44,6 +44,7 @@ from mapcalc import (
 from mapcalc import search
 from mapcalc.cli import _BUDGET_FLAGS
 from mapcalc.gem import PARTNER, _gon_graph, gon_labels
+from mapcalc.theorems import check_group
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import SearchSubdiv  # noqa: E402
@@ -102,6 +103,60 @@ def test_constructors_read_pairs_through_one_reader(build, message):
     """gem._pair names a value that is not a pair in a ValueError, not a
     bare TypeError or an unpacking error."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)} is not a pair of integers$"):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: FlagMap(1, None), "alpha must be iterable, got None", id="flagmap-alpha"),
+    pytest.param(lambda: FlagMap(1, 5), "alpha must be iterable, got 5", id="flagmap-alpha-int"),
+    pytest.param(lambda: FlagMap.from_pairs(1, None), "flag pairs must be iterable, got None",
+                 id="from-pairs"),
+    pytest.param(lambda: MultiGraph(2, None), "edges must be iterable, got None", id="multigraph-edges"),
+    pytest.param(lambda: SignedWord(1, None), "entries must be iterable, got None", id="word-entries"),
+    pytest.param(lambda: RotationSystem(EDGE, None, ()), "rotations must be iterable, got None",
+                 id="rotation-rotations"),
+    pytest.param(lambda: RotationSystem(EDGE, (None, ((0, 1),)), ()), "rotation must be iterable, got None",
+                 id="rotation-one-rotation"),
+    pytest.param(lambda: RotationSystem(EDGE, EDGE_ROTATIONS, None), "twists must be iterable, got None",
+                 id="rotation-twists"),
+    pytest.param(lambda: apply_permutation(single_edge_map(), 5, "lsd"), "rects must be iterable, got 5",
+                 id="apply-permutation-rects"),
+    pytest.param(lambda: check_group(single_edge_map(), ["1"]),
+                 "theorem group must be one of 1, 2, 3, 4, all, got ['1']", id="check-group-list"),
+    pytest.param(lambda: check_group(single_edge_map(), {"1"}),
+                 "theorem group must be one of 1, 2, 3, 4, all, got {'1'}", id="check-group-set"),
+])
+def test_a_container_of_the_wrong_kind_is_refused_by_name(build, message):
+    """A field that is not iterable, or a theorem group that is not
+    hashable, is a ValueError naming the field or the valid groups, not a
+    bare TypeError ("'NoneType' object is not iterable", "unhashable
+    type")."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def raises_after(*items):
+    """The items, then a TypeError of the caller's own."""
+    yield from items
+    raise TypeError("from the generator")
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: FlagMap(1, raises_after(1, 0)), id="flagmap-alpha"),
+    pytest.param(lambda: FlagMap.from_pairs(1, raises_after((0, 1))), id="from-pairs"),
+    pytest.param(lambda: MultiGraph(2, raises_after((0, 1))), id="multigraph-edges"),
+    pytest.param(lambda: SignedWord(1, raises_after((0, 1))), id="word-entries"),
+    pytest.param(lambda: RotationSystem(EDGE, raises_after(((0, 0),)), ()), id="rotation-rotations"),
+    pytest.param(lambda: RotationSystem(EDGE, (raises_after(), ((0, 1),)), ()), id="rotation-one-rotation"),
+    pytest.param(lambda: RotationSystem(EDGE, EDGE_ROTATIONS, raises_after(0)), id="rotation-twists"),
+    pytest.param(lambda: apply_permutation(single_edge_map(), raises_after(0), "lsd"),
+                 id="apply-permutation-rects"),
+])
+def test_constructors_pass_on_a_type_error_from_the_callers_iterable(build):
+    """Only taking the iterator is guarded, so a TypeError that the
+    caller's own generator raises while it is read reaches the caller
+    unchanged."""
+    with pytest.raises(TypeError, match="^from the generator$"):
         build()
 
 
@@ -236,23 +291,37 @@ def test_enumerate_maps_builds_what_the_public_constructor_builds():
 
 
 def test_winner_rotation_systems_build_what_the_public_constructor_builds(monkeypatch):
-    """The rotation system of every map found on the search-subdiv pool
-    graphs at their benchmark budget, with and without subdivisions."""
-    systems = []
-    original = search.embedding_to_map
+    """The map of every winner found on the search-subdiv pool graphs at
+    their benchmark budget.  The 24 subdivided ones are rebuilt through
+    embedding_to_map of a rotation system that the public constructor
+    builds alike.  The 95 others are read off the search's own flag list,
+    and equal that rebuild of their rotations and twists on g."""
+    systems, unsubdivided = [], []
+    original_rebuild, original_map = search.embedding_to_map, search._winner_map
 
     def kept(rs):
         systems.append(rs)
-        return original(rs)
+        return original_rebuild(rs)
+
+    def winner_map(g, winner):
+        built = original_map(g, winner)
+        if not winner[2]:
+            unsubdivided.append((g, winner, built[0]))
+        return built
 
     monkeypatch.setattr(search, "embedding_to_map", kept)
+    monkeypatch.setattr(search, "_winner_map", winner_map)
     workload = SearchSubdiv()
-    subdivided = sum(sum(workload.item(mapcalc, g, seed).subdivisions or ())
-                     for g, seed in workload.build(mapcalc, 0))
-    assert len(systems) == 119 and subdivided > 0
+    for g, seed in workload.build(mapcalc, 0):
+        workload.item(mapcalc, g, seed)
+    assert (len(systems), len(unsubdivided)) == (24, 95)
     for rs in systems:
         assert_built_as_public(rs)
         assert_built_as_public(embedding_to_map(rs))
+    for g, (rots, mask, _, _), map_ in unsubdivided:
+        assert_built_as_public(map_)
+        twists = {e for e in range(g.edge_count) if (mask >> e) & 1}
+        assert map_ == embedding_to_map(RotationSystem(g, rots, twists))
 
 
 def test_apply_permutation_builds_what_the_public_constructor_builds():

@@ -31,7 +31,7 @@ from mapcalc import (
     sphere_loop_map,
     validate,
 )
-from mapcalc.gem import _PERMUTATION_OFFSETS, PARTNER, _rectangles_reached
+from mapcalc.gem import _PERMUTATION_OFFSETS, PARTNER, _rectangles_reached, gon_count
 
 ALL_PERMS = ("sld", "lsd", "dls", "sdl", "dsl", "lds")
 
@@ -387,6 +387,18 @@ def test_gon_labels_match_the_full_scan_walk():
     for alpha in alphas:
         for p in PARTNER.values():
             assert gon_labels(alpha, p) == full_scan_gon_labels(alpha, p)
+
+
+def test_gon_count_is_the_labelled_walks_count():
+    """The count-only walk counts what gon_labels labels, for each partner,
+    on every map with m <= 3 and on seeded maps up to m = 250."""
+    rng = random.Random(35)
+    alphas = [map_.alpha for m in (1, 2, 3) for map_ in enumerate_maps(m)]
+    alphas += [random_connected_map(rng, m).alpha for m in (4, 17, 64, 65, 250) for _ in range(5)]
+    for alpha in alphas:
+        for p in PARTNER.values():
+            assert gon_count(alpha, p) == gon_labels(alpha, p)[0]
+    assert len(alphas) == 3 + 96 + 9504 + 25
 
 
 def test_parse_role_permutation():

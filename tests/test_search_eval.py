@@ -15,8 +15,11 @@ zigzag counts by at most 1 (the premise of the sweep's prune), compare
 the reduced sweep (tree twists fixed at 0, loops kept in one direction,
 one tuple of each mirror pair) with a full sweep of every candidate and
 every parity class and with the switching-only sweep it replaced, check
-that a time limit cuts a sweep in the middle, and compare the one sweep
-with a copy of the level-by-level search it replaced.
+that a time limit cuts a sweep in the middle, compare the one sweep
+with a copy of the level-by-level search it replaced, compare the
+randomized phase's one flag list, edited in place, and its outcomes with
+a copy of the rebuild-per-candidate phase it replaced, and compare the
+count-only gon_count with gon_labels on the lists the search counts.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ import sys
 import time
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import prod
+from pathlib import Path
 
 import pytest
 
+import mapcalc
 from mapcalc import (
     FlagMap,
     MultiGraph,
@@ -47,8 +52,11 @@ from mapcalc import (
 )
 from mapcalc import search
 from mapcalc.codec import _rotation_alpha, _toggle_twist
-from mapcalc.gem import PARTNER, gon_count
+from mapcalc.gem import PARTNER, gon_count, gon_labels
 from mapcalc.search import _Counter, _dart_lists, _exhaustive, _gon_length, _sweep_plan, _winner_map
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import SearchSubdiv  # noqa: E402
 
 FACE, ZIGZAG = PARTNER["f"], PARTNER["z"]
 
@@ -823,3 +831,117 @@ def test_budget_cut_after_a_winner_is_found():
     assert_found_map(THETA, cut)
     full = search_embedding(THETA, SearchBudget(max_candidates=2, max_subdivisions=2))
     assert (full.status, full.candidates, full.subdivisions) == ("found", 2, (1, 0, 0))
+
+
+def rebuilding_randomized(g: MultiGraph, counter: _Counter, rng: random.Random,
+                          visited: list[list[int]]):
+    """search._randomized as it was before it kept one flag list per
+    restart: each candidate's list is built anew by _rotation_alpha from a
+    copy of the rotations, and appended to visited.  Returns (rotations,
+    twist mask) of the winner, or None."""
+    n_edges = g.edge_count
+    dart_lists = _dart_lists(g)
+    swappable = [v for v, darts in enumerate(dart_lists) if len(darts) >= 3]
+    rots, mask = [], 0
+    best = None
+    stall = search._RESTART_STALL + 1
+    while True:
+        restart = stall > search._RESTART_STALL
+        if restart:
+            counter.restarts += 1
+            new_rots = []
+            for darts in dart_lists:
+                rest = darts[1:]
+                rng.shuffle(rest)
+                new_rots.append((darts[0], *rest))
+            new_mask = rng.getrandbits(n_edges)
+        else:
+            new_rots, new_mask = list(rots), mask
+            if swappable and rng.random() < 0.5:
+                v = rng.choice(swappable)
+                rot = list(new_rots[v])
+                i, j = rng.sample(range(1, len(rot)), 2)
+                rot[i], rot[j] = rot[j], rot[i]
+                new_rots[v] = tuple(rot)
+            else:
+                new_mask ^= 1 << rng.randrange(n_edges)
+        if not counter.draw(1):
+            return None
+        alpha = _rotation_alpha(new_rots, new_mask, n_edges)
+        visited.append(alpha)
+        value = gon_labels(alpha, FACE)[0] + gon_labels(alpha, ZIGZAG)[0]
+        if value == 2:
+            return new_rots, new_mask
+        if restart or value <= best:
+            stall = 0 if restart or value < best else stall + 1
+            rots, mask, best = new_rots, new_mask, value
+            if counter.best_score is None or value < counter.best_score:
+                counter.best_score = value
+        else:
+            stall += 1
+
+
+def test_randomized_phase_matches_a_rebuild_per_candidate(monkeypatch):
+    """With every graph sent to the randomized phase, the flag list that
+    it edits in place is, at every candidate, the list that a rebuild from
+    that candidate's rotations and twists gives, and each outcome is the
+    one the rebuilding copy above reaches: 300 seeded multigraphs, with
+    swaps and twists rejected and undone, restarts, winners and budget
+    cuts among them."""
+    monkeypatch.setattr(search, "EXHAUSTIVE_LIMIT", 0)
+    held: list[list[int]] = []
+
+    def scored(alpha, partner):
+        if partner == FACE:
+            held.append(list(alpha))
+        return gon_count(alpha, partner)
+
+    monkeypatch.setattr(search, "gon_count", scored)
+    rng = random.Random(35)
+    budget = SearchBudget(max_candidates=600)
+    found = restarted = cut = 0
+    for seed in range(300):
+        g = random_multigraph(rng)
+        held.clear()
+        outcome = search_embedding(g, budget, seed=seed)
+        counter = _Counter(budget.max_candidates, None)
+        rebuilt: list[list[int]] = []
+        winner = rebuilding_randomized(g, counter, random.Random(seed), rebuilt)
+        assert held == rebuilt
+        if winner is None:
+            expected = None
+        else:
+            rots, mask = winner
+            twists = {e for e in range(g.edge_count) if (mask >> e) & 1}
+            expected = embedding_to_map(RotationSystem(g, rots, twists))
+        assert (outcome.map, outcome.candidates, outcome.restarts, outcome.best_score) == (
+            expected, counter.used, counter.restarts, 2 if winner else counter.best_score)
+        found += winner is not None
+        restarted += counter.restarts > 1
+        cut += winner is None
+    assert found > 100 and restarted > 10 and cut > 10
+
+
+def test_search_counts_gons_as_the_labelled_walk_on_the_pool(monkeypatch):
+    """On every flag list that the search counts gons on with gem.gon_count
+    on the search-subdiv pool graphs, the count-only walk counts what
+    gon_labels labels, for each partner: the searches of the benchmark, in
+    both phases, then the first 200 candidates of the randomized phase on
+    every pool graph."""
+    calls = []
+
+    def compared(alpha, partner):
+        calls.append(partner)
+        for p in PARTNER.values():
+            assert gon_count(alpha, p) == gon_labels(alpha, p)[0]
+        return gon_count(alpha, partner)
+
+    monkeypatch.setattr(search, "gon_count", compared)
+    workload = SearchSubdiv()
+    pool = workload.build(mapcalc, 0)
+    modes = {workload.item(mapcalc, g, seed).mode for g, seed in pool}
+    assert modes == {"exhaustive", "randomized"} and len(calls) > 400
+    monkeypatch.setattr(search, "EXHAUSTIVE_LIMIT", 0)
+    for g, seed in pool:
+        search_embedding(g, SearchBudget(max_candidates=200), seed=seed)
+    assert len(calls) > 10_000

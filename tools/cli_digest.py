@@ -12,7 +12,7 @@ one.  The "seconds" entry of every JSON object that --stats prints to
 stderr is removed first, as it is the only part that changes from run to
 run.
 
-The corpus, 2125 runs:
+The corpus, 2147 runs:
   - the seed inputs of tests/test_cli_fuzz.py through each of their
     commands, then 2000 seeded mutants of them (its `mutate`, seed 27);
   - `verify --json` and `verify --json --stats` on the 24 maps of the
@@ -20,8 +20,9 @@ The corpus, 2125 runs:
   - `enumerate --size N --verify-absorption --stats` for N = 1, 2, 3, and
     `enumerate` on a few refused sizes;
   - `search --seed S --budget 2000 --subdiv 2 --stats` on the first 20
-    graphs of the `search-subdiv` workload, written as .rot text, with
-    two seeds each.
+    graphs of the `search-subdiv` workload, written as .rot text, and on
+    the 11 later ones that reach the randomized phase (RANDOMIZED_GRAPHS),
+    with two seeds each.
 
 Only the standard library and mapcalc are used.
 """
@@ -50,6 +51,10 @@ MUTANTS = 2000
 MUTANT_SEED = 27
 VERIFY_SEED = 1
 SEARCH_GRAPHS = 20
+# The search-subdiv graphs after the first SEARCH_GRAPHS whose
+# candidate_count exceeds search.EXHAUSTIVE_LIMIT; with graphs 7 and 12
+# they are all the pool's randomized searches.
+RANDOMIZED_GRAPHS = (21, 23, 36, 47, 68, 72, 84, 91, 92, 97, 103)
 
 
 def rotation_text(graph) -> str:
@@ -81,7 +86,8 @@ def corpus():
         yield None, None, ["enumerate", "--size", size, "--verify-absorption", "--stats"]
     for size in ("0", "-1", "x", "1_0"):
         yield None, None, ["enumerate", "--size", size, "--verify-absorption", "--stats"]
-    for graph, seed in SearchSubdiv().build(mapcalc, 0)[:SEARCH_GRAPHS]:
+    pool = SearchSubdiv().build(mapcalc, 0)
+    for graph, seed in pool[:SEARCH_GRAPHS] + [pool[i] for i in RANDOMIZED_GRAPHS]:
         for s in (seed, seed + 1000):
             command = ["search", "--seed", str(s), "--budget", "2000", "--subdiv", "2", "--stats", "-o", OUT]
             yield "in.rot", rotation_text(graph), command

@@ -88,15 +88,20 @@ MUTANTS = (
            ("test_construction.py",), "enumerate_maps: a list alpha, filled on after the yield"),
     Mutant("search.py", "rotations=tuple(rots),", "rotations=rots,",
            ("test_construction.py",), "_winner_map: a list of rotations"),
-    Mutant("codec.py", "tuple(tuple(map(_as_int, _pair(dart, \"dart\"))) for dart in rot)",
-           "tuple(tuple(_pair(dart, \"dart\")) for dart in rot)",
+    Mutant("search.py", "return _prechecked(FlagMap, m=g.edge_count, alpha=tuple(alpha)), counts",
+           "return _prechecked(FlagMap, m=g.edge_count, alpha=alpha), counts",
+           ("test_construction.py",), "_winner_map: a winner with no subdivision built from a list alpha"),
+    Mutant("codec.py", "tuple(tuple(map(_as_int, _pair(dart, \"dart\")))\n",
+           "tuple(tuple(_pair(dart, \"dart\"))\n",
            ("test_construction.py",), "RotationSystem: a float dart taken for an int"),
-    Mutant("codec.py", "tuple(tuple(map(_as_int, _pair(dart, \"dart\"))) for dart in rot)",
-           "tuple(tuple(dart) for dart in rot)",
+    Mutant("codec.py", "tuple(tuple(map(_as_int, _pair(dart, \"dart\")))\n",
+           "tuple(tuple(dart)\n",
            ("test_construction.py",), "RotationSystem: darts not read as pairs"),
     Mutant("gem.py", "        a, b = value\n    except (TypeError, ValueError):",
            "        a, b = value[:2]\n    except (TypeError, ValueError):",
            ("test_construction.py",), "_pair: the first two items of a longer value taken as a pair"),
+    Mutant("gem.py", "        return iter(value)\n", "        return value\n",
+           ("test_construction.py",), "_iterable: a value that is not iterable passed on unchecked"),
     # The constructor is the one check that alpha is a fixed-point-free
     # involution, and the builders that skip it prove it.
     Mutant("gem.py", "            if y == x:\n", "            if False:\n",
@@ -116,6 +121,18 @@ MUTANTS = (
     Mutant("words.py", "start = seen.index(False, start)", "start = seen.index(False, start + 1)",
            ("test_words.py",), "_link_cycles: the jump scans from the position after the start",
            "position start is marked when its walk begins, so the scan skips it either way"),
+    Mutant("gem.py", "            seen[x] = seen[y] = True\n", "            seen[x] = True\n",
+           ("test_gem.py",), "gon_count: the walk marks x but not x ^ partner"),
+    # The randomized phase edits one flag list in place and undoes a
+    # rejected move the same way.
+    Mutant("search.py", "                rots[v] = kept\n                _link(alpha, (kept,), mask)\n",
+           "                pass\n",
+           ("test_search_eval.py",), "_randomized: a rejected swap not undone"),
+    Mutant("search.py", "_link(alpha, (kept,), mask)", "_link(alpha, (rot,), mask)",
+           ("test_search_eval.py",), "_randomized: a rejected swap undone by linking the new rotation"),
+    Mutant("search.py", "                mask ^= 1 << e\n                _toggle_twist(alpha, e)\n            else:\n",
+           "                mask ^= 1 << e\n            else:\n",
+           ("test_search_eval.py",), "_randomized: a rejected twist not flipped back in the list"),
     # A kind with one gon skips its per-edge passes.
     Mutant("gem.py", "edges=((0, 0),) * (len(gon_of) >> 2))", "edges=((0, 0),) * (len(gon_of) >> 3))",
            ("test_construction.py",), "_gon_graph: a bouquet of m / 2 loops"),
